@@ -10,9 +10,10 @@ only with natural-log entropy, which pins the convention.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError, InvalidArgumentError, NumericalFailureError
 
@@ -36,10 +37,11 @@ __all__ = [
     "thm1_xc_lower",
     "depressed_cubic_positive_root",
     "thm2_xc_lower",
-    "thm2_cardano_complex",
     "maximal_bound",
+    "Formula",
+    "FORMULAS",
+    "evaluate",
     "emit_curve",
-    "CURVE_FORMULAS",
 ]
 
 LN3 = math.log(3.0)
@@ -87,17 +89,24 @@ def phi(n: int, k: int, eps: float, width_ratio: float = 1.0) -> float:
     """
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
+    return _phi_rate(k / n, eps, width_ratio)
+
+
+def _phi_rate(delta: float, eps: float, width_ratio: float) -> float:
+    """phi as a function of the sparsity ratio delta = k/n."""
     if eps < 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     if not 0.0 < width_ratio <= 1.0:
         raise DomainError(f"width_ratio must lie in (0, 1], got {width_ratio}")
-    bracket = width_ratio / (1.0 + eps) - math.sqrt(k / n)
-    return max(bracket, 0.0) ** 2
+    if not 0.0 <= delta <= 1.0:
+        raise DomainError(f"delta must lie in [0, 1], got {delta}")
+    return max(width_ratio / (1.0 + eps) - math.sqrt(delta), 0.0) ** 2
 
 
 def _entropy_gap(delta: float, eps: float) -> float:
+    entropy = binary_entropy(delta)  # first, so delta < 0 is a DomainError
     bracket = max(1.0 / (1.0 + eps) - math.sqrt(delta), 0.0)
-    return bracket * bracket - binary_entropy(delta)
+    return bracket * bracket - entropy
 
 
 def delta_star(eps: float, tol: float = 1e-9) -> float:
@@ -327,31 +336,6 @@ def thm2_xc_lower(n: int, k: int, eps: float) -> float:
     return max(z * z - 2.0 * k * LN3, 0.0)
 
 
-def thm2_cardano_complex(n: int, k: int, eps: float) -> float:
-    """Same root as inside thm2_xc_lower via the Cardano cube-root sum
-    T_+ + T_-; kept as an independent route for cross-checking.
-
-    Nonnegative discriminant takes real cube roots; otherwise the principal
-    complex branches have conjugate arguments and their sum is the positive
-    real root.
-    """
-    a = math.sqrt(n) / (22000.0 * math.e * (1.0 + eps))
-    b = (
-        math.log(16.0 * (1.0 + eps) * math.sqrt(k) * n**1.5 / (5.0 * math.sqrt(2.0 * LN3)))
-        - 2.0 * k * LN3
-    ) / 3.0
-    disc = a * a + b**3
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        return math.copysign(abs(a + s) ** (1.0 / 3.0), a + s) + math.copysign(
-            abs(a - s) ** (1.0 / 3.0), a - s
-        )
-    inner = cmath.sqrt(complex(disc))
-    t_plus = (a + inner) ** (1.0 / 3.0)
-    t_minus = (a - inner) ** (1.0 / 3.0)
-    return (t_plus + t_minus).real
-
-
 def maximal_bound(v: float, c: float, n_vars: int) -> float:
     """Expected-maximum bound for n_vars sub-exponential variables with MGF
     parameters (v, c): max(sqrt(2 v ln N), 2 c ln N).
@@ -397,67 +381,133 @@ class BoundCurve:
         return [p.value for p in self.points]
 
 
-def _curve_phi(delta, params):
-    eps = params.get("eps", 0.0)
-    ratio = params.get("width_ratio", 1.0)
-    if eps < 0 or not 0.0 < ratio <= 1.0 or not 0.0 <= delta <= 1.0:
-        raise DomainError("phi curve needs eps >= 0, 0 < width_ratio <= 1, delta in [0, 1]")
-    return max(ratio / (1.0 + eps) - math.sqrt(delta), 0.0) ** 2
+def _number(params: dict, name: str, default=None):
+    value = params.get(name, default)
+    if value is None:
+        raise InvalidArgumentError(f"missing parameter {name!r}")
+    if not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"parameter {name!r} must be a number, got {value!r}")
+    return value
 
 
-def _curve_bracket(delta, params):
-    eps = params.get("eps", 0.0)
-    if eps < 0 or not 0.0 <= delta <= 1.0:
-        raise DomainError("bracket curve needs eps >= 0 and delta in [0, 1]")
-    return max(1.0 / (1.0 + eps) - math.sqrt(delta), 0.0) ** 2
+def _integer(params: dict, name: str, default=None) -> int:
+    value = _number(params, name, default)
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"parameter {name!r} must be finite, got {value!r}")
+    return int(value)
 
 
-CURVE_FORMULAS = {
-    "phi": _curve_phi,
-    "xi": lambda x, p: xi(x),
-    "zeta": lambda x, p: zeta(x),
-    "psi": lambda x, p: psi(x),
-    "avg_ratio": lambda x, p: avg_ratio_lower(x),
-    "delta_star": lambda x, p: delta_star(x, p.get("tol", 1e-9)),
-    "entropy": lambda x, p: binary_entropy(x),
-    "bracket": _curve_bracket,
+@dataclass(frozen=True)
+class Formula:
+    """A named closed-form formula.
+
+    fn reads its parameters by name from a dict and checks each one before
+    any math runs; a curve binds its grid values to the parameter named by
+    grid.  inf_at_zero marks formulas that diverge to +inf at grid value 0
+    rather than leaving their domain there.
+    """
+
+    fn: Callable[[dict], float]
+    grid: str
+    inf_at_zero: bool = False
+
+
+def _unary(fn: Callable[[float], float], name: str, inf_at_zero: bool = False) -> Formula:
+    return Formula(lambda p: fn(_number(p, name)), name, inf_at_zero)
+
+
+def _phi_params(p: dict) -> float:
+    # a curve binds delta; a single evaluation may give n and k instead
+    eps, ratio = _number(p, "eps", 0.0), _number(p, "width_ratio", 1.0)
+    if "delta" in p:
+        return _phi_rate(_number(p, "delta"), eps, ratio)
+    return phi(_integer(p, "n"), _integer(p, "k"), eps, ratio)
+
+
+_ENTROPY = _unary(binary_entropy, "p")
+
+FORMULAS = {
+    "delta_star": Formula(
+        lambda p: delta_star(_number(p, "eps", 0.0), _number(p, "tol", 1e-9)), "eps"
+    ),
+    "thm1": Formula(
+        lambda p: thm1_xc_lower(
+            _integer(p, "n", 10**6),
+            _integer(p, "k"),
+            _number(p, "eps", 0.0),
+            HansonWrightConstants(_number(p, "c1", 1.0), _number(p, "c2", 1.0)),
+        ),
+        "k",
+    ),
+    "thm2": Formula(
+        lambda p: thm2_xc_lower(_integer(p, "n", 10**6), _integer(p, "k"), _number(p, "eps", 0.0)),
+        "k",
+    ),
+    "phi": Formula(_phi_params, "delta"),
+    "bracket": Formula(
+        lambda p: _phi_rate(_number(p, "delta"), _number(p, "eps", 0.0), 1.0), "delta"
+    ),
     # gap = bracket - entropy; its single sign change in (0, 1) is where the
     # two component curves cross
-    "entropy_vs_bracket": lambda x, p: _entropy_gap(x, p.get("eps", 0.0)),
-    "thm1": lambda x, p: thm1_xc_lower(
-        int(p.get("n", 10**6)),
-        int(x),
-        p.get("eps", 0.0),
-        HansonWrightConstants(p.get("c1", 1.0), p.get("c2", 1.0)),
+    "entropy_vs_bracket": Formula(
+        lambda p: _entropy_gap(_number(p, "delta"), _number(p, "eps", 0.0)), "delta"
     ),
-    "thm2": lambda x, p: thm2_xc_lower(int(p.get("n", 10**6)), int(x), p.get("eps", 0.0)),
+    "binary_entropy": _ENTROPY,
+    "entropy": _ENTROPY,
+    "xi": _unary(xi, "delta"),
+    "zeta": _unary(zeta, "delta", inf_at_zero=True),
+    "psi": _unary(psi, "delta", inf_at_zero=True),
+    "avg_ratio": _unary(avg_ratio_lower, "delta", inf_at_zero=True),
+    "sparse_integral": _unary(sparse_integral, "delta"),
+    "normal_quantile": _unary(normal_quantile, "p"),
+    "chi2_quantile": _unary(chi2_quantile, "p"),
+    "maximal": Formula(
+        lambda p: maximal_bound(_number(p, "v"), _number(p, "c"), _integer(p, "N")), "N"
+    ),
+    "cubic_root": Formula(
+        lambda p: depressed_cubic_positive_root(_number(p, "p"), _number(p, "q")), "q"
+    ),
 }
 
-# formulas that diverge to +inf at a domain edge rather than erroring out
-_INF_AT_ZERO = {"zeta", "psi", "avg_ratio"}
+
+def _formula(which: str) -> Formula:
+    if which not in FORMULAS:
+        raise InvalidArgumentError(
+            f"unknown formula {which!r}; expected one of {sorted(FORMULAS)}"
+        )
+    return FORMULAS[which]
 
 
-def emit_curve(which: str, grid, **params) -> BoundCurve:
-    """Evaluate a named formula on a grid of abscissae.
+def evaluate(which: str, params: dict) -> float:
+    """Value of a named formula at params, a parameter-name -> number dict.
+
+    A missing or non-numeric parameter raises InvalidArgumentError naming it;
+    float overflow or division by zero raises NumericalFailureError.
+    """
+    fn = _formula(which).fn
+    try:
+        return fn(params)
+    except ArithmeticError as exc:
+        raise NumericalFailureError(f"{which} failed at {params}: {exc}") from exc
+
+
+def emit_curve(which: str, grid, /, **params) -> BoundCurve:
+    """Evaluate a named formula on a grid bound to its grid parameter.
 
     Points where the formula diverges are flagged "inf"; points outside the
     domain are flagged "domain" and carry NaN.  Nothing is silently dropped.
     """
-    if which not in CURVE_FORMULAS:
-        raise InvalidArgumentError(
-            f"unknown formula {which!r}; expected one of {sorted(CURVE_FORMULAS)}"
-        )
+    entry = _formula(which)
     grid = [float(x) for x in grid]
     if not grid:
         raise InvalidArgumentError("grid must be nonempty")
-    fn = CURVE_FORMULAS[which]
     points = []
     for x in grid:
-        if which in _INF_AT_ZERO and x == 0.0:
+        if entry.inf_at_zero and x == 0.0:
             points.append(CurvePoint(x, math.inf, "inf"))
             continue
         try:
-            points.append(CurvePoint(x, fn(x, params), "ok"))
+            points.append(CurvePoint(x, evaluate(which, {**params, entry.grid: x}), "ok"))
         except DomainError:
             points.append(CurvePoint(x, math.nan, "domain"))
     return BoundCurve(which, tuple(points))

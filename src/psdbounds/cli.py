@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, bounds, cones, hypercube, linalg, widths
 from ._rng import substream
-from .errors import NumericalFailureError, OracleFailureError
+from .errors import InvalidArgumentError, NumericalFailureError, OracleFailureError
 
 PROG = "psdb"
 
@@ -99,6 +99,8 @@ def parse_grid(raw: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:steps, got {raw!r}")
     start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid ends must be finite, got {raw!r}")
     if steps < 1:
         raise ValueError(f"grid needs at least one step, got {steps}")
     if steps == 1:
@@ -146,56 +148,13 @@ def _curve_csv(config: RunConfig, curve: bounds.BoundCurve) -> str:
 
 
 def _run_bounds(config: RunConfig) -> int:
-    formula = config.params.get("formula")
-    extra = dict(config.params.get("extra", {}))
+    formula, extra = config.params["formula"], config.params["extra"]
     if config.action == "eval":
-        if formula == "delta_star":
-            value = bounds.delta_star(extra.pop("eps", 0.0), extra.pop("tol", 1e-9))
-        elif formula == "thm1":
-            value = bounds.thm1_xc_lower(
-                int(extra.pop("n")),
-                int(extra.pop("k")),
-                extra.pop("eps", 0.0),
-                bounds.HansonWrightConstants(extra.pop("c1", 1.0), extra.pop("c2", 1.0)),
-            )
-        elif formula == "thm2":
-            value = bounds.thm2_xc_lower(int(extra.pop("n")), int(extra.pop("k")), extra.pop("eps", 0.0))
-        elif formula == "phi":
-            value = bounds.phi(
-                int(extra.pop("n")),
-                int(extra.pop("k")),
-                extra.pop("eps", 0.0),
-                extra.pop("width_ratio", 1.0),
-            )
-        elif formula == "maximal":
-            value = bounds.maximal_bound(extra.pop("v"), extra.pop("c"), int(extra.pop("N")))
-        elif formula == "cubic_root":
-            value = bounds.depressed_cubic_positive_root(extra.pop("p"), extra.pop("q"))
-        else:
-            scalar_fns = {
-                "binary_entropy": bounds.binary_entropy,
-                "xi": bounds.xi,
-                "zeta": bounds.zeta,
-                "psi": bounds.psi,
-                "avg_ratio": bounds.avg_ratio_lower,
-                "sparse_integral": bounds.sparse_integral,
-                "normal_quantile": bounds.normal_quantile,
-                "chi2_quantile": bounds.chi2_quantile,
-            }
-            if formula not in scalar_fns:
-                raise ValueError(f"unknown formula {formula!r}")
-            arg_name = "p" if formula in ("binary_entropy", "normal_quantile", "chi2_quantile") else "delta"
-            value = scalar_fns[formula](extra.pop(arg_name))
-        _emit(_json_artifact(config, {"value": value}), config.out)
-        return EXIT_OK
-
-    if config.action == "curve":
-        grid = config.params["grid"]
-        curve = bounds.emit_curve(formula, grid, **extra)
+        _emit(_json_artifact(config, {"value": bounds.evaluate(formula, extra)}), config.out)
+    else:
+        curve = bounds.emit_curve(formula, config.params["grid"], **extra)
         _emit(_curve_csv(config, curve), config.out)
-        return EXIT_OK
-
-    raise ValueError(f"unknown bounds action {config.action!r}")
+    return EXIT_OK
 
 
 # -- widths ----------------------------------------------------------------------
@@ -203,12 +162,8 @@ def _run_bounds(config: RunConfig) -> int:
 
 def _make_oracle(name: str, dim: int | None, extra: dict) -> widths.SupportOracle:
     if name == "l2-ball":
-        if dim is None:
-            raise ValueError("oracle:l2-ball needs --n")
         return widths.l2_ball_oracle(dim, extra.get("radius", 1.0))
     if name == "l1-ball":
-        if dim is None:
-            raise ValueError("oracle:l1-ball needs --n")
         return widths.l1_ball_oracle(dim, extra.get("radius", 1.0))
     if name == "ellipsoid":
         axes_raw = extra.get("axes")
@@ -220,8 +175,6 @@ def _make_oracle(name: str, dim: int | None, extra: dict) -> widths.SupportOracl
 
 
 def _run_widths(config: RunConfig) -> int:
-    if config.action != "estimate":
-        raise ValueError(f"unknown widths action {config.action!r}")
     kind = config.params["kind"]
     n = config.params.get("n")
     k = config.params.get("k")
@@ -229,17 +182,19 @@ def _run_widths(config: RunConfig) -> int:
     if trials is None:
         trials = 100_000 if kind.startswith("oracle:") else 2000
     seed = config.seed if config.seed is not None else 0
-    extra = dict(config.params.get("extra", {}))
+    extra = config.params["extra"]
     family_path = config.params.get("family")
     family_size: int | None = None
+    if n is None and kind in ("base-psd", "sparse-dual", "oracle:l2-ball", "oracle:l1-ball"):
+        raise ValueError(f"{kind} needs --n")
 
     if kind == "base-psd":
-        estimate = widths.width_base_psd(int(n), trials, seed, keep_values=False)
+        estimate = widths.width_base_psd(n, trials, seed, keep_values=False)
     elif kind == "sparse-dual":
         if k is None:
             raise ValueError("sparse-dual needs --k")
         estimate = widths.width_dual_base_sparse(
-            int(n), int(k), trials, seed, mode=extra.get("mode", "exhaustive"), keep_values=False
+            n, k, trials, seed, mode=extra.get("mode", "exhaustive"), keep_values=False
         )
     elif kind == "general-dual":
         if not family_path:
@@ -249,7 +204,7 @@ def _run_widths(config: RunConfig) -> int:
         n, k = family.ambient_dim, family.rank
         estimate = widths.width_general_dual(family, trials, seed, keep_values=False)
     elif kind.startswith("oracle:"):
-        oracle = _make_oracle(kind.split(":", 1)[1], None if n is None else int(n), extra)
+        oracle = _make_oracle(kind.split(":", 1)[1], n, extra)
         n = oracle.dim
         estimate = widths.width_via_oracle(oracle, trials, seed, keep_values=False)
     else:
@@ -316,20 +271,17 @@ def _run_cones(config: RunConfig) -> int:
         _emit(_json_artifact(config, {"member": member, "certain": certain}), config.out)
         return EXIT_OK
 
-    if config.action == "witness":
-        n, k = int(config.params["n"]), int(config.params["k"])
-        W = cones.witness_matrix(n, k)
-        payload = {
-            "value": cones.eps_star_lower_sparse(n, k),
-            "trace": W.trace(),
-        }
-        if config.params.get("matrix_out"):
-            linalg.write_symmat(W, config.params["matrix_out"])
-            payload["files"] = [config.params["matrix_out"]]
-        _emit(_json_artifact(config, payload), config.out)
-        return EXIT_OK
-
-    raise ValueError(f"unknown cones action {config.action!r}")
+    n, k = int(config.params["n"]), int(config.params["k"])
+    W = cones.witness_matrix(n, k)
+    payload = {
+        "value": cones.eps_star_lower_sparse(n, k),
+        "trace": W.trace(),
+    }
+    if config.params.get("matrix_out"):
+        linalg.write_symmat(W, config.params["matrix_out"])
+        payload["files"] = [config.params["matrix_out"]]
+    _emit(_json_artifact(config, payload), config.out)
+    return EXIT_OK
 
 
 # -- hypercube verification -------------------------------------------------------
@@ -369,13 +321,13 @@ def _verify_moments(n):
 
 def _verify_variance(n, trials, seed, functions=5):
     failures = []
-    band = 5.0 * math.sqrt(2.0 / trials)
     for i in range(functions):
         values = substream(seed, 10_000 + i).standard_normal(1 << n)
         f = hypercube.HypercubeFunction(n, values)
         empirical, theoretical = hypercube.variance_identity_check(
             f, trials, (seed + i + 1) % 2**64
         )
+        band = 5.0 * math.sqrt(2.0 / trials)  # after the check that trials >= 2
         if theoretical < 1e-15:
             ok = empirical <= 1e-12
         else:
@@ -426,8 +378,6 @@ def _verify_maximal(trials, seed):
 
 
 def _run_hypercube(config: RunConfig) -> int:
-    if config.action != "verify":
-        raise ValueError(f"unknown hypercube action {config.action!r}")
     lemma = config.params["lemma"]
     n = int(config.params.get("n", 8))
     trials = int(config.params.get("trials", 200))
@@ -445,10 +395,8 @@ def _run_hypercube(config: RunConfig) -> int:
         checked, failures, extra_payload = _verify_moments(n)
     elif lemma == "variance":
         checked, failures = _verify_variance(n, trials, seed)
-    elif lemma == "maximal":
-        checked, failures = _verify_maximal(max(trials, 100), seed)
     else:
-        raise ValueError(f"unknown lemma {lemma!r}")
+        checked, failures = _verify_maximal(max(trials, 100), seed)
 
     payload = {"report": {"lemma": lemma, "checked": checked, "failures": failures}}
     payload.update(extra_payload)
@@ -459,48 +407,34 @@ def _run_hypercube(config: RunConfig) -> int:
 # -- figures -----------------------------------------------------------------------
 
 
-def _figure_curves(name: str, grid, params: dict) -> list[tuple[str, bounds.BoundCurve]]:
-    if name == "sparse-overview":
-        grid = grid or list(np.linspace(0.01, 0.99, 99))
-        return [
-            (f"{label}.csv", bounds.emit_curve(label, grid))
-            for label in ("xi", "zeta", "psi")
-        ]
-    if name == "delta-star":
-        grid = grid or list(np.linspace(0.0, 3.0, 61))
-        return [("delta_star.csv", bounds.emit_curve("delta_star", grid))]
-    if name == "entropy-bracket":
-        grid = grid or list(np.linspace(0.0, 1.0, 101))
-        out = [("entropy.csv", bounds.emit_curve("entropy", grid))]
-        for eps in (0.0, 0.2, 0.5):
-            out.append(
-                (
-                    f"bracket_eps{eps:g}.csv",
-                    bounds.emit_curve("bracket", grid, eps=eps),
-                )
-            )
-        return out
-    if name == "xc-lower":
-        n = int(params.get("n", 10**6))
-        eps = float(params.get("eps", 0.0))
-        grid = grid or [float(k) for k in range(1, 2001, 10)]
-        return [
-            ("thm1.csv", bounds.emit_curve("thm1", grid, n=n, eps=eps)),
-            ("thm2.csv", bounds.emit_curve("thm2", grid, n=n, eps=eps)),
-        ]
-    raise ValueError(f"unknown figure {name!r}")
+# name -> (default grid, [(file, formula, fixed params)]); --params reach every
+# formula, beneath the fixed params
+FIGURES = {
+    "sparse-overview": (
+        "0.01:0.99:99",
+        [("xi.csv", "xi", {}), ("zeta.csv", "zeta", {}), ("psi.csv", "psi", {})],
+    ),
+    "delta-star": ("0:3:61", [("delta_star.csv", "delta_star", {})]),
+    "entropy-bracket": (
+        "0:1:101",
+        [("entropy.csv", "entropy", {})]
+        + [(f"bracket_eps{eps:g}.csv", "bracket", {"eps": eps}) for eps in (0.0, 0.2, 0.5)],
+    ),
+    "xc-lower": ("1:1991:200", [("thm1.csv", "thm1", {}), ("thm2.csv", "thm2", {})]),
+}
 
 
 def _run_figures(config: RunConfig) -> int:
     import os
 
-    name = config.params["name"]
-    grid = config.params.get("grid")
-    extra = dict(config.params.get("extra", {}))
+    default_grid, curves = FIGURES[config.params["name"]]
+    grid = config.params.get("grid") or parse_grid(default_grid)
+    extra = config.params["extra"]
     out_dir = config.out or "."
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for filename, curve in _figure_curves(name, grid, extra):
+    for filename, formula, fixed in curves:
+        curve = bounds.emit_curve(formula, grid, **{**extra, **fixed})
         path = os.path.join(out_dir, filename)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_curve_csv(config, curve))
@@ -512,19 +446,26 @@ def _run_figures(config: RunConfig) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so it reaches the one-line JSON error report."""
+
+    def error(self, message):
+        raise InvalidArgumentError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="PSD-cone approximation toolkit: bounds, widths, membership, hypercube checks",
     )
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=None):
+    def common(p, seed_default=None, formats=("json",)):
         p.add_argument("--params", default=None, help="extra parameters k=v[,k=v...]")
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
+        p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
         p.add_argument("--seed", type=int, default=seed_default)
 
     p_bounds = sub.add_parser("bounds", help="closed-form bounds")
@@ -535,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = bounds_sub.add_parser("curve", help="evaluate a formula on a grid")
     p_curve.add_argument("--formula", required=True)
     p_curve.add_argument("--grid", required=True, help="start:stop:steps")
-    common(p_curve)
+    common(p_curve, formats=("csv",))
 
     p_widths = sub.add_parser("widths", help="Monte Carlo width estimates")
     widths_sub = p_widths.add_subparsers(dest="action", required=True)
@@ -550,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="default: 2000 for matrix statistics, 100000 for oracle kinds",
     )
-    common(p_est, seed_default=0)
+    common(p_est, seed_default=0, formats=("json", "csv"))
 
     p_cones = sub.add_parser("cones", help="membership and witnesses")
     cones_sub = p_cones.add_subparsers(dest="action", required=True)
@@ -582,22 +523,18 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify, seed_default=0)
 
     p_fig = sub.add_parser("figures", help="emit figure CSV bundles")
-    p_fig.add_argument(
-        "--name",
-        required=True,
-        choices=("sparse-overview", "delta-star", "entropy-bracket", "xc-lower"),
-    )
+    p_fig.add_argument("--name", required=True, choices=tuple(FIGURES))
     p_fig.add_argument("--grid", default=None, help="start:stop:steps")
-    common(p_fig)
+    common(p_fig, formats=("csv",))
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace, argv: list[str]) -> RunConfig:
     extra = {}
-    if getattr(args, "config", None):
+    if args.config:
         extra.update(read_config_file(args.config))
-    extra.update(parse_params(getattr(args, "params", None)))
+    extra.update(parse_params(args.params))
 
     params: dict = {"extra": extra}
     command = args.command
@@ -630,21 +567,16 @@ def config_from_args(args: argparse.Namespace, argv: list[str]) -> RunConfig:
                 params[key] = extra[key]
     elif command == "figures":
         params["name"] = args.name
-        action = ""
         if args.grid:
             params["grid"] = parse_grid(args.grid)
-
-    fmt = getattr(args, "fmt", None)
-    if fmt is None:
-        fmt = "csv" if (command, action) in (("bounds", "curve"),) else "json"
 
     return RunConfig(
         command=command,
         action=action,
         params=params,
-        seed=getattr(args, "seed", None),
-        out=getattr(args, "out", None),
-        fmt=fmt,
+        seed=args.seed,
+        out=args.out,
+        fmt=args.fmt,
         argv=argv,
     )
 
@@ -665,15 +597,12 @@ def run(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return run(config_from_args(args, list(argv)))
+    except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
-    config = config_from_args(args, list(argv))
-    try:
-        return run(config)
-    except (NumericalFailureError,) as exc:
+    except NumericalFailureError as exc:
         sys.stderr.write(json.dumps({"error": {"kind": "numerical", "message": str(exc)}}) + "\n")
         return EXIT_NUMERICAL
     except OracleFailureError as exc:

@@ -153,13 +153,20 @@ def _screen_pd(flat: np.ndarray, idx: np.ndarray, n: int, k: int, shift: float) 
     return ok
 
 
-def _subset_chunks(n: int, k: int, chunk: int = 32768):
+def subset_chunks(n: int, k: int, chunk: int = 32768):
+    """All k-subsets of range(n) in lexicographic order, as index arrays of
+    at most chunk rows."""
     it = itertools.combinations(range(n), k)
     while True:
         block = list(itertools.islice(it, chunk))
         if not block:
             return
         yield np.asarray(block, dtype=np.intp)
+
+
+def principal_submatrices(dense: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Stack of the principal submatrices dense[I, I], one per row I of idx."""
+    return dense[idx[:, :, None], idx[:, None, :]]
 
 
 def sparse_kpsd_member(
@@ -189,14 +196,13 @@ def sparse_kpsd_member(
     flat = np.ascontiguousarray(dense).ravel()
     margin = 64.0 * k * np.finfo(np.float64).eps * max(float(np.abs(dense).max()), 0.0)
     shift = tol - margin
-    for idx in _subset_chunks(n, k):
+    for idx in subset_chunks(n, k):
         if shift > 0.0:
             ok = _screen_pd(flat, idx, n, k, shift)
             if ok.all():
                 continue
             idx = idx[~ok]
-        subs = dense[idx[:, :, None], idx[:, None, :]]
-        if np.linalg.eigvalsh(subs)[:, 0].min() < -tol:
+        if np.linalg.eigvalsh(principal_submatrices(dense, idx))[:, 0].min() < -tol:
             return False
     return True
 
@@ -229,8 +235,7 @@ def sparse_kpsd_refute(
         idx = np.empty((take, k), dtype=np.intp)
         for row in range(take):
             idx[row] = np.sort(rng.choice(n, size=k, replace=False))
-        subs = dense[idx[:, :, None], idx[:, None, :]]
-        if np.linalg.eigvalsh(subs)[:, 0].min() < -tol:
+        if np.linalg.eigvalsh(principal_submatrices(dense, idx))[:, 0].min() < -tol:
             return True
         done += take
     return False

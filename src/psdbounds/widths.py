@@ -10,7 +10,6 @@ fixed, so results do not depend on the degree of parallelism.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from ._rng import check_seed, substream
-from .cones import DEFAULT_ENUMERATION_CAP, ConeFamily
+from .cones import DEFAULT_ENUMERATION_CAP, ConeFamily, principal_submatrices, subset_chunks
 from .errors import (
     EnumerationLimitError,
     InvalidArgumentError,
@@ -152,14 +151,9 @@ def _max_lambda1_subsets(dense: np.ndarray, k: int, cap: int) -> float:
             f"C({n},{k}) = {count} subsets exceed the cap {cap}; use greedy mode"
         )
     best = -math.inf
-    it = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(it, 32768))
-        if not block:
-            return best
-        idx = np.asarray(block, dtype=np.intp)
-        subs = dense[idx[:, :, None], idx[:, None, :]]
-        best = max(best, float(np.linalg.eigvalsh(subs)[:, -1].max()))
+    for idx in subset_chunks(n, k):
+        best = max(best, float(_lambda1_batch(dense, idx).max()))
+    return best
 
 
 _GREEDY_STREAM_KEY = 0x6B5053  # fixed internal stream; greedy output is a function of (G, k)
@@ -167,8 +161,7 @@ _GREEDY_RESTARTS = 20
 
 
 def _lambda1_batch(dense: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    subs = dense[subsets[:, :, None], subsets[:, None, :]]
-    return np.linalg.eigvalsh(subs)[:, -1]
+    return np.linalg.eigvalsh(principal_submatrices(dense, subsets))[:, -1]
 
 
 def _swap_ascent(dense: np.ndarray, support: list[int]) -> float:

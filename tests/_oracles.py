@@ -8,6 +8,7 @@ they check.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -33,6 +34,32 @@ def bisect_root(fn, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 20
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def thm2_cardano_complex(n: int, k: int, eps: float) -> float:
+    """Same root as inside thm2_xc_lower via the Cardano cube-root sum
+    T_+ + T_-; an independent route for cross-checking.
+
+    Nonnegative discriminant takes real cube roots; otherwise the principal
+    complex branches have conjugate arguments and their sum is the positive
+    real root.
+    """
+    ln3 = math.log(3.0)
+    a = math.sqrt(n) / (22000.0 * math.e * (1.0 + eps))
+    b = (
+        math.log(16.0 * (1.0 + eps) * math.sqrt(k) * n**1.5 / (5.0 * math.sqrt(2.0 * ln3)))
+        - 2.0 * k * ln3
+    ) / 3.0
+    disc = a * a + b**3
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        return math.copysign(abs(a + s) ** (1.0 / 3.0), a + s) + math.copysign(
+            abs(a - s) ** (1.0 / 3.0), a - s
+        )
+    inner = cmath.sqrt(complex(disc))
+    t_plus = (a + inner) ** (1.0 / 3.0)
+    t_minus = (a - inner) ** (1.0 / 3.0)
+    return (t_plus + t_minus).real
 
 
 def normal_cdf(x: float) -> float:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from psdbounds.bounds import (
     DEFAULT_HW,
+    FORMULAS,
     LN3,
     BoundCurve,
     CurvePoint,
@@ -17,6 +18,7 @@ from psdbounds.bounds import (
     delta_star,
     depressed_cubic_positive_root,
     emit_curve,
+    evaluate,
     maximal_bound,
     normal_cdf,
     normal_quantile,
@@ -24,18 +26,18 @@ from psdbounds.bounds import (
     psi,
     sparse_integral,
     thm1_xc_lower,
-    thm2_cardano_complex,
     thm2_xc_lower,
     xi,
     zeta,
 )
-from psdbounds.errors import DomainError, InvalidArgumentError
+from psdbounds.errors import DomainError, InvalidArgumentError, NumericalFailureError
 
 from _oracles import (
     bisect_root,
     chi2_quantile_bisect,
     chi2_tail_mass_quadrature,
     normal_quantile_bisect,
+    thm2_cardano_complex,
 )
 
 # high-precision reference values computed with 40-digit arithmetic
@@ -505,6 +507,8 @@ class TestCurves:
         curve = emit_curve("xi", [0.5, 1.0, 1.5])
         assert [p.flag for p in curve.points] == ["ok", "domain", "domain"]
         assert math.isnan(curve.points[2].value)
+        gap = emit_curve("entropy_vs_bracket", [-0.5, 0.5])
+        assert [p.flag for p in gap.points] == ["domain", "ok"]
 
     def test_unknown_formula(self):
         with pytest.raises(InvalidArgumentError):
@@ -525,3 +529,74 @@ class TestCurves:
         finite = emit_curve("phi", [0.04], eps=0.0, width_ratio=0.9).values()[0]
         assert finite < tight
         assert abs(tight - (1.0 - 0.2) ** 2) < 1e-14
+
+
+class TestFormulaRegistry:
+    # name -> (fixed params, grid value, expected value from a direct call)
+    CASES = {
+        "delta_star": ({}, 0.2, lambda: delta_star(0.2)),
+        "thm1": (
+            {"c1": 2.0}, 10.0, lambda: thm1_xc_lower(10**6, 10, 0.0, HansonWrightConstants(2.0))
+        ),
+        "thm2": ({"n": 10**20}, 10.0, lambda: thm2_xc_lower(10**20, 10, 0.0)),
+        "phi": ({"eps": 0.1}, 0.04, lambda: phi(100, 4, 0.1)),
+        "bracket": ({"eps": 0.2}, 0.1, lambda: max(1.0 / 1.2 - math.sqrt(0.1), 0.0) ** 2),
+        "entropy_vs_bracket": (
+            {}, 0.1, lambda: (1.0 - math.sqrt(0.1)) ** 2 - binary_entropy(0.1)
+        ),
+        "binary_entropy": ({}, 0.3, lambda: binary_entropy(0.3)),
+        "entropy": ({}, 0.3, lambda: binary_entropy(0.3)),
+        "xi": ({}, 0.01, lambda: xi(0.01)),
+        "zeta": ({}, 0.2, lambda: zeta(0.2)),
+        "psi": ({}, 0.3, lambda: psi(0.3)),
+        "avg_ratio": ({}, 0.3, lambda: avg_ratio_lower(0.3)),
+        "sparse_integral": ({}, 0.5, lambda: sparse_integral(0.5)),
+        "normal_quantile": ({}, 0.975, lambda: normal_quantile(0.975)),
+        "chi2_quantile": ({}, 0.95, lambda: chi2_quantile(0.95)),
+        "maximal": ({"v": 1.0, "c": 1.0}, 3.0, lambda: maximal_bound(1.0, 1.0, 3)),
+        "cubic_root": ({"p": -3.0}, 2.0, lambda: depressed_cubic_positive_root(-3.0, 2.0)),
+    }
+
+    def test_every_entry_evaluates_and_curves_alike(self):
+        assert set(self.CASES) == set(FORMULAS)
+        for name, (fixed, x, direct) in self.CASES.items():
+            expected = direct()
+            assert evaluate(name, {**fixed, FORMULAS[name].grid: x}) == expected, name
+            assert emit_curve(name, [x], **fixed).values() == [expected], name
+
+    def test_phi_takes_n_and_k_or_delta(self):
+        assert evaluate("phi", {"n": 100, "k": 4}) == evaluate("phi", {"delta": 0.04})
+        with pytest.raises(InvalidArgumentError):
+            evaluate("phi", {"n": 4, "k": 100})
+
+    def test_thm_bounds_default_to_a_million_dimensions(self):
+        assert evaluate("thm1", {"k": 3}) == thm1_xc_lower(10**6, 3, 0.0)
+        assert evaluate("thm2", {"k": 3}) == thm2_xc_lower(10**6, 3, 0.0)
+
+    @pytest.mark.parametrize(
+        "name, params, needle",
+        [
+            ("zeta", {}, "'delta'"),
+            ("zeta", {"delta": "abc"}, "'delta'"),
+            ("thm1", {"n": math.inf, "k": 1}, "'n'"),
+            ("maximal", {"v": 1.0, "c": 1.0, "N": math.nan}, "'N'"),
+            ("cubic_root", {"p": None, "q": 1.0}, "'p'"),
+            ("nope", {}, "unknown formula"),
+        ],
+    )
+    def test_bad_parameters_are_named(self, name, params, needle):
+        with pytest.raises(InvalidArgumentError, match=needle):
+            evaluate(name, params)
+
+    def test_bad_fixed_parameter_rejects_the_whole_curve(self):
+        with pytest.raises(InvalidArgumentError, match="'eps'"):
+            emit_curve("bracket", [0.1, 0.2], eps="abc")
+
+    def test_float_overflow_and_division_by_zero_are_numerical_failures(self):
+        with pytest.raises(NumericalFailureError):
+            evaluate("delta_star", {"eps": 1e200})
+        with pytest.raises(NumericalFailureError):
+            evaluate("entropy_vs_bracket", {"delta": 0.5, "eps": -1.0})
+
+    def test_curve_params_may_reuse_the_argument_names(self):
+        assert emit_curve("psi", [0.5], which=1, grid=2).values() == [psi(0.5)]

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdbounds import cli
+from psdbounds.bounds import FORMULAS
 from psdbounds.cones import coordinate_family, write_conefam, witness_matrix
 from psdbounds.linalg import write_symmat
 
@@ -388,6 +396,153 @@ class TestParsing:
 
     def test_unknown_command_is_usage_error(self):
         assert cli.main(["frobnicate"]) == 2
+
+
+class TestErrorContract:
+    """Bad input exits 2 with exactly one JSON line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["widths", "estimate", "--kind", "base-psd", "--trials", "10"], "--n"),
+            (["bounds", "eval", "--formula", "zeta", "--params", "delta=abc"], "'delta'"),
+            (["bounds", "curve", "--formula", "psi", "--grid", "0:1"], "start:stop:steps"),
+            (["bounds", "eval"], "--formula"),
+            (["hypercube", "verify", "--lemma", "variance", "--trials", "0"], "2 trials"),
+            (["bounds", "eval", "--formula", "zeta", "--params", "delta=0.2", "--format", "csv"],
+             "--format"),
+            (["bounds", "curve", "--formula", "zeta", "--grid", "0.1:1:3", "--format", "json"],
+             "--format"),
+            (["cones", "witness", "--n", "6", "--k", "2", "--format", "csv"], "--format"),
+        ],
+        ids=["missing-n", "non-numeric-param", "bad-grid", "parser-error", "variance-trials",
+             "eval-csv", "curve-json", "witness-csv"],
+    )
+    def test_usage_error_is_one_json_line(self, argv, needle, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["kind"] == "usage" and needle in error["message"]
+
+    def test_each_command_keeps_the_format_it_writes(self, tmp_path, capsys):
+        for argv in (
+            ["bounds", "eval", "--formula", "zeta", "--params", "delta=0.2", "--format", "json"],
+            ["bounds", "curve", "--formula", "zeta", "--grid", "0.1:1:3", "--format", "csv"],
+            ["widths", "estimate", "--kind", "base-psd", "--n", "3", "--trials", "5",
+             "--format", "csv"],
+            ["figures", "--name", "delta-star", "--grid", "0:1:3", "--out", str(tmp_path),
+             "--format", "csv"],
+        ):
+            assert run_cli(argv, capsys)[0] == 0
+
+
+_BAD = ["abc", "", "-1", "0", "2.5", "nan", "inf", "1e400"]
+_PARAMS = [
+    "delta=0.3", "p=0.5", "n=100,k=4", "eps=0.2,tol=1e-6", "v=1,c=1,N=3", "p=-3,q=2",
+    "delta=abc", "n=inf,k=1", "n=1e200,k=1", "eps=1e308", "eps=-1", "which=1,grid=2",
+    "mode=greedy", "mode=nope", "axes=1:2:3", "axes=a", "radius=abc", "rho=0.5,p=2",
+    "rho=abc", "novalue",
+]
+_FORMULAS = sorted(FORMULAS) + ["nope"]
+_GRIDS = ["0:1:5", "0.1:0.9:3", "1:50:4", "2:2:1", "0:1", "0:1:0", "a:b:c", "0:inf:3", "1:0:3"]
+_SMALL = ["1", "2", "3", "8"]
+_TRIALS = ["2", "10", "50"]
+_WRITE = ["{out}", "{out}/missing/x"]
+# prefix -> (flags always given, other flags) with their good values; sizes stay
+# small (n, k <= 8, trials <= 50) and every written path lies under {out}
+_COMMANDS = {
+    ("bounds", "eval"): ({}, {"--formula": _FORMULAS}),
+    ("bounds", "curve"): ({}, {"--formula": _FORMULAS, "--grid": _GRIDS}),
+    ("widths", "estimate"): (
+        {"--trials": _TRIALS},
+        {"--kind": ["base-psd", "sparse-dual", "general-dual", "oracle:l2-ball",
+                    "oracle:l1-ball", "oracle:ellipsoid", "oracle:nope", "nope"],
+         "--n": _SMALL, "--k": _SMALL, "--family": ["{family}", "{missing}"]},
+    ),
+    ("cones", "member"): (
+        {"--samples": ["5", "20"]},
+        {"--matrix": ["{matrix}", "{missing}"], "--sparse-k": _SMALL,
+         "--family": ["{family}", "{missing}"], "--tol": ["1e-9", "0"], "--refute": [None]},
+    ),
+    ("cones", "witness"): ({}, {"--n": _SMALL, "--k": _SMALL, "--matrix-out": _WRITE}),
+    ("hypercube", "verify"): (
+        {"--trials": _TRIALS},
+        {"--lemma": ["harmonic", "hypercontractivity", "moments", "variance", "maximal"],
+         "--n": _SMALL, "--lam": ["0.5", "2.718", "10"]},
+    ),
+    ("figures",): (
+        {"--out": _WRITE},
+        {"--name": ["sparse-overview", "delta-star", "entropy-bracket", "xc-lower"],
+         "--grid": _GRIDS},
+    ),
+    ("frobnicate",): ({}, {}),
+}
+_COMMON = {
+    "--params": _PARAMS,
+    "--config": ["{config}", "{missing}"],
+    "--format": ["json", "csv"],
+    "--seed": ["0", "7", "18446744073709551616"],
+    "--out": _WRITE,
+}
+_PATHS = {"--out", "--matrix-out", "--config", "--family", "--matrix"}
+
+
+@st.composite
+def _argv(draw):
+    """Always-given flags, then the command's other flags with chance 85% and
+    the common flags with chance 20%.  One value in five of a non-path flag
+    is a bad one."""
+    prefix = draw(st.sampled_from(sorted(_COMMANDS)))
+    always, optional = _COMMANDS[prefix]
+    argv = list(prefix)
+    for flags, percent in ((always, 100), (optional, 85), (_COMMON, 20)):
+        for flag, values in flags.items():
+            if flags is _COMMON and flag in always:
+                continue
+            if percent < 100 and draw(st.integers(0, 99)) >= percent:
+                continue
+            bad = flag not in _PATHS and values != [None] and draw(st.integers(0, 4)) == 0
+            value = draw(st.sampled_from(_BAD if bad else values))
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_symmat(witness_matrix(6, 3), root / "w.symmat")
+    write_conefam(coordinate_family(6, 2), root / "fam.conefam")
+    (root / "run.cfg").write_text("delta=0.5\nn=4\n")
+    return root
+
+
+def _run_in_process(argv, root):
+    """Exit code and stderr lines (warnings included) of one argv, with its
+    path placeholders bound to files under root."""
+    with tempfile.TemporaryDirectory(dir=root) as work:
+        paths = {"{out}": os.path.join(work, "out"), "{matrix}": str(root / "w.symmat"),
+                 "{family}": str(root / "fam.conefam"), "{config}": str(root / "run.cfg"),
+                 "{missing}": os.path.join(work, "none")}
+        for key, path in paths.items():
+            argv = [a.replace(key, path) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_argv_fuzz_exit_codes_and_error_lines(argv, fuzz_files):
+    code, lines = _run_in_process(argv, fuzz_files)
+    assert code in (0, 1, 2, 3)
+    assert not any("Traceback" in line for line in lines)
+    if code in (2, 3):
+        [line] = lines
+        assert json.loads(line)["error"]["kind"]
 
 
 class TestSubprocessEntryPoint:
