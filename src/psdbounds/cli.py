@@ -162,9 +162,9 @@ def _run_bounds(config: RunConfig) -> int:
 
 def _make_oracle(name: str, dim: int | None, extra: dict) -> widths.SupportOracle:
     if name == "l2-ball":
-        return widths.l2_ball_oracle(dim, extra.get("radius", 1.0))
+        return widths.l2_ball_oracle(dim, bounds._number(extra, "radius", 1.0))
     if name == "l1-ball":
-        return widths.l1_ball_oracle(dim, extra.get("radius", 1.0))
+        return widths.l1_ball_oracle(dim, bounds._number(extra, "radius", 1.0))
     if name == "ellipsoid":
         axes_raw = extra.get("axes")
         if axes_raw is None:
@@ -384,6 +384,8 @@ def _run_hypercube(config: RunConfig) -> int:
     seed = config.seed if config.seed is not None else 0
     lam = float(config.params.get("lam", math.e))
     extra_payload: dict = {}
+    if lemma in ("harmonic", "hypercontractivity") and trials < 1:
+        raise InvalidArgumentError(f"the {lemma} lemma needs --trials >= 1, got {trials}")
 
     if lemma == "harmonic":
         checked, failures = _verify_harmonic(n, trials, seed, lam)

@@ -8,11 +8,13 @@ immutable values.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "IndexSet",
     "sample_standard_gaussian_sym",
     "gaussian_sym",
+    "gaussian_sym_batch",
     "eigenvalues_descending",
     "principal_submatrix",
     "is_psd",
@@ -42,6 +45,43 @@ __all__ = [
 
 def _packed_size(n: int) -> int:
     return n * (n + 1) // 2
+
+
+class _Layout(NamedTuple):
+    """Where the packed entries of an n-by-n matrix live."""
+
+    rows: np.ndarray  # row of each packed entry
+    cols: np.ndarray  # column of each packed entry
+    diag: np.ndarray  # packed positions of the diagonal, in order
+    dense: np.ndarray  # packed position of each dense entry, row-major
+    divisor: np.ndarray  # per packed entry: 1 on the diagonal, sqrt(2) off it
+
+
+@functools.lru_cache(maxsize=128)
+def _layout(n: int) -> _Layout:
+    rows, cols = np.triu_indices(n)
+    position = np.empty((n, n), dtype=np.intp)
+    position[rows, cols] = position[cols, rows] = np.arange(rows.size)
+    layout = _Layout(
+        rows,
+        cols,
+        np.flatnonzero(rows == cols),
+        position.ravel(),
+        np.where(rows == cols, 1.0, math.sqrt(2.0)),
+    )
+    for a in layout:
+        a.setflags(write=False)  # shared by every caller
+    return layout
+
+
+def _unpack(packed: np.ndarray, n: int) -> np.ndarray:
+    """Dense (..., n, n) matrices from (..., n(n+1)/2) packed upper triangles.
+
+    C-contiguous, as the per-matrix path always was: BLAS may round a
+    contraction differently on another memory layout (a fancy-index gather
+    such as ``packed[..., idx]`` returns a transposed one).
+    """
+    return np.take(packed, _layout(n).dense, axis=-1).reshape(packed.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,16 +110,11 @@ class SymmetricMatrix:
         dense = np.asarray(dense, dtype=np.float64)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise InvalidDimensionError(f"expected a square matrix, got shape {dense.shape}")
-        n = dense.shape[0]
-        return cls(n, dense[np.triu_indices(n)])
+        lay = _layout(dense.shape[0])
+        return cls(dense.shape[0], dense[lay.rows, lay.cols])
 
     def to_dense(self) -> np.ndarray:
-        n = self.dim
-        out = np.zeros((n, n))
-        iu = np.triu_indices(n)
-        out[iu] = self.packed
-        out.T[iu] = self.packed
-        return out
+        return _unpack(self.packed, self.dim)
 
     def entry(self, i: int, j: int) -> float:
         if i > j:
@@ -89,9 +124,7 @@ class SymmetricMatrix:
         return float(self.packed[i * self.dim - i * (i - 1) // 2 + (j - i)])
 
     def trace(self) -> float:
-        n = self.dim
-        diag_idx = [i * n - i * (i - 1) // 2 for i in range(n)]
-        return float(self.packed[diag_idx].sum())
+        return float(self.packed[_layout(self.dim).diag].sum())
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.to_dense()))
@@ -138,9 +171,31 @@ def gaussian_sym(n: int, rng: np.random.Generator) -> SymmetricMatrix:
     if n < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
     packed = rng.standard_normal(_packed_size(n))
-    iu = np.triu_indices(n)
-    packed[iu[0] != iu[1]] /= math.sqrt(2.0)
+    packed /= _layout(n).divisor  # x / 1.0 is exactly x
     return SymmetricMatrix(n, packed)
+
+
+def gaussian_sym_batch(
+    n: int, seed: int, start: int, stop: int, traceless: bool = False
+) -> np.ndarray:
+    """Dense (stop - start, n, n) stack of the trial matrices
+    ``gaussian_sym(n, substream(seed, t))`` for t in [start, stop), bit for
+    bit; with ``traceless``, each one after ``project_traceless``.
+
+    Every trial still draws its packed triangle from its own (seed, t)
+    substream, so a trial's matrix does not depend on the window it is
+    drawn in.
+    """
+    if n < 1:
+        raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
+    packed = np.empty((stop - start, _packed_size(n)))
+    for row, t in zip(packed, range(start, stop)):
+        substream(seed, t).standard_normal(out=row)
+    packed /= _layout(n).divisor
+    mats = _unpack(packed, n)
+    if traceless:
+        _project_traceless_stack(mats)
+    return mats
 
 
 def sample_standard_gaussian_sym(n: int, seed: int) -> SymmetricMatrix:
@@ -189,6 +244,10 @@ def is_psd(M: SymmetricMatrix, tol: float | None = None) -> bool:
     return bool(eigenvalues_descending(M)[-1] >= -tol)
 
 
+def _trace_at_roundoff(t: float, n: int, frobenius: float) -> bool:
+    return abs(t) <= 1e-13 * n * frobenius
+
+
 def project_traceless(M: SymmetricMatrix) -> SymmetricMatrix:
     """M minus (trace(M)/n) * I.
 
@@ -196,13 +255,31 @@ def project_traceless(M: SymmetricMatrix) -> SymmetricMatrix:
     untouched, which makes the projection exactly idempotent.
     """
     t = M.trace()
-    if abs(t) <= 1e-13 * M.dim * M.frobenius_norm():
+    if _trace_at_roundoff(t, M.dim, M.frobenius_norm()):
         return M
     n = M.dim
     packed = M.packed.copy()
-    diag_idx = [i * n - i * (i - 1) // 2 for i in range(n)]
-    packed[diag_idx] -= t / n
+    packed[_layout(n).diag] -= t / n
     return SymmetricMatrix(n, packed)
+
+
+def _project_traceless_stack(mats: np.ndarray) -> None:
+    """``project_traceless`` on each of the dense (T, n, n) ``mats``, in place.
+
+    Each trace sums a contiguous copy of the diagonal, in the order
+    ``SymmetricMatrix.trace`` sums the packed one.  A Frobenius norm from one batched contraction settles the rows
+    whose trace is clearly above the roundoff threshold; the rest, normally
+    none, get the exact per-matrix test.
+    """
+    n = mats.shape[-1]
+    traces = np.diagonal(mats, axis1=1, axis2=2).copy().sum(axis=1)
+    approx = np.sqrt(np.einsum("bij,bij->b", mats, mats))
+    keep = np.abs(traces) <= 2e-13 * n * approx  # twice the threshold: margin for the estimate
+    for b in np.flatnonzero(keep):
+        keep[b] = _trace_at_roundoff(float(traces[b]), n, float(np.linalg.norm(mats[b])))
+    shift = np.where(keep, 0.0, traces / n)  # x - 0.0 is exactly x
+    idx = np.arange(n)
+    mats[:, idx, idx] -= shift[:, None]
 
 
 # -- symmat v1 text format ----------------------------------------------------

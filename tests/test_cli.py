@@ -414,9 +414,23 @@ class TestErrorContract:
             (["bounds", "curve", "--formula", "zeta", "--grid", "0.1:1:3", "--format", "json"],
              "--format"),
             (["cones", "witness", "--n", "6", "--k", "2", "--format", "csv"], "--format"),
+            (["hypercube", "verify", "--lemma", "harmonic", "--n", "3", "--trials", "-1"],
+             "--trials >= 1"),
+            (["hypercube", "verify", "--lemma", "hypercontractivity", "--trials", "0"],
+             "--trials >= 1"),
+            (["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "3", "--trials", "5",
+              "--params", "radius=abc"], "parameter 'radius' must be a number"),
+            (["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "3", "--trials", "5",
+              "--params", "radius=-1"], "radius must be a nonnegative finite number"),
+            (["widths", "estimate", "--kind", "oracle:l1-ball", "--n", "3", "--trials", "5",
+              "--params", "radius=inf"], "radius must be a nonnegative finite number"),
+            (["widths", "estimate", "--kind", "oracle:ellipsoid", "--trials", "5",
+              "--params", "axes=nan:1"], "semi-axes"),
         ],
         ids=["missing-n", "non-numeric-param", "bad-grid", "parser-error", "variance-trials",
-             "eval-csv", "curve-json", "witness-csv"],
+             "eval-csv", "curve-json", "witness-csv", "harmonic-trials",
+             "hypercontractivity-trials", "radius-not-a-number", "negative-radius",
+             "infinite-radius", "nan-axis"],
     )
     def test_usage_error_is_one_json_line(self, argv, needle, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -10,6 +10,7 @@ from psdbounds.errors import (
     PreconditionError,
     SizeLimitError,
 )
+from psdbounds.linalg import gaussian_sym, project_traceless
 from psdbounds.hypercube import (
     FourierExpansion,
     HypercubeFunction,
@@ -368,6 +369,36 @@ class TestVarianceIdentity:
         big = hf(15, np.zeros(1 << 15))
         with pytest.raises(SizeLimitError):
             variance_identity_check(big, 10, seed=0)
+
+    def test_one_and_two_threads_agree(self, monkeypatch, rng):
+        f = hf(6, rng.standard_normal(64))
+        monkeypatch.setenv("PSDB_THREADS", "1")
+        one = variance_identity_check(f, 200, seed=8)
+        monkeypatch.setenv("PSDB_THREADS", "2")
+        two = variance_identity_check(f, 200, seed=8)
+        assert one == two
+
+    @pytest.mark.parametrize("trials", [2, 70, 200, 300])
+    def test_matches_per_trial_reference(self, rng, trials):
+        # the loop the batched sampler replaced: one traceless matrix per
+        # (seed, trial) substream, in 256-trial chunks (300 leaves a partly
+        # filled second chunk), paired with f by the same contraction
+        n, seed = 7, 9
+        f = hf(n, rng.standard_normal(1 << n))
+        signs = all_vertices(n)
+        values = np.empty(trials)
+        for start in range(0, trials, 256):
+            stop = min(start + 256, trials)
+            mats = np.stack(
+                [
+                    project_traceless(gaussian_sym(n, substream(seed, t))).to_dense()
+                    for t in range(start, stop)
+                ]
+            )
+            quad = np.einsum("vi,bij,vj->bv", signs, mats, signs, optimize=True)
+            values[start:stop] = -(quad @ f.values) * (1.0 / (1 << n))
+        empirical, _ = variance_identity_check(f, trials, seed)
+        assert empirical == float(values.var(ddof=1))
 
 
 class TestPairingIdentity:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from psdbounds._rng import substream
 from psdbounds.errors import (
     InvalidDimensionError,
     InvalidIndexError,
@@ -13,7 +16,9 @@ from psdbounds.linalg import (
     SymmetricMatrix,
     dumps_symmat,
     eigenvalues_descending,
+    _project_traceless_stack,
     gaussian_sym,
+    gaussian_sym_batch,
     is_psd,
     loads_symmat,
     principal_submatrix,
@@ -242,6 +247,111 @@ class TestProjectTraceless:
             M = SymmetricMatrix.from_dense(_random_sym(n, rng) * 100)
             out = project_traceless(M)
             assert abs(out.trace()) <= 1e-12 * n * M.frobenius_norm()
+
+
+def same_bits(a, b):
+    """Equal bits and equal memory layout, which BLAS rounding can depend on."""
+    return (
+        a.shape == b.shape
+        and a.strides == b.strides
+        and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    )
+
+
+def per_trial_stack(n, seed, start, stop, traceless):
+    """The batched sampler's reference: one gaussian_sym per trial."""
+    mats = []
+    for t in range(start, stop):
+        G = gaussian_sym(n, substream(seed, t))
+        mats.append((project_traceless(G) if traceless else G).to_dense())
+    return np.stack(mats)
+
+
+@st.composite
+def trial_windows(draw):
+    start = draw(st.integers(0, 300))
+    return start, start + draw(st.sampled_from([1, 1, 2, 7, 64, 65]))
+
+
+class TestGaussianSymBatch:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 12),
+        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        window=trial_windows(),
+        traceless=st.booleans(),
+    )
+    @example(n=1, seed=0, window=(0, 1), traceless=False)
+    @example(n=1, seed=2**64 - 1, window=(5, 6), traceless=True)
+    @example(n=12, seed=2**64 - 1, window=(63, 130), traceless=True)
+    def test_equals_per_trial_matrices_bit_for_bit(self, n, seed, window, traceless):
+        start, stop = window
+        mats = gaussian_sym_batch(n, seed, start, stop, traceless=traceless)
+        assert same_bits(mats, per_trial_stack(n, seed, start, stop, traceless))
+
+    def test_layout_matches_triu_indices(self, rng):
+        for n in range(1, 13):
+            packed = rng.standard_normal(n * (n + 1) // 2)
+            M = SymmetricMatrix(n, packed)
+            iu = np.triu_indices(n)
+            dense = np.zeros((n, n))
+            dense[iu] = packed
+            dense.T[iu] = packed
+            assert same_bits(M.to_dense(), dense)
+            assert same_bits(SymmetricMatrix.from_dense(dense).packed, M.packed)
+            assert M.trace() == float(packed[iu[0] == iu[1]].sum())
+
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(InvalidDimensionError):
+            gaussian_sym_batch(0, 1, 0, 4)
+
+
+class TestTracelessStack:
+    """The batched projection keeps project_traceless's roundoff rule."""
+
+    # diag(1, -1, x): ||M||_F ~ sqrt(2), so the rule's threshold on the trace x
+    # is 1e-13 * 3 * sqrt(2) ~ 4.243e-13, and the batched pre-test's is twice that
+    CASES = {
+        "trace exactly 0": np.diag([1.0, -1.0, 0.0]),
+        "zero matrix": np.zeros((3, 3)),
+        "far below threshold": np.diag([1.0, -1.0, 1e-15]),
+        "just below threshold": np.diag([1.0, -1.0, 4.24e-13]),
+        "just above threshold": np.diag([1.0, -1.0, 4.25e-13]),
+        "between 1x and 2x": np.diag([1.0, -1.0, 7e-13]),
+        "far above threshold": np.diag([1.0, -1.0, 1e-3]),
+    }
+    UNCHANGED = {"trace exactly 0", "zero matrix", "far below threshold", "just below threshold"}
+
+    def test_hand_built_matrices(self):
+        names = list(self.CASES)
+        mats = np.stack([self.CASES[name] for name in names])
+        _project_traceless_stack(mats)
+        for name, got in zip(names, mats):
+            M = SymmetricMatrix.from_dense(self.CASES[name])
+            expected = project_traceless(M)
+            assert same_bits(got, expected.to_dense()), name
+            assert (expected is M) == (name in self.UNCHANGED), name
+
+    def test_off_diagonal_matrix_with_roundoff_trace(self, rng):
+        raw = rng.standard_normal((7, 7))
+        dense = (raw + raw.T) / 2
+        dense[np.diag_indices(7)] = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 0.0]
+        dense[6, 6] = 1e-14
+        M = SymmetricMatrix.from_dense(dense)
+        assert project_traceless(M) is M
+        mats = dense[None].copy()
+        _project_traceless_stack(mats)
+        assert same_bits(mats[0], dense)
+
+    def test_projecting_twice_changes_nothing(self):
+        once = gaussian_sym_batch(9, 4, 0, 200, traceless=True)
+        twice = once.copy()
+        _project_traceless_stack(twice)
+        reference = np.stack(
+            [project_traceless(SymmetricMatrix.from_dense(m)).to_dense() for m in once]
+        )
+        assert same_bits(twice, reference)
+        assert same_bits(twice, once)
 
 
 class TestSymmatFormat:

@@ -220,6 +220,55 @@ class TestWidthViaOracle:
             for t in (0.5, 2.0, 7.0):
                 assert abs(oracle.evaluate(t * g) - t * oracle.evaluate(g)) < 1e-10
 
+    @pytest.mark.parametrize("make", [l2_ball_oracle, l1_ball_oracle])
+    @pytest.mark.parametrize("radius", [-1.0, -1e-300, math.inf, math.nan])
+    def test_ball_oracles_reject_bad_radius(self, make, radius):
+        with pytest.raises(InvalidArgumentError, match="radius"):
+            make(3, radius)
+
+    def test_zero_radius_is_a_point(self):
+        assert width_via_oracle(l2_ball_oracle(3, 0.0), 10, seed=1).mean == 0.0
+
+    @pytest.mark.parametrize("axes", [[1.0, -2.0], [0.0, 1.0], [math.inf, 1.0], [math.nan, 1.0], []])
+    def test_ellipsoid_rejects_bad_axes(self, axes):
+        with pytest.raises(InvalidArgumentError, match="semi-axes"):
+            ellipsoid_oracle(axes)
+
+
+_REPRO_FAMILY = random_family(8, 3, 4, np.random.default_rng(5))
+_REPRO_ESTIMATORS = {
+    "base_psd": lambda trials: width_base_psd(7, trials, seed=11),
+    "general_dual": lambda trials: width_general_dual(_REPRO_FAMILY, trials, seed=12),
+    "sparse_dual": lambda trials: width_dual_base_sparse(8, 3, trials, seed=13),
+}
+
+
+def _same_estimate(a, b):
+    return (
+        np.array_equal(a.per_trial_values.view(np.uint64), b.per_trial_values.view(np.uint64))
+        and (a.mean, a.std_error, a.trials) == (b.mean, b.std_error, b.trials)
+    )
+
+
+class TestReproducibility:
+    """Seeded estimates depend on neither the thread count nor the trial window."""
+
+    @pytest.mark.parametrize("name", sorted(_REPRO_ESTIMATORS))
+    def test_one_and_two_threads_agree(self, name, monkeypatch):
+        monkeypatch.setenv("PSDB_THREADS", "1")
+        one = _REPRO_ESTIMATORS[name](200)
+        monkeypatch.setenv("PSDB_THREADS", "2")
+        two = _REPRO_ESTIMATORS[name](200)
+        assert _same_estimate(one, two)
+
+    @pytest.mark.parametrize("name", sorted(_REPRO_ESTIMATORS))
+    def test_partly_filled_last_chunk(self, name):
+        # 70 trials: one full 64-trial chunk and one with 6 trials
+        short, long = (_REPRO_ESTIMATORS[name](trials) for trials in (70, 200))
+        assert np.array_equal(
+            short.per_trial_values.view(np.uint64), long.per_trial_values[:70].view(np.uint64)
+        )
+
 
 class TestConcentration:
     def test_alpha_zero_degenerate(self):
