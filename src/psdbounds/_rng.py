@@ -21,7 +21,34 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+class _ZeroSeed(np.random.bit_generator.ISeedSequence):
+    """Constant seed material.  Philox's own seeding reads OS entropy, which
+    substream would discard at once by setting the key."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_ZERO_SEED = _ZeroSeed()
+
+
 def substream(seed: int, lane: int = 0) -> np.random.Generator:
-    """Generator for the (seed, lane) substream."""
-    key = np.array([check_seed(seed), lane % _U64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator for the (seed, lane) substream.
+
+    Same stream as np.random.Philox(key=[seed, lane mod 2**64]): counter
+    zero, empty output buffer.  Every call builds a new bit generator, since
+    callers and pool threads hold several streams at once.
+    """
+    bitgen = np.random.Philox(_ZERO_SEED)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([check_seed(seed), lane % _U64], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bitgen)

@@ -495,13 +495,17 @@ def emit_curve(which: str, grid, /, **params) -> BoundCurve:
     """Evaluate a named formula on a grid bound to its grid parameter.
 
     Points where the formula diverges are flagged "inf"; points outside the
-    domain are flagged "domain" and carry NaN.  Nothing is silently dropped.
+    domain, or breaking a precondition such as 1 <= k <= n, are flagged
+    "domain" and carry NaN.  Nothing is silently dropped.  When no point
+    evaluates and some point broke a precondition, the fixed parameters are
+    at fault, not one point, and the first such error rejects the curve.
     """
     entry = _formula(which)
     grid = [float(x) for x in grid]
     if not grid:
         raise InvalidArgumentError("grid must be nonempty")
     points = []
+    broken = []
     for x in grid:
         if entry.inf_at_zero and x == 0.0:
             points.append(CurvePoint(x, math.inf, "inf"))
@@ -510,4 +514,9 @@ def emit_curve(which: str, grid, /, **params) -> BoundCurve:
             points.append(CurvePoint(x, evaluate(which, {**params, entry.grid: x}), "ok"))
         except DomainError:
             points.append(CurvePoint(x, math.nan, "domain"))
+        except InvalidArgumentError as exc:
+            broken.append(exc)
+            points.append(CurvePoint(x, math.nan, "domain"))
+    if broken and all(point.flag != "ok" for point in points):
+        raise broken[0]
     return BoundCurve(which, tuple(points))

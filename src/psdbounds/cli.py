@@ -384,7 +384,7 @@ def _run_hypercube(config: RunConfig) -> int:
     seed = config.seed if config.seed is not None else 0
     lam = float(config.params.get("lam", math.e))
     extra_payload: dict = {}
-    if lemma in ("harmonic", "hypercontractivity") and trials < 1:
+    if lemma in ("harmonic", "hypercontractivity", "maximal") and trials < 1:
         raise InvalidArgumentError(f"the {lemma} lemma needs --trials >= 1, got {trials}")
 
     if lemma == "harmonic":

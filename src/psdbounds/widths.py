@@ -167,41 +167,70 @@ def _lambda1_batch(dense: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(principal_submatrices(dense, subsets))[:, -1]
 
 
-def _swap_ascent(dense: np.ndarray, support: list[int]) -> float:
+def _swap_neighbourhoods(supports: np.ndarray, n: int) -> np.ndarray:
+    """Every single swap of each row of supports, as an (A, k*(n-k), k) array.
+
+    Row r, candidate i*(n-k) + j swaps out the i-th smallest member of
+    supports[r] for its j-th smallest outside index; each candidate is sorted.
+    """
+    count, k = supports.shape
+    inside = np.zeros((count, n), dtype=bool)
+    inside[np.arange(count)[:, None], supports] = True
+    outside = np.nonzero(~inside)[1].reshape(count, n - k)
+    kept = supports[:, None, :].repeat(k, axis=1)[:, ~np.eye(k, dtype=bool)].reshape(count, k, k - 1)
+    cands = np.empty((count, k, n - k, k), dtype=np.intp)
+    cands[..., :-1] = kept[:, :, None, :]
+    cands[..., -1] = outside[:, None, :]
+    cands.sort(axis=-1)
+    return cands.reshape(count, k * (n - k), k)
+
+
+def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
+    """Steepest-ascent single swaps from each row of supports, run in lockstep.
+
+    Each ascent starts from the largest eigenvalue of its start block and
+    moves to the first best swap while that beats its value by more than
+    1e-12.  Every step solves, in one eigvalsh call, only the candidates no
+    ascent has met before; a dict keyed by the candidate's index bytes keeps
+    the rest, and eigvalsh solves each matrix of a stack on its own, so the
+    memo changes no value.
+    """
+    supports = np.array(supports, dtype=np.intp)
+    k = supports.shape[1]
     n = dense.shape[0]
-    support = sorted(support)
-    best = float(np.linalg.eigvalsh(dense[np.ix_(support, support)])[-1])
-    while True:
-        outside = [j for j in range(n) if j not in support]
-        if not outside:
-            return best
-        cands = [
-            sorted(set(support) - {i} | {j})
-            for i in support
-            for j in outside
-        ]
-        vals = _lambda1_batch(dense, np.asarray(cands, dtype=np.intp))
-        top = int(vals.argmax())
-        if vals[top] <= best + 1e-12:
-            return best
-        best = float(vals[top])
-        support = cands[top]
+    best = np.array([np.linalg.eigvalsh(dense[np.ix_(s, s)])[-1] for s in supports])
+    memo: dict[bytes, float] = {}
+    row_key = np.dtype((np.void, k * np.dtype(np.intp).itemsize))
+    active = np.arange(len(supports))
+    while active.size:
+        cands = _swap_neighbourhoods(supports[active], n)
+        flat = cands.reshape(-1, k)
+        keys = flat.view(row_key).ravel().tolist()
+        fresh = [key for key in dict.fromkeys(keys) if key not in memo]
+        if fresh:
+            rows = np.frombuffer(b"".join(fresh), dtype=np.intp).reshape(-1, k)
+            memo.update(zip(fresh, _lambda1_batch(dense, rows).tolist()))
+        vals = np.array([memo[key] for key in keys]).reshape(cands.shape[:2])
+        top = vals.argmax(axis=1)
+        top_vals = vals[np.arange(active.size), top]
+        moved = ~(top_vals <= best[active] + 1e-12)
+        best[active[moved]] = top_vals[moved]
+        supports[active[moved]] = cands[moved, top[moved]]
+        active = active[moved]
+    return best.tolist()
 
 
 def _greedy_k_sparse(dense: np.ndarray, k: int) -> float:
     n = dense.shape[0]
     # grow from the best single coordinate
-    support = [int(np.argmax(np.diag(dense)))]
-    while len(support) < k:
-        cands = [sorted(support + [j]) for j in range(n) if j not in support]
-        vals = _lambda1_batch(dense, np.asarray(cands, dtype=np.intp))
-        support = cands[int(vals.argmax())]
-    best = _swap_ascent(dense, support)
+    support = np.array([np.argmax(np.diag(dense))])
+    while support.size < k:
+        outside = np.setdiff1d(np.arange(n), support)
+        cands = np.sort(np.column_stack([np.tile(support, (outside.size, 1)), outside]), axis=1)
+        support = cands[_lambda1_batch(dense, cands).argmax()]
     rng = substream(_GREEDY_STREAM_KEY)
-    for _ in range(_GREEDY_RESTARTS):
-        start = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
-        best = max(best, _swap_ascent(dense, start))
-    return best
+    restarts = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(_GREEDY_RESTARTS)]
+    return max(_swap_ascents(dense, [support, *restarts]))
 
 
 def k_sparse_largest_eigenvalue(

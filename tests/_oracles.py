@@ -190,3 +190,47 @@ def random_sparse_cone_member(n: int, k: int, rng: np.random.Generator) -> np.nd
         for s in itertools.combinations(range(n), k)
     )
     return g - worst * np.eye(n) if worst < 0 else g
+
+
+def _lambda1_rows(dense: np.ndarray, cands) -> np.ndarray:
+    idx = np.asarray(cands, dtype=np.intp)
+    return np.linalg.eigvalsh(dense[idx[:, :, None], idx[:, None, :]])[:, -1]
+
+
+def reference_swap_ascent(dense: np.ndarray, support) -> float:
+    """Steepest single-swap ascent from one support, one candidate list per
+    step: stop unless the first best swap beats the value by over 1e-12."""
+    n = dense.shape[0]
+    support = sorted(support)
+    best = float(np.linalg.eigvalsh(dense[np.ix_(support, support)])[-1])
+    while True:
+        outside = [j for j in range(n) if j not in support]
+        if not outside:
+            return best
+        cands = [sorted(set(support) - {i} | {j}) for i in support for j in outside]
+        vals = _lambda1_rows(dense, cands)
+        top = int(vals.argmax())
+        if vals[top] <= best + 1e-12:
+            return best
+        best = float(vals[top])
+        support = cands[top]
+
+
+def reference_greedy_k_sparse(dense: np.ndarray, k: int) -> float:
+    """The greedy k-sparse search one ascent at a time: grow from the best
+    diagonal entry, then swap ascent from that support and from 20 random
+    starts of the fixed greedy stream, re-solving every candidate."""
+    from psdbounds._rng import substream
+    from psdbounds.widths import _GREEDY_RESTARTS, _GREEDY_STREAM_KEY
+
+    n = dense.shape[0]
+    support = [int(np.argmax(np.diag(dense)))]
+    while len(support) < k:
+        cands = [sorted(support + [j]) for j in range(n) if j not in support]
+        support = cands[int(_lambda1_rows(dense, cands).argmax())]
+    best = reference_swap_ascent(dense, support)
+    rng = substream(_GREEDY_STREAM_KEY)
+    for _ in range(_GREEDY_RESTARTS):
+        start = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
+        best = max(best, reference_swap_ascent(dense, start))
+    return best

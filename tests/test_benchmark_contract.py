@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psdbounds import hypercube, linalg, widths
+from psdbounds import cones, hypercube, linalg, widths
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +54,25 @@ def test_tracer_counts_every_trial_substream(tracing):
 
 def test_thread_count_is_readable():
     assert widths.thread_count() >= 1
+
+
+def test_tracer_counts_sparse_search_eigensolves(tracing, monkeypatch):
+    # every gathered subset must reach the traced eigvalsh; a refactor that
+    # binds eigvalsh locally would hide this work from the benchmark
+    gathered = []
+    gather = widths.principal_submatrices
+    monkeypatch.setattr(
+        widths, "principal_submatrices", lambda d, idx: gathered.append(len(idx)) or gather(d, idx)
+    )
+    tracer = tracing.Tracer()
+    handle = tracing.install(tracer)
+    try:
+        G = linalg.sample_standard_gaussian_sym(10, 3)
+        widths.k_sparse_largest_eigenvalue(G, 3, mode="greedy")
+        assert not cones.sparse_kpsd_member(cones.witness_matrix(10, 3), 4, 1e-9)
+    finally:
+        handle.remove()
+    metrics = tracer.collect()
+    # plus one single-matrix solve per ascent start: the grown support and 20 restarts
+    assert metrics["widths.k_sparse.greedy.eig_subsets"] == sum(gathered) + 21
+    assert metrics["cones.member.eig_subsets"] == 64

@@ -509,6 +509,10 @@ class TestCurves:
         assert math.isnan(curve.points[2].value)
         gap = emit_curve("entropy_vs_bracket", [-0.5, 0.5])
         assert [p.flag for p in gap.points] == ["domain", "ok"]
+        # a point breaking 1 <= k <= n or N >= 1 is out of the domain too
+        thm1 = emit_curve("thm1", [0.0, 5.0, 10.0], n=8)
+        assert [p.flag for p in thm1.points] == ["domain", "ok", "domain"]
+        assert emit_curve("maximal", [0.0, 3.0], v=1.0, c=1.0).points[0].flag == "domain"
 
     def test_unknown_formula(self):
         with pytest.raises(InvalidArgumentError):
@@ -591,6 +595,14 @@ class TestFormulaRegistry:
     def test_bad_fixed_parameter_rejects_the_whole_curve(self):
         with pytest.raises(InvalidArgumentError, match="'eps'"):
             emit_curve("bracket", [0.1, 0.2], eps="abc")
+
+    def test_precondition_broken_at_every_point_rejects_the_whole_curve(self):
+        with pytest.raises(InvalidArgumentError, match="c1 and c2"):
+            emit_curve("thm1", [0.0, 5.0], c1=-1.0)
+        with pytest.raises(InvalidArgumentError, match="need 1 <= k <= n"):
+            emit_curve("thm2", [0.0, -1.0])
+        with pytest.raises(InvalidArgumentError, match="tolerance"):
+            emit_curve("delta_star", [-1.0, 0.1], tol=-1.0)
 
     def test_float_overflow_and_division_by_zero_are_numerical_failures(self):
         with pytest.raises(NumericalFailureError):

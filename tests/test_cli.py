@@ -127,6 +127,13 @@ class TestBoundsCurve:
         rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert rows[1].endswith(",inf") and rows[1].split(",")[1] == "inf"
 
+    def test_out_of_range_grid_point_is_flagged_not_fatal(self, capsys):
+        code, out, _ = run_cli(["bounds", "curve", "--formula", "thm1", "--grid", "0:10:3"], capsys)
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")][1:]
+        assert [row[2] for row in rows] == ["domain", "ok", "ok"]
+        assert rows[0][1] == "nan"
+
 
 class TestWidthsEstimate:
     def test_base_psd_scalar_mean_near_zero(self, capsys, schema):
@@ -418,6 +425,7 @@ class TestErrorContract:
              "--trials >= 1"),
             (["hypercube", "verify", "--lemma", "hypercontractivity", "--trials", "0"],
              "--trials >= 1"),
+            (["hypercube", "verify", "--lemma", "maximal", "--trials", "-5"], "--trials >= 1"),
             (["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "3", "--trials", "5",
               "--params", "radius=abc"], "parameter 'radius' must be a number"),
             (["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "3", "--trials", "5",
@@ -429,7 +437,7 @@ class TestErrorContract:
         ],
         ids=["missing-n", "non-numeric-param", "bad-grid", "parser-error", "variance-trials",
              "eval-csv", "curve-json", "witness-csv", "harmonic-trials",
-             "hypercontractivity-trials", "radius-not-a-number", "negative-radius",
+             "hypercontractivity-trials", "maximal-trials", "radius-not-a-number", "negative-radius",
              "infinite-radius", "nan-axis"],
     )
     def test_usage_error_is_one_json_line(self, argv, needle, capsys):

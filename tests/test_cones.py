@@ -1,7 +1,11 @@
 import itertools
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psdbounds.cones import (
     ConeFamily,
@@ -22,7 +26,7 @@ from psdbounds.errors import (
     InvalidArgumentError,
     InvalidDimensionError,
 )
-from psdbounds.linalg import SymmetricMatrix, eigenvalues_descending, is_psd
+from psdbounds.linalg import SymmetricMatrix, default_psd_tol, eigenvalues_descending, is_psd
 
 from _oracles import brute_sparse_member, random_sparse_cone_member, random_symmetric
 
@@ -94,6 +98,77 @@ class TestSparseMembership:
             sparse_kpsd_member(sym(np.eye(3)), 4)
         with pytest.raises(InvalidArgumentError):
             sparse_kpsd_member(sym(np.eye(3)), 0)
+
+
+def membership_case(kind, n, k, seed):
+    """(dense, k, tol) for one membership query of the given kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "witness":  # a member at k, for k >= 2
+        return witness_matrix(n, max(k, 2)).to_dense(), max(k, 2), 1e-9
+    if kind == "witness k+1":  # its non-member test, for k + 1 <= n
+        k = min(max(k, 2), n - 1)
+        return witness_matrix(n, k).to_dense(), k + 1, 1e-9
+    if kind == "psd":
+        g = rng.standard_normal((n, n))
+        return g @ g.T, k, None
+    if kind == "late violation":  # only subsets holding both last indices fail
+        dense = np.eye(n)
+        dense[n - 1, n - 2] = dense[n - 2, n - 1] = 2.0
+        return dense, max(k, 2), None
+    dense = random_symmetric(n, rng, diag_shift=float(rng.uniform(-0.5, 2.5)))
+    return dense, k, 0.0 if kind == "gaussian tol=0" else None
+
+
+class TestSparseMembershipEarlyExit:
+    """Exact checks run in growing slices and stop at the first violation."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        shape=st.integers(3, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        kind=st.sampled_from(
+            ["witness", "witness k+1", "psd", "late violation", "gaussian", "gaussian tol=0"]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(12, 6), kind="psd", seed=0)
+    @example(shape=(12, 6), kind="late violation", seed=0)
+    @example(shape=(12, 6), kind="gaussian tol=0", seed=3)
+    def test_equals_bruteforce(self, shape, kind, seed):
+        n, k = shape
+        dense, k, tol = membership_case(kind, n, k, seed)
+        X = sym(dense)
+        expected = brute_sparse_member(dense, k, default_psd_tol(X) if tol is None else tol)
+        assert sparse_kpsd_member(X, k, tol) == expected
+        if kind in ("witness", "psd"):
+            assert expected
+        if kind in ("witness k+1", "late violation"):
+            assert not expected
+
+    @staticmethod
+    def solved(monkeypatch):
+        counts = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            counts.append(math.prod(np.shape(a)[:-2]))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return counts
+
+    @pytest.mark.parametrize("n, k", [(12, 4), (16, 5), (20, 8)])
+    def test_first_violation_stops_after_64_subsets(self, monkeypatch, n, k):
+        counts = self.solved(monkeypatch)
+        assert not sparse_kpsd_member(sym(-np.eye(n)), k)
+        assert counts == [64]
+        counts.clear()
+        assert not sparse_kpsd_member(witness_matrix(n, k), k + 1, 1e-9)
+        assert counts == [64]
+
+    def test_member_without_screen_solves_every_subset_once(self, monkeypatch):
+        counts = self.solved(monkeypatch)
+        assert sparse_kpsd_member(sym(np.eye(12) + 0.1), 6, tol=0.0)
+        assert counts == [64, 128, 256, 476] and sum(counts) == math.comb(12, 6)
 
 
 class TestRandomizedRefutation:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psdbounds.bounds import sparse_integral
 from psdbounds.cones import ConeFamily, SubspaceBasis, coordinate_family
@@ -26,7 +28,13 @@ from psdbounds.widths import (
     width_via_oracle,
 )
 
-from _oracles import brute_max_ksparse_lambda1
+from psdbounds import widths
+
+from _oracles import (
+    brute_max_ksparse_lambda1,
+    reference_greedy_k_sparse,
+    reference_swap_ascent,
+)
 
 
 def random_family(n, k, count, rng):
@@ -111,6 +119,83 @@ class TestKSparseLargestEigenvalue:
             k_sparse_largest_eigenvalue(G, 6, cap=10)
         with pytest.raises(InvalidArgumentError):
             k_sparse_largest_eigenvalue(G, 6, mode="annealing")
+
+
+def tie_heavy_or_gaussian(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        g = rng.integers(-2, 3, (n, n)).astype(float)
+        return np.triu(g) + np.triu(g, 1).T
+    if kind == "signed graph":  # sparse, zero diagonal: many equal swap values
+        g = rng.integers(-1, 2, (n, n)) * (rng.random((n, n)) < 0.4)
+        g = np.triu(g, 1).astype(float)
+        return g + g.T
+    if kind == "blocks":
+        labels = rng.integers(0, 3, n)
+        levels = rng.integers(-2, 3, (3, 3)).astype(float)
+        return levels[np.minimum.outer(labels, labels), np.maximum.outer(labels, labels)]
+    g = rng.standard_normal((n, n))
+    return (g + g.T) / 2.0
+
+
+class TestGreedyAgainstReference:
+    """The lockstep, memoized swap ascent returns the bits of the one-list-
+    per-candidate search it replaced, ties included."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        shape=st.integers(3, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1))),
+        kind=st.sampled_from(["gaussian", "integer", "signed graph", "blocks"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(3, 2), kind="blocks", seed=0)
+    @example(shape=(24, 12), kind="integer", seed=1)
+    @example(shape=(24, 23), kind="gaussian", seed=2)
+    # the first-argmax tie-break changes the last bit of these two
+    @example(shape=(12, 4), kind="signed graph", seed=679)
+    @example(shape=(14, 5), kind="signed graph", seed=203)
+    def test_bits_equal_reference(self, shape, kind, seed):
+        n, k = shape
+        dense = tie_heavy_or_gaussian(kind, n, seed)
+        got = widths._greedy_k_sparse(dense, k)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(reference_greedy_k_sparse(dense, k)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "blocks"])
+    def test_bits_equal_reference_beyond_63_dimensions(self, kind):
+        dense = tie_heavy_or_gaussian(kind, 70, 3)
+        got = widths._greedy_k_sparse(dense, 3)
+        assert np.float64(got).tobytes() == np.float64(reference_greedy_k_sparse(dense, 3)).tobytes()
+
+    def test_lockstep_ascents_equal_one_at_a_time(self):
+        dense = tie_heavy_or_gaussian("signed graph", 14, 203)
+        starts = np.array([[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [9, 10, 11, 12, 13], [2, 5, 7, 8, 13]])
+        got = widths._swap_ascents(dense, starts)
+        assert got == [reference_swap_ascent(dense, s) for s in starts.tolist()]
+
+    def test_a_swap_gaining_exactly_the_threshold_ends_the_ascent(self):
+        # from {0, 1} (value 0) the best swap brings in coordinate 2, worth
+        # exactly 0 + 1e-12; only past it lies the block {2, 3} with value 5
+        dense = np.zeros((6, 6))
+        dense[2, 2] = 1e-12
+        dense[2, 3] = dense[3, 2] = 5.0
+        assert widths._swap_ascents(dense, [[0, 1]]) == [0.0]
+        assert reference_swap_ascent(dense, [0, 1]) == 0.0
+
+    def test_solves_each_swap_candidate_once_per_matrix(self, monkeypatch):
+        dense = tie_heavy_or_gaussian("gaussian", 12, 7)
+        calls = []
+        gather = widths.principal_submatrices
+
+        def recording(d, idx):
+            calls.append(np.array(idx))
+            return gather(d, idx)
+
+        monkeypatch.setattr(widths, "principal_submatrices", recording)
+        widths._greedy_k_sparse(dense, 4)
+        # the first three calls grow the start support to 2, 3 and 4 members
+        swaps = [tuple(row) for idx in calls[3:] for row in idx]
+        assert swaps and len(swaps) == len(set(swaps))
 
 
 class TestWidthDualSparse:
