@@ -22,7 +22,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidDimensionError,
 )
-from .linalg import SymmetricMatrix, default_psd_tol, is_psd
+from .linalg import SymmetricMatrix, default_psd_tol, is_psd, require_finite
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -153,15 +153,43 @@ def _screen_pd(flat: np.ndarray, idx: np.ndarray, n: int, k: int, shift: float) 
     return ok
 
 
+def _screen_shift(dense: np.ndarray, k: int, tol: float) -> float:
+    """Diagonal shift tol - margin for the LDL screen of k-subsets of dense.
+
+    The margin, 64 k eps max|X|, covers the rounding of the screen's
+    factorization and eigvalsh's backward error, so a subset that passes the
+    screen never has a computed smallest eigenvalue below -tol.  A shift <= 0
+    leaves nothing to screen.
+    """
+    return tol - 64.0 * k * np.finfo(np.float64).eps * float(np.abs(dense).max())
+
+
 def subset_chunks(n: int, k: int, chunk: int = 32768):
     """All k-subsets of range(n) in lexicographic order, as index arrays of
-    at most chunk rows."""
-    it = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.intp)
+    at most chunk rows.
+
+    Each chunk is a range of lexicographic ranks, unranked with one
+    searchsorted per position, so memory stays at one chunk.  below[p, v]
+    sums C(n-1-u, k-1-p), the ways to complete a subset whose p-th member is
+    u, over u < v.  Given the members before position p, the last of them q,
+    and the rank r left among their completions, the p-th member is the last
+    v with below[p, v] <= r + below[p, q + 1].
+    """
+    count = math.comb(n, k)
+    below = np.zeros((k, n + 1), dtype=np.int64)
+    for p in range(k):
+        below[p, 1:] = np.cumsum([math.comb(n - 1 - v, k - 1 - p) for v in range(n)])
+    for first in range(0, count, chunk):
+        rank = np.arange(first, min(first + chunk, count), dtype=np.int64)
+        idx = np.empty((rank.size, k), dtype=np.intp)
+        floor = np.zeros(rank.size, dtype=np.intp)  # smallest value the next member may take
+        for p in range(k):
+            rank += below[p, floor]
+            member = np.searchsorted(below[p], rank, side="right") - 1
+            rank -= below[p, member]
+            idx[:, p] = member
+            floor = member + 1
+        yield idx
 
 
 def principal_submatrices(dense: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -181,12 +209,15 @@ def sparse_kpsd_member(
     principal submatrices.  Subsets are screened with a factorization test on
     X_I + (tol - margin) I; only subsets failing the screen pay for an exact
     eigenvalue check, so the screen never changes the answer.  The exact
-    check runs in lexicographic slices of 64, 128, 256, ... subsets and stops
-    at the first slice holding a violation; eigvalsh solves each matrix of a
-    stack on its own, so slicing changes no eigenvalue.
+    check runs in lexicographic slices of 64, 128, 256, ... subsets: each
+    slice is screened, its rejected subsets go to eigvalsh in one call, and
+    the first slice holding a violation ends the search.  The screen and
+    eigvalsh treat each subset on its own, so slicing changes no answer.
+    Non-finite entries raise NumericalFailureError.
     """
     n = X.dim
     _check_nk(n, k)
+    require_finite(X)
     if tol is None:
         tol = default_psd_tol(X)
     count = math.comb(n, k)
@@ -197,18 +228,14 @@ def sparse_kpsd_member(
         )
     dense = X.to_dense()
     flat = np.ascontiguousarray(dense).ravel()
-    margin = 64.0 * k * np.finfo(np.float64).eps * max(float(np.abs(dense).max()), 0.0)
-    shift = tol - margin
+    shift = _screen_shift(dense, k, tol)
     for idx in subset_chunks(n, k):
-        if shift > 0.0:
-            ok = _screen_pd(flat, idx, n, k, shift)
-            if ok.all():
-                continue
-            idx = idx[~ok]
         start, step = 0, 64
         while start < len(idx):
             block = idx[start : start + step]
-            if np.linalg.eigvalsh(principal_submatrices(dense, block))[:, 0].min() < -tol:
+            if shift > 0.0:
+                block = block[~_screen_pd(flat, block, n, k, shift)]
+            if block.size and np.linalg.eigvalsh(principal_submatrices(dense, block))[:, 0].min() < -tol:
                 return False
             start += step
             step *= 2
@@ -226,15 +253,21 @@ def sparse_kpsd_refute(
 
     Returns True iff some sampled k-subset has a non-PSD principal submatrix,
     which certifies non-membership.  False only means no violation was found
-    among the samples; membership remains unconfirmed.
+    among the samples; membership remains unconfirmed.  Each batch of samples
+    passes the LDL screen of sparse_kpsd_member first, and only the samples
+    it rejects get an exact eigenvalue check, so the screen changes no
+    answer.  Non-finite entries raise NumericalFailureError.
     """
     n = X.dim
     _check_nk(n, k)
     if samples < 1:
         raise InvalidArgumentError(f"need at least one sample, got {samples}")
+    require_finite(X)
     if tol is None:
         tol = default_psd_tol(X)
     dense = X.to_dense()
+    flat = np.ascontiguousarray(dense).ravel()
+    shift = _screen_shift(dense, k, tol)
     rng = substream(check_seed(seed))
     batch = 1024
     done = 0
@@ -243,7 +276,9 @@ def sparse_kpsd_refute(
         idx = np.empty((take, k), dtype=np.intp)
         for row in range(take):
             idx[row] = np.sort(rng.choice(n, size=k, replace=False))
-        if np.linalg.eigvalsh(principal_submatrices(dense, idx))[:, 0].min() < -tol:
+        if shift > 0.0:
+            idx = idx[~_screen_pd(flat, idx, n, k, shift)]
+        if idx.size and np.linalg.eigvalsh(principal_submatrices(dense, idx))[:, 0].min() < -tol:
             return True
         done += take
     return False

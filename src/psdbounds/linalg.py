@@ -31,6 +31,7 @@ __all__ = [
     "sample_standard_gaussian_sym",
     "gaussian_sym",
     "gaussian_sym_batch",
+    "require_finite",
     "eigenvalues_descending",
     "principal_submatrix",
     "is_psd",
@@ -203,15 +204,22 @@ def sample_standard_gaussian_sym(n: int, seed: int) -> SymmetricMatrix:
     return gaussian_sym(n, substream(check_seed(seed)))
 
 
-def eigenvalues_descending(M: SymmetricMatrix) -> np.ndarray:
-    """Eigenvalues of M in nonincreasing order."""
+def require_finite(M: SymmetricMatrix) -> None:
+    """Raise NumericalFailureError if M holds a NaN or an infinity.
+
+    LAPACK cannot converge on non-finite data (and may return garbage
+    silently), so every eigenvalue routine treats it as that failure.
+    """
     if not np.isfinite(M.packed).all():
-        # LAPACK cannot converge on non-finite data (and may return garbage
-        # silently); treat it as the same failure mode
         raise NumericalFailureError(
             f"eigensolver cannot converge on non-finite entries in a {M.dim}x{M.dim} matrix",
             fingerprint=M.fingerprint(),
         )
+
+
+def eigenvalues_descending(M: SymmetricMatrix) -> np.ndarray:
+    """Eigenvalues of M in nonincreasing order."""
+    require_finite(M)
     try:
         w = np.linalg.eigvalsh(M.to_dense())
     except np.linalg.LinAlgError as exc:

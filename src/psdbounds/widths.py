@@ -25,7 +25,7 @@ from .errors import (
     InvalidArgumentError,
     OracleFailureError,
 )
-from .linalg import SymmetricMatrix, gaussian_sym_batch
+from .linalg import SymmetricMatrix, gaussian_sym_batch, require_finite
 
 # Not called in this module; kept as a module attribute because the
 # benchmark's tracer (perfbench/tracing.py) wraps it by name here.
@@ -146,16 +146,78 @@ def width_base_psd(n: int, trials: int, seed: int, keep_values: bool = True) -> 
     return WidthEstimate.from_values(_run_trials(trials, per_chunk), seed, keep_values)
 
 
+_SOLVE_SLICE = 64  # blocks per eigvalsh call in the bound-ordered search
+
+
+def _lambda1_upper_bounds(blocks: np.ndarray, scale: float) -> np.ndarray:
+    """Per block B of an (m, k, k) stack, a bound that eigvalsh's computed
+    largest eigenvalue of B never exceeds; scale is max |entry| of the
+    matrix the blocks come from.
+
+    In exact arithmetic lambda_1(B) is at most the Gershgorin bound
+    max_i (b_ii + sum_{j != i} |b_ij|) and the Wolkowicz-Styan bound
+    m + sqrt((k - 1)(F/k - m^2)), with m = tr B / k and F = ||B||_F^2
+    (Wolkowicz & Styan, Linear Algebra Appl. 1980).  Rounding:
+
+    - Inside the root: F/k - m^2 cancels.  With recursive summation F has
+      absolute error at most k^2 eps F, and sum |b_ii| <= sqrt(k F), so m is
+      off by at most 2 eps sqrt(k F) and m^2 by about 4 eps F; with the
+      divisions and the subtraction the spread is off by at most
+      (k + 6) eps F, below the 8 k eps F added.  Squares that underflow lose
+      at most one subnormal unit eta each, so k^2 eta is added as well.
+    - Outside the root: both bounds are off by at most about
+      4 k^2 eps scale, since every |b_ij| <= scale and the root is at most
+      k scale.  eigvalsh is backward stable: its lambda_1 is that of B + E
+      with ||E|| <= p(k) eps ||B|| and ||B|| <= k scale.  The
+      64 k^2 (eps scale + eta) added to the smaller bound covers both for
+      any p(k) up to 60 k; eta covers the subnormal range.
+
+    An overflowing Wolkowicz-Styan bound (inf or NaN) leaves the Gershgorin
+    bound, which only overflows to +inf.
+    """
+    m, k = blocks.shape[:2]
+    eps = np.finfo(np.float64).eps
+    eta = np.finfo(np.float64).smallest_subnormal
+    entries = np.ascontiguousarray(blocks.reshape(m, k * k).T)  # row i*k + j holds every b_ij
+    diag = entries[:: k + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_abs = np.abs(entries).reshape(k, k, m).sum(axis=1)
+        gershgorin = (row_abs + (diag - np.abs(diag))).max(axis=0)
+        mean = diag.sum(axis=0) / k
+        fro = np.einsum("im,im->m", entries, entries)
+        spread = fro / k - mean * mean + 8.0 * k * eps * fro + k * k * eta
+        wolkowicz_styan = mean + np.sqrt((k - 1) * np.maximum(spread, 0.0))
+        return np.fmin(gershgorin, wolkowicz_styan) + 64.0 * k * k * (eps * scale + eta)
+
+
 def _max_lambda1_subsets(dense: np.ndarray, k: int, cap: int) -> float:
+    """Largest eigvalsh lambda_1 over every k-by-k principal submatrix.
+
+    Per chunk of subsets, the blocks are solved in descending order of
+    _lambda1_upper_bounds, _SOLVE_SLICE at a time, and a block whose bound
+    is below the best value solved so far is never solved: its own value
+    would be below that bound.  eigvalsh solves each matrix of a stack on
+    its own and max over floats ignores order, so the result is the bits of
+    solving every block.
+    """
     n = dense.shape[0]
     count = math.comb(n, k)
     if count > cap:
         raise EnumerationLimitError(
             f"C({n},{k}) = {count} subsets exceed the cap {cap}; use greedy mode"
         )
+    scale = float(np.abs(dense).max())
     best = -math.inf
     for idx in subset_chunks(n, k):
-        best = max(best, float(_lambda1_batch(dense, idx).max()))
+        blocks = principal_submatrices(dense, idx)
+        bounds = _lambda1_upper_bounds(blocks, scale)
+        order = np.argsort(-bounds)
+        bounds = bounds[order]
+        for start in range(0, order.size, _SOLVE_SLICE):
+            live = order[start : start + _SOLVE_SLICE][bounds[start : start + _SOLVE_SLICE] >= best]
+            if not live.size:
+                break
+            best = max(best, float(np.linalg.eigvalsh(blocks[live])[:, -1].max()))
     return best
 
 
@@ -241,13 +303,16 @@ def k_sparse_largest_eigenvalue(
 ) -> float:
     """Largest eigenvalue over k-by-k principal submatrices.
 
-    Exhaustive mode maximizes over all C(n, k) subsets.  Greedy mode returns a
+    Exhaustive mode maximizes over all C(n, k) subsets, solving only the
+    blocks an eigenvalue bound cannot rule out.  Greedy mode returns a
     lower bound from local swap ascent (best-single-coordinate start plus 20
     random restarts from a fixed internal stream; deterministic given G, k).
+    Non-finite entries raise NumericalFailureError.
     """
     n = G.dim
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
+    require_finite(G)
     dense = G.to_dense()
     if k == n:
         return float(np.linalg.eigvalsh(dense)[-1])

@@ -234,3 +234,34 @@ def reference_greedy_k_sparse(dense: np.ndarray, k: int) -> float:
         start = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
         best = max(best, reference_swap_ascent(dense, start))
     return best
+
+
+def reference_max_lambda1_subsets(dense: np.ndarray, k: int) -> float:
+    """The exhaustive k-sparse search without bounds: every block of every
+    32,768-subset lexicographic chunk goes to eigvalsh, and the chunk maxima
+    are combined in order."""
+    n = dense.shape[0]
+    subsets = itertools.combinations(range(n), k)
+    best = -math.inf
+    while True:
+        chunk = list(itertools.islice(subsets, 32768))
+        if not chunk:
+            return best
+        best = max(best, float(_lambda1_rows(dense, chunk).max()))
+
+
+def reference_sparse_refute(dense: np.ndarray, k: int, tol: float, samples: int, seed: int) -> bool:
+    """Randomized refutation without the screen: the same sorted samples from
+    the seed's stream, 1,024 per batch, each checked by eigvalsh."""
+    from psdbounds._rng import substream
+
+    n = dense.shape[0]
+    rng = substream(seed)
+    done = 0
+    while done < samples:
+        take = min(1024, samples - done)
+        idx = np.array([np.sort(rng.choice(n, size=k, replace=False)) for _ in range(take)])
+        if np.linalg.eigvalsh(dense[idx[:, :, None], idx[:, None, :]])[:, 0].min() < -tol:
+            return True
+        done += take
+    return False

@@ -5,6 +5,7 @@ every run records `widths.thread_count()`.  A rename that breaks either
 fails here, in the test suite, and not only when the benchmark runs.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -76,3 +77,21 @@ def test_tracer_counts_sparse_search_eigensolves(tracing, monkeypatch):
     # plus one single-matrix solve per ascent start: the grown support and 20 restarts
     assert metrics["widths.k_sparse.greedy.eig_subsets"] == sum(gathered) + 21
     assert metrics["cones.member.eig_subsets"] == 64
+
+
+def test_tracer_counts_only_the_exhaustive_blocks_that_reach_eigvalsh(tracing, monkeypatch):
+    # the bound-ordered search gathers every block but solves few; the traced
+    # count must be the solved ones, seen through the module attribute
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a, *rest: solved.append(math.prod(np.shape(a)[:-2])) or eigvalsh(a, *rest)
+    )
+    tracer = tracing.Tracer()
+    handle = tracing.install(tracer)
+    try:
+        widths.k_sparse_largest_eigenvalue(linalg.sample_standard_gaussian_sym(14, 5), 5)
+    finally:
+        handle.remove()
+    counted = tracer.collect()["widths.k_sparse.exhaustive.eig_subsets"]
+    assert 0 < counted == sum(solved) < math.comb(14, 5)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from psdbounds import cli
 from psdbounds.bounds import FORMULAS
 from psdbounds.cones import coordinate_family, write_conefam, witness_matrix
-from psdbounds.linalg import write_symmat
+from psdbounds.linalg import SymmetricMatrix, write_symmat
 
 
 def run_cli(argv, capsys):
@@ -446,6 +446,18 @@ class TestErrorContract:
         [line] = err.splitlines()
         error = json.loads(line)["error"]
         assert error["kind"] == "usage" and needle in error["message"]
+
+    @pytest.mark.parametrize("extra", [[], ["--tol", "0"], ["--refute", "--samples", "5"]])
+    def test_non_finite_matrix_is_a_numerical_failure(self, extra, tmp_path, capsys):
+        dense = np.eye(6)
+        dense[2, 3] = dense[3, 2] = np.nan
+        path = tmp_path / "nan.symmat"
+        write_symmat(SymmetricMatrix.from_dense(dense), path)
+        code, out, err = run_cli(["cones", "member", "--matrix", str(path), "--sparse-k", "3", *extra], capsys)
+        assert code == 3 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["kind"] == "numerical" and "non-finite" in error["message"]
 
     def test_each_command_keeps_the_format_it_writes(self, tmp_path, capsys):
         for argv in (

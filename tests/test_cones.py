@@ -18,21 +18,48 @@ from psdbounds.cones import (
     sample_factor_width_extreme,
     sparse_kpsd_member,
     sparse_kpsd_refute,
+    subset_chunks,
     witness_matrix,
     write_conefam,
 )
+from psdbounds import cones
 from psdbounds.errors import (
     EnumerationLimitError,
     InvalidArgumentError,
     InvalidDimensionError,
+    NumericalFailureError,
 )
 from psdbounds.linalg import SymmetricMatrix, default_psd_tol, eigenvalues_descending, is_psd
 
-from _oracles import brute_sparse_member, random_sparse_cone_member, random_symmetric
+from _oracles import (
+    brute_sparse_member,
+    random_sparse_cone_member,
+    random_symmetric,
+    reference_sparse_refute,
+)
 
 
 def sym(dense):
     return SymmetricMatrix.from_dense(dense)
+
+
+class TestSubsetChunks:
+    """The numpy enumeration yields itertools.combinations, chunk by chunk."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 32768])
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (5, 5), (6, 3), (9, 4), (12, 6)])
+    def test_rows_and_chunks_equal_itertools(self, n, k, chunk):
+        want = list(itertools.combinations(range(n), k))
+        got = list(subset_chunks(n, k, chunk))
+        assert [len(c) for c in got] == [len(want[i : i + chunk]) for i in range(0, len(want), chunk)]
+        assert all(c.dtype == np.intp and c.shape[1] == k for c in got)
+        assert np.concatenate(got).tolist() == [list(row) for row in want]
+
+    @pytest.mark.parametrize("n, k", [(20, 10), (18, 9)])
+    def test_crossing_chunk_boundaries(self, n, k):
+        got = list(subset_chunks(n, k))
+        assert [len(c) for c in got[:-1]] == [32768] * (len(got) - 1) and len(got) > 1
+        assert np.array_equal(np.concatenate(got), np.array(list(itertools.combinations(range(n), k))))
 
 
 class TestSparseMembership:
@@ -108,6 +135,9 @@ def membership_case(kind, n, k, seed):
     if kind == "witness k+1":  # its non-member test, for k + 1 <= n
         k = min(max(k, 2), n - 1)
         return witness_matrix(n, k).to_dense(), k + 1, 1e-9
+    if kind == "boundary":  # smallest block eigenvalue -1e-9, give or take rounding
+        k = max(k, 2)
+        return witness_matrix(n, k).to_dense() - 1e-9 * np.eye(n), k, 1e-9
     if kind == "psd":
         g = rng.standard_normal((n, n))
         return g @ g.T, k, None
@@ -126,13 +156,18 @@ class TestSparseMembershipEarlyExit:
     @given(
         shape=st.integers(3, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
         kind=st.sampled_from(
-            ["witness", "witness k+1", "psd", "late violation", "gaussian", "gaussian tol=0"]
+            ["witness", "witness k+1", "boundary", "psd", "late violation", "gaussian",
+             "gaussian tol=0"]
         ),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(shape=(12, 6), kind="psd", seed=0)
     @example(shape=(12, 6), kind="late violation", seed=0)
     @example(shape=(12, 6), kind="gaussian tol=0", seed=3)
+    # without the screen's margin, these would pass the screen although
+    # eigvalsh puts some block's smallest eigenvalue below -tol
+    @example(shape=(10, 3), kind="boundary", seed=0)
+    @example(shape=(12, 6), kind="boundary", seed=0)
     def test_equals_bruteforce(self, shape, kind, seed):
         n, k = shape
         dense, k, tol = membership_case(kind, n, k, seed)
@@ -170,8 +205,102 @@ class TestSparseMembershipEarlyExit:
         assert sparse_kpsd_member(sym(np.eye(12) + 0.1), 6, tol=0.0)
         assert counts == [64, 128, 256, 476] and sum(counts) == math.comb(12, 6)
 
+    @staticmethod
+    def screened(monkeypatch):
+        sizes = []
+        screen = cones._screen_pd
+        monkeypatch.setattr(
+            cones, "_screen_pd", lambda flat, idx, *rest: sizes.append(len(idx)) or screen(flat, idx, *rest)
+        )
+        return sizes
+
+    def test_screen_runs_on_the_solved_slices(self, monkeypatch):
+        sizes, counts = self.screened(monkeypatch), self.solved(monkeypatch)
+        assert not sparse_kpsd_member(witness_matrix(16, 5), 6, 1e-9)
+        assert sizes == [64] and counts == [64]
+        sizes.clear()
+        counts.clear()
+        # a member passes the screen on every slice and needs no eigensolve
+        assert sparse_kpsd_member(witness_matrix(12, 4), 4, 1e-9)
+        assert sizes == [64, 128, 256, 47] and counts == []
+
+    def test_each_slice_solves_only_its_rejected_subsets(self, monkeypatch):
+        # the 1e12 entry widens the screen's margin to about 0.057, so with
+        # tol = 0.1 the subsets holding both 0 and 1 (smallest eigenvalue
+        # -0.07) fail the screen without violating; they are the first
+        # C(10, 2) = 45 lexicographic rows
+        dense = np.eye(12)
+        dense[11, 11] = 1e12
+        dense[0, 1] = dense[1, 0] = 1.07
+        sizes, counts = self.screened(monkeypatch), self.solved(monkeypatch)
+        assert sparse_kpsd_member(sym(dense), 4, 0.1)
+        assert sizes == [64, 128, 256, 47] and counts == [45]
+
+
+class TestSparseNonFinite:
+    @staticmethod
+    def nan_identity():
+        dense = np.eye(6)
+        dense[2, 3] = dense[3, 2] = np.nan
+        return sym(dense)
+
+    @pytest.mark.parametrize("tol", [None, 0.0, 1e-9])
+    def test_member_raises(self, tol):
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            sparse_kpsd_member(self.nan_identity(), 3, tol)
+
+    def test_refute_raises(self):
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            sparse_kpsd_refute(self.nan_identity(), 3, samples=10)
+        with pytest.raises(NumericalFailureError):
+            sparse_kpsd_refute(sym(np.diag([1.0, -np.inf, 1.0])), 2, samples=10)
+
+
+def refutation_case(kind, n, k, tol, seed):
+    """(dense, k, tol) for one refutation query of the given kind."""
+    rng = np.random.default_rng(seed)
+    k = min(max(k, 2), n - 1)
+    if kind == "member":
+        return witness_matrix(n, k).to_dense(), k, tol
+    if kind == "witness k+1":
+        return witness_matrix(n, k).to_dense(), k + 1, tol
+    if kind == "boundary":  # smallest block eigenvalue -tol, give or take rounding
+        tol = tol or 1e-9
+        return witness_matrix(n, k).to_dense() - tol * np.eye(n), k, tol
+    return random_symmetric(n, rng, diag_shift=float(rng.uniform(0.0, 3.0))), k, tol
+
 
 class TestRandomizedRefutation:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 16),
+        k=st.integers(2, 15),
+        kind=st.sampled_from(["member", "witness k+1", "boundary", "gaussian"]),
+        tol=st.sampled_from([None, 0.0, 1e-9, 1e-12, 2.0**-30]),
+        samples=st.sampled_from([1, 50, 1024, 1500]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=16, k=3, kind="gaussian", tol=None, samples=1500, seed=4)
+    # without the screen's margin, these boundary samples would pass the
+    # screen although eigvalsh puts their smallest eigenvalue below -tol
+    @example(n=16, k=5, kind="boundary", tol=1e-9, samples=50, seed=3)
+    @example(n=15, k=13, kind="boundary", tol=1e-12, samples=50, seed=3)
+    def test_equals_unscreened_reference(self, n, k, kind, tol, samples, seed):
+        dense, k, tol = refutation_case(kind, n, k, tol, seed)
+        X = sym(dense)
+        want = reference_sparse_refute(
+            dense, k, default_psd_tol(X) if tol is None else tol, samples, seed
+        )
+        assert sparse_kpsd_refute(X, k, tol, samples=samples, seed=seed) == want
+        if kind == "witness k+1":
+            assert want
+
+    def test_member_samples_pass_the_screen_without_eigensolves(self, monkeypatch):
+        counts = TestSparseMembershipEarlyExit.solved(monkeypatch)
+        assert not sparse_kpsd_refute(witness_matrix(40, 8), 8, samples=3000, seed=5)
+        assert counts == []
+
+
     def test_refutes_non_member(self):
         W = witness_matrix(40, 10)
         # every 11-subset block has a negative eigenvalue, so one sample suffices

@@ -1,4 +1,6 @@
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -6,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psdbounds.bounds import sparse_integral
-from psdbounds.cones import ConeFamily, SubspaceBasis, coordinate_family
+from psdbounds.cones import ConeFamily, SubspaceBasis, coordinate_family, g_abn
 from psdbounds.errors import (
     EnumerationLimitError,
     InvalidArgumentError,
+    NumericalFailureError,
     OracleFailureError,
 )
 from psdbounds.linalg import SymmetricMatrix, sample_standard_gaussian_sym
@@ -33,6 +36,7 @@ from psdbounds import widths
 from _oracles import (
     brute_max_ksparse_lambda1,
     reference_greedy_k_sparse,
+    reference_max_lambda1_subsets,
     reference_swap_ascent,
 )
 
@@ -196,6 +200,122 @@ class TestGreedyAgainstReference:
         # the first three calls grow the start support to 2, 3 and 4 members
         swaps = [tuple(row) for idx in calls[3:] for row in idx]
         assert swaps and len(swaps) == len(set(swaps))
+
+
+def exhaustive_case(kind, n, seed):
+    """A test matrix for the bound-ordered exhaustive search."""
+    rng = np.random.default_rng(seed)
+    if kind == "g_abn":  # spectrum {a, b^(n-1)}: Wolkowicz-Styan is tight on every block
+        return g_abn(float(rng.normal()), float(rng.normal()), n).to_dense()
+    if kind == "spiked":  # scalar * I plus a rank-one term of norm 1e8
+        v = rng.standard_normal(n)
+        return float(rng.normal()) * np.eye(n) + 1e8 * np.outer(v, v) / (v @ v)
+    if kind == "near ties":  # block values a few ulps apart
+        base = g_abn(1.0 + float(rng.random()), float(rng.random()), n).to_dense()
+        return base + np.diag(rng.integers(-3, 4, n) * np.finfo(np.float64).eps)
+    return tie_heavy_or_gaussian(kind, n, seed)
+
+
+_EXHAUSTIVE_KINDS = ["gaussian", "integer", "signed graph", "blocks", "g_abn", "spiked", "near ties"]
+_SCALES = [1.0, 1e-300, 1e-160, 1e150, 1e300]
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestExhaustiveAgainstReference:
+    """The bound-ordered search returns the bits of solving every block."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        shape=st.integers(3, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1))),
+        kind=st.sampled_from(_EXHAUSTIVE_KINDS),
+        scale=st.sampled_from(_SCALES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(14, 7), kind="gaussian", scale=1.0, seed=0)
+    @example(shape=(14, 5), kind="near ties", scale=1.0, seed=1)
+    @example(shape=(12, 6), kind="g_abn", scale=1.0, seed=2)
+    @example(shape=(13, 4), kind="spiked", scale=1.0, seed=3)
+    @example(shape=(3, 2), kind="blocks", scale=1e-300, seed=0)
+    def test_bits_equal_reference(self, shape, kind, scale, seed):
+        n, k = shape
+        dense = exhaustive_case(kind, n, seed) * scale
+        got = k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(dense), k)
+        assert type(got) is float
+        assert bits(got) == bits(reference_max_lambda1_subsets(dense, k))
+
+    @pytest.mark.parametrize("scale", [1.7e308, 1e-310])
+    def test_bits_equal_reference_at_the_ends_of_the_float_range(self, scale):
+        g = exhaustive_case("gaussian", 9, 0)
+        dense = g / np.abs(g).max() * scale
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # none escapes the bounds
+            got = k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(dense), 4)
+        assert bits(got) == bits(reference_max_lambda1_subsets(dense, 4))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        shape=st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
+        kind=st.sampled_from(_EXHAUSTIVE_KINDS),
+        scale=st.sampled_from(_SCALES + [1e-320]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_cover_every_computed_eigenvalue(self, shape, kind, scale, seed):
+        n, k = shape
+        dense = exhaustive_case(kind, max(n, 3), seed)[:n, :n] * scale
+        idx = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+        blocks = dense[idx[:, :, None], idx[:, None, :]]
+        bound = widths._lambda1_upper_bounds(blocks, float(np.abs(dense).max()))
+        assert (bound >= np.linalg.eigvalsh(blocks)[:, -1]).all()
+
+    def test_bounds_of_tight_blocks_exceed_their_eigenvalue(self):
+        # Wolkowicz-Styan equals lambda_1 on g_abn blocks, so only the slack
+        # keeps the computed bound above the computed eigenvalue
+        for a, b in itertools.product(np.linspace(-3.0, 3.0, 25), repeat=2):
+            blocks = g_abn(a, b, 6).to_dense()[None, :4, :4]
+            bound = widths._lambda1_upper_bounds(blocks, float(np.abs(blocks).max()))
+            assert bound[0] >= np.linalg.eigvalsh(blocks)[0, -1]
+
+
+class TestNonFiniteInput:
+    """NaN or inf entries raise instead of returning -inf, True or hanging."""
+
+    @staticmethod
+    def nan_identity():
+        dense = np.eye(6)
+        dense[2, 3] = dense[3, 2] = np.nan
+        return SymmetricMatrix.from_dense(dense)
+
+    @staticmethod
+    def raised_within(seconds, call):
+        """The error call raised in a daemon thread, or None; a search that
+        loops on NaN fails the test instead of hanging the suite."""
+        outcome = []
+
+        def run():
+            try:
+                call()
+            except NumericalFailureError as exc:
+                outcome.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=seconds)
+        assert not worker.is_alive(), f"no answer within {seconds} s"
+        return outcome[0] if outcome else None
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_k_sparse_raises(self, mode, k):
+        error = self.raised_within(
+            20, lambda: k_sparse_largest_eigenvalue(self.nan_identity(), k, mode=mode)
+        )
+        assert error is not None and "non-finite" in str(error)
+
+    def test_infinite_entry_raises(self):
+        with pytest.raises(NumericalFailureError):
+            k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(np.diag([1.0, np.inf, 2.0])), 2)
 
 
 class TestWidthDualSparse:
