@@ -171,14 +171,17 @@ def subset_chunks(n: int, k: int, chunk: int = 32768):
     Each chunk is a range of lexicographic ranks, unranked with one
     searchsorted per position, so memory stays at one chunk.  below[p, v]
     sums C(n-1-u, k-1-p), the ways to complete a subset whose p-th member is
-    u, over u < v.  Given the members before position p, the last of them q,
-    and the rank r left among their completions, the p-th member is the last
-    v with below[p, v] <= r + below[p, q + 1].
+    u, over p <= u < v.  Given the members before position p, the last of
+    them q, and the rank r left among their completions, the p-th member is
+    the last v with below[p, v] <= r + below[p, q + 1].  The p-th member is
+    never below p, so leaving out u < p changes no difference the lookup
+    uses, and row p tops out at C(n-p, k-p) <= C(n, k): the table fits int64
+    whenever the subset count does.
     """
     count = math.comb(n, k)
     below = np.zeros((k, n + 1), dtype=np.int64)
     for p in range(k):
-        below[p, 1:] = np.cumsum([math.comb(n - 1 - v, k - 1 - p) for v in range(n)])
+        below[p, p + 1 :] = np.cumsum([math.comb(n - 1 - v, k - 1 - p) for v in range(p, n)])
     for first in range(0, count, chunk):
         rank = np.arange(first, min(first + chunk, count), dtype=np.int64)
         idx = np.empty((rank.size, k), dtype=np.intp)

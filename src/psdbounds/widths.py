@@ -159,7 +159,7 @@ def _lambda1_upper_bounds(blocks: np.ndarray, scale: float) -> np.ndarray:
     m + sqrt((k - 1)(F/k - m^2)), with m = tr B / k and F = ||B||_F^2
     (Wolkowicz & Styan, Linear Algebra Appl. 1980).  Rounding:
 
-    - Inside the root: F/k - m^2 cancels.  With recursive summation F has
+    - Inside the root: F/k - m^2 cancels.  Summed in any order, F has
       absolute error at most k^2 eps F, and sum |b_ii| <= sqrt(k F), so m is
       off by at most 2 eps sqrt(k F) and m^2 by about 4 eps F; with the
       divisions and the subtraction the spread is off by at most
@@ -175,16 +175,17 @@ def _lambda1_upper_bounds(blocks: np.ndarray, scale: float) -> np.ndarray:
     An overflowing Wolkowicz-Styan bound (inf or NaN) leaves the Gershgorin
     bound, which only overflows to +inf.
     """
-    m, k = blocks.shape[:2]
+    k = blocks.shape[1]
     eps = np.finfo(np.float64).eps
     eta = np.finfo(np.float64).smallest_subnormal
-    entries = np.ascontiguousarray(blocks.reshape(m, k * k).T)  # row i*k + j holds every b_ij
-    diag = entries[:: k + 1]
+    diag = np.diagonal(blocks, axis1=1, axis2=2)
     with np.errstate(over="ignore", invalid="ignore"):
-        row_abs = np.abs(entries).reshape(k, k, m).sum(axis=1)
-        gershgorin = (row_abs + (diag - np.abs(diag))).max(axis=0)
-        mean = diag.sum(axis=0) / k
-        fro = np.einsum("im,im->m", entries, entries)
+        gershgorin = np.full(blocks.shape[0], -math.inf)
+        for i in range(k):  # one row at a time: no full-size copy of the stack
+            row = np.abs(blocks[:, i, :]).sum(axis=1) + (diag[:, i] - np.abs(diag[:, i]))
+            np.maximum(gershgorin, row, out=gershgorin)
+        mean = diag.sum(axis=1) / k
+        fro = np.einsum("mij,mij->m", blocks, blocks)
         spread = fro / k - mean * mean + 8.0 * k * eps * fro + k * k * eta
         wolkowicz_styan = mean + np.sqrt((k - 1) * np.maximum(spread, 0.0))
         return np.fmin(gershgorin, wolkowicz_styan) + 64.0 * k * k * (eps * scale + eta)
@@ -209,15 +210,22 @@ def _max_lambda1_subsets(dense: np.ndarray, k: int, cap: int) -> float:
     scale = float(np.abs(dense).max())
     best = -math.inf
     for idx in subset_chunks(n, k):
-        blocks = principal_submatrices(dense, idx)
-        bounds = _lambda1_upper_bounds(blocks, scale)
-        order = np.argsort(-bounds)
-        bounds = bounds[order]
-        for start in range(0, order.size, _SOLVE_SLICE):
-            live = order[start : start + _SOLVE_SLICE][bounds[start : start + _SOLVE_SLICE] >= best]
-            if not live.size:
-                break
-            best = max(best, float(np.linalg.eigvalsh(blocks[live])[:, -1].max()))
+        best = _max_lambda1_blocks(principal_submatrices(dense, idx), scale, best)
+    return best
+
+
+def _max_lambda1_blocks(blocks: np.ndarray, scale: float, best: float) -> float:
+    """max(best, largest eigvalsh lambda_1 in the stack), solving only the
+    blocks whose bound reaches the best value so far.  The stack is freed
+    on return, so the caller never holds two chunks at once."""
+    bounds = _lambda1_upper_bounds(blocks, scale)
+    order = np.argsort(-bounds)
+    bounds = bounds[order]
+    for start in range(0, order.size, _SOLVE_SLICE):
+        live = order[start : start + _SOLVE_SLICE][bounds[start : start + _SOLVE_SLICE] >= best]
+        if not live.size:
+            break
+        best = max(best, float(np.linalg.eigvalsh(blocks[live])[:, -1].max()))
     return best
 
 

@@ -170,6 +170,13 @@ def brute_max_ksparse_lambda1(dense: np.ndarray, k: int) -> float:
     return best
 
 
+def nan_identity(n: int = 6) -> np.ndarray:
+    """The n-by-n identity with a NaN at (2, 3) and (3, 2)."""
+    dense = np.eye(n)
+    dense[2, 3] = dense[3, 2] = np.nan
+    return dense
+
+
 def random_symmetric(n: int, rng: np.random.Generator, diag_shift: float = 0.0) -> np.ndarray:
     g = rng.standard_normal((n, n))
     return (g + g.T) / 2.0 + diag_shift * np.eye(n)

@@ -18,6 +18,8 @@ from psdbounds.bounds import FORMULAS
 from psdbounds.cones import coordinate_family, write_conefam, witness_matrix
 from psdbounds.linalg import SymmetricMatrix, write_symmat
 
+from _oracles import nan_identity
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -449,10 +451,8 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("extra", [[], ["--tol", "0"], ["--refute", "--samples", "5"]])
     def test_non_finite_matrix_is_a_numerical_failure(self, extra, tmp_path, capsys):
-        dense = np.eye(6)
-        dense[2, 3] = dense[3, 2] = np.nan
         path = tmp_path / "nan.symmat"
-        write_symmat(SymmetricMatrix.from_dense(dense), path)
+        write_symmat(SymmetricMatrix.from_dense(nan_identity()), path)
         code, out, err = run_cli(["cones", "member", "--matrix", str(path), "--sparse-k", "3", *extra], capsys)
         assert code == 3 and out == ""
         [line] = err.splitlines()

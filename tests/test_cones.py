@@ -33,6 +33,7 @@ from psdbounds.linalg import SymmetricMatrix, default_psd_tol, eigenvalues_desce
 
 from _oracles import (
     brute_sparse_member,
+    nan_identity,
     random_sparse_cone_member,
     random_symmetric,
     reference_sparse_refute,
@@ -60,6 +61,12 @@ class TestSubsetChunks:
         got = list(subset_chunks(n, k))
         assert [len(c) for c in got[:-1]] == [32768] * (len(got) - 1) and len(got) > 1
         assert np.array_equal(np.concatenate(got), np.array(list(itertools.combinations(range(n), k))))
+
+    @pytest.mark.parametrize("n, k", [(67, 65), (68, 66), (70, 67)])
+    def test_few_subsets_of_a_large_ground_set(self, n, k):
+        # C(n, k) is small, but C(n, k - p) for middle positions p is beyond int64
+        got = np.concatenate(list(subset_chunks(n, k)))
+        assert np.array_equal(got, np.array(list(itertools.combinations(range(n), k))))
 
 
 class TestSparseMembership:
@@ -238,20 +245,14 @@ class TestSparseMembershipEarlyExit:
 
 
 class TestSparseNonFinite:
-    @staticmethod
-    def nan_identity():
-        dense = np.eye(6)
-        dense[2, 3] = dense[3, 2] = np.nan
-        return sym(dense)
-
     @pytest.mark.parametrize("tol", [None, 0.0, 1e-9])
     def test_member_raises(self, tol):
         with pytest.raises(NumericalFailureError, match="non-finite"):
-            sparse_kpsd_member(self.nan_identity(), 3, tol)
+            sparse_kpsd_member(sym(nan_identity()), 3, tol)
 
     def test_refute_raises(self):
         with pytest.raises(NumericalFailureError, match="non-finite"):
-            sparse_kpsd_refute(self.nan_identity(), 3, samples=10)
+            sparse_kpsd_refute(sym(nan_identity()), 3, samples=10)
         with pytest.raises(NumericalFailureError):
             sparse_kpsd_refute(sym(np.diag([1.0, -np.inf, 1.0])), 2, samples=10)
 
