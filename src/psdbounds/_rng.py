@@ -32,23 +32,33 @@ class _ZeroSeed(np.random.bit_generator.ISeedSequence):
 _ZERO_SEED = _ZeroSeed()
 
 
-def substream(seed: int, lane: int = 0) -> np.random.Generator:
+_ZEROS = (0, 0, 0, 0)
+
+
+def substream(
+    seed: int, lane: int = 0, into: np.random.Generator | None = None
+) -> np.random.Generator:
     """Generator for the (seed, lane) substream.
 
     Same stream as np.random.Philox(key=[seed, lane mod 2**64]): counter
-    zero, empty output buffer.  Every call builds a new bit generator, since
-    callers and pool threads hold several streams at once.
+    zero, empty output buffer.  Without ``into``, the call builds a new bit
+    generator, since callers and pool threads hold several streams at once.
+    With ``into``, a generator an earlier call returned, it re-keys that
+    generator in place and returns it; a loop over trials can then keep one
+    generator instead of building one per trial.
     """
-    bitgen = np.random.Philox(_ZERO_SEED)
-    bitgen.state = {
+    if into is None:
+        into = np.random.Generator(np.random.Philox(_ZERO_SEED))
+    elif not isinstance(getattr(into, "bit_generator", None), np.random.Philox):
+        raise TypeError(f"into must be a Philox-backed Generator, got {into!r}")
+    # the setter copies every field, so the buffer and the cached 32-bit
+    # half are cleared along with the key and the counter
+    into.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([check_seed(seed), lane % _U64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": _ZEROS, "key": (check_seed(seed), lane % _U64)},
+        "buffer": _ZEROS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return np.random.Generator(bitgen)
+    return into

@@ -289,8 +289,10 @@ def _run_cones(config: RunConfig) -> int:
 
 def _verify_harmonic(n, trials, seed, lam):
     failures = []
+    rng = None
     for t in range(trials):
-        f = hypercube.random_bounded_function(n, lam, substream(seed, t))
+        rng = substream(seed, t, into=rng)
+        f = hypercube.random_bounded_function(n, lam, rng)
         norm2, bound, holds = hypercube.harmonic_bound_check(f, lam)
         if not holds:
             failures.append({"trial": t, "seed": seed, "norm2": norm2, "bound": bound})
@@ -299,8 +301,10 @@ def _verify_harmonic(n, trials, seed, lam):
 
 def _verify_hypercontractivity(n, trials, seed, rho, p):
     failures = []
+    rng = None
     for t in range(trials):
-        values = substream(seed, t).standard_normal(1 << n)
+        rng = substream(seed, t, into=rng)
+        values = rng.standard_normal(1 << n)
         f = hypercube.HypercubeFunction(n, values)
         lhs, rhs, holds = hypercube.hypercontractivity_check(f, rho, p)
         if not holds:

@@ -185,13 +185,16 @@ def gaussian_sym_batch(
 
     Every trial still draws its packed triangle from its own (seed, t)
     substream, so a trial's matrix does not depend on the window it is
-    drawn in.
+    drawn in.  The call re-keys one generator for every trial; it is its
+    own, so pool threads never share one.
     """
     if n < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
     packed = np.empty((stop - start, _packed_size(n)))
+    rng = None
     for row, t in zip(packed, range(start, stop)):
-        substream(seed, t).standard_normal(out=row)
+        rng = substream(seed, t, into=rng)
+        rng.standard_normal(out=row)
     packed /= _layout(n).divisor
     mats = _unpack(packed, n)
     if traceless:

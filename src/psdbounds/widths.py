@@ -321,7 +321,14 @@ def k_sparse_largest_eigenvalue(
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
     require_finite(G)
-    dense = G.to_dense()
+    return _k_sparse_lambda1(G.to_dense(), k, mode, cap)
+
+
+def _k_sparse_lambda1(
+    dense: np.ndarray, k: int, mode: str, cap: int = DEFAULT_ENUMERATION_CAP
+) -> float:
+    """k_sparse_largest_eigenvalue on a finite dense matrix with 1 <= k <= n."""
+    n = dense.shape[0]
     if k == n:
         return float(np.linalg.eigvalsh(dense)[-1])
     if k == 1:
@@ -350,12 +357,13 @@ def width_dual_base_sparse(
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
 
     def per_chunk(start: int, stop: int) -> np.ndarray:
-        return np.array([
-            k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(G), k, mode=mode)
-            for G in gaussian_sym_batch(n, seed, start, stop)
-        ])
+        # Gaussian trial matrices are finite: no round trip through SymmetricMatrix
+        return np.array([_k_sparse_lambda1(G, k, mode) for G in gaussian_sym_batch(n, seed, start, stop)])
 
     return WidthEstimate.from_values(_run_trials(trials, per_chunk), seed, keep_values)
+
+
+_DUAL_STACK_BYTES = 1 << 24  # compressed matrices per eigvalsh call in width_general_dual
 
 
 def width_general_dual(
@@ -371,13 +379,23 @@ def width_general_dual(
     check_seed(seed)
     n = family.ambient_dim
     stacked = family.stacked()
+    subscripts = "uik,ij,ujl->ukl"
+    # the path optimize=True would search on every trial, searched once
+    path = np.einsum_path(subscripts, stacked, np.empty((n, n)), stacked, optimize=True)[0]
+    per_trial_bytes = len(family) * family.rank**2 * 8
+    per_solve = max(1, _DUAL_STACK_BYTES // per_trial_bytes)
 
     def per_chunk(start: int, stop: int) -> np.ndarray:
+        mats = gaussian_sym_batch(n, seed, start, stop)
         out = np.empty(stop - start)
-        # one einsum per trial: a batched contraction is not bit-exact
-        for offset, G in enumerate(gaussian_sym_batch(n, seed, start, stop)):
-            compressed = np.einsum("uik,ij,ujl->ukl", stacked, G, stacked, optimize=True)
-            out[offset] = np.linalg.eigvalsh(compressed)[:, -1].max()
+        for lo in range(0, stop - start, per_solve):
+            # one einsum per trial: a batched contraction is not bit-exact;
+            # one eigvalsh per stack: it solves each matrix on its own
+            compressed = np.stack([
+                np.einsum(subscripts, stacked, G, stacked, optimize=path)
+                for G in mats[lo : lo + per_solve]
+            ])
+            out[lo : lo + per_solve] = np.linalg.eigvalsh(compressed)[..., -1].max(axis=1)
         return out
 
     return WidthEstimate.from_values(_run_trials(trials, per_chunk), seed, keep_values)

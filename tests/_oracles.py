@@ -272,3 +272,19 @@ def reference_sparse_refute(dense: np.ndarray, k: int, tol: float, samples: int,
             return True
         done += take
     return False
+
+
+def reference_general_dual(stacked: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Per-trial values of width_general_dual one trial at a time: a new
+    generator per trial, the einsum path searched on every trial and one
+    eigvalsh call per trial."""
+    from psdbounds._rng import substream
+    from psdbounds.linalg import gaussian_sym
+
+    n = stacked.shape[1]
+    values = np.empty(trials)
+    for t in range(trials):
+        G = gaussian_sym(n, substream(seed, t)).to_dense()
+        compressed = np.einsum("uik,ij,ujl->ukl", stacked, G, stacked, optimize=True)
+        values[t] = np.linalg.eigvalsh(compressed)[:, -1].max()
+    return values

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psdbounds import cones, hypercube, linalg, widths
+from psdbounds import cli, cones, hypercube, linalg, widths
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -95,3 +95,33 @@ def test_tracer_counts_only_the_exhaustive_blocks_that_reach_eigvalsh(tracing, m
         handle.remove()
     counted = tracer.collect()["widths.k_sparse.exhaustive.eig_subsets"]
     assert 0 < counted == sum(solved) < math.comb(14, 5)
+
+
+def test_tracer_sees_one_stream_and_one_contraction_per_general_dual_trial(tracing, monkeypatch):
+    # the trace evidence of the per-trial path: one re-keyed substream and
+    # one einsum per trial, every compressed matrix solved exactly once
+    monkeypatch.setenv("PSDB_THREADS", "1")
+    family = cones.coordinate_family(7, 3)
+    tracer = tracing.Tracer()
+    handle = tracing.install(tracer)
+    try:
+        widths.width_general_dual(family, 70, seed=4)
+    finally:
+        handle.remove()
+    metrics = tracer.collect()
+    assert metrics["rng.substream.calls"] == 70
+    assert metrics["lapack.einsum.calls"] == 70
+    assert metrics["lapack.eigvalsh.matrices"] == 70 * len(family)
+    assert metrics["lapack.eigvalsh.calls"] == 2  # one per 64-trial chunk
+
+
+@pytest.mark.parametrize("lemma", ["harmonic", "hypercontractivity"])
+def test_tracer_counts_every_verify_trial_substream(tracing, lemma, capsys):
+    tracer = tracing.Tracer()
+    handle = tracing.install(tracer)
+    try:
+        assert cli.main(["hypercube", "verify", "--lemma", lemma, "--n", "4", "--trials", "23"]) == 0
+    finally:
+        handle.remove()
+    capsys.readouterr()
+    assert tracer.collect()["rng.substream.calls"] == 23

@@ -212,6 +212,39 @@ class TestWidthsEstimate:
         assert code == 2
 
 
+class TestThreadCountReproducibility:
+    """Seeded artifacts are the same bytes whatever PSDB_THREADS says."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["widths", "estimate", "--kind", "base-psd", "--n", "6", "--trials", "200"],
+            ["widths", "estimate", "--kind", "sparse-dual", "--n", "8", "--k", "3", "--trials", "150"],
+            ["widths", "estimate", "--kind", "general-dual", "--family", "family.conefam",
+             "--trials", "200"],
+            ["hypercube", "verify", "--lemma", "variance", "--n", "5", "--trials", "600"],
+        ],
+        ids=["base-psd", "sparse-dual", "general-dual", "variance"],
+    )
+    def test_one_and_two_threads_write_the_same_bytes(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_conefam(coordinate_family(8, 3), "family.conefam")
+        formats = [["--format", "csv"]] if argv[0] == "widths" else [[]]
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PSDB_THREADS", threads)
+            run = []
+            for extra in [[], *formats]:
+                # the same relative path on both sides, so rerun lines agree
+                assert cli.main([*argv, "--seed", "7", *extra]) == 0
+                assert cli.main([*argv, "--seed", "7", *extra, "--out", "artifact"]) == 0
+                with open("artifact", "rb") as fh:
+                    run.append((capsys.readouterr().out, fh.read()))
+            runs.append(run)
+        assert runs[0] == runs[1]
+        assert all(stdout and written for stdout, written in runs[0])
+
+
 class TestConesCommands:
     def test_member_roundtrip_through_files(self, tmp_path, capsys, schema):
         w_path = tmp_path / "w.symmat"

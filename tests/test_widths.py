@@ -1,6 +1,8 @@
 import itertools
 import math
+import os
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from psdbounds import widths
 from _oracles import (
     brute_max_ksparse_lambda1,
     nan_identity,
+    reference_general_dual,
     reference_greedy_k_sparse,
     reference_max_lambda1_subsets,
     reference_swap_ascent,
@@ -356,6 +359,31 @@ class TestWidthGeneralDual:
         a = width_general_dual(family, 50, seed=2)
         b = width_general_dual(family, 50, seed=2)
         assert np.array_equal(a.per_trial_values, b.per_trial_values)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 10),
+        k_pick=st.sampled_from(["one", "n", "mid"]),
+        count=st.sampled_from([1, 2, 7, 100]),
+        trials=st.integers(2, 140),
+        seed=st.integers(0, 2**64 - 1),
+        threads=st.sampled_from(["1", "2"]),
+        stack_trials=st.sampled_from([None, 1, 5]),
+    )
+    @example(n=10, k_pick="n", count=100, trials=130, seed=2**64 - 1, threads="2", stack_trials=None)
+    @example(n=1, k_pick="one", count=7, trials=65, seed=0, threads="1", stack_trials=None)
+    @example(n=6, k_pick="mid", count=2, trials=129, seed=3, threads="2", stack_trials=5)
+    def test_bits_equal_the_per_trial_reference(self, n, k_pick, count, trials, seed, threads, stack_trials):
+        k = {"one": 1, "n": n, "mid": max(1, n // 2)}[k_pick]
+        family = random_family(n, k, count, np.random.default_rng(n * 1000 + count))
+        # stack_trials: trials per eigvalsh call, to cover the split of a chunk
+        limit = widths._DUAL_STACK_BYTES if stack_trials is None else stack_trials * count * k * k * 8
+        with mock.patch.dict(os.environ, {"PSDB_THREADS": threads}), mock.patch.object(
+            widths, "_DUAL_STACK_BYTES", limit
+        ):
+            values = width_general_dual(family, trials, seed).per_trial_values
+        expected = reference_general_dual(family.stacked(), trials, seed)
+        assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 class TestWidthViaOracle:
