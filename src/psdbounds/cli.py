@@ -287,30 +287,53 @@ def _run_cones(config: RunConfig) -> int:
 # -- hypercube verification -------------------------------------------------------
 
 
-def _verify_harmonic(n, trials, seed, lam):
-    failures = []
+def _trial_stacks(n, trials, seed, width):
+    """(first trial, rows) for each chunk of trials: row i holds the first
+    width standard normals of trial (first + i)'s (seed, trial) substream,
+    drawn as that trial alone would draw them."""
+    step = hypercube._chunk_trials(n)
     rng = None
-    for t in range(trials):
-        rng = substream(seed, t, into=rng)
-        f = hypercube.random_bounded_function(n, lam, rng)
-        norm2, bound, holds = hypercube.harmonic_bound_check(f, lam)
-        if not holds:
-            failures.append({"trial": t, "seed": seed, "norm2": norm2, "bound": bound})
+    for first in range(0, trials, step):
+        rows = np.empty((min(step, trials - first), width))
+        for t, row in enumerate(rows, first):
+            rng = substream(seed, t, into=rng)
+            rng.standard_normal(out=row)
+        yield first, rows
+
+
+def _harmonic_trials(n, trials, seed, lam):
+    """(trial, norm2, bound) for every trial, computed a chunk at a time."""
+    hypercube._check_n(n)
+    hypercube._check_threshold(lam)
+    for first, draws in _trial_stacks(n, trials, seed, hypercube._low_degree_count(n)):
+        norms, bound = hypercube._harmonic_sides(hypercube._bounded_values(draws, n, lam), lam)
+        for t, norm2 in enumerate(norms.tolist(), first):
+            yield t, norm2, bound
+
+
+def _verify_harmonic(n, trials, seed, lam):
+    failures = [
+        {"trial": t, "seed": seed, "norm2": norm2, "bound": bound}
+        for t, norm2, bound in _harmonic_trials(n, trials, seed, lam)
+        if not norm2 <= bound + 1e-12
+    ]
     return trials, failures
 
 
+def _hypercontractivity_trials(n, trials, seed, rho, p):
+    """(trial, lhs, rhs) for every trial, computed a chunk at a time."""
+    hypercube._check_n(n)
+    for first, values in _trial_stacks(n, trials, seed, 1 << n):
+        lhs, rhs = hypercube._hypercontractivity_sides(values, rho, p)
+        yield from zip(range(first, first + len(lhs)), lhs, rhs)
+
+
 def _verify_hypercontractivity(n, trials, seed, rho, p):
-    failures = []
-    rng = None
-    for t in range(trials):
-        rng = substream(seed, t, into=rng)
-        values = rng.standard_normal(1 << n)
-        f = hypercube.HypercubeFunction(n, values)
-        lhs, rhs, holds = hypercube.hypercontractivity_check(f, rho, p)
-        if not holds:
-            failures.append(
-                {"trial": t, "seed": seed, "rho": rho, "p": p, "lhs": lhs, "rhs": rhs}
-            )
+    failures = [
+        {"trial": t, "seed": seed, "rho": rho, "p": p, "lhs": lhs, "rhs": rhs}
+        for t, lhs, rhs in _hypercontractivity_trials(n, trials, seed, rho, p)
+        if not lhs <= rhs + 1e-12
+    ]
     return trials, failures
 
 

@@ -22,7 +22,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidDimensionError,
 )
-from .linalg import SymmetricMatrix, default_psd_tol, is_psd, require_finite
+from .linalg import SymmetricMatrix, psd_tolerance, require_finite
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -158,8 +158,14 @@ def _screen_shift(dense: np.ndarray, k: int, tol: float) -> float:
 
     The margin, 64 k eps max|X|, covers the rounding of the screen's
     factorization and eigvalsh's backward error, so a subset that passes the
-    screen never has a computed smallest eigenvalue below -tol.  A shift <= 0
-    leaves nothing to screen.
+    screen never has a computed smallest eigenvalue below -tol.  The
+    argument does not use the sign of the shift.  For tol >= 0 the shift is
+    at least -margin, so the screened matrix's entries stay within
+    max|X| + margin = (1 + 64 k eps) max|X|, and the factorization's
+    rounding bound grows by that factor at most, which the margin's constant
+    absorbs.  So the screen runs at every tolerance, tol = 0 included: with
+    a shift in [-margin, 0] it passes only subsets whose smallest eigenvalue
+    clears margin - tol >= 0.
     """
     return tol - 64.0 * k * np.finfo(np.float64).eps * float(np.abs(dense).max())
 
@@ -216,13 +222,13 @@ def sparse_kpsd_member(
     slice is screened, its rejected subsets go to eigvalsh in one call, and
     the first slice holding a violation ends the search.  The screen and
     eigvalsh treat each subset on its own, so slicing changes no answer.
-    Non-finite entries raise NumericalFailureError.
+    Non-finite entries raise NumericalFailureError; a tol that is not finite
+    and nonnegative raises InvalidArgumentError.
     """
     n = X.dim
     _check_nk(n, k)
     require_finite(X)
-    if tol is None:
-        tol = default_psd_tol(X)
+    tol = psd_tolerance(X, tol)
     count = math.comb(n, k)
     if count > cap:
         raise EnumerationLimitError(
@@ -236,8 +242,7 @@ def sparse_kpsd_member(
         start, step = 0, 64
         while start < len(idx):
             block = idx[start : start + step]
-            if shift > 0.0:
-                block = block[~_screen_pd(flat, block, n, k, shift)]
+            block = block[~_screen_pd(flat, block, n, k, shift)]
             if block.size and np.linalg.eigvalsh(principal_submatrices(dense, block))[:, 0].min() < -tol:
                 return False
             start += step
@@ -259,15 +264,15 @@ def sparse_kpsd_refute(
     among the samples; membership remains unconfirmed.  Each batch of samples
     passes the LDL screen of sparse_kpsd_member first, and only the samples
     it rejects get an exact eigenvalue check, so the screen changes no
-    answer.  Non-finite entries raise NumericalFailureError.
+    answer.  Non-finite entries raise NumericalFailureError, and tol is
+    checked as in sparse_kpsd_member.
     """
     n = X.dim
     _check_nk(n, k)
     if samples < 1:
         raise InvalidArgumentError(f"need at least one sample, got {samples}")
     require_finite(X)
-    if tol is None:
-        tol = default_psd_tol(X)
+    tol = psd_tolerance(X, tol)
     dense = X.to_dense()
     flat = np.ascontiguousarray(dense).ravel()
     shift = _screen_shift(dense, k, tol)
@@ -279,8 +284,7 @@ def sparse_kpsd_refute(
         idx = np.empty((take, k), dtype=np.intp)
         for row in range(take):
             idx[row] = np.sort(rng.choice(n, size=k, replace=False))
-        if shift > 0.0:
-            idx = idx[~_screen_pd(flat, idx, n, k, shift)]
+        idx = idx[~_screen_pd(flat, idx, n, k, shift)]
         if idx.size and np.linalg.eigvalsh(principal_submatrices(dense, idx))[:, 0].min() < -tol:
             return True
         done += take
@@ -293,8 +297,7 @@ def general_kpsd_member(X: SymmetricMatrix, family: ConeFamily, tol: float | Non
         raise InvalidArgumentError(
             f"family ambient dimension {family.ambient_dim} != matrix dimension {X.dim}"
         )
-    if tol is None:
-        tol = default_psd_tol(X)
+    tol = psd_tolerance(X, tol)
     dense = X.to_dense()
     stacked = family.stacked()
     compressed = np.einsum("uik,ij,ujl->ukl", stacked, dense, stacked, optimize=True)

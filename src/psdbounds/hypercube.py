@@ -18,6 +18,7 @@ import numpy as np
 from ._rng import check_seed
 from .errors import (
     InvalidArgumentError,
+    NumericalFailureError,
     PreconditionError,
     SizeLimitError,
 )
@@ -57,6 +58,15 @@ __all__ = [
 MAX_TRANSFORM_BITS = 24  # 16M values per table
 MAX_ENUMERATION_BITS = 14  # per-trial full-vertex loops
 
+# Values per stack of trial tables in a chunked verify loop: every transform
+# and reduction runs once per chunk of trials, while the stacks stay small.
+_STACK_VALUES = 8192
+
+
+def _chunk_trials(n: int) -> int:
+    """Trials per stack of 2^n-value rows: 32 at n = 8, one from n = 13 up."""
+    return max(1, _STACK_VALUES >> n)
+
 
 def _check_n(n: int, limit: int = MAX_TRANSFORM_BITS) -> None:
     if not 1 <= n <= limit:
@@ -65,6 +75,11 @@ def _check_n(n: int, limit: int = MAX_TRANSFORM_BITS) -> None:
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks.astype(np.uint32)).astype(np.int64)
+
+
+def _degrees(n: int) -> np.ndarray:
+    """Degree |S| of every subset mask S of n coordinates."""
+    return _popcount(np.arange(1 << n, dtype=np.uint32))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +125,7 @@ class FourierExpansion:
         object.__setattr__(self, "coefficients", coeffs)
 
     def degrees(self) -> np.ndarray:
-        return _popcount(np.arange(1 << self.n, dtype=np.uint32))
+        return _degrees(self.n)
 
 
 def vertex(n: int, index: int) -> np.ndarray:
@@ -137,18 +152,26 @@ def all_vertices(n: int) -> np.ndarray:
 
 
 def _wht(values: np.ndarray) -> np.ndarray:
-    """In-place-style fast transform; returns sum_v f(v) * chi_S(v) per mask S."""
-    out = values.copy()
-    half = 1
-    size = out.size
-    while half < size:
-        out = out.reshape(-1, 2 * half)
-        low = out[:, :half].copy()
-        high = out[:, half:].copy()
-        out[:, :half] = low + high
-        out[:, half:] = low - high
-        out = out.reshape(size)
-        half *= 2
+    """Fast transform along the last axis of a (..., 2^n) stack: each row
+    becomes sum_v f(v) * chi_S(v) per mask S.
+
+    Each of the n levels pairs the entries that differ in bit 0 of the index
+    and writes their sums to the first half of a second buffer and their
+    differences to the second half, so every level runs over long strides
+    of the row.  A level rotates the index right by one bit, which n levels
+    undo; every entry meets the same additions and subtractions in the same
+    order as in the in-place butterfly over bits 0, 1, ..., n-1, so a row's
+    result does not depend on the stack around it or on the input's layout.
+    """
+    out = np.array(values, dtype=np.float64, order="C")
+    spare = np.empty_like(out)
+    half = out.shape[-1] // 2
+    for _ in range(half.bit_length()):
+        pairs = out.reshape(-1, half, 2)
+        halves = spare.reshape(-1, 2, half)
+        np.add(pairs[..., 0], pairs[..., 1], out=halves[:, 0])
+        np.subtract(pairs[..., 0], pairs[..., 1], out=halves[:, 1])
+        out, spare = spare, out
     return out
 
 
@@ -174,55 +197,114 @@ def noise_operator(f: HypercubeFunction, rho: float) -> HypercubeFunction:
     """Attenuate degree-d coefficients by rho^d."""
     if not 0.0 <= rho <= 1.0:
         raise InvalidArgumentError(f"rho must lie in [0, 1], got {rho}")
-    expansion = fourier_transform(f)
-    damped = expansion.coefficients * rho ** expansion.degrees()
-    return inverse_fourier(FourierExpansion(f.n, damped))
+    return HypercubeFunction(f.n, _noise_stack(f.values[None], rho)[0])
+
+
+def _noise_stack(values: np.ndarray, rho: float) -> np.ndarray:
+    """T_rho of each row of a (T, 2^n) stack."""
+    size = values.shape[-1]
+    degrees = _degrees(size.bit_length() - 1)
+    return _wht(_wht(values) / size * rho**degrees)
+
+
+def _check_p(p: float) -> None:
+    if not 1.0 <= p < math.inf:
+        raise InvalidArgumentError(f"need a finite p >= 1, got {p}")
+
+
+def _power_means(values: np.ndarray, p: float) -> np.ndarray:
+    """Mean of |f|^p over each row of a (T, 2^n) stack.
+
+    Callers take the root 1/p of each mean as a scalar power, trial by
+    trial: numpy's array power can round differently in the last bit.
+    """
+    return np.mean(np.abs(values) ** p, axis=-1)
 
 
 def norm_p(f: HypercubeFunction, p: float) -> float:
     """Normalized p-norm: (mean |f|^p)^(1/p)."""
-    if p < 1.0:
-        raise InvalidArgumentError(f"need p >= 1, got {p}")
-    return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
+    _check_p(p)
+    return float(_power_means(f.values[None], p)[0] ** (1.0 / p))
 
 
 def hypercontractivity_check(
     f: HypercubeFunction, rho: float, p: float
 ) -> tuple[float, float, bool]:
     """Both sides of ||T_rho f||_q <= ||f||_p with q = 1 + (p-1)/rho^2."""
+    [lhs], [rhs] = _hypercontractivity_sides(f.values[None], rho, p)
+    return lhs, rhs, lhs <= rhs + 1e-12
+
+
+def _hypercontractivity_sides(
+    values: np.ndarray, rho: float, p: float
+) -> tuple[list[float], list[float]]:
+    """||T_rho f||_q and ||f||_p for each row f of a (T, 2^n) stack.
+
+    Raises NumericalFailureError when q or a norm overflows, since the
+    comparison of an infinite side proves nothing.
+    """
     if not 0.0 < rho <= 1.0:
         raise InvalidArgumentError(f"need 0 < rho <= 1, got {rho}")
-    if p < 1.0:
-        raise InvalidArgumentError(f"need p >= 1, got {p}")
-    q = 1.0 + (p - 1.0) / (rho * rho)
-    lhs = norm_p(noise_operator(f, rho), q)
-    rhs = norm_p(f, p)
-    return lhs, rhs, lhs <= rhs + 1e-12
+    _check_p(p)
+    rho2 = rho * rho
+    if rho2 == 0.0:  # rho^2 underflows: q is 1 at p = 1 and overflows above
+        q = 1.0 if p == 1.0 else math.inf
+    else:
+        q = 1.0 + (p - 1.0) / rho2
+    if not math.isfinite(q):
+        raise NumericalFailureError(f"q = 1 + (p-1)/rho^2 overflows at rho={rho}, p={p}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = [float(m ** (1.0 / q)) for m in _power_means(_noise_stack(values, rho), q)]
+        rhs = [float(m ** (1.0 / p)) for m in _power_means(values, p)]
+    if not all(map(math.isfinite, lhs + rhs)):
+        raise NumericalFailureError(f"a hypercontractivity norm overflows at rho={rho}, p={p}")
+    return lhs, rhs
 
 
 def proj2_norm(f: HypercubeFunction) -> float:
     """L2 norm of the degree-2 part, straight from the coefficient table."""
-    expansion = fourier_transform(f)
-    mask = expansion.degrees() == 2
-    return float(np.sqrt((expansion.coefficients[mask] ** 2).sum()))
+    return float(_proj2_norms(f.values[None])[0])
+
+
+def _proj2_norms(values: np.ndarray) -> np.ndarray:
+    """L2 norm of the degree-2 part of each row of a (T, 2^n) stack."""
+    size = values.shape[-1]
+    pairs = np.flatnonzero(_degrees(size.bit_length() - 1) == 2)
+    # np.take keeps the rows C-contiguous; a boolean-mask gather along the
+    # last axis returns a transposed layout, whose row sums round differently
+    squares = np.take(_wht(values) / size, pairs, axis=-1) ** 2
+    return np.sqrt(squares.sum(axis=-1))
 
 
 def harmonic_bound_check(f: HypercubeFunction, lam: float) -> tuple[float, float, bool]:
     """Degree-2 norm of a [0, lam]-valued, mean-at-most-1 function against the
     bound lam (below e) or e ln lam (at or above e).
     """
-    lo = float(f.values.min())
-    hi = float(f.values.max())
-    if lo < 0.0:
-        raise PreconditionError(f"pointwise nonnegativity fails: min value {lo}")
-    if hi > lam:
-        raise PreconditionError(f"pointwise bound fails: max value {hi} > {lam}")
-    mean = f.mean()
-    if mean > 1.0:
-        raise PreconditionError(f"mean bound fails: E f = {mean} > 1")
-    norm2 = proj2_norm(f)
-    bound = lam if lam < math.e else math.e * math.log(lam)
+    [norm2], bound = _harmonic_sides(f.values[None], lam)
+    norm2 = float(norm2)
     return norm2, bound, norm2 <= bound + 1e-12
+
+
+def _harmonic_sides(values: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
+    """Degree-2 norms of the rows of a (T, 2^n) stack and the bound for lam,
+    after checking every row against the preconditions; the first row that
+    fails one raises, naming the first of them it fails.
+    """
+    if not math.isfinite(lam):
+        raise InvalidArgumentError(f"lam must be finite, got {lam}")
+    lo = values.min(axis=-1)
+    hi = values.max(axis=-1)
+    mean = values.mean(axis=-1)
+    bad = np.flatnonzero((lo < 0.0) | (hi > lam) | (mean > 1.0))
+    if bad.size:
+        row = bad[0]
+        if lo[row] < 0.0:
+            raise PreconditionError(f"pointwise nonnegativity fails: min value {float(lo[row])}")
+        if hi[row] > lam:
+            raise PreconditionError(f"pointwise bound fails: max value {float(hi[row])} > {lam}")
+        raise PreconditionError(f"mean bound fails: E f = {float(mean[row])} > 1")
+    bound = lam if lam < math.e else math.e * math.log(lam)
+    return _proj2_norms(values), bound
 
 
 def proj2_quadratic_form(f: HypercubeFunction) -> SymmetricMatrix:
@@ -317,19 +399,34 @@ def random_bounded_function(n: int, lam: float, rng: np.random.Generator) -> Hyp
     scales by lam, then rescales if the mean exceeds 1.
     """
     _check_n(n)
-    if lam <= 0:
-        raise InvalidArgumentError(f"threshold must be positive, got {lam}")
-    coeffs = np.zeros(1 << n)
-    degrees = _popcount(np.arange(1 << n, dtype=np.uint32))
-    low = degrees <= 2
-    coeffs[low] = rng.standard_normal(int(low.sum()))
-    g = inverse_fourier(FourierExpansion(n, coeffs))
-    values = lam * np.clip(g.values, 0.0, 1.0)
-    mean = values.mean()
-    if mean > 1.0:
-        # slight undershoot so rounding cannot push the mean back above 1
-        values = values / (mean * (1.0 + 1e-12))
-    return HypercubeFunction(n, values)
+    _check_threshold(lam)
+    draws = rng.standard_normal(_low_degree_count(n))
+    return HypercubeFunction(n, _bounded_values(draws[None], n, lam)[0])
+
+
+def _check_threshold(lam: float) -> None:
+    if not 0.0 < lam < math.inf:
+        raise InvalidArgumentError(f"threshold lam must be positive and finite, got {lam}")
+
+
+def _low_degree_count(n: int) -> int:
+    """Number of subset masks of degree at most 2."""
+    return 1 + n + n * (n - 1) // 2
+
+
+def _bounded_values(draws: np.ndarray, n: int, lam: float) -> np.ndarray:
+    """Values of random_bounded_function for each row of a (T, L) stack of
+    draws: row t holds trial t's standard normals, its coefficients of
+    degree at most 2 in mask order.
+    """
+    coeffs = np.zeros((draws.shape[0], 1 << n))
+    coeffs[:, _degrees(n) <= 2] = draws
+    values = lam * np.clip(_wht(coeffs), 0.0, 1.0)
+    mean = values.mean(axis=-1)
+    over = mean > 1.0
+    # slight undershoot so rounding cannot push the mean back above 1
+    values[over] /= (mean[over] * (1.0 + 1e-12))[:, None]
+    return values
 
 
 def threshold_split(

@@ -20,6 +20,7 @@ import numpy as np
 
 from ._rng import check_seed, substream
 from .errors import (
+    InvalidArgumentError,
     InvalidDimensionError,
     InvalidIndexError,
     NumericalFailureError,
@@ -36,6 +37,7 @@ __all__ = [
     "principal_submatrix",
     "is_psd",
     "default_psd_tol",
+    "psd_tolerance",
     "project_traceless",
     "write_symmat",
     "read_symmat",
@@ -246,12 +248,20 @@ def default_psd_tol(M: SymmetricMatrix) -> float:
     return 1e-9 * max(1.0, M.frobenius_norm())
 
 
+def psd_tolerance(M: SymmetricMatrix, tol: float | None) -> float:
+    """The tolerance a PSD test of M runs at: default_psd_tol(M) for None,
+    else tol, which must be finite and nonnegative (a NaN would make every
+    comparison with -tol false)."""
+    if tol is None:
+        return default_psd_tol(M)
+    if not 0.0 <= tol < math.inf:
+        raise InvalidArgumentError(f"tolerance must be finite and nonnegative, got {tol}")
+    return tol
+
+
 def is_psd(M: SymmetricMatrix, tol: float | None = None) -> bool:
     """True iff the smallest eigenvalue is >= -tol (ties count as PSD)."""
-    if tol is None:
-        tol = default_psd_tol(M)
-    if tol < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    tol = psd_tolerance(M, tol)
     return bool(eigenvalues_descending(M)[-1] >= -tol)
 
 

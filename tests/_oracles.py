@@ -288,3 +288,57 @@ def reference_general_dual(stacked: np.ndarray, trials: int, seed: int) -> np.nd
         compressed = np.einsum("uik,ij,ujl->ukl", stacked, G, stacked, optimize=True)
         values[t] = np.linalg.eigvalsh(compressed)[:, -1].max()
     return values
+
+
+def reference_wht(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of one table, level by level
+    with copied halves: sum_v f(v) * chi_S(v) for every mask S."""
+    out = np.array(values, dtype=np.float64)
+    size = out.size
+    half = 1
+    while half < size:
+        out = out.reshape(-1, 2 * half)
+        low = out[:, :half].copy()
+        high = out[:, half:].copy()
+        out[:, :half] = low + high
+        out[:, half:] = low - high
+        out = out.reshape(size)
+        half *= 2
+    return out
+
+
+def _mask_degrees(n: int) -> np.ndarray:
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(np.int64)
+
+
+def reference_harmonic_trial(n: int, lam: float, seed: int, t: int) -> float:
+    """Degree-2 norm of trial t of `hypercube verify --lemma harmonic`, one
+    trial alone on 1-D tables: a new (seed, t) generator, the degree <= 2
+    coefficients, clip, scale, rescale, transform, mask, sum."""
+    from psdbounds._rng import substream
+
+    degrees = _mask_degrees(n)
+    coeffs = np.zeros(1 << n)
+    coeffs[degrees <= 2] = substream(seed, t).standard_normal(int((degrees <= 2).sum()))
+    values = lam * np.clip(reference_wht(coeffs), 0.0, 1.0)
+    mean = values.mean()
+    if mean > 1.0:
+        values = values / (mean * (1.0 + 1e-12))
+    coefficients = reference_wht(values) / (1 << n)
+    return float(np.sqrt((coefficients[degrees == 2] ** 2).sum()))
+
+
+def reference_hypercontractivity_trial(
+    n: int, rho: float, p: float, seed: int, t: int
+) -> tuple[float, float]:
+    """(||T_rho f||_q, ||f||_p) of trial t of `hypercube verify --lemma
+    hypercontractivity`, one trial alone on 1-D tables, each root a scalar
+    power."""
+    from psdbounds._rng import substream
+
+    values = substream(seed, t).standard_normal(1 << n)
+    q = 1.0 + (p - 1.0) / (rho * rho)
+    noisy = reference_wht(reference_wht(values) / (1 << n) * rho ** _mask_degrees(n))
+    lhs = float(np.mean(np.abs(noisy) ** q) ** (1.0 / q))
+    rhs = float(np.mean(np.abs(values) ** p) ** (1.0 / p))
+    return lhs, rhs

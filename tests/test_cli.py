@@ -10,15 +10,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psdbounds import cli
+from psdbounds import cli, hypercube
 from psdbounds.bounds import FORMULAS
 from psdbounds.cones import coordinate_family, write_conefam, witness_matrix
 from psdbounds.linalg import SymmetricMatrix, write_symmat
 
-from _oracles import nan_identity
+from _oracles import (
+    nan_identity,
+    reference_harmonic_trial,
+    reference_hypercontractivity_trial,
+)
 
 
 def run_cli(argv, capsys):
@@ -354,6 +358,71 @@ class TestHypercubeVerify:
         assert doc["report"]["failures"] == [bundle]
 
 
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestChunkedVerifyTrials:
+    """`hypercube verify` harmonic and hypercontractivity trials run in
+    stacks, a chunk of trials at a time; every trial's numbers are the bits
+    of that trial computed alone, whatever its chunk or the trial count."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 12),
+        budget=st.sampled_from([None, 1, 3, 5]),
+        count=st.sampled_from(["one", "chunk-1", "chunk", "chunk+1", "3 chunks"]),
+        extra=st.integers(0, 40),
+        lam=st.sampled_from([0.5, 1.0, 2.0, 2.7, math.e, 3.0, 10.0, 100.0]),
+        rho=st.sampled_from([0.1, 0.3, 0.5, 0.9, 1.0]),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.5]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(n=8, budget=None, count="3 chunks", extra=5, lam=10.0, rho=0.5, p=2.0, seed=3)
+    @example(n=12, budget=None, count="chunk+1", extra=1, lam=2.0, rho=0.3, p=3.0, seed=0)
+    @example(n=1, budget=None, count="chunk+1", extra=0, lam=100.0, rho=0.9, p=1.5, seed=7)
+    def test_trials_equal_the_per_trial_reference(self, n, budget, count, extra, lam, rho, p, seed):
+        # budget: None keeps the module's stack size, k stacks k trials
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(hypercube, "_STACK_VALUES", budget << n)
+            chunk = hypercube._chunk_trials(n)
+            trials = {"one": 1, "chunk-1": max(chunk - 1, 1), "chunk": chunk,
+                      "chunk+1": chunk + 1, "3 chunks": 3 * chunk}[count]
+            longer = trials + extra
+            harmonic = list(cli._harmonic_trials(n, longer, seed, lam))
+            harmonic_prefix = list(cli._harmonic_trials(n, trials, seed, lam))
+            hyper = list(cli._hypercontractivity_trials(n, longer, seed, rho, p))
+            hyper_prefix = list(cli._hypercontractivity_trials(n, trials, seed, rho, p))
+
+        assert [t for t, _, _ in harmonic] == list(range(longer))
+        want = [reference_harmonic_trial(n, lam, seed, t) for t in range(longer)]
+        assert _bits([norm2 for _, norm2, _ in harmonic]) == _bits(want)
+        assert harmonic_prefix == harmonic[:trials]
+
+        assert [t for t, _, _ in hyper] == list(range(longer))
+        want = [reference_hypercontractivity_trial(n, rho, p, seed, t) for t in range(longer)]
+        assert _bits([(lhs, rhs) for _, lhs, rhs in hyper]) == _bits(want)
+        assert hyper_prefix == hyper[:trials]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--lemma", "harmonic", "--n", "6", "--trials", "100", "--lam", "10"],
+         ["--lemma", "harmonic", "--n", "3", "--trials", "40", "--lam", "1.5"],
+         ["--lemma", "hypercontractivity", "--n", "7", "--trials", "70",
+          "--params", "rho=0.3,p=3"]],
+    )
+    def test_output_bytes_do_not_depend_on_the_chunk(self, flags, capsys, monkeypatch):
+        argv = ["hypercube", "verify", "--seed", "11", *flags]
+        n = int(flags[flags.index("--n") + 1])
+        outputs = []
+        for budget in (None, 1 << n, 3 << n):
+            if budget is not None:
+                monkeypatch.setattr(hypercube, "_STACK_VALUES", budget)
+            outputs.append(run_cli(argv, capsys))
+        assert outputs[0][0] == 0 and outputs[1:] == outputs[:1] * 2
+
+
 class TestFigures:
     def test_sparse_overview_bundle(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -461,6 +530,8 @@ class TestErrorContract:
             (["hypercube", "verify", "--lemma", "hypercontractivity", "--trials", "0"],
              "--trials >= 1"),
             (["hypercube", "verify", "--lemma", "maximal", "--trials", "-5"], "--trials >= 1"),
+            # rejected before a trial's 2^n draws are allocated
+            (["hypercube", "verify", "--lemma", "hypercontractivity", "--n", "30"], "n <= 24"),
             (["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "3", "--trials", "5",
               "--params", "radius=abc"], "parameter 'radius' must be a number"),
             (["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "3", "--trials", "5",
@@ -472,7 +543,8 @@ class TestErrorContract:
         ],
         ids=["missing-n", "non-numeric-param", "bad-grid", "parser-error", "variance-trials",
              "eval-csv", "curve-json", "witness-csv", "harmonic-trials",
-             "hypercontractivity-trials", "maximal-trials", "radius-not-a-number", "negative-radius",
+             "hypercontractivity-trials", "maximal-trials", "hypercontractivity-n",
+             "radius-not-a-number", "negative-radius",
              "infinite-radius", "nan-axis"],
     )
     def test_usage_error_is_one_json_line(self, argv, needle, capsys):
@@ -491,6 +563,19 @@ class TestErrorContract:
         [line] = err.splitlines()
         error = json.loads(line)["error"]
         assert error["kind"] == "numerical" and "non-finite" in error["message"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("mode", [["--sparse-k", "3"], ["--sparse-k", "3", "--refute"],
+                                      ["--family", "{family}"]])
+    def test_bad_tolerance_is_a_usage_error(self, tol, mode, tmp_path, capsys):
+        path, family = tmp_path / "w.symmat", tmp_path / "fam.conefam"
+        write_symmat(SymmetricMatrix.from_dense(-np.eye(6)), path)
+        write_conefam(coordinate_family(6, 3), family)
+        mode = [a.replace("{family}", str(family)) for a in mode]
+        code, out, err = run_cli(["cones", "member", "--matrix", str(path), *mode, "--tol", tol], capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert "finite and nonnegative" in json.loads(line)["error"]["message"]
 
     def test_each_command_keeps_the_format_it_writes(self, tmp_path, capsys):
         for argv in (
@@ -610,6 +695,29 @@ def test_argv_fuzz_exit_codes_and_error_lines(argv, fuzz_files):
     if code in (2, 3):
         [line] = lines
         assert json.loads(line)["error"]["kind"]
+
+
+@pytest.mark.parametrize(
+    "lemma, flags, code, needle",
+    [
+        ("harmonic", ["--lam", "inf"], 2, "lam"),
+        ("harmonic", ["--lam", "nan"], 2, "lam"),
+        ("harmonic", ["--lam", "0"], 2, "lam"),
+        ("hypercontractivity", ["--params", "p=inf"], 2, "p >= 1"),
+        ("hypercontractivity", ["--params", "p=nan"], 2, "p >= 1"),
+        ("hypercontractivity", ["--params", "rho=nan"], 2, "rho"),
+        ("hypercontractivity", ["--params", "p=1e308"], 3, "overflows"),
+        ("hypercontractivity", ["--params", "rho=1,p=1e308"], 3, "overflows"),
+        ("hypercontractivity", ["--params", "rho=1e-200"], 3, "overflows"),
+    ],
+)
+def test_non_finite_lemma_parameters_give_one_error_line(lemma, flags, code, needle, tmp_path):
+    # no numpy warning may precede the error line, and the error names the cause
+    argv = ["hypercube", "verify", "--lemma", lemma, "--n", "4", "--trials", "3", *flags]
+    got, lines = _run_in_process(argv, tmp_path)
+    assert got == code
+    [line] = lines
+    assert needle in json.loads(line)["error"]["message"]
 
 
 class TestSubprocessEntryPoint:

@@ -145,6 +145,9 @@ def membership_case(kind, n, k, seed):
     if kind == "boundary":  # smallest block eigenvalue -1e-9, give or take rounding
         k = max(k, 2)
         return witness_matrix(n, k).to_dense() - 1e-9 * np.eye(n), k, 1e-9
+    if kind == "boundary tol=0":  # singular blocks: rounding decides, at tol exactly 0
+        k = max(k, 2)
+        return witness_matrix(n, k).to_dense(), k, 0.0
     if kind == "psd":
         g = rng.standard_normal((n, n))
         return g @ g.T, k, None
@@ -163,8 +166,8 @@ class TestSparseMembershipEarlyExit:
     @given(
         shape=st.integers(3, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
         kind=st.sampled_from(
-            ["witness", "witness k+1", "boundary", "psd", "late violation", "gaussian",
-             "gaussian tol=0"]
+            ["witness", "witness k+1", "boundary", "boundary tol=0", "psd", "late violation",
+             "gaussian", "gaussian tol=0"]
         ),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -175,6 +178,9 @@ class TestSparseMembershipEarlyExit:
     # eigvalsh puts some block's smallest eigenvalue below -tol
     @example(shape=(10, 3), kind="boundary", seed=0)
     @example(shape=(12, 6), kind="boundary", seed=0)
+    # the screen's shift is negative at tol 0; both answers occur here
+    @example(shape=(12, 6), kind="boundary tol=0", seed=0)
+    @example(shape=(10, 3), kind="boundary tol=0", seed=0)
     def test_equals_bruteforce(self, shape, kind, seed):
         n, k = shape
         dense, k, tol = membership_case(kind, n, k, seed)
@@ -207,11 +213,6 @@ class TestSparseMembershipEarlyExit:
         assert not sparse_kpsd_member(witness_matrix(n, k), k + 1, 1e-9)
         assert counts == [64]
 
-    def test_member_without_screen_solves_every_subset_once(self, monkeypatch):
-        counts = self.solved(monkeypatch)
-        assert sparse_kpsd_member(sym(np.eye(12) + 0.1), 6, tol=0.0)
-        assert counts == [64, 128, 256, 476] and sum(counts) == math.comb(12, 6)
-
     @staticmethod
     def screened(monkeypatch):
         sizes = []
@@ -220,6 +221,22 @@ class TestSparseMembershipEarlyExit:
             cones, "_screen_pd", lambda flat, idx, *rest: sizes.append(len(idx)) or screen(flat, idx, *rest)
         )
         return sizes
+
+    def test_strictly_pd_member_at_tol_zero_needs_no_eigensolve(self, monkeypatch):
+        sizes, counts = self.screened(monkeypatch), self.solved(monkeypatch)
+        assert sparse_kpsd_member(sym(np.eye(12) + 0.1), 6, tol=0.0)
+        assert sizes == [64, 128, 256, 476] and counts == []
+
+    def test_singular_blocks_at_tol_zero_are_screened_then_solved(self, monkeypatch):
+        # identity beside the 6-by-6 witness: the 3-subsets inside the witness
+        # (the last C(6, 3) = 20 rows) are singular and fail the screen at
+        # tol 0, every other subset clears the margin and passes it
+        dense = np.eye(12)
+        dense[6:, 6:] = witness_matrix(6, 3).to_dense()
+        expected = brute_sparse_member(dense, 3, 0.0)
+        sizes, counts = self.screened(monkeypatch), self.solved(monkeypatch)
+        assert sparse_kpsd_member(sym(dense), 3, tol=0.0) == expected
+        assert sizes == [64, 128, 28] and counts == [20]
 
     def test_screen_runs_on_the_solved_slices(self, monkeypatch):
         sizes, counts = self.screened(monkeypatch), self.solved(monkeypatch)
@@ -257,6 +274,19 @@ class TestSparseNonFinite:
             sparse_kpsd_refute(sym(np.diag([1.0, -np.inf, 1.0])), 2, samples=10)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    # a NaN tol once made -I a member: every comparison with -tol is false
+    X = sym(-np.eye(5))
+    for call in (
+        lambda: sparse_kpsd_member(X, 2, tol),
+        lambda: sparse_kpsd_refute(X, 2, tol, samples=5),
+        lambda: general_kpsd_member(X, coordinate_family(5, 2), tol),
+    ):
+        with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
+            call()
+
+
 def refutation_case(kind, n, k, tol, seed):
     """(dense, k, tol) for one refutation query of the given kind."""
     rng = np.random.default_rng(seed)
@@ -266,7 +296,7 @@ def refutation_case(kind, n, k, tol, seed):
     if kind == "witness k+1":
         return witness_matrix(n, k).to_dense(), k + 1, tol
     if kind == "boundary":  # smallest block eigenvalue -tol, give or take rounding
-        tol = tol or 1e-9
+        tol = 1e-9 if tol is None else tol
         return witness_matrix(n, k).to_dense() - tol * np.eye(n), k, tol
     return random_symmetric(n, rng, diag_shift=float(rng.uniform(0.0, 3.0))), k, tol
 
@@ -286,6 +316,9 @@ class TestRandomizedRefutation:
     # screen although eigvalsh puts their smallest eigenvalue below -tol
     @example(n=16, k=5, kind="boundary", tol=1e-9, samples=50, seed=3)
     @example(n=15, k=13, kind="boundary", tol=1e-12, samples=50, seed=3)
+    # singular blocks at tol exactly 0: the screen runs with a negative shift
+    @example(n=16, k=5, kind="boundary", tol=0.0, samples=50, seed=3)
+    @example(n=12, k=6, kind="boundary", tol=0.0, samples=50, seed=3)
     def test_equals_unscreened_reference(self, n, k, kind, tol, samples, seed):
         dense, k, tol = refutation_case(kind, n, k, tol, seed)
         X = sym(dense)

@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from psdbounds import hypercube
 from psdbounds._rng import substream
 from psdbounds.errors import (
     InvalidArgumentError,
+    NumericalFailureError,
     PreconditionError,
     SizeLimitError,
 )
@@ -35,7 +39,7 @@ from psdbounds.hypercube import (
     write_hfun,
 )
 
-from _oracles import naive_fourier
+from _oracles import naive_fourier, reference_wht
 
 
 def hf(n, values):
@@ -106,6 +110,36 @@ class TestFourierTransform:
     def test_size_limit(self):
         with pytest.raises(SizeLimitError):
             HypercubeFunction(25, np.zeros(4))
+
+
+def laid_out(stack, layout):
+    """The values of stack in another memory layout."""
+    if layout == "F":
+        return np.asfortranarray(stack)
+    if layout == "strided":  # every other element of a twice-as-long last axis
+        wide = np.zeros(stack.shape[:-1] + (2 * stack.shape[-1],))
+        wide[..., ::2] = stack
+        return wide[..., ::2]
+    if layout == "reversed rows":
+        return np.ascontiguousarray(stack[::-1])[::-1]
+    return stack
+
+
+class TestTransformStacks:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 10),
+        lead=st.sampled_from([(), (1,), (5,), (2, 3), (33,)]),
+        layout=st.sampled_from(["C", "F", "strided", "reversed rows"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=8, lead=(32,), layout="F", seed=0)
+    def test_every_row_equals_the_one_table_transform(self, n, lead, layout, seed):
+        stack = np.random.default_rng(seed).standard_normal(lead + (1 << n,))
+        got = hypercube._wht(laid_out(stack, layout))
+        rows = stack.reshape(-1, 1 << n)
+        want = np.stack([reference_wht(row) for row in rows]).reshape(stack.shape)
+        assert got.shape == stack.shape and got.tobytes() == want.tobytes()
 
 
 class TestDegreeProjection:
@@ -211,6 +245,34 @@ class TestHypercontractivity:
             for rho in (0.3, 0.7):
                 _, _, holds = hypercontractivity_check(f, rho, 2.0)
                 assert holds
+
+
+class TestLemmaParameters:
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_lam_must_be_finite(self, lam):
+        with pytest.raises(InvalidArgumentError, match="lam"):
+            harmonic_bound_check(hf(2, np.zeros(4)), lam)
+        with pytest.raises(InvalidArgumentError, match="lam"):
+            random_bounded_function(3, lam, substream(1))
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+    def test_p_must_be_finite_and_at_least_one(self, p):
+        f = hf(2, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(InvalidArgumentError, match="p >= 1"):
+            norm_p(f, p)
+        with pytest.raises(InvalidArgumentError, match="p >= 1"):
+            hypercontractivity_check(f, 0.5, p)
+
+    @pytest.mark.parametrize("rho, p", [(0.5, 1e308), (1.0, 1e308), (1e-200, 2.0), (1.0, 800.0)])
+    def test_overflowing_exponent_or_norm_is_a_numerical_failure(self, rho, p):
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            hypercontractivity_check(hf(2, [1.0, 2.0, 3.0, 4.0]), rho, p)
+
+    def test_p_one_needs_no_division_by_rho_squared(self):
+        # rho^2 underflows to 0, but q = 1 whatever rho is when p = 1
+        f = hf(2, [1.0, 2.0, 3.0, 4.0])
+        lhs, rhs, holds = hypercontractivity_check(f, 1e-200, 1.0)
+        assert holds and lhs == 2.5 and rhs == 2.5
 
 
 class TestHarmonicBound:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from psdbounds._rng import substream
 from psdbounds.errors import (
+    InvalidArgumentError,
     InvalidDimensionError,
     InvalidIndexError,
     NumericalFailureError,
@@ -217,6 +218,11 @@ class TestIsPsd:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             is_psd(diag(1.0), -1.0)
+
+    @pytest.mark.parametrize("tol", [-1e-300, math.nan, math.inf, -math.inf])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
+            is_psd(diag(1.0), tol)
 
 
 class TestProjectTraceless:
