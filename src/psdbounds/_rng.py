@@ -62,3 +62,19 @@ def substream(
         "uinteger": 0,
     }
     return into
+
+
+def normal_rows(seed: int, start: int, stop: int, width: int) -> np.ndarray:
+    """(stop - start, width) array whose row i holds the first width standard
+    normals of the (seed, start + i) substream, bit for bit.
+
+    A row does not depend on the window it is drawn in.  The call keeps one
+    generator and re-keys it for every row; it is its own, so pool threads
+    never share one.
+    """
+    rows = np.empty((stop - start, width))
+    rng = None
+    for lane, row in enumerate(rows, start):
+        rng = substream(seed, lane, into=rng)
+        rng.standard_normal(out=row)
+    return rows

@@ -482,13 +482,17 @@ def evaluate(which: str, params: dict) -> float:
     """Value of a named formula at params, a parameter-name -> number dict.
 
     A missing or non-numeric parameter raises InvalidArgumentError naming it;
-    float overflow or division by zero raises NumericalFailureError.
+    float overflow, division by zero or a non-finite result raises
+    NumericalFailureError.
     """
     fn = _formula(which).fn
     try:
-        return fn(params)
+        value = fn(params)
     except ArithmeticError as exc:
         raise NumericalFailureError(f"{which} failed at {params}: {exc}") from exc
+    if not math.isfinite(value):
+        raise NumericalFailureError(f"{which} is not finite at {params}: {value}")
+    return value
 
 
 def emit_curve(which: str, grid, /, **params) -> BoundCurve:

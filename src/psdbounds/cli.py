@@ -11,15 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import shlex
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, bounds, cones, hypercube, linalg, widths
-from ._rng import substream
-from .errors import InvalidArgumentError, NumericalFailureError, OracleFailureError
+from ._rng import normal_rows, substream
+from .errors import InvalidArgumentError, NumericalFailureError, OracleFailureError, SizeLimitError
 
 PROG = "psdb"
 
@@ -27,17 +27,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    action: str
-    params: dict
-    seed: int | None = None
-    out: str | None = None
-    fmt: str = "json"
-    argv: list[str] = field(default_factory=list)
 
 
 def _fmt_float(x: float) -> str:
@@ -116,29 +105,47 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_artifact(config: RunConfig, payload: dict) -> str:
+def _command(args: argparse.Namespace) -> str:
+    return f"{args.command} {getattr(args, 'action', '')}".strip()
+
+
+def _check_finite(params: dict) -> None:
+    """Reject a NaN or an infinity in the parameter echo, which strict JSON
+    cannot carry."""
+    for name, value in params.items():
+        if isinstance(value, dict):
+            _check_finite(value)
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise InvalidArgumentError(f"parameter {name!r} must be finite, got {value!r}")
+
+
+def _json_artifact(args: argparse.Namespace, params: dict, payload: dict) -> str:
+    _check_finite(params)
     doc = {
         "tool": {"name": PROG, "version": __version__},
-        "command": f"{config.command} {config.action}".strip(),
-        "params": config.params,
-        "seed": config.seed,
-        "rerun": shlex.join([PROG] + config.argv),
+        "command": _command(args),
+        "params": params,
+        "seed": args.seed,
+        "rerun": shlex.join([PROG] + args.argv),
     }
     doc.update(payload)
-    return json.dumps(doc, default=_fmt_float) + "\n"
+    try:
+        return json.dumps(doc, default=_fmt_float, allow_nan=False) + "\n"
+    except ValueError as exc:  # the echo is finite, so a computed value is not
+        raise NumericalFailureError(f"{_command(args)} computed a non-finite value") from exc
 
 
-def _csv_header(config: RunConfig) -> str:
+def _csv_header(args: argparse.Namespace) -> str:
     lines = [
         f"# {PROG}={__version__}",
-        f"# command={config.command} {config.action}".rstrip(),
-        f"# rerun={shlex.join([PROG] + config.argv)}",
+        f"# command={_command(args)}",
+        f"# rerun={shlex.join([PROG] + args.argv)}",
     ]
     return "\n".join(lines) + "\n"
 
 
-def _curve_csv(config: RunConfig, curve: bounds.BoundCurve) -> str:
-    rows = [_csv_header(config), "abscissa,value,flag\n"]
+def _curve_csv(args: argparse.Namespace, curve: bounds.BoundCurve) -> str:
+    rows = [_csv_header(args), "abscissa,value,flag\n"]
     for pt in curve.points:
         rows.append(f"{_fmt_float(pt.abscissa)},{_fmt_float(pt.value)},{pt.flag}\n")
     return "".join(rows)
@@ -147,13 +154,16 @@ def _curve_csv(config: RunConfig, curve: bounds.BoundCurve) -> str:
 # -- bounds ---------------------------------------------------------------------
 
 
-def _run_bounds(config: RunConfig) -> int:
-    formula, extra = config.params["formula"], config.params["extra"]
-    if config.action == "eval":
-        _emit(_json_artifact(config, {"value": bounds.evaluate(formula, extra)}), config.out)
-    else:
-        curve = bounds.emit_curve(formula, config.params["grid"], **extra)
-        _emit(_curve_csv(config, curve), config.out)
+def _run_eval(args: argparse.Namespace, params: dict) -> int:
+    params["formula"] = args.formula
+    value = bounds.evaluate(args.formula, params["extra"])
+    _emit(_json_artifact(args, params, {"value": value}), args.out)
+    return EXIT_OK
+
+
+def _run_curve(args: argparse.Namespace, params: dict) -> int:
+    curve = bounds.emit_curve(args.formula, parse_grid(args.grid), **params["extra"])
+    _emit(_curve_csv(args, curve), args.out)
     return EXIT_OK
 
 
@@ -174,16 +184,12 @@ def _make_oracle(name: str, dim: int | None, extra: dict) -> widths.SupportOracl
     raise ValueError(f"unknown oracle {name!r}; expected l2-ball, l1-ball, or ellipsoid")
 
 
-def _run_widths(config: RunConfig) -> int:
-    kind = config.params["kind"]
-    n = config.params.get("n")
-    k = config.params.get("k")
-    trials = config.params["trials"]
+def _run_widths(args: argparse.Namespace, params: dict) -> int:
+    kind, n, k, seed, extra = args.kind, args.n, args.k, args.seed, params["extra"]
+    params.update(kind=kind, n=n, k=k, family=args.family, trials=args.trials)
+    trials = args.trials
     if trials is None:
         trials = 100_000 if kind.startswith("oracle:") else 2000
-    seed = config.seed if config.seed is not None else 0
-    extra = config.params["extra"]
-    family_path = config.params.get("family")
     family_size: int | None = None
     if n is None and kind in ("base-psd", "sparse-dual", "oracle:l2-ball", "oracle:l1-ball"):
         raise ValueError(f"{kind} needs --n")
@@ -197,9 +203,9 @@ def _run_widths(config: RunConfig) -> int:
             n, k, trials, seed, mode=extra.get("mode", "exhaustive"), keep_values=False
         )
     elif kind == "general-dual":
-        if not family_path:
+        if not args.family:
             raise ValueError("general-dual needs --family")
-        family = cones.read_conefam(family_path)
+        family = cones.read_conefam(args.family)
         family_size = len(family)
         n, k = family.ambient_dim, family.rank
         estimate = widths.width_general_dual(family, trials, seed, keep_values=False)
@@ -210,8 +216,8 @@ def _run_widths(config: RunConfig) -> int:
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
-    if config.fmt == "csv":
-        text = _csv_header(config) + "kind,n,k,N,trials,seed,mean,std_error\n"
+    if args.fmt == "csv":
+        text = _csv_header(args) + "kind,n,k,N,trials,seed,mean,std_error\n"
         text += ",".join(
             [
                 kind,
@@ -224,7 +230,7 @@ def _run_widths(config: RunConfig) -> int:
                 _fmt_float(estimate.std_error),
             ]
         ) + "\n"
-        _emit(text, config.out)
+        _emit(text, args.out)
     else:
         payload = {
             "estimate": {
@@ -237,101 +243,63 @@ def _run_widths(config: RunConfig) -> int:
                 "trials": estimate.trials,
             }
         }
-        _emit(_json_artifact(config, payload), config.out)
+        _emit(_json_artifact(args, params, payload), args.out)
     return EXIT_OK
 
 
 # -- cones -----------------------------------------------------------------------
 
 
-def _run_cones(config: RunConfig) -> int:
-    extra = dict(config.params.get("extra", {}))
-    if config.action == "member":
-        X = linalg.read_symmat(config.params["matrix"])
-        tol = config.params.get("tol")
-        sparse_k = config.params.get("sparse_k")
-        family_path = config.params.get("family")
-        if (sparse_k is None) == (family_path is None):
-            raise ValueError("membership needs exactly one of --sparse-k or --family")
-        if family_path is not None:
-            member = cones.general_kpsd_member(X, cones.read_conefam(family_path), tol)
-            certain = True
-        elif config.params.get("refute"):
-            refuted = cones.sparse_kpsd_refute(
-                X,
-                int(sparse_k),
-                tol,
-                samples=int(config.params.get("samples", 10000)),
-                seed=config.seed if config.seed is not None else 0,
-            )
-            member, certain = (not refuted), refuted
-        else:
-            member = cones.sparse_kpsd_member(X, int(sparse_k), tol)
-            certain = True
-        _emit(_json_artifact(config, {"member": member, "certain": certain}), config.out)
-        return EXIT_OK
+def _run_member(args: argparse.Namespace, params: dict) -> int:
+    params.update(
+        matrix=args.matrix, sparse_k=args.sparse_k, family=args.family, tol=args.tol,
+        refute=args.refute, samples=args.samples
+    )
+    X = linalg.read_symmat(args.matrix)
+    if (args.sparse_k is None) == (args.family is None):
+        raise ValueError("membership needs exactly one of --sparse-k or --family")
+    if args.family is not None:
+        member = cones.general_kpsd_member(X, cones.read_conefam(args.family), args.tol)
+        certain = True
+    elif args.refute:
+        refuted = cones.sparse_kpsd_refute(
+            X, args.sparse_k, args.tol, samples=args.samples, seed=args.seed
+        )
+        member, certain = (not refuted), refuted
+    else:
+        member = cones.sparse_kpsd_member(X, args.sparse_k, args.tol)
+        certain = True
+    _emit(_json_artifact(args, params, {"member": member, "certain": certain}), args.out)
+    return EXIT_OK
 
-    n, k = int(config.params["n"]), int(config.params["k"])
-    W = cones.witness_matrix(n, k)
-    payload = {
-        "value": cones.eps_star_lower_sparse(n, k),
-        "trace": W.trace(),
-    }
-    if config.params.get("matrix_out"):
-        linalg.write_symmat(W, config.params["matrix_out"])
-        payload["files"] = [config.params["matrix_out"]]
-    _emit(_json_artifact(config, payload), config.out)
+
+def _run_witness(args: argparse.Namespace, params: dict) -> int:
+    params.update(n=args.n, k=args.k, matrix_out=args.matrix_out)
+    W = cones.witness_matrix(args.n, args.k)
+    payload = {"value": cones.eps_star_lower_sparse(args.n, args.k), "trace": W.trace()}
+    if args.matrix_out:
+        linalg.write_symmat(W, args.matrix_out)
+        payload["files"] = [args.matrix_out]
+    _emit(_json_artifact(args, params, payload), args.out)
     return EXIT_OK
 
 
 # -- hypercube verification -------------------------------------------------------
 
 
-def _trial_stacks(n, trials, seed, width):
-    """(first trial, rows) for each chunk of trials: row i holds the first
-    width standard normals of trial (first + i)'s (seed, trial) substream,
-    drawn as that trial alone would draw them."""
-    step = hypercube._chunk_trials(n)
-    rng = None
-    for first in range(0, trials, step):
-        rows = np.empty((min(step, trials - first), width))
-        for t, row in enumerate(rows, first):
-            rng = substream(seed, t, into=rng)
-            rng.standard_normal(out=row)
-        yield first, rows
-
-
-def _harmonic_trials(n, trials, seed, lam):
-    """(trial, norm2, bound) for every trial, computed a chunk at a time."""
-    hypercube._check_n(n)
-    hypercube._check_threshold(lam)
-    for first, draws in _trial_stacks(n, trials, seed, hypercube._low_degree_count(n)):
-        norms, bound = hypercube._harmonic_sides(hypercube._bounded_values(draws, n, lam), lam)
-        for t, norm2 in enumerate(norms.tolist(), first):
-            yield t, norm2, bound
-
-
 def _verify_harmonic(n, trials, seed, lam):
     failures = [
         {"trial": t, "seed": seed, "norm2": norm2, "bound": bound}
-        for t, norm2, bound in _harmonic_trials(n, trials, seed, lam)
+        for t, norm2, bound in hypercube.harmonic_trials(n, trials, seed, lam)
         if not norm2 <= bound + 1e-12
     ]
     return trials, failures
 
 
-def _hypercontractivity_trials(n, trials, seed, rho, p):
-    """(trial, lhs, rhs) for every trial, computed a chunk at a time."""
-    hypercube._check_n(n)
-    for first, values in _trial_stacks(n, trials, seed, 1 << n):
-        lhs, rhs = hypercube._hypercontractivity_sides(values, rho, p)
-        yield from zip(range(first, first + len(lhs)), lhs, rhs)
-
-
 def _verify_hypercontractivity(n, trials, seed, rho, p):
     failures = [
         {"trial": t, "seed": seed, "rho": rho, "p": p, "lhs": lhs, "rhs": rhs}
-        for t, lhs, rhs in _hypercontractivity_trials(n, trials, seed, rho, p)
+        for t, lhs, rhs in hypercube.hypercontractivity_trials(n, trials, seed, rho, p)
         if not lhs <= rhs + 1e-12
     ]
     return trials, failures
@@ -347,9 +315,12 @@ def _verify_moments(n):
 
 
 def _verify_variance(n, trials, seed, functions=5):
+    limit = hypercube.MAX_ENUMERATION_BITS
+    if n > limit:  # before the 2^n-value tables are drawn
+        raise SizeLimitError(f"per-trial enumeration supports n <= {limit}, got {n}")
     failures = []
-    for i in range(functions):
-        values = substream(seed, 10_000 + i).standard_normal(1 << n)
+    draws = normal_rows(seed, 10_000, 10_000 + functions, 1 << n)
+    for i, values in enumerate(draws):
         f = hypercube.HypercubeFunction(n, values)
         empirical, theoretical = hypercube.variance_identity_check(
             f, trials, (seed + i + 1) % 2**64
@@ -404,12 +375,11 @@ def _verify_maximal(trials, seed):
     return checked, failures
 
 
-def _run_hypercube(config: RunConfig) -> int:
-    lemma = config.params["lemma"]
-    n = int(config.params.get("n", 8))
-    trials = int(config.params.get("trials", 200))
-    seed = config.seed if config.seed is not None else 0
-    lam = float(config.params.get("lam", math.e))
+def _run_hypercube(args: argparse.Namespace, params: dict) -> int:
+    lemma, n, trials, seed, lam = args.lemma, args.n, args.trials, args.seed, args.lam
+    extra = params["extra"]
+    params.update(lemma=lemma, n=n, trials=trials, lam=lam)
+    params.update((key, extra[key]) for key in ("rho", "p") if key in extra)
     extra_payload: dict = {}
     if lemma in ("harmonic", "hypercontractivity", "maximal") and trials < 1:
         raise InvalidArgumentError(f"the {lemma} lemma needs --trials >= 1, got {trials}")
@@ -417,8 +387,8 @@ def _run_hypercube(config: RunConfig) -> int:
     if lemma == "harmonic":
         checked, failures = _verify_harmonic(n, trials, seed, lam)
     elif lemma == "hypercontractivity":
-        rho = float(config.params.get("rho", 0.5))
-        p = float(config.params.get("p", 2.0))
+        rho = float(extra.get("rho", 0.5))
+        p = float(extra.get("p", 2.0))
         checked, failures = _verify_hypercontractivity(n, trials, seed, rho, p)
     elif lemma == "moments":
         checked, failures, extra_payload = _verify_moments(n)
@@ -429,7 +399,7 @@ def _run_hypercube(config: RunConfig) -> int:
 
     payload = {"report": {"lemma": lemma, "checked": checked, "failures": failures}}
     payload.update(extra_payload)
-    _emit(_json_artifact(config, payload), config.out)
+    _emit(_json_artifact(args, params, payload), args.out)
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
@@ -453,22 +423,22 @@ FIGURES = {
 }
 
 
-def _run_figures(config: RunConfig) -> int:
-    import os
-
-    default_grid, curves = FIGURES[config.params["name"]]
-    grid = config.params.get("grid") or parse_grid(default_grid)
-    extra = config.params["extra"]
-    out_dir = config.out or "."
+def _run_figures(args: argparse.Namespace, params: dict) -> int:
+    params["name"] = args.name
+    default_grid, curves = FIGURES[args.name]
+    grid = parse_grid(args.grid or default_grid)
+    if args.grid:
+        params["grid"] = grid
+    out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for filename, formula, fixed in curves:
-        curve = bounds.emit_curve(formula, grid, **{**extra, **fixed})
+        curve = bounds.emit_curve(formula, grid, **{**params["extra"], **fixed})
         path = os.path.join(out_dir, filename)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_curve_csv(config, curve))
+            fh.write(_curve_csv(args, curve))
         written.append(path)
-    sys.stdout.write(_json_artifact(config, {"files": written}))
+    sys.stdout.write(_json_artifact(args, params, {"files": written}))
     return EXIT_OK
 
 
@@ -490,22 +460,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=None, formats=("json",)):
+    def common(p, run, seed_default=None, formats=("json",)):
         p.add_argument("--params", default=None, help="extra parameters k=v[,k=v...]")
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
         p.add_argument("--seed", type=int, default=seed_default)
+        p.set_defaults(run=run)
 
     p_bounds = sub.add_parser("bounds", help="closed-form bounds")
     bounds_sub = p_bounds.add_subparsers(dest="action", required=True)
     p_eval = bounds_sub.add_parser("eval", help="evaluate one formula")
     p_eval.add_argument("--formula", required=True)
-    common(p_eval)
+    common(p_eval, _run_eval)
     p_curve = bounds_sub.add_parser("curve", help="evaluate a formula on a grid")
     p_curve.add_argument("--formula", required=True)
     p_curve.add_argument("--grid", required=True, help="start:stop:steps")
-    common(p_curve, formats=("csv",))
+    common(p_curve, _run_curve, formats=("csv",))
 
     p_widths = sub.add_parser("widths", help="Monte Carlo width estimates")
     widths_sub = p_widths.add_subparsers(dest="action", required=True)
@@ -520,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="default: 2000 for matrix statistics, 100000 for oracle kinds",
     )
-    common(p_est, seed_default=0, formats=("json", "csv"))
+    common(p_est, _run_widths, seed_default=0, formats=("json", "csv"))
 
     p_cones = sub.add_parser("cones", help="membership and witnesses")
     cones_sub = p_cones.add_subparsers(dest="action", required=True)
@@ -531,12 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_member.add_argument("--tol", type=float, default=None)
     p_member.add_argument("--refute", action="store_true", help="randomized refutation mode")
     p_member.add_argument("--samples", type=int, default=10000)
-    common(p_member, seed_default=0)
+    common(p_member, _run_member, seed_default=0)
     p_witness = cones_sub.add_parser("witness")
     p_witness.add_argument("--n", type=int, required=True)
     p_witness.add_argument("--k", type=int, required=True)
     p_witness.add_argument("--matrix-out", dest="matrix_out", default=None)
-    common(p_witness)
+    common(p_witness, _run_witness)
 
     p_hc = sub.add_parser("hypercube", help="lemma verification suites")
     hc_sub = p_hc.add_subparsers(dest="action", required=True)
@@ -549,78 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=8)
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--lam", type=float, default=math.e)
-    common(p_verify, seed_default=0)
+    common(p_verify, _run_hypercube, seed_default=0)
 
     p_fig = sub.add_parser("figures", help="emit figure CSV bundles")
     p_fig.add_argument("--name", required=True, choices=tuple(FIGURES))
     p_fig.add_argument("--grid", default=None, help="start:stop:steps")
-    common(p_fig, formats=("csv",))
+    common(p_fig, _run_figures, formats=("csv",))
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace, argv: list[str]) -> RunConfig:
-    extra = {}
-    if args.config:
-        extra.update(read_config_file(args.config))
-    extra.update(parse_params(args.params))
-
-    params: dict = {"extra": extra}
-    command = args.command
-    action = getattr(args, "action", "")
-
-    if command == "bounds":
-        params["formula"] = args.formula
-        if action == "curve":
-            params["grid"] = parse_grid(args.grid)
-    elif command == "widths":
-        params.update(
-            kind=args.kind, n=args.n, k=args.k, family=args.family, trials=args.trials
-        )
-    elif command == "cones":
-        if action == "member":
-            params.update(
-                matrix=args.matrix,
-                sparse_k=args.sparse_k,
-                family=args.family,
-                tol=args.tol,
-                refute=args.refute,
-                samples=args.samples,
-            )
-        else:
-            params.update(n=args.n, k=args.k, matrix_out=args.matrix_out)
-    elif command == "hypercube":
-        params.update(lemma=args.lemma, n=args.n, trials=args.trials, lam=args.lam)
-        for key in ("rho", "p"):
-            if key in extra:
-                params[key] = extra[key]
-    elif command == "figures":
-        params["name"] = args.name
-        if args.grid:
-            params["grid"] = parse_grid(args.grid)
-
-    return RunConfig(
-        command=command,
-        action=action,
-        params=params,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-        argv=argv,
-    )
-
-
-_DISPATCH = {
-    "bounds": _run_bounds,
-    "widths": _run_widths,
-    "cones": _run_cones,
-    "hypercube": _run_hypercube,
-    "figures": _run_figures,
-}
-
-
-def run(config: RunConfig) -> int:
-    return _DISPATCH[config.command](config)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -628,7 +535,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         args = build_parser().parse_args(argv)
-        return run(config_from_args(args, list(argv)))
+        args.argv = list(argv)
+        extra = read_config_file(args.config) if args.config else {}
+        extra.update(parse_params(args.params))
+        return args.run(args, {"extra": extra})
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     except NumericalFailureError as exc:

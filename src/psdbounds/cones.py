@@ -9,7 +9,6 @@ cone, and the (n-k)/(k-1) separation it certifies.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -341,8 +340,7 @@ def coordinate_family(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Con
         raise EnumerationLimitError(f"C({n},{k}) = {count} bases exceed the cap {cap}")
     eye = np.eye(n)
     bases = tuple(
-        SubspaceBasis(n, k, eye[:, list(subset)])
-        for subset in itertools.combinations(range(n), k)
+        SubspaceBasis(n, k, eye[:, subset]) for chunk in subset_chunks(n, k) for subset in chunk
     )
     return ConeFamily(n, bases)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._rng import check_seed
+from ._rng import check_seed, normal_rows
 from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
@@ -44,6 +44,8 @@ __all__ = [
     "norm_p",
     "hypercontractivity_check",
     "harmonic_bound_check",
+    "harmonic_trials",
+    "hypercontractivity_trials",
     "proj2_norm",
     "proj2_quadratic_form",
     "slack_value",
@@ -66,6 +68,15 @@ _STACK_VALUES = 8192
 def _chunk_trials(n: int) -> int:
     """Trials per stack of 2^n-value rows: 32 at n = 8, one from n = 13 up."""
     return max(1, _STACK_VALUES >> n)
+
+
+def _trial_stacks(n: int, trials: int, seed: int, width: int):
+    """(first trial, rows) for each chunk of trials: row i holds the first
+    width standard normals of trial (first + i)'s (seed, trial) substream,
+    drawn as that trial alone would draw them."""
+    step = _chunk_trials(n)
+    for first in range(0, trials, step):
+        yield first, normal_rows(seed, first, min(first + step, trials), width)
 
 
 def _check_n(n: int, limit: int = MAX_TRANSFORM_BITS) -> None:
@@ -261,6 +272,17 @@ def _hypercontractivity_sides(
     return lhs, rhs
 
 
+def hypercontractivity_trials(n: int, trials: int, seed: int, rho: float, p: float):
+    """Yield (trial, ||T_rho f||_q, ||f||_p) for trials 0 .. trials-1, where
+    trial t's f holds the first 2^n standard normals of the (seed, t)
+    substream; a chunk of trials runs as one stack, and every trial's
+    numbers are the bits of that trial computed alone."""
+    _check_n(n)
+    for first, values in _trial_stacks(n, trials, seed, 1 << n):
+        lhs, rhs = _hypercontractivity_sides(values, rho, p)
+        yield from zip(range(first, first + len(lhs)), lhs, rhs)
+
+
 def proj2_norm(f: HypercubeFunction) -> float:
     """L2 norm of the degree-2 part, straight from the coefficient table."""
     return float(_proj2_norms(f.values[None])[0])
@@ -305,6 +327,19 @@ def _harmonic_sides(values: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
         raise PreconditionError(f"mean bound fails: E f = {float(mean[row])} > 1")
     bound = lam if lam < math.e else math.e * math.log(lam)
     return _proj2_norms(values), bound
+
+
+def harmonic_trials(n: int, trials: int, seed: int, lam: float):
+    """Yield (trial, degree-2 norm, bound) for trials 0 .. trials-1, where
+    trial t's function is random_bounded_function(n, lam, substream(seed, t));
+    a chunk of trials runs as one stack, and every trial's numbers are the
+    bits of that trial computed alone."""
+    _check_n(n)
+    _check_threshold(lam)
+    for first, draws in _trial_stacks(n, trials, seed, _low_degree_count(n)):
+        norms, bound = _harmonic_sides(_bounded_values(draws, n, lam), lam)
+        for t, norm2 in enumerate(norms.tolist(), first):
+            yield t, norm2, bound
 
 
 def proj2_quadratic_form(f: HypercubeFunction) -> SymmetricMatrix:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._rng import check_seed, substream
+from ._rng import check_seed, normal_rows, substream
 from .errors import (
     InvalidArgumentError,
     InvalidDimensionError,
@@ -187,16 +187,11 @@ def gaussian_sym_batch(
 
     Every trial still draws its packed triangle from its own (seed, t)
     substream, so a trial's matrix does not depend on the window it is
-    drawn in.  The call re-keys one generator for every trial; it is its
-    own, so pool threads never share one.
+    drawn in.
     """
     if n < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
-    packed = np.empty((stop - start, _packed_size(n)))
-    rng = None
-    for row, t in zip(packed, range(start, stop)):
-        rng = substream(seed, t, into=rng)
-        rng.standard_normal(out=row)
+    packed = normal_rows(seed, start, stop, _packed_size(n))
     packed /= _layout(n).divisor
     mats = _unpack(packed, n)
     if traceless:

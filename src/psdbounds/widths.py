@@ -268,7 +268,7 @@ def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
     supports = np.array(supports, dtype=np.intp)
     k = supports.shape[1]
     n = dense.shape[0]
-    best = np.array([np.linalg.eigvalsh(dense[np.ix_(s, s)])[-1] for s in supports])
+    best = _lambda1_batch(dense, supports)
     memo: dict[bytes, float] = {}
     row_key = np.dtype((np.void, k * np.dtype(np.intp).itemsize))
     active = np.arange(len(supports))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +250,40 @@ class TestThreadCountReproducibility:
         assert all(stdout and written for stdout, written in runs[0])
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+_GOLDEN_RUNS = {
+    "base-psd": ["--kind", "base-psd", "--n", "4", "--trials", "50", "--seed", "3"],
+    "sparse-dual": ["--kind", "sparse-dual", "--n", "6", "--k", "3", "--trials", "20",
+                    "--seed", "5", "--params", "mode=greedy"],
+    "general-dual": ["--kind", "general-dual", "--family", "fam.conefam", "--trials", "30",
+                     "--seed", "2"],
+    "oracle-ellipsoid": ["--kind", "oracle:ellipsoid", "--trials", "200", "--seed", "4",
+                         "--params", "axes=1:2:3"],
+}
+_GOLDEN_CASES = {
+    **{f"{name}.{fmt}": [*flags, "--format", fmt]
+       for name, flags in _GOLDEN_RUNS.items() for fmt in ("json", "csv")},
+    # the config file sets radius=1 and label=x; --params overrides radius
+    "config-merge.json": ["--kind", "oracle:l2-ball", "--n", "3", "--trials", "100", "--seed",
+                          "1", "--config", "run.cfg", "--params", "radius=2.5"],
+}
+
+
+class TestWidthsGoldenOutput:
+    """`widths estimate` writes the recorded stdout bytes under tests/golden,
+    parameter echo and rerun line included; paths are relative, so the bytes
+    do not depend on the directory the test runs in."""
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_CASES))
+    def test_stdout_bytes(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_conefam(coordinate_family(5, 2), "fam.conefam")
+        (tmp_path / "run.cfg").write_text("radius=1\nlabel=x\n")
+        code, out, err = run_cli(["widths", "estimate", *_GOLDEN_CASES[name]], capsys)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text()
+
+
 class TestConesCommands:
     def test_member_roundtrip_through_files(self, tmp_path, capsys, schema):
         w_path = tmp_path / "w.symmat"
@@ -390,10 +425,10 @@ class TestChunkedVerifyTrials:
             trials = {"one": 1, "chunk-1": max(chunk - 1, 1), "chunk": chunk,
                       "chunk+1": chunk + 1, "3 chunks": 3 * chunk}[count]
             longer = trials + extra
-            harmonic = list(cli._harmonic_trials(n, longer, seed, lam))
-            harmonic_prefix = list(cli._harmonic_trials(n, trials, seed, lam))
-            hyper = list(cli._hypercontractivity_trials(n, longer, seed, rho, p))
-            hyper_prefix = list(cli._hypercontractivity_trials(n, trials, seed, rho, p))
+            harmonic = list(hypercube.harmonic_trials(n, longer, seed, lam))
+            harmonic_prefix = list(hypercube.harmonic_trials(n, trials, seed, lam))
+            hyper = list(hypercube.hypercontractivity_trials(n, longer, seed, rho, p))
+            hyper_prefix = list(hypercube.hypercontractivity_trials(n, trials, seed, rho, p))
 
         assert [t for t, _, _ in harmonic] == list(range(longer))
         want = [reference_harmonic_trial(n, lam, seed, t) for t in range(longer)]
@@ -670,8 +705,8 @@ def fuzz_files(tmp_path_factory):
 
 
 def _run_in_process(argv, root):
-    """Exit code and stderr lines (warnings included) of one argv, with its
-    path placeholders bound to files under root."""
+    """Exit code, stdout and stderr lines (warnings included) of one argv,
+    with its path placeholders bound to files under root."""
     with tempfile.TemporaryDirectory(dir=root) as work:
         paths = {"{out}": os.path.join(work, "out"), "{matrix}": str(root / "w.symmat"),
                  "{family}": str(root / "fam.conefam"), "{config}": str(root / "run.cfg"),
@@ -683,18 +718,28 @@ def _run_in_process(argv, root):
             warnings.simplefilter("always")
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
-    return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=_argv())
 def test_argv_fuzz_exit_codes_and_error_lines(argv, fuzz_files):
-    code, lines = _run_in_process(argv, fuzz_files)
+    code, out, lines = _run_in_process(argv, fuzz_files)
     assert code in (0, 1, 2, 3)
     assert not any("Traceback" in line for line in lines)
     if code in (2, 3):
         [line] = lines
         assert json.loads(line)["error"]["kind"]
+    elif out and not out.startswith("#"):  # a JSON artifact, not a CSV one
+        assert _strict_json(out)["tool"]["name"] == "psdb"
 
 
 @pytest.mark.parametrize(
@@ -714,10 +759,46 @@ def test_argv_fuzz_exit_codes_and_error_lines(argv, fuzz_files):
 def test_non_finite_lemma_parameters_give_one_error_line(lemma, flags, code, needle, tmp_path):
     # no numpy warning may precede the error line, and the error names the cause
     argv = ["hypercube", "verify", "--lemma", lemma, "--n", "4", "--trials", "3", *flags]
-    got, lines = _run_in_process(argv, tmp_path)
-    assert got == code
+    got, out, lines = _run_in_process(argv, tmp_path)
+    assert (got, out) == (code, "")
     [line] = lines
     assert needle in json.loads(line)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, needle",
+    [
+        (["hypercube", "verify", "--lemma", "moments", "--n", "3", "--lam", "nan"], 2, "'lam'"),
+        (["hypercube", "verify", "--lemma", "maximal", "--trials", "5", "--lam", "inf"], 2,
+         "'lam'"),
+        (["hypercube", "verify", "--lemma", "variance", "--n", "3", "--trials", "5",
+          "--params", "p=inf"], 2, "'p'"),
+        (["bounds", "eval", "--formula", "delta_star", "--params", "eps=0,junk=nan"], 2,
+         "'junk'"),
+        (["bounds", "eval", "--formula", "bracket", "--params", "delta=0.5,eps=inf"], 2, "'eps'"),
+        (["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "2", "--trials", "10",
+          "--params", "radius=1,x=inf"], 2, "'x'"),
+        (["bounds", "eval", "--formula", "zeta", "--params", "delta=1e-320"], 3, "not finite"),
+        (["bounds", "curve", "--formula", "zeta", "--grid", "1e-320:0.5:3"], 3, "not finite"),
+    ],
+    ids=["moments-lam-nan", "maximal-lam-inf", "variance-p-inf", "eval-junk-nan",
+         "bracket-eps-inf", "oracle-param-inf", "zeta-value-inf", "zeta-curve-inf"],
+)
+def test_non_finite_numbers_never_reach_an_artifact(argv, code, needle, tmp_path):
+    # strict JSON has no NaN or Infinity: a non-finite parameter is a usage
+    # error, a non-finite computed value a numerical failure
+    got, out, lines = _run_in_process(argv, tmp_path)
+    assert (got, out) == (code, "")
+    [line] = lines
+    assert needle in json.loads(line)["error"]["message"]
+
+
+def test_non_finite_payload_value_is_a_numerical_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_verify_moments", lambda n: (1, [], {"mean": math.nan}))
+    got, out, lines = _run_in_process(["hypercube", "verify", "--lemma", "moments"], tmp_path)
+    assert (got, out) == (3, "")
+    [line] = lines
+    assert "non-finite" in json.loads(line)["error"]["message"]
 
 
 class TestSubprocessEntryPoint:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psdbounds._rng import substream
+from psdbounds._rng import normal_rows, substream
 
 
 def philox_stream(seed, lane):
@@ -76,3 +76,21 @@ class TestRekey:
     def test_only_a_philox_generator_can_be_rekeyed(self, other):
         with pytest.raises(TypeError, match="Philox-backed"):
             substream(5, 1, into=other)
+
+
+class TestNormalRows:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        start=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**40)),
+        rows=st.sampled_from([0, 1, 63, 64, 65]),
+        width=st.integers(1, 300),
+    )
+    @example(seed=0, start=0, rows=65, width=300)
+    @example(seed=2**64 - 1, start=2**64 - 1, rows=64, width=1)
+    @example(seed=2**64 - 1, start=5, rows=0, width=7)
+    def test_each_row_is_its_own_lane_stream(self, seed, start, rows, width):
+        got = normal_rows(seed, start, start + rows, width)
+        assert got.shape == (rows, width)
+        for lane, row in enumerate(got, start):
+            assert row.tobytes() == substream(seed, lane).standard_normal(width).tobytes()

@@ -201,8 +201,10 @@ class TestGreedyAgainstReference:
 
         monkeypatch.setattr(widths, "principal_submatrices", recording)
         widths._greedy_k_sparse(dense, 4)
-        # the first three calls grow the start support to 2, 3 and 4 members
-        swaps = [tuple(row) for idx in calls[3:] for row in idx]
+        # the first three calls grow the start support to 2, 3 and 4 members,
+        # the fourth solves the 21 ascent starts
+        assert len(calls[3]) == 21
+        swaps = [tuple(row) for idx in calls[4:] for row in idx]
         assert swaps and len(swaps) == len(set(swaps))
 
 
