@@ -51,35 +51,30 @@ def _coerce(raw: str):
     return raw
 
 
-def parse_params(raw: str | None) -> dict:
-    """Parse "k=v[,k=v...]" with numeric coercion."""
+def _key_values(items, malformed: str) -> dict:
+    """key=value items with numeric coercion; blank items are skipped, and
+    one without '=' raises ValueError(malformed.format(item))."""
     params: dict = {}
-    if not raw:
-        return params
-    for item in raw.split(","):
+    for item in items:
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
-            raise ValueError(f"malformed parameter {item!r}; expected key=value")
-        key, raw = item.split("=", 1)
+        key, sep, raw = item.partition("=")
+        if not sep:
+            raise ValueError(malformed.format(item))
         params[key.strip()] = _coerce(raw.strip())
     return params
 
 
+def parse_params(raw: str | None) -> dict:
+    """Parse "k=v[,k=v...]" with numeric coercion."""
+    return _key_values(raw.split(",") if raw else [], "malformed parameter {!r}; expected key=value")
+
+
 def read_config_file(path: str) -> dict:
     """key=value per line; '#' starts a comment."""
-    params: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line {line!r}")
-            key, raw = line.split("=", 1)
-            params[key.strip()] = _coerce(raw.strip())
-    return params
+        return _key_values((line.split("#", 1)[0] for line in fh), "malformed config line {!r}")
 
 
 def parse_grid(raw: str) -> list[float]:
@@ -172,9 +167,9 @@ def _run_curve(args: argparse.Namespace, params: dict) -> int:
 
 def _make_oracle(name: str, dim: int | None, extra: dict) -> widths.SupportOracle:
     if name == "l2-ball":
-        return widths.l2_ball_oracle(dim, bounds._number(extra, "radius", 1.0))
+        return widths.l2_ball_oracle(dim, extra.get("radius", 1.0))
     if name == "l1-ball":
-        return widths.l1_ball_oracle(dim, bounds._number(extra, "radius", 1.0))
+        return widths.l1_ball_oracle(dim, extra.get("radius", 1.0))
     if name == "ellipsoid":
         axes_raw = extra.get("axes")
         if axes_raw is None:

@@ -122,8 +122,15 @@ def _check_nk(n: int, k: int) -> None:
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
+def check_enumeration(n: int, k: int, cap: int, advice: str = "") -> None:
+    """EnumerationLimitError, its message ending in advice, when C(n, k) > cap."""
+    count = math.comb(n, k)
+    if count > cap:
+        raise EnumerationLimitError(f"C({n},{k}) = {count} subsets exceed the cap {cap}{advice}")
+
+
 def _screen_pd(flat: np.ndarray, idx: np.ndarray, n: int, k: int, shift: float) -> np.ndarray:
-    """Vectorized check that X_I + shift*I is positive definite, per subset.
+    """Vectorized check that Y_I + shift*I is positive definite, per subset.
 
     Up-looking LDL on a (k, k, batch) layout; a lane passes iff every pivot is
     strictly positive.  Much cheaper than one eigendecomposition per subset.
@@ -131,13 +138,13 @@ def _screen_pd(flat: np.ndarray, idx: np.ndarray, n: int, k: int, shift: float) 
     batch = idx.shape[0]
     A = np.empty((k, k, batch))
     row_off = (idx * n).T
-    for a in range(k):
-        for b in range(a, k):
-            np.take(flat, row_off[a] + idx[:, b], out=A[a, b])
-        A[a, a] += shift
     ok = np.ones(batch, dtype=bool)
     tmp = np.empty(batch)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a in range(k):
+            for b in range(a, k):
+                np.take(flat, row_off[a] + idx[:, b], out=A[a, b])
+            A[a, a] += shift
         for j in range(k):
             d = A[j, j]
             ok &= d > 0.0
@@ -152,21 +159,53 @@ def _screen_pd(flat: np.ndarray, idx: np.ndarray, n: int, k: int, shift: float) 
     return ok
 
 
-def _screen_shift(dense: np.ndarray, k: int, tol: float) -> float:
-    """Diagonal shift tol - margin for the LDL screen of k-subsets of dense.
+def _screen_shift(scale: float, k: int, c: float) -> float:
+    """Diagonal shift c - margin for the LDL screen of k-subsets of a matrix Y
+    with scale = max|Y|, margin = 64 k^2 (eps (scale + |c|) + eta).
 
-    The margin, 64 k eps max|X|, covers the rounding of the screen's
-    factorization and eigvalsh's backward error, so a subset that passes the
-    screen never has a computed smallest eigenvalue below -tol.  The
-    argument does not use the sign of the shift.  For tol >= 0 the shift is
-    at least -margin, so the screened matrix's entries stay within
-    max|X| + margin = (1 + 64 k eps) max|X|, and the factorization's
-    rounding bound grows by that factor at most, which the margin's constant
-    absorbs.  So the screen runs at every tolerance, tol = 0 included: with
-    a shift in [-margin, 0] it passes only subsets whose smallest eigenvalue
-    clears margin - tol >= 0.
+    A subset S passes when the screen's LDL factorization of Y_S + shift*I
+    ends with every pivot positive.  The margin makes that certify computed
+    smallest eigenvalues, for c of either sign:
+
+    - The shifted block's entries are at most M = scale + |c| in size, and
+      no diagonal overflows, as Y_ii + shift <= scale + |c| - margin.  An
+      LDL factorization that completes with positive pivots is the exact
+      one of Y_S + shift*I + F with |F_ij| <= (k + 1) eps M per entry
+      (Higham, Accuracy and Stability, ch. 10), so ||F|| <= k (k + 1) eps M.
+      Underflow costs each product at most eta, and a subnormal 1/pivot at
+      most eta M^2 <= 4 eps M per update, since M < 2^1024 = 4 eps / eta.
+      The pivots are positive, so lambda_min(Y_S) > -shift - ||F||.
+    - eigvalsh is backward stable: each eigenvalue it computes for Y_S or
+      -Y_S is an exact one of that block plus E, with ||E|| <= p(k) eps k
+      scale.
+    - The margin covers ||F|| and ||E|| together for any p(k) up to 58 k;
+      the eta term covers the subnormal range.  So for a passing S the
+      smallest eigenvalue eigvalsh computes for Y_S, and minus the largest
+      it computes for -Y_S, are both above -c.
+
+    The arithmetic is on Python floats, so no FP warning escapes.  When c or
+    scale is infinite the margin is infinite and the shift is -inf or NaN;
+    then no pivot is positive and every subset fails, which is safe.
     """
-    return tol - 64.0 * k * np.finfo(np.float64).eps * float(np.abs(dense).max())
+    eps = float(np.finfo(np.float64).eps)
+    eta = float(np.finfo(np.float64).smallest_subnormal)
+    return c - 64.0 * k * k * (eps * (scale + abs(c)) + eta)
+
+
+def unscreened(Y: np.ndarray, idx: np.ndarray, c: float) -> np.ndarray:
+    """The rows S of idx the LDL screen cannot clear at c.
+
+    Every row left out has a block Y_S whose smallest eigenvalue, as
+    eigvalsh computes it, is above -c; so is minus the largest eigenvalue
+    eigvalsh computes for -Y_S (see _screen_shift).  The one screen behind
+    membership (Y = X, c = tol), refutation (the same) and the exhaustive
+    largest k-sparse eigenvalue (Y = -X, c = the best value so far).  The
+    screen treats each row on its own, so how idx is sliced changes nothing.
+    """
+    n, k = Y.shape[0], idx.shape[1]
+    flat = np.ascontiguousarray(Y).ravel()
+    shift = _screen_shift(float(np.abs(Y).max()), k, c)
+    return idx[~_screen_pd(flat, idx, n, k, shift)]
 
 
 def subset_chunks(n: int, k: int, chunk: int = 32768):
@@ -228,20 +267,12 @@ def sparse_kpsd_member(
     _check_nk(n, k)
     require_finite(X)
     tol = psd_tolerance(X, tol)
-    count = math.comb(n, k)
-    if count > cap:
-        raise EnumerationLimitError(
-            f"C({n},{k}) = {count} subsets exceed the cap {cap}; "
-            "use sparse_kpsd_refute for a randomized refutation"
-        )
+    check_enumeration(n, k, cap, "; use sparse_kpsd_refute for a randomized refutation")
     dense = X.to_dense()
-    flat = np.ascontiguousarray(dense).ravel()
-    shift = _screen_shift(dense, k, tol)
     for idx in subset_chunks(n, k):
         start, step = 0, 64
         while start < len(idx):
-            block = idx[start : start + step]
-            block = block[~_screen_pd(flat, block, n, k, shift)]
+            block = unscreened(dense, idx[start : start + step], tol)
             if block.size and np.linalg.eigvalsh(principal_submatrices(dense, block))[:, 0].min() < -tol:
                 return False
             start += step
@@ -273,8 +304,6 @@ def sparse_kpsd_refute(
     require_finite(X)
     tol = psd_tolerance(X, tol)
     dense = X.to_dense()
-    flat = np.ascontiguousarray(dense).ravel()
-    shift = _screen_shift(dense, k, tol)
     rng = substream(check_seed(seed))
     batch = 1024
     done = 0
@@ -283,7 +312,7 @@ def sparse_kpsd_refute(
         idx = np.empty((take, k), dtype=np.intp)
         for row in range(take):
             idx[row] = np.sort(rng.choice(n, size=k, replace=False))
-        idx = idx[~_screen_pd(flat, idx, n, k, shift)]
+        idx = unscreened(dense, idx, tol)
         if idx.size and np.linalg.eigvalsh(principal_submatrices(dense, idx))[:, 0].min() < -tol:
             return True
         done += take
@@ -335,9 +364,7 @@ def eps_star_lower_sparse(n: int, k: int) -> float:
 def coordinate_family(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> ConeFamily:
     """All C(n, k) axis-aligned coordinate subspaces."""
     _check_nk(n, k)
-    count = math.comb(n, k)
-    if count > cap:
-        raise EnumerationLimitError(f"C({n},{k}) = {count} bases exceed the cap {cap}")
+    check_enumeration(n, k, cap)
     eye = np.eye(n)
     bases = tuple(
         SubspaceBasis(n, k, eye[:, subset]) for chunk in subset_chunks(n, k) for subset in chunk

@@ -11,6 +11,7 @@ fixed, so results do not depend on the degree of parallelism.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,12 +20,15 @@ from typing import Callable
 import numpy as np
 
 from ._rng import check_seed, substream
-from .cones import DEFAULT_ENUMERATION_CAP, ConeFamily, principal_submatrices, subset_chunks
-from .errors import (
-    EnumerationLimitError,
-    InvalidArgumentError,
-    OracleFailureError,
+from .cones import (
+    DEFAULT_ENUMERATION_CAP,
+    ConeFamily,
+    check_enumeration,
+    principal_submatrices,
+    subset_chunks,
+    unscreened,
 )
+from .errors import InvalidArgumentError, OracleFailureError
 from .linalg import SymmetricMatrix, gaussian_sym_batch, require_finite
 
 # Not called in this module; kept as a module attribute because the
@@ -146,89 +150,6 @@ def width_base_psd(n: int, trials: int, seed: int, keep_values: bool = True) -> 
     return WidthEstimate.from_values(_run_trials(trials, per_chunk), seed, keep_values)
 
 
-_SOLVE_SLICE = 64  # blocks per eigvalsh call in the bound-ordered search
-
-
-def _lambda1_upper_bounds(blocks: np.ndarray, scale: float) -> np.ndarray:
-    """Per block B of an (m, k, k) stack, a bound that eigvalsh's computed
-    largest eigenvalue of B never exceeds; scale is max |entry| of the
-    matrix the blocks come from.
-
-    In exact arithmetic lambda_1(B) is at most the Gershgorin bound
-    max_i (b_ii + sum_{j != i} |b_ij|) and the Wolkowicz-Styan bound
-    m + sqrt((k - 1)(F/k - m^2)), with m = tr B / k and F = ||B||_F^2
-    (Wolkowicz & Styan, Linear Algebra Appl. 1980).  Rounding:
-
-    - Inside the root: F/k - m^2 cancels.  Summed in any order, F has
-      absolute error at most k^2 eps F, and sum |b_ii| <= sqrt(k F), so m is
-      off by at most 2 eps sqrt(k F) and m^2 by about 4 eps F; with the
-      divisions and the subtraction the spread is off by at most
-      (k + 6) eps F, below the 8 k eps F added.  Squares that underflow lose
-      at most one subnormal unit eta each, so k^2 eta is added as well.
-    - Outside the root: both bounds are off by at most about
-      4 k^2 eps scale, since every |b_ij| <= scale and the root is at most
-      k scale.  eigvalsh is backward stable: its lambda_1 is that of B + E
-      with ||E|| <= p(k) eps ||B|| and ||B|| <= k scale.  The
-      64 k^2 (eps scale + eta) added to the smaller bound covers both for
-      any p(k) up to 60 k; eta covers the subnormal range.
-
-    An overflowing Wolkowicz-Styan bound (inf or NaN) leaves the Gershgorin
-    bound, which only overflows to +inf.
-    """
-    k = blocks.shape[1]
-    eps = np.finfo(np.float64).eps
-    eta = np.finfo(np.float64).smallest_subnormal
-    diag = np.diagonal(blocks, axis1=1, axis2=2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gershgorin = np.full(blocks.shape[0], -math.inf)
-        for i in range(k):  # one row at a time: no full-size copy of the stack
-            row = np.abs(blocks[:, i, :]).sum(axis=1) + (diag[:, i] - np.abs(diag[:, i]))
-            np.maximum(gershgorin, row, out=gershgorin)
-        mean = diag.sum(axis=1) / k
-        fro = np.einsum("mij,mij->m", blocks, blocks)
-        spread = fro / k - mean * mean + 8.0 * k * eps * fro + k * k * eta
-        wolkowicz_styan = mean + np.sqrt((k - 1) * np.maximum(spread, 0.0))
-        return np.fmin(gershgorin, wolkowicz_styan) + 64.0 * k * k * (eps * scale + eta)
-
-
-def _max_lambda1_subsets(dense: np.ndarray, k: int, cap: int) -> float:
-    """Largest eigvalsh lambda_1 over every k-by-k principal submatrix.
-
-    Per chunk of subsets, the blocks are solved in descending order of
-    _lambda1_upper_bounds, _SOLVE_SLICE at a time, and a block whose bound
-    is below the best value solved so far is never solved: its own value
-    would be below that bound.  eigvalsh solves each matrix of a stack on
-    its own and max over floats ignores order, so the result is the bits of
-    solving every block.
-    """
-    n = dense.shape[0]
-    count = math.comb(n, k)
-    if count > cap:
-        raise EnumerationLimitError(
-            f"C({n},{k}) = {count} subsets exceed the cap {cap}; use greedy mode"
-        )
-    scale = float(np.abs(dense).max())
-    best = -math.inf
-    for idx in subset_chunks(n, k):
-        best = _max_lambda1_blocks(principal_submatrices(dense, idx), scale, best)
-    return best
-
-
-def _max_lambda1_blocks(blocks: np.ndarray, scale: float, best: float) -> float:
-    """max(best, largest eigvalsh lambda_1 in the stack), solving only the
-    blocks whose bound reaches the best value so far.  The stack is freed
-    on return, so the caller never holds two chunks at once."""
-    bounds = _lambda1_upper_bounds(blocks, scale)
-    order = np.argsort(-bounds)
-    bounds = bounds[order]
-    for start in range(0, order.size, _SOLVE_SLICE):
-        live = order[start : start + _SOLVE_SLICE][bounds[start : start + _SOLVE_SLICE] >= best]
-        if not live.size:
-            break
-        best = max(best, float(np.linalg.eigvalsh(blocks[live])[:, -1].max()))
-    return best
-
-
 _GREEDY_STREAM_KEY = 0x6B5053  # fixed internal stream; greedy output is a function of (G, k)
 _GREEDY_RESTARTS = 20
 
@@ -290,14 +211,49 @@ def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
     return best.tolist()
 
 
-def _greedy_k_sparse(dense: np.ndarray, k: int) -> float:
+def _grown_support(dense: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """A k-support grown from the best single coordinate, one coordinate at
+    a time, each the first that maximizes the largest eigenvalue; returned
+    with that eigenvalue."""
     n = dense.shape[0]
-    # grow from the best single coordinate
-    support = np.array([np.argmax(np.diag(dense))])
+    diag = np.diag(dense)
+    support = np.array([np.argmax(diag)])
+    value = float(diag[support[0]])
     while support.size < k:
         outside = np.setdiff1d(np.arange(n), support)
         cands = np.sort(np.column_stack([np.tile(support, (outside.size, 1)), outside]), axis=1)
-        support = cands[_lambda1_batch(dense, cands).argmax()]
+        values = _lambda1_batch(dense, cands)
+        top = values.argmax()
+        support, value = cands[top], float(values[top])
+    return support, value
+
+
+def _max_lambda1_subsets(dense: np.ndarray, k: int, cap: int) -> float:
+    """Largest eigvalsh lambda_1 over every k-by-k principal submatrix.
+
+    The grown support's lambda_1 is attained, so the maximum is at least
+    that.  Each chunk of subsets goes through the LDL screen on -dense at c,
+    the larger of that value and the best one solved so far; a block the
+    screen clears has a computed lambda_1 below c, so it cannot be the
+    maximum, and only the rejected blocks are solved.  eigvalsh solves each
+    matrix of a stack on its own and max over floats ignores order, so the
+    result is the bits of solving every block.
+    """
+    n = dense.shape[0]
+    check_enumeration(n, k, cap, "; use greedy mode")
+    grown = _grown_support(dense, k)[1]
+    negated = -dense
+    best = -math.inf
+    for idx in subset_chunks(n, k):
+        idx = unscreened(negated, idx, max(best, grown))
+        if idx.size:
+            best = max(best, float(_lambda1_batch(dense, idx).max()))
+    return best
+
+
+def _greedy_k_sparse(dense: np.ndarray, k: int) -> float:
+    n = dense.shape[0]
+    support = _grown_support(dense, k)[0]
     rng = substream(_GREEDY_STREAM_KEY)
     restarts = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(_GREEDY_RESTARTS)]
     return max(_swap_ascents(dense, [support, *restarts]))
@@ -311,8 +267,11 @@ def k_sparse_largest_eigenvalue(
 ) -> float:
     """Largest eigenvalue over k-by-k principal submatrices.
 
-    Exhaustive mode maximizes over all C(n, k) subsets, solving only the
-    blocks an eigenvalue bound cannot rule out.  Greedy mode returns a
+    Exhaustive mode maximizes over all C(n, k) subsets, bit for bit as if
+    it solved every block, but solves only the blocks that the LDL screen of
+    cones.sparse_kpsd_member, run on -G at the largest value known so far,
+    cannot rule out; the value of the support greedy mode grows seeds it.
+    More than cap subsets raise EnumerationLimitError.  Greedy mode returns a
     lower bound from local swap ascent (best-single-coordinate start plus 20
     random restarts from a fixed internal stream; deterministic given G, k).
     Non-finite entries raise NumericalFailureError.
@@ -488,6 +447,8 @@ def base_psd_width_ratio(n: int, trials: int, seed: int) -> float:
 
 
 def _check_radius(radius: float) -> None:
+    if not isinstance(radius, numbers.Real):
+        raise InvalidArgumentError(f"parameter 'radius' must be a number, got {radius!r}")
     if not (math.isfinite(radius) and radius >= 0):
         raise InvalidArgumentError(f"radius must be a nonnegative finite number, got {radius!r}")
 

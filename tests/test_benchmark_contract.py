@@ -80,7 +80,7 @@ def test_tracer_counts_sparse_search_eigensolves(tracing, monkeypatch):
 
 
 def test_tracer_counts_only_the_exhaustive_blocks_that_reach_eigvalsh(tracing, monkeypatch):
-    # the bound-ordered search gathers every block but solves few; the traced
+    # the screened search gathers every block but solves few; the traced
     # count must be the solved ones, seen through the module attribute
     solved = []
     eigvalsh = np.linalg.eigvalsh

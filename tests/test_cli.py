@@ -531,8 +531,15 @@ class TestParsing:
         assert params == {"a": 1, "b": 2.5, "c": True, "d": "text"}
 
     def test_parse_params_malformed(self):
-        with pytest.raises(ValueError):
-            cli.parse_params("novalue")
+        with pytest.raises(ValueError, match="malformed parameter 'novalue'; expected key=value"):
+            cli.parse_params("a=1, novalue")
+
+    def test_malformed_config_line_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("delta=0.5\n\nnovalue  # comment\n")
+        code, out, err = run_cli(["bounds", "eval", "--formula", "zeta", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == "malformed config line 'novalue'"
 
     def test_parse_grid(self):
         assert cli.parse_grid("0:1:3") == [0.0, 0.5, 1.0]

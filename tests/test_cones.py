@@ -249,7 +249,7 @@ class TestSparseMembershipEarlyExit:
         assert sizes == [64, 128, 256, 47] and counts == []
 
     def test_each_slice_solves_only_its_rejected_subsets(self, monkeypatch):
-        # the 1e12 entry widens the screen's margin to about 0.057, so with
+        # the 1e12 entry widens the screen's margin to about 0.23, so with
         # tol = 0.1 the subsets holding both 0 and 1 (smallest eigenvalue
         # -0.07) fail the screen without violating; they are the first
         # C(10, 2) = 45 lexicographic rows

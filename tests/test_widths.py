@@ -33,7 +33,7 @@ from psdbounds.widths import (
     width_via_oracle,
 )
 
-from psdbounds import widths
+from psdbounds import cones, widths
 
 from _oracles import (
     brute_max_ksparse_lambda1,
@@ -209,9 +209,9 @@ class TestGreedyAgainstReference:
 
 
 def exhaustive_case(kind, n, seed):
-    """A test matrix for the bound-ordered exhaustive search."""
+    """A test matrix for the screened exhaustive search."""
     rng = np.random.default_rng(seed)
-    if kind == "g_abn":  # spectrum {a, b^(n-1)}: Wolkowicz-Styan is tight on every block
+    if kind == "g_abn":  # every k-block has the same spectrum: all blocks tie
         return g_abn(float(rng.normal()), float(rng.normal()), n).to_dense()
     if kind == "spiked":  # scalar * I plus a rank-one term of norm 1e8
         v = rng.standard_normal(n)
@@ -231,7 +231,7 @@ def bits(value):
 
 
 class TestExhaustiveAgainstReference:
-    """The bound-ordered search returns the bits of solving every block."""
+    """The screened search returns the bits of solving every block."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -260,26 +260,57 @@ class TestExhaustiveAgainstReference:
             got = k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(dense), 4)
         assert bits(got) == bits(reference_max_lambda1_subsets(dense, 4))
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_bits_equal_reference_with_entries_near_overflow(self):
+        # the {0, 1} block holds the maximum, 1.05e308, although its row
+        # sums and its Frobenius norm overflow
+        dense = np.array([[-1.7e308, 1.7e308, 0.0], [1.7e308, 0.0, 0.0], [0.0, 0.0, 1e308]])
+        got = k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(dense), 2)
+        assert bits(got) == bits(reference_max_lambda1_subsets(dense, 2))
+
+    def test_solves_few_blocks_at_half_the_dimension(self, monkeypatch):
+        # at k = n/2 almost no block can be ruled out by a Gershgorin or
+        # trace bound; the screen at the grown support's value rules out most
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a, *rest: solved.append(math.prod(np.shape(a)[:-2])) or eigvalsh(a, *rest)
+        )
+        k_sparse_largest_eigenvalue(sample_standard_gaussian_sym(16, 3), 8)
+        assert sum(solved) < math.comb(16, 8) / 10
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
-        shape=st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n))),
+        shape=st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
         kind=st.sampled_from(_EXHAUSTIVE_KINDS),
-        scale=st.sampled_from(_SCALES + [1e-320]),
+        scale=st.sampled_from(_SCALES + [1e-320, 1.7e308]),
+        sign=st.sampled_from([1.0, -1.0]),
+        c=st.sampled_from(["own", "zero", "tol", "tol*scale", "inf", "-inf"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    # Wolkowicz-Styan equals lambda_1 on g_abn blocks, so only the slack
-    # keeps the computed bound above the computed eigenvalue
-    @example(shape=(6, 4), kind="g_abn", scale=1.0, seed=0)
-    @example(shape=(9, 2), kind="g_abn", scale=1.0, seed=1)
-    @example(shape=(9, 8), kind="g_abn", scale=1e150, seed=2)
-    @example(shape=(7, 5), kind="g_abn", scale=1e-300, seed=3)
-    def test_bounds_cover_every_computed_eigenvalue(self, shape, kind, scale, seed):
+    # every block of g_abn ties with the one whose value is c
+    @example(shape=(6, 4), kind="g_abn", scale=1.0, sign=-1.0, c="own", seed=0)
+    @example(shape=(9, 8), kind="g_abn", scale=1e150, sign=-1.0, c="own", seed=2)
+    @example(shape=(7, 5), kind="near ties", scale=1e-300, sign=-1.0, c="own", seed=3)
+    @example(shape=(9, 4), kind="gaussian", scale=1.7e308, sign=-1.0, c="own", seed=0)
+    @example(shape=(9, 4), kind="gaussian", scale=1e-320, sign=1.0, c="zero", seed=0)
+    def test_screen_clears_only_blocks_computed_above_minus_c(self, shape, kind, scale, sign, c, seed):
+        # the one screen of membership (Y = X, c = tol), refutation and the
+        # exhaustive search (Y = -X, c = an attained lambda_1): every subset
+        # it clears has eigvalsh's smallest eigenvalue of Y_S above -c, and
+        # eigvalsh's largest of -Y_S below c
         n, k = shape
-        dense = exhaustive_case(kind, max(n, 3), seed)[:n, :n] * scale
+        dense = exhaustive_case(kind, max(n, 3), seed)[:n, :n]
+        Y = sign * dense / (np.abs(dense).max() or 1.0) * scale  # max |Y| = scale
         idx = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-        blocks = dense[idx[:, :, None], idx[:, None, :]]
-        bound = widths._lambda1_upper_bounds(blocks, float(np.abs(dense).max()))
-        assert (bound >= np.linalg.eigvalsh(blocks)[:, -1]).all()
+        blocks = Y[idx[:, :, None], idx[:, None, :]]
+        own = float(np.linalg.eigvalsh(-blocks[seed % len(idx)])[-1])
+        c = {"own": own, "zero": 0.0, "tol": 1e-9, "tol*scale": 1e-9 * scale,
+             "inf": math.inf, "-inf": -math.inf}[c]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rejected = set(map(tuple, cones.unscreened(Y, idx, c).tolist()))
+        cleared = np.array([row not in rejected for row in map(tuple, idx.tolist())])
+        assert (np.linalg.eigvalsh(blocks[cleared])[:, 0] > -c).all()
+        assert (np.linalg.eigvalsh(-blocks[cleared])[:, -1] < c).all()
 
 
 class TestNonFiniteInput:
@@ -452,6 +483,12 @@ class TestWidthViaOracle:
     @pytest.mark.parametrize("radius", [-1.0, -1e-300, math.inf, math.nan])
     def test_ball_oracles_reject_bad_radius(self, make, radius):
         with pytest.raises(InvalidArgumentError, match="radius"):
+            make(3, radius)
+
+    @pytest.mark.parametrize("make", [l2_ball_oracle, l1_ball_oracle])
+    @pytest.mark.parametrize("radius", ["abc", None, 1j])
+    def test_ball_oracles_reject_a_radius_that_is_not_a_number(self, make, radius):
+        with pytest.raises(InvalidArgumentError, match="parameter 'radius' must be a number"):
             make(3, radius)
 
     def test_zero_radius_is_a_point(self):
