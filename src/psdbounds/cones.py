@@ -51,6 +51,7 @@ class SubspaceBasis:
     Columns whose Gram matrix drifts from the identity by more than 1e-10 are
     re-orthonormalized with a QR factorization (sign-fixed for determinism)
     rather than rejected; user-supplied families accumulate rounding.
+    Non-finite columns are rejected.
     """
 
     ambient_dim: int
@@ -67,6 +68,8 @@ class SubspaceBasis:
             raise InvalidArgumentError(
                 f"need 1 <= k <= n, got k={self.rank}, n={self.ambient_dim}"
             )
+        if not np.isfinite(cols).all():
+            raise InvalidArgumentError("basis columns must be finite")
         gram = cols.T @ cols
         if np.abs(gram - np.eye(self.rank)).max() > _ORTHO_DRIFT:
             q, r = np.linalg.qr(cols)
@@ -320,11 +323,13 @@ def sparse_kpsd_refute(
 
 
 def general_kpsd_member(X: SymmetricMatrix, family: ConeFamily, tol: float | None = None) -> bool:
-    """True iff U^T X U is PSD at tolerance tol for every basis U in the family."""
+    """True iff U^T X U is PSD at tolerance tol for every basis U in the family;
+    non-finite entries raise NumericalFailureError."""
     if family.ambient_dim != X.dim:
         raise InvalidArgumentError(
             f"family ambient dimension {family.ambient_dim} != matrix dimension {X.dim}"
         )
+    require_finite(X)
     tol = psd_tolerance(X, tol)
     dense = X.to_dense()
     stacked = family.stacked()

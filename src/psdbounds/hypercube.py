@@ -79,9 +79,9 @@ def _trial_stacks(n: int, trials: int, seed: int, width: int):
         yield first, normal_rows(seed, first, min(first + step, trials), width)
 
 
-def _check_n(n: int, limit: int = MAX_TRANSFORM_BITS) -> None:
-    if not 1 <= n <= limit:
-        raise SizeLimitError(f"need 1 <= n <= {limit}, got {n}")
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_TRANSFORM_BITS:
+        raise SizeLimitError(f"need 1 <= n <= {MAX_TRANSFORM_BITS}, got {n}")
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:

@@ -239,19 +239,27 @@ def principal_submatrix(M: SymmetricMatrix, subset: IndexSet) -> SymmetricMatrix
 
 
 def default_psd_tol(M: SymmetricMatrix) -> float:
-    """Default PSD tolerance, 1e-9 * max(1, ||M||_F)."""
-    return 1e-9 * max(1.0, M.frobenius_norm())
+    """Default PSD tolerance, 1e-9 * max(1, ||M||_F); a norm past the float
+    range is taken as s * ||M / s||_F with s = max|M|, so it is finite for
+    every finite M.  Non-finite entries raise NumericalFailureError."""
+    with np.errstate(over="ignore"):
+        norm = M.frobenius_norm()
+    if norm < math.inf:
+        return 1e-9 * max(1.0, norm)
+    require_finite(M)
+    scale = float(np.abs(M.packed).max())
+    return 1e-9 * scale * float(np.linalg.norm(M.to_dense() / scale))
 
 
 def psd_tolerance(M: SymmetricMatrix, tol: float | None) -> float:
-    """The tolerance a PSD test of M runs at: default_psd_tol(M) for None,
-    else tol, which must be finite and nonnegative (a NaN would make every
-    comparison with -tol false)."""
+    """The tolerance a PSD test of M runs at, as a Python float: default_psd_tol(M)
+    for None, else tol, which must be finite and nonnegative (a NaN would make
+    every comparison with -tol false)."""
     if tol is None:
         return default_psd_tol(M)
     if not 0.0 <= tol < math.inf:
         raise InvalidArgumentError(f"tolerance must be finite and nonnegative, got {tol}")
-    return tol
+    return float(tol)
 
 
 def is_psd(M: SymmetricMatrix, tol: float | None = None) -> bool:

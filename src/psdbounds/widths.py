@@ -28,7 +28,7 @@ from .cones import (
     subset_chunks,
     unscreened,
 )
-from .errors import InvalidArgumentError, OracleFailureError
+from .errors import InvalidArgumentError, InvalidDimensionError, OracleFailureError
 from .linalg import SymmetricMatrix, gaussian_sym_batch, require_finite
 
 # Not called in this module; kept as a module attribute because the
@@ -57,13 +57,7 @@ _TRIAL_CHUNK = 64  # fixed so per-trial arithmetic is independent of threading
 
 
 def thread_count() -> int:
-    """Worker cap from PSDB_THREADS; defaults to all cores."""
-    raw = os.environ.get("PSDB_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
+    """Worker cap for the matrix trial runner: every core."""
     return os.cpu_count() or 1
 
 
@@ -116,24 +110,32 @@ def _check_trials(trials: int) -> None:
         raise InvalidArgumentError(f"need at least 2 trials, got {trials}")
 
 
-def _run_trials(trials: int, per_chunk: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Evaluate fixed-size trial chunks, in parallel when allowed.
+def _matrix_trials(
+    n: int, trials: int, seed: int, keep_values: bool, per_stack: Callable, chunk: int = 0
+) -> WidthEstimate:
+    """Estimate from per-trial values of standard Gaussian n-by-n matrices.
 
-    per_chunk(start, stop) must return the values for trials [start, stop) and
-    must depend only on the trial indices.
+    Each task draws the dense stack of trials [start, start + chunk) with
+    gaussian_sym_batch (chunk 0 means _TRIAL_CHUNK) and per_stack maps it to
+    one value per trial, which must depend only on that trial's matrix.
+    Tasks run on a thread pool of up to thread_count() workers; a single
+    worker runs them on the caller's thread.
     """
-    values = np.empty(trials)
-    chunks = [(s, min(s + _TRIAL_CHUNK, trials)) for s in range(0, trials, _TRIAL_CHUNK)]
-    workers = min(thread_count(), len(chunks))
+    _check_trials(trials)
+    check_seed(seed)
+    chunk = chunk or _TRIAL_CHUNK
+
+    def task(start: int) -> np.ndarray:
+        return per_stack(gaussian_sym_batch(n, seed, start, min(start + chunk, trials)))
+
+    starts = range(0, trials, chunk)
+    workers = min(thread_count(), len(starts))
     if workers <= 1:
-        for start, stop in chunks:
-            values[start:stop] = per_chunk(start, stop)
-        return values
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(per_chunk, start, stop): (start, stop) for start, stop in chunks}
-        for fut, (start, stop) in futures.items():
-            values[start:stop] = fut.result()
-    return values
+        parts = [task(start) for start in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(task, starts))
+    return WidthEstimate.from_values(np.concatenate(parts), seed, keep_values)
 
 
 def width_base_psd(n: int, trials: int, seed: int, keep_values: bool = True) -> WidthEstimate:
@@ -141,13 +143,7 @@ def width_base_psd(n: int, trials: int, seed: int, keep_values: bool = True) -> 
     standard Gaussian symmetric matrix (the -I/n translation contributes
     nothing under trace-zero test directions).
     """
-    _check_trials(trials)
-    check_seed(seed)
-
-    def per_chunk(start: int, stop: int) -> np.ndarray:
-        return np.linalg.eigvalsh(gaussian_sym_batch(n, seed, start, stop))[:, -1]
-
-    return WidthEstimate.from_values(_run_trials(trials, per_chunk), seed, keep_values)
+    return _matrix_trials(n, trials, seed, keep_values, lambda mats: np.linalg.eigvalsh(mats)[:, -1])
 
 
 _GREEDY_STREAM_KEY = 0x6B5053  # fixed internal stream; greedy output is a function of (G, k)
@@ -310,19 +306,17 @@ def width_dual_base_sparse(
     """Width of the unit-trace slice of the factor-width-k cone: expected
     largest k-sparse eigenvalue of a standard Gaussian symmetric matrix.
     """
-    _check_trials(trials)
-    check_seed(seed)
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
 
-    def per_chunk(start: int, stop: int) -> np.ndarray:
+    def per_stack(mats: np.ndarray) -> np.ndarray:
         # Gaussian trial matrices are finite: no round trip through SymmetricMatrix
-        return np.array([_k_sparse_lambda1(G, k, mode) for G in gaussian_sym_batch(n, seed, start, stop)])
+        return np.array([_k_sparse_lambda1(G, k, mode) for G in mats])
 
-    return WidthEstimate.from_values(_run_trials(trials, per_chunk), seed, keep_values)
+    return _matrix_trials(n, trials, seed, keep_values, per_stack)
 
 
-_DUAL_STACK_BYTES = 1 << 24  # compressed matrices per eigvalsh call in width_general_dual
+_DUAL_STACK_BYTES = 1 << 24  # byte cap on the compressed matrices of one width_general_dual chunk
 
 
 def width_general_dual(
@@ -334,30 +328,20 @@ def width_general_dual(
     """Width of the dual base of a general k-PSD relaxation: expected maximum
     over the family of the largest eigenvalue of U^T G U.
     """
-    _check_trials(trials)
-    check_seed(seed)
     n = family.ambient_dim
     stacked = family.stacked()
     subscripts = "uik,ij,ujl->ukl"
     # the path optimize=True would search on every trial, searched once
     path = np.einsum_path(subscripts, stacked, np.empty((n, n)), stacked, optimize=True)[0]
-    per_trial_bytes = len(family) * family.rank**2 * 8
-    per_solve = max(1, _DUAL_STACK_BYTES // per_trial_bytes)
 
-    def per_chunk(start: int, stop: int) -> np.ndarray:
-        mats = gaussian_sym_batch(n, seed, start, stop)
-        out = np.empty(stop - start)
-        for lo in range(0, stop - start, per_solve):
-            # one einsum per trial: a batched contraction is not bit-exact;
-            # one eigvalsh per stack: it solves each matrix on its own
-            compressed = np.stack([
-                np.einsum(subscripts, stacked, G, stacked, optimize=path)
-                for G in mats[lo : lo + per_solve]
-            ])
-            out[lo : lo + per_solve] = np.linalg.eigvalsh(compressed)[..., -1].max(axis=1)
-        return out
+    def per_stack(mats: np.ndarray) -> np.ndarray:
+        # one einsum per trial: a batched contraction is not bit-exact;
+        # one eigvalsh per stack: it solves each matrix on its own
+        compressed = np.stack([np.einsum(subscripts, stacked, G, stacked, optimize=path) for G in mats])
+        return np.linalg.eigvalsh(compressed)[..., -1].max(axis=1)
 
-    return WidthEstimate.from_values(_run_trials(trials, per_chunk), seed, keep_values)
+    chunk = min(_TRIAL_CHUNK, max(1, _DUAL_STACK_BYTES // (len(family) * family.rank**2 * 8)))
+    return _matrix_trials(n, trials, seed, keep_values, per_stack, chunk)
 
 
 def _oracle_values(oracle: SupportOracle, trials: int, seed: int) -> np.ndarray:
@@ -446,7 +430,9 @@ def base_psd_width_ratio(n: int, trials: int, seed: int) -> float:
 # -- built-in oracles ----------------------------------------------------------
 
 
-def _check_radius(radius: float) -> None:
+def _check_ball(dim: int, radius: float) -> None:
+    if dim < 1:
+        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
     if not isinstance(radius, numbers.Real):
         raise InvalidArgumentError(f"parameter 'radius' must be a number, got {radius!r}")
     if not (math.isfinite(radius) and radius >= 0):
@@ -454,7 +440,7 @@ def _check_radius(radius: float) -> None:
 
 
 def l2_ball_oracle(dim: int, radius: float = 1.0) -> SupportOracle:
-    _check_radius(radius)
+    _check_ball(dim, radius)
     return SupportOracle(
         dim=dim,
         evaluate=lambda g: radius * float(np.linalg.norm(g)),
@@ -476,7 +462,7 @@ def ellipsoid_oracle(semi_axes) -> SupportOracle:
 
 
 def l1_ball_oracle(dim: int, radius: float = 1.0) -> SupportOracle:
-    _check_radius(radius)
+    _check_ball(dim, radius)
     return SupportOracle(
         dim=dim,
         evaluate=lambda g: radius * float(np.abs(g).max()),

@@ -100,7 +100,7 @@ def test_tracer_counts_only_the_exhaustive_blocks_that_reach_eigvalsh(tracing, m
 def test_tracer_sees_one_stream_and_one_contraction_per_general_dual_trial(tracing, monkeypatch):
     # the trace evidence of the per-trial path: one re-keyed substream and
     # one einsum per trial, every compressed matrix solved exactly once
-    monkeypatch.setenv("PSDB_THREADS", "1")
+    monkeypatch.setattr(widths, "thread_count", lambda: 1)
     family = cones.coordinate_family(7, 3)
     tracer = tracing.Tracer()
     handle = tracing.install(tracer)

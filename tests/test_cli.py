@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psdbounds import cli, hypercube
+from psdbounds import cli, hypercube, widths
 from psdbounds.bounds import FORMULAS
 from psdbounds.cones import coordinate_family, write_conefam, witness_matrix
 from psdbounds.linalg import SymmetricMatrix, write_symmat
@@ -218,7 +218,7 @@ class TestWidthsEstimate:
 
 
 class TestThreadCountReproducibility:
-    """Seeded artifacts are the same bytes whatever PSDB_THREADS says."""
+    """Seeded artifacts are the same bytes with one worker and with two."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -236,8 +236,8 @@ class TestThreadCountReproducibility:
         write_conefam(coordinate_family(8, 3), "family.conefam")
         formats = [["--format", "csv"]] if argv[0] == "widths" else [[]]
         runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("PSDB_THREADS", threads)
+        for threads in (1, 2):
+            monkeypatch.setattr(widths, "thread_count", lambda: threads)
             run = []
             for extra in [[], *formats]:
                 # the same relative path on both sides, so rerun lines agree
@@ -582,12 +582,16 @@ class TestErrorContract:
               "--params", "radius=inf"], "radius must be a nonnegative finite number"),
             (["widths", "estimate", "--kind", "oracle:ellipsoid", "--trials", "5",
               "--params", "axes=nan:1"], "semi-axes"),
+            (["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "0", "--trials", "5"],
+             "dimension must be >= 1"),
+            (["widths", "estimate", "--kind", "oracle:l1-ball", "--n", "-2", "--trials", "5"],
+             "dimension must be >= 1"),
         ],
         ids=["missing-n", "non-numeric-param", "bad-grid", "parser-error", "variance-trials",
              "eval-csv", "curve-json", "witness-csv", "harmonic-trials",
              "hypercontractivity-trials", "maximal-trials", "hypercontractivity-n",
              "radius-not-a-number", "negative-radius",
-             "infinite-radius", "nan-axis"],
+             "infinite-radius", "nan-axis", "l2-ball-zero-n", "l1-ball-negative-n"],
     )
     def test_usage_error_is_one_json_line(self, argv, needle, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -605,6 +609,35 @@ class TestErrorContract:
         [line] = err.splitlines()
         error = json.loads(line)["error"]
         assert error["kind"] == "numerical" and "non-finite" in error["message"]
+
+    def test_non_finite_matrix_with_a_family_is_a_numerical_failure(self, tmp_path, capsys):
+        path, family = tmp_path / "nan.symmat", tmp_path / "fam.conefam"
+        write_symmat(SymmetricMatrix.from_dense(nan_identity()), path)
+        write_conefam(coordinate_family(6, 3), family)
+        code, out, err = run_cli(["cones", "member", "--matrix", str(path), "--family", str(family)], capsys)
+        assert code == 3 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["kind"] == "numerical" and "non-finite" in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cones", "member", "--matrix", "{matrix}", "--family", "{family}"],
+            ["widths", "estimate", "--kind", "general-dual", "--family", "{family}", "--trials", "5"],
+        ],
+        ids=["member", "general-dual"],
+    )
+    def test_non_finite_family_is_a_usage_error(self, argv, tmp_path, capsys):
+        matrix, family = tmp_path / "eye.symmat", tmp_path / "nan.conefam"
+        write_symmat(SymmetricMatrix.from_dense(np.eye(3)), matrix)
+        family.write_text("3 1 1\n1\nnan\n0\n")
+        argv = [a.format(matrix=matrix, family=family) for a in argv]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["kind"] == "usage" and "finite" in error["message"]
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("mode", [["--sparse-k", "3"], ["--sparse-k", "3", "--refute"],

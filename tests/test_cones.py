@@ -274,6 +274,50 @@ class TestSparseNonFinite:
             sparse_kpsd_refute(sym(np.diag([1.0, -np.inf, 1.0])), 2, samples=10)
 
 
+class TestGeneralNonFinite:
+    @pytest.mark.parametrize("tol", [None, 0.0, 1e-9])
+    def test_member_raises(self, tol):
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            general_kpsd_member(sym(nan_identity()), coordinate_family(6, 3), tol)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_basis_rejects_non_finite_columns(self, bad):
+        # a NaN once passed the drift check, which compares NaN
+        cols = np.eye(4)[:, :2].copy()
+        cols[1, 0] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            SubspaceBasis.from_columns(cols)
+
+    def test_conefam_with_a_nan_is_rejected(self, tmp_path):
+        path = tmp_path / "nan.conefam"
+        path.write_text("3 1 1\n1\nnan\n0\n")
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            read_conefam(path)
+
+
+# ||X||_F overflows; the {0, 1} block's smallest eigenvalue is about -4.7e307
+_NEAR_OVERFLOW = np.array([[1.7976931348623157e308, -1.7e308, 0.0], [-1.7e308, 8e307, 0.0], [0.0, 0.0, 1.0]])
+
+
+class TestToleranceNearOverflow:
+    def test_default_tolerance_is_finite_and_every_test_refutes(self):
+        X = sym(_NEAR_OVERFLOW)
+        tol = default_psd_tol(X)
+        assert type(tol) is float and 3e299 < tol < 3.2e299
+        assert not sparse_kpsd_member(X, 2)
+        assert sparse_kpsd_refute(X, 2, samples=20)
+        assert not is_psd(X)
+        assert not general_kpsd_member(X, coordinate_family(3, 2))
+
+    def test_numpy_scalar_tolerance_runs_as_a_python_float(self):
+        # max|X| + tol overflows in the screen's margin: to inf on Python
+        # floats, with a RuntimeWarning on numpy scalars
+        X = sym(np.diag([1.7e308, 1.7e308]))
+        for tol in (1e308, np.float64(1e308)):
+            assert sparse_kpsd_member(X, 1, tol)
+            assert not sparse_kpsd_refute(X, 1, tol, samples=5)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
 def test_tolerance_must_be_finite_and_nonnegative(tol):
     # a NaN tol once made -I a member: every comparison with -tol is false

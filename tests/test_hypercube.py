@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psdbounds import hypercube
+from psdbounds import hypercube, widths
 from psdbounds._rng import substream
 from psdbounds.errors import (
     InvalidArgumentError,
@@ -434,9 +434,9 @@ class TestVarianceIdentity:
 
     def test_one_and_two_threads_agree(self, monkeypatch, rng):
         f = hf(6, rng.standard_normal(64))
-        monkeypatch.setenv("PSDB_THREADS", "1")
+        monkeypatch.setattr(widths, "thread_count", lambda: 1)
         one = variance_identity_check(f, 200, seed=8)
-        monkeypatch.setenv("PSDB_THREADS", "2")
+        monkeypatch.setattr(widths, "thread_count", lambda: 2)
         two = variance_identity_check(f, 200, seed=8)
         assert one == two
 

@@ -16,6 +16,7 @@ from psdbounds.linalg import (
     IndexSet,
     SymmetricMatrix,
     dumps_symmat,
+    default_psd_tol,
     eigenvalues_descending,
     _project_traceless_stack,
     gaussian_sym,
@@ -24,6 +25,7 @@ from psdbounds.linalg import (
     loads_symmat,
     principal_submatrix,
     project_traceless,
+    psd_tolerance,
     read_symmat,
     sample_standard_gaussian_sym,
     write_symmat,
@@ -223,6 +225,25 @@ class TestIsPsd:
     def test_tol_must_be_finite_and_nonnegative(self, tol):
         with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
             is_psd(diag(1.0), tol)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
+    def test_default_tolerance_keeps_its_bits_while_the_norm_is_finite(self, scale, rng):
+        M = SymmetricMatrix.from_dense(scale * rng.standard_normal((5, 5)))
+        tol = default_psd_tol(M)
+        assert type(tol) is float and tol == 1e-9 * max(1.0, float(np.linalg.norm(M.to_dense())))
+
+    def test_default_tolerance_past_the_float_range_is_finite(self):
+        M = diag(1.7e308, -1.7e308, 1.7e308)
+        assert psd_tolerance(M, None) == 1e-9 * 1.7e308 * math.sqrt(3.0)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_default_tolerance_rejects_non_finite_entries(self, entry):
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            default_psd_tol(diag(1.0, entry))
+
+    def test_tolerance_is_a_python_float(self):
+        assert type(psd_tolerance(diag(1.0), np.float64(0.5))) is float
+        assert type(psd_tolerance(diag(1.0), 0)) is float
 
 
 class TestProjectTraceless:

@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 import threading
 from unittest import mock
 
@@ -14,6 +13,7 @@ from psdbounds.cones import ConeFamily, SubspaceBasis, coordinate_family, g_abn
 from psdbounds.errors import (
     EnumerationLimitError,
     InvalidArgumentError,
+    InvalidDimensionError,
     NumericalFailureError,
     OracleFailureError,
 )
@@ -66,9 +66,9 @@ class TestWidthBasePsd:
 
     def test_deterministic_and_order_independent(self, monkeypatch):
         a = width_base_psd(6, 100, seed=3)
-        monkeypatch.setenv("PSDB_THREADS", "4")
+        monkeypatch.setattr(widths, "thread_count", lambda: 4)
         b = width_base_psd(6, 100, seed=3)
-        monkeypatch.setenv("PSDB_THREADS", "1")
+        monkeypatch.setattr(widths, "thread_count", lambda: 1)
         c = width_base_psd(6, 100, seed=3)
         assert np.array_equal(a.per_trial_values, b.per_trial_values)
         assert np.array_equal(a.per_trial_values, c.per_trial_values)
@@ -400,18 +400,18 @@ class TestWidthGeneralDual:
         count=st.sampled_from([1, 2, 7, 100]),
         trials=st.integers(2, 140),
         seed=st.integers(0, 2**64 - 1),
-        threads=st.sampled_from(["1", "2"]),
+        threads=st.sampled_from([1, 2]),
         stack_trials=st.sampled_from([None, 1, 5]),
     )
-    @example(n=10, k_pick="n", count=100, trials=130, seed=2**64 - 1, threads="2", stack_trials=None)
-    @example(n=1, k_pick="one", count=7, trials=65, seed=0, threads="1", stack_trials=None)
-    @example(n=6, k_pick="mid", count=2, trials=129, seed=3, threads="2", stack_trials=5)
+    @example(n=10, k_pick="n", count=100, trials=130, seed=2**64 - 1, threads=2, stack_trials=None)
+    @example(n=1, k_pick="one", count=7, trials=65, seed=0, threads=1, stack_trials=None)
+    @example(n=6, k_pick="mid", count=2, trials=129, seed=3, threads=2, stack_trials=5)
     def test_bits_equal_the_per_trial_reference(self, n, k_pick, count, trials, seed, threads, stack_trials):
         k = {"one": 1, "n": n, "mid": max(1, n // 2)}[k_pick]
         family = random_family(n, k, count, np.random.default_rng(n * 1000 + count))
-        # stack_trials: trials per eigvalsh call, to cover the split of a chunk
+        # stack_trials: trials per chunk, to cover chunks below _TRIAL_CHUNK
         limit = widths._DUAL_STACK_BYTES if stack_trials is None else stack_trials * count * k * k * 8
-        with mock.patch.dict(os.environ, {"PSDB_THREADS": threads}), mock.patch.object(
+        with mock.patch.object(widths, "thread_count", lambda: threads), mock.patch.object(
             widths, "_DUAL_STACK_BYTES", limit
         ):
             values = width_general_dual(family, trials, seed).per_trial_values
@@ -491,6 +491,12 @@ class TestWidthViaOracle:
         with pytest.raises(InvalidArgumentError, match="parameter 'radius' must be a number"):
             make(3, radius)
 
+    @pytest.mark.parametrize("make", [l2_ball_oracle, l1_ball_oracle])
+    @pytest.mark.parametrize("dim", [0, -2])
+    def test_ball_oracles_reject_a_dimension_below_one(self, make, dim):
+        with pytest.raises(InvalidDimensionError, match="dimension must be >= 1"):
+            make(dim)
+
     def test_zero_radius_is_a_point(self):
         assert width_via_oracle(l2_ball_oracle(3, 0.0), 10, seed=1).mean == 0.0
 
@@ -520,11 +526,14 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("name", sorted(_REPRO_ESTIMATORS))
     def test_one_and_two_threads_agree(self, name, monkeypatch):
-        monkeypatch.setenv("PSDB_THREADS", "1")
-        one = _REPRO_ESTIMATORS[name](200)
-        monkeypatch.setenv("PSDB_THREADS", "2")
-        two = _REPRO_ESTIMATORS[name](200)
-        assert _same_estimate(one, two)
+        # and every trial chunk: one trial, a size that divides nothing, the default
+        runs = []
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(widths, "_TRIAL_CHUNK", chunk)
+            for threads in (1, 2):
+                monkeypatch.setattr(widths, "thread_count", lambda: threads)
+                runs.append(_REPRO_ESTIMATORS[name](200))
+        assert all(_same_estimate(runs[0], run) for run in runs[1:])
 
     @pytest.mark.parametrize("name", sorted(_REPRO_ESTIMATORS))
     def test_partly_filled_last_chunk(self, name):
