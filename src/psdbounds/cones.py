@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import check_seed, substream
+from ._rng import check_seed, k_subsets, substream
 from .errors import (
     EnumerationLimitError,
     InvalidArgumentError,
@@ -294,10 +294,12 @@ def sparse_kpsd_refute(
 
     Returns True iff some sampled k-subset has a non-PSD principal submatrix,
     which certifies non-membership.  False only means no violation was found
-    among the samples; membership remains unconfirmed.  Each batch of samples
-    passes the LDL screen of sparse_kpsd_member first, and only the samples
-    it rejects get an exact eigenvalue check, so the screen changes no
-    answer.  Non-finite entries raise NumericalFailureError, and tol is
+    among the samples; membership remains unconfirmed.  The samples are the
+    subsets successive np.sort(rng.choice(n, size=k, replace=False)) draw
+    from the seed's stream, drawn 1024 at a time by _rng.k_subsets in one
+    vectorized pass.  Each batch passes the LDL screen of sparse_kpsd_member
+    first, and only the samples it rejects get an exact eigenvalue check, so
+    the screen changes no answer.  Non-finite entries raise NumericalFailureError, and tol is
     checked as in sparse_kpsd_member.
     """
     n = X.dim
@@ -312,10 +314,7 @@ def sparse_kpsd_refute(
     done = 0
     while done < samples:
         take = min(batch, samples - done)
-        idx = np.empty((take, k), dtype=np.intp)
-        for row in range(take):
-            idx[row] = np.sort(rng.choice(n, size=k, replace=False))
-        idx = unscreened(dense, idx, tol)
+        idx = unscreened(dense, k_subsets(rng, n, k, take), tol)
         if idx.size and np.linalg.eigvalsh(principal_submatrices(dense, idx))[:, 0].min() < -tol:
             return True
         done += take

@@ -28,13 +28,11 @@ from .errors import (
 
 __all__ = [
     "SymmetricMatrix",
-    "IndexSet",
     "sample_standard_gaussian_sym",
     "gaussian_sym",
     "gaussian_sym_batch",
     "require_finite",
     "eigenvalues_descending",
-    "principal_submatrix",
     "is_psd",
     "default_psd_tol",
     "psd_tolerance",
@@ -138,32 +136,6 @@ class SymmetricMatrix:
         return h.hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Strictly increasing row/column indices selecting a principal submatrix."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) == 0:
-            raise InvalidIndexError("index set must be nonempty")
-        if any(i < 0 for i in idx):
-            raise InvalidIndexError(f"negative index in {idx}")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise InvalidIndexError(f"indices must be strictly increasing, got {idx}")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def validate_against(self, dim: int) -> None:
-        if self.indices[-1] >= dim:
-            raise InvalidIndexError(
-                f"index {self.indices[-1]} out of range for dimension {dim}"
-            )
-
-
 def gaussian_sym(n: int, rng: np.random.Generator) -> SymmetricMatrix:
     """Standard Gaussian symmetric matrix drawn from an explicit generator.
 
@@ -230,25 +202,29 @@ def eigenvalues_descending(M: SymmetricMatrix) -> np.ndarray:
     return w[::-1].copy()
 
 
-def principal_submatrix(M: SymmetricMatrix, subset: IndexSet) -> SymmetricMatrix:
-    """Principal submatrix of M with rows/columns in the index set."""
-    subset.validate_against(M.dim)
-    idx = np.asarray(subset.indices, dtype=np.intp)
-    dense = M.to_dense()
-    return SymmetricMatrix.from_dense(dense[np.ix_(idx, idx)])
+def _frobenius_parts(dense: np.ndarray) -> tuple[float, float]:
+    """||dense||_F as the product scale * norm: (1.0, the plain norm) unless
+    that overflows, else s = max|dense| and ||dense / s||_F, which is finite
+    for finite entries.  Callers multiply their own factors into scale first,
+    so a finite result does not overflow on the way; x * 1.0 is exactly x,
+    so the plain case keeps its bits.  Non-finite entries give the plain
+    (inf or NaN) norm."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(dense))
+    if norm < math.inf or not np.isfinite(dense).all():
+        return 1.0, norm
+    scale = float(np.abs(dense).max())
+    return scale, float(np.linalg.norm(dense / scale))
 
 
 def default_psd_tol(M: SymmetricMatrix) -> float:
     """Default PSD tolerance, 1e-9 * max(1, ||M||_F); a norm past the float
     range is taken as s * ||M / s||_F with s = max|M|, so it is finite for
     every finite M.  Non-finite entries raise NumericalFailureError."""
-    with np.errstate(over="ignore"):
-        norm = M.frobenius_norm()
-    if norm < math.inf:
-        return 1e-9 * max(1.0, norm)
     require_finite(M)
-    scale = float(np.abs(M.packed).max())
-    return 1e-9 * scale * float(np.linalg.norm(M.to_dense() / scale))
+    scale, norm = _frobenius_parts(M.to_dense())
+    # ||M / s||_F >= 1 when scaled, so max changes only the plain case
+    return 1e-9 * scale * max(1.0, norm)
 
 
 def psd_tolerance(M: SymmetricMatrix, tol: float | None) -> float:
@@ -268,8 +244,10 @@ def is_psd(M: SymmetricMatrix, tol: float | None = None) -> bool:
     return bool(eigenvalues_descending(M)[-1] >= -tol)
 
 
-def _trace_at_roundoff(t: float, n: int, frobenius: float) -> bool:
-    return abs(t) <= 1e-13 * n * frobenius
+def _trace_at_roundoff(t: float, dense: np.ndarray) -> bool:
+    n = dense.shape[0]
+    scale, norm = _frobenius_parts(dense)
+    return abs(t) <= 1e-13 * n * scale * norm
 
 
 def project_traceless(M: SymmetricMatrix) -> SymmetricMatrix:
@@ -279,7 +257,7 @@ def project_traceless(M: SymmetricMatrix) -> SymmetricMatrix:
     untouched, which makes the projection exactly idempotent.
     """
     t = M.trace()
-    if _trace_at_roundoff(t, M.dim, M.frobenius_norm()):
+    if _trace_at_roundoff(t, M.to_dense()):
         return M
     n = M.dim
     packed = M.packed.copy()
@@ -297,10 +275,11 @@ def _project_traceless_stack(mats: np.ndarray) -> None:
     """
     n = mats.shape[-1]
     traces = np.diagonal(mats, axis1=1, axis2=2).copy().sum(axis=1)
-    approx = np.sqrt(np.einsum("bij,bij->b", mats, mats))
+    with np.errstate(over="ignore"):  # an overflowing estimate sends the row to the exact test
+        approx = np.sqrt(np.einsum("bij,bij->b", mats, mats))
     keep = np.abs(traces) <= 2e-13 * n * approx  # twice the threshold: margin for the estimate
     for b in np.flatnonzero(keep):
-        keep[b] = _trace_at_roundoff(float(traces[b]), n, float(np.linalg.norm(mats[b])))
+        keep[b] = _trace_at_roundoff(float(traces[b]), mats[b])
     shift = np.where(keep, 0.0, traces / n)  # x - 0.0 is exactly x
     idx = np.arange(n)
     mats[:, idx, idx] -= shift[:, None]

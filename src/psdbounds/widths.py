@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rng import check_seed, substream
+from ._rng import check_seed, k_subsets, substream
 from .cones import (
     DEFAULT_ENUMERATION_CAP,
     ConeFamily,
@@ -250,8 +250,7 @@ def _max_lambda1_subsets(dense: np.ndarray, k: int, cap: int) -> float:
 def _greedy_k_sparse(dense: np.ndarray, k: int) -> float:
     n = dense.shape[0]
     support = _grown_support(dense, k)[0]
-    rng = substream(_GREEDY_STREAM_KEY)
-    restarts = [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(_GREEDY_RESTARTS)]
+    restarts = k_subsets(substream(_GREEDY_STREAM_KEY), n, k, _GREEDY_RESTARTS)
     return max(_swap_ascents(dense, [support, *restarts]))
 
 

@@ -23,6 +23,7 @@ from psdbounds.cones import (
     write_conefam,
 )
 from psdbounds import cones
+from psdbounds._rng import substream
 from psdbounds.errors import (
     EnumerationLimitError,
     InvalidArgumentError,
@@ -372,6 +373,19 @@ class TestRandomizedRefutation:
         assert sparse_kpsd_refute(X, k, tol, samples=samples, seed=seed) == want
         if kind == "witness k+1":
             assert want
+
+    def test_first_violation_in_a_later_batch(self):
+        # {7, 41} is the one 2-subset with a non-PSD block; seed 2's stream
+        # first draws it as sample 4050, in the fourth batch of 1024
+        dense = np.eye(60)
+        dense[7, 41] = dense[41, 7] = 2.0
+        rng = substream(2)
+        first = next(i for i in range(5000) if set(rng.choice(60, size=2, replace=False).tolist()) == {7, 41})
+        assert first == 4050
+        for samples in (first, first + 1):
+            want = reference_sparse_refute(dense, 2, 1e-9, samples, 2)
+            assert want == (samples > first)
+            assert sparse_kpsd_refute(sym(dense), 2, 1e-9, samples=samples, seed=2) == want
 
     def test_member_samples_pass_the_screen_without_eigensolves(self, monkeypatch):
         counts = TestSparseMembershipEarlyExit.solved(monkeypatch)

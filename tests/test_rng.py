@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psdbounds._rng import normal_rows, substream
+from psdbounds import _rng
+from psdbounds._rng import _floyd_rows, k_subsets, normal_rows, substream
 
 
 def philox_stream(seed, lane):
@@ -94,3 +95,88 @@ class TestNormalRows:
         assert got.shape == (rows, width)
         for lane, row in enumerate(got, start):
             assert row.tobytes() == substream(seed, lane).standard_normal(width).tobytes()
+
+
+def choice_loop(rng, n, k, count):
+    """The rows k_subsets promises, drawn by the installed numpy's rng.choice."""
+    return np.array([np.sort(rng.choice(n, size=k, replace=False)) for _ in range(count)]).reshape(count, k)
+
+
+def plain(state):
+    """A bit generator state with its arrays as lists, for ==."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def stream_pair(seed, cached):
+    """Two generators on the same (seed, 0) stream; with cached, each has
+    drawn one 32-bit word and holds the other half of its output."""
+    pair = substream(seed), substream(seed)
+    for g in pair:
+        g.integers(0, 2**32, cached, dtype=np.uint32)
+    assert pair[0].bit_generator.state["has_uint32"] == cached
+    return pair
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    """The (n, k, count) of every batch k_subsets leaves to rng.choice."""
+    calls = []
+    loop = _rng._choice_rows
+
+    def recording(rng, n, k, count):
+        calls.append((n, k, count))
+        return loop(rng, n, k, count)
+
+    monkeypatch.setattr(_rng, "_choice_rows", recording)
+    return calls
+
+
+class TestKSubsets:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        nk=st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        count=st.integers(1, 300),
+        seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        cached=st.sampled_from([0, 1]),
+    )
+    @example(nk=(1, 1), count=3, seed=0, cached=1)  # draws no word
+    @example(nk=(2, 1), count=1, seed=0, cached=1)  # the cached half is the batch
+    @example(nk=(9, 9), count=7, seed=2**64 - 1, cached=0)  # k = n: j = 0 draws no word
+    @example(nk=(40, 11), count=300, seed=2**64 - 1, cached=1)
+    def test_equals_the_choice_loop_and_its_final_state(self, nk, count, seed, cached):
+        n, k = nk
+        ours, ref = stream_pair(seed, cached)
+        got = k_subsets(ours, n, k, count)
+        assert got.dtype == np.intp and got.shape == (count, k)
+        assert np.array_equal(got, choice_loop(ref, n, k, count))
+        assert plain(ours.bit_generator.state) == plain(ref.bit_generator.state)
+
+    @pytest.mark.parametrize("n, k", [(40, 11), (20, 20), (60, 1)])
+    def test_floyd_sizes_draw_without_rng_choice(self, n, k, fallback_calls):
+        ours, ref = stream_pair(12345, 1)
+        assert np.array_equal(k_subsets(ours, n, k, 1024), choice_loop(ref, n, k, 1024))
+        assert fallback_calls == []
+
+    def test_a_rejected_word_hands_the_batch_to_rng_choice(self, fallback_calls):
+        # found by search: seed 6's first 1024 samples at (10000, 100) hold a
+        # Lemire rejection (about one sample in 8,600 does)
+        ours, ref = stream_pair(6, 0)
+        before = plain(ours.bit_generator.state)
+        assert _floyd_rows(ours, 10_000, 100, 1024) is None
+        assert plain(ours.bit_generator.state) == before
+        assert np.array_equal(k_subsets(ours, 10_000, 100, 1024), choice_loop(ref, 10_000, 100, 1024))
+        assert plain(ours.bit_generator.state) == plain(ref.bit_generator.state)
+        assert fallback_calls == [(10_000, 100, 1024)]
+
+    @pytest.mark.parametrize("k, floyd", [(200, True), (201, False)])
+    def test_numpy_leaves_floyd_past_n_10000_and_k_n_over_50(self, k, floyd, fallback_calls):
+        n = 10_001
+        a, ref = stream_pair(7, 1)
+        want = choice_loop(ref, n, k, 20)
+        assert np.array_equal(_floyd_rows(a, n, k, 20), want) == floyd
+        ours, _ = stream_pair(7, 1)
+        assert np.array_equal(k_subsets(ours, n, k, 20), want)
+        assert plain(ours.bit_generator.state) == plain(ref.bit_generator.state)
+        assert fallback_calls == ([] if floyd else [(n, k, 20)])
