@@ -22,6 +22,7 @@ from .errors import (
     InvalidDimensionError,
 )
 from .linalg import SymmetricMatrix, psd_tolerance, require_finite
+from .linalg import _dumps_v1, _loads_v1, _read_text, _write_text
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -247,6 +248,25 @@ def principal_submatrices(dense: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return dense[idx[:, :, None], idx[:, None, :]]
 
 
+def _first_violation(dense: np.ndarray, chunks, tol: float, first: int) -> bool:
+    """True at the first slice of subsets holding one whose block's smallest
+    eigenvalue, as eigvalsh computes it, is below -tol.
+
+    Each chunk of subsets is scanned in slices of first, 2 first, 4 first,
+    ... rows; the rows of a slice the LDL screen cannot clear go to eigvalsh
+    in one call.  Chunks are drawn only as far as the scan gets.
+    """
+    for idx in chunks:
+        start, step = 0, first
+        while start < len(idx):
+            block = unscreened(dense, idx[start : start + step], tol)
+            if block.size and np.linalg.eigvalsh(principal_submatrices(dense, block))[:, 0].min() < -tol:
+                return True
+            start += step
+            step *= 2
+    return False
+
+
 def sparse_kpsd_member(
     X: SymmetricMatrix,
     k: int,
@@ -271,16 +291,7 @@ def sparse_kpsd_member(
     require_finite(X)
     tol = psd_tolerance(X, tol)
     check_enumeration(n, k, cap, "; use sparse_kpsd_refute for a randomized refutation")
-    dense = X.to_dense()
-    for idx in subset_chunks(n, k):
-        start, step = 0, 64
-        while start < len(idx):
-            block = unscreened(dense, idx[start : start + step], tol)
-            if block.size and np.linalg.eigvalsh(principal_submatrices(dense, block))[:, 0].min() < -tol:
-                return False
-            start += step
-            step *= 2
-    return True
+    return not _first_violation(X.to_dense(), subset_chunks(n, k), tol, 64)
 
 
 def sparse_kpsd_refute(
@@ -310,15 +321,8 @@ def sparse_kpsd_refute(
     tol = psd_tolerance(X, tol)
     dense = X.to_dense()
     rng = substream(check_seed(seed))
-    batch = 1024
-    done = 0
-    while done < samples:
-        take = min(batch, samples - done)
-        idx = unscreened(dense, k_subsets(rng, n, k, take), tol)
-        if idx.size and np.linalg.eigvalsh(principal_submatrices(dense, idx))[:, 0].min() < -tol:
-            return True
-        done += take
-    return False
+    batches = (k_subsets(rng, n, k, min(1024, samples - done)) for done in range(0, samples, 1024))
+    return _first_violation(dense, batches, tol, 1024)
 
 
 def general_kpsd_member(X: SymmetricMatrix, family: ConeFamily, tol: float | None = None) -> bool:
@@ -397,29 +401,23 @@ def sample_factor_width_extreme(n: int, k: int, seed: int) -> SymmetricMatrix:
 
 # -- conefam v1 text format ---------------------------------------------------
 #
-# Header line: "n k N".  Then N blocks of n rows, k floats per row (row-major
-# basis columns), 17 significant digits.
+# The v1 convention of linalg, with header "n k N" and then N blocks of n
+# rows, k floats per row (row-major basis columns).
+
+
+def _conefam_size(n: int, k: int, count: int) -> int:
+    """n k N floats follow a conefam header "n k N" that passes its checks."""
+    _check_nk(n, k)
+    if count < 1:
+        raise InvalidArgumentError(f"a cone family needs at least one basis, got N={count}")
+    return n * k * count
 
 
 def write_conefam(family: ConeFamily, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{family.ambient_dim} {family.rank} {len(family)}\n")
-        for basis in family.bases:
-            for row in basis.columns:
-                fh.write(" ".join(format(v, ".17g") for v in row))
-                fh.write("\n")
+    rows = (row for basis in family.bases for row in basis.columns)
+    _write_text(path, _dumps_v1((family.ambient_dim, family.rank, len(family)), rows))
 
 
 def read_conefam(path: str | os.PathLike) -> ConeFamily:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise ValueError("conefam payload too short")
-    n, k, count = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    values = np.array([float(v) for v in tokens[3:]])
-    if values.size != n * k * count:
-        raise ValueError(
-            f"expected {n * k * count} floats for n={n} k={k} N={count}, got {values.size}"
-        )
-    blocks = values.reshape(count, n, k)
-    return ConeFamily(n, tuple(SubspaceBasis(n, k, block) for block in blocks))
+    (n, k, count), values = _loads_v1(_read_text(path), "conefam", 3, _conefam_size)
+    return ConeFamily(n, tuple(SubspaceBasis(n, k, block) for block in values.reshape(count, n, k)))

@@ -23,6 +23,7 @@ from .errors import (
     SizeLimitError,
 )
 from .linalg import SymmetricMatrix, gaussian_sym_batch
+from .linalg import _dumps_v1, _loads_v1, _read_text, _write_text
 
 # Not called in this module; kept as module attributes because the
 # benchmark's tracer (perfbench/tracing.py) wraps them by name here.
@@ -79,9 +80,12 @@ def _trial_stacks(n: int, trials: int, seed: int, width: int):
         yield first, normal_rows(seed, first, min(first + step, trials), width)
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int) -> int:
+    """2^n, the table size of a function of n bits; SizeLimitError unless
+    1 <= n <= MAX_TRANSFORM_BITS."""
     if not 1 <= n <= MAX_TRANSFORM_BITS:
         raise SizeLimitError(f"need 1 <= n <= {MAX_TRANSFORM_BITS}, got {n}")
+    return 1 << n
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
@@ -101,11 +105,11 @@ class HypercubeFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_n(self.n)
+        size = _check_n(self.n)
         values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (1 << self.n,):
+        if values.shape != (size,):
             raise InvalidArgumentError(
-                f"need exactly 2^{self.n} = {1 << self.n} values, got shape {values.shape}"
+                f"need exactly 2^{self.n} = {size} values, got shape {values.shape}"
             )
         if not np.isfinite(values).all():
             raise InvalidArgumentError("hypercube function values must be finite")
@@ -125,9 +129,9 @@ class FourierExpansion:
     coefficients: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_n(self.n)
+        size = _check_n(self.n)
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.shape != (1 << self.n,):
+        if coeffs.shape != (size,):
             raise InvalidArgumentError(
                 f"need exactly 2^{self.n} coefficients, got shape {coeffs.shape}"
             )
@@ -482,25 +486,15 @@ def threshold_split(
 
 # -- hfun v1 text format --------------------------------------------------------
 #
-# Header line: n.  Then 2^n floats in vertex-index order, 17 significant digits.
+# The v1 convention of linalg, with header "n" and then 2^n floats in
+# vertex-index order, 8 per row.
 
 
 def write_hfun(f: HypercubeFunction, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{f.n}\n")
-        for start in range(0, f.values.size, 8):
-            row = f.values[start : start + 8]
-            fh.write(" ".join(format(v, ".17g") for v in row))
-            fh.write("\n")
+    rows = (f.values[start : start + 8] for start in range(0, f.values.size, 8))
+    _write_text(path, _dumps_v1((f.n,), rows))
 
 
 def read_hfun(path) -> HypercubeFunction:
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError("empty hfun payload")
-    n = int(tokens[0])
-    values = [float(v) for v in tokens[1:]]
-    if len(values) != (1 << n):
-        raise ValueError(f"expected {1 << n} values for n={n}, got {len(values)}")
-    return HypercubeFunction(n, np.array(values))
+    (n,), values = _loads_v1(_read_text(path), "hfun", 1, _check_n)
+    return HypercubeFunction(n, values)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -45,6 +44,10 @@ __all__ = [
 
 
 def _packed_size(n: int) -> int:
+    """n(n+1)/2, the packed length of an n-by-n matrix; InvalidDimensionError
+    for n < 1."""
+    if n < 1:
+        raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
     return n * (n + 1) // 2
 
 
@@ -93,12 +96,11 @@ class SymmetricMatrix:
     packed: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidDimensionError(f"dimension must be >= 1, got {self.dim}")
+        size = _packed_size(self.dim)
         packed = np.asarray(self.packed, dtype=np.float64)
-        if packed.shape != (_packed_size(self.dim),):
+        if packed.shape != (size,):
             raise InvalidDimensionError(
-                f"packed storage must have length n(n+1)/2 = {_packed_size(self.dim)}, "
+                f"packed storage must have length n(n+1)/2 = {size}, "
                 f"got shape {packed.shape}"
             )
         packed = packed.copy()
@@ -125,10 +127,11 @@ class SymmetricMatrix:
         return float(self.packed[i * self.dim - i * (i - 1) // 2 + (j - i)])
 
     def trace(self) -> float:
-        return float(self.packed[_layout(self.dim).diag].sum())
+        return float(_diagonal_sums(self.packed[_layout(self.dim).diag][None])[0])
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.to_dense()))
+        scale, norm = _frobenius_parts(self.to_dense())
+        return scale * norm
 
     def fingerprint(self) -> str:
         """Short content hash, used in error messages."""
@@ -143,8 +146,6 @@ def gaussian_sym(n: int, rng: np.random.Generator) -> SymmetricMatrix:
     packed upper triangle is filled row-major in a single draw, so the result
     is a deterministic function of the generator state.
     """
-    if n < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
     packed = rng.standard_normal(_packed_size(n))
     packed /= _layout(n).divisor  # x / 1.0 is exactly x
     return SymmetricMatrix(n, packed)
@@ -161,8 +162,6 @@ def gaussian_sym_batch(
     substream, so a trial's matrix does not depend on the window it is
     drawn in.
     """
-    if n < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
     packed = normal_rows(seed, start, stop, _packed_size(n))
     packed /= _layout(n).divisor
     mats = _unpack(packed, n)
@@ -244,87 +243,117 @@ def is_psd(M: SymmetricMatrix, tol: float | None = None) -> bool:
     return bool(eigenvalues_descending(M)[-1] >= -tol)
 
 
-def _trace_at_roundoff(t: float, dense: np.ndarray) -> bool:
-    n = dense.shape[0]
-    scale, norm = _frobenius_parts(dense)
-    return abs(t) <= 1e-13 * n * scale * norm
+def _diagonal_sums(diags: np.ndarray) -> np.ndarray:
+    """Row sums of a C-contiguous (T, n) stack of diagonals.  A row whose
+    plain sum overflows although its entries are finite is summed as
+    s * sum(d / s) with s = max|d|, so a representable trace stays finite;
+    every other row keeps the plain sum's bits."""
+    with np.errstate(over="ignore"):
+        sums = diags.sum(axis=1)
+        over = ~np.isfinite(sums) & np.isfinite(diags).all(axis=1)
+        if over.any():
+            scale = np.abs(diags[over]).max(axis=1)
+            sums[over] = scale * (diags[over] / scale[:, None]).sum(axis=1)
+    return sums
 
 
 def project_traceless(M: SymmetricMatrix) -> SymmetricMatrix:
     """M minus (trace(M)/n) * I.
 
     Traces already at roundoff level (<= 1e-13 * n * ||M||_F) are left
-    untouched, which makes the projection exactly idempotent.
+    untouched, which makes the projection exactly idempotent: M itself is
+    returned then.
     """
-    t = M.trace()
-    if _trace_at_roundoff(t, M.to_dense()):
+    mats = M.to_dense()[None]
+    if _project_traceless_stack(mats)[0]:
         return M
-    n = M.dim
-    packed = M.packed.copy()
-    packed[_layout(n).diag] -= t / n
-    return SymmetricMatrix(n, packed)
+    return SymmetricMatrix.from_dense(mats[0])
 
 
-def _project_traceless_stack(mats: np.ndarray) -> None:
-    """``project_traceless`` on each of the dense (T, n, n) ``mats``, in place.
+def _project_traceless_stack(mats: np.ndarray) -> np.ndarray:
+    """``project_traceless`` on each of the dense (T, n, n) ``mats``, in place;
+    returns which of them kept their trace.
 
     Each trace sums a contiguous copy of the diagonal, in the order
-    ``SymmetricMatrix.trace`` sums the packed one.  A Frobenius norm from one batched contraction settles the rows
-    whose trace is clearly above the roundoff threshold; the rest, normally
-    none, get the exact per-matrix test.
+    ``SymmetricMatrix.trace`` sums the packed one.  A Frobenius norm from
+    one batched contraction settles the rows whose trace is clearly above
+    the roundoff threshold; the rest, normally none, get the exact
+    per-matrix test.
     """
     n = mats.shape[-1]
-    traces = np.diagonal(mats, axis1=1, axis2=2).copy().sum(axis=1)
+    traces = _diagonal_sums(np.diagonal(mats, axis1=1, axis2=2).copy())
     with np.errstate(over="ignore"):  # an overflowing estimate sends the row to the exact test
         approx = np.sqrt(np.einsum("bij,bij->b", mats, mats))
     keep = np.abs(traces) <= 2e-13 * n * approx  # twice the threshold: margin for the estimate
     for b in np.flatnonzero(keep):
-        keep[b] = _trace_at_roundoff(float(traces[b]), mats[b])
+        scale, norm = _frobenius_parts(mats[b])
+        keep[b] = abs(float(traces[b])) <= 1e-13 * n * scale * norm
     shift = np.where(keep, 0.0, traces / n)  # x - 0.0 is exactly x
     idx = np.arange(n)
     mats[:, idx, idx] -= shift[:, None]
+    return keep
 
 
-# -- symmat v1 text format ----------------------------------------------------
+# -- v1 text formats ------------------------------------------------------------
 #
-# First line: n.  Then n(n+1)/2 whitespace-separated floats in row-major
-# upper-triangle order.  17 significant digits, so float64 values round-trip
-# bit-exactly.
+# symmat, conefam and hfun files share one convention: ASCII text, a header
+# line of integers, then rows of floats separated by single spaces, each row
+# ending in "\n".  Floats are written with 17 significant digits, so float64
+# values round-trip bit-exactly, and are read back with Python's float().
+#
+# symmat v1: header "n", then the n rows of the packed upper triangle.
+
+
+def _dumps_v1(header: tuple[int, ...], rows) -> str:
+    """The v1 text of a header and an iterable of float rows."""
+    lines = [" ".join(map(str, header))]
+    lines += [" ".join(format(v, ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _loads_v1(text: str, kind: str, width: int, count) -> tuple[tuple[int, ...], np.ndarray]:
+    """The width header integers of a v1 text and the floats after them.
+
+    count(*header) checks the header, raising a ValueError subclass, and only
+    then works out how many floats follow it.  A bad header or float count
+    raises an error that names the header.
+    """
+    tokens = text.split()
+    head = f"{kind} header {' '.join(tokens[:width])!r}"
+    try:
+        if len(tokens) < width:
+            raise ValueError("the text ends inside the header")
+        header = tuple(int(t) for t in tokens[:width])
+        expected = count(*header)
+    except ValueError as exc:
+        raise type(exc)(f"{head}: {exc}") from None
+    if len(tokens) - width != expected:
+        raise ValueError(f"{head}: expected {expected} floats, got {len(tokens) - width}")
+    return header, np.array([float(v) for v in tokens[width:]])
+
+
+def _write_text(path: str | os.PathLike, text: str) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
+
+
+def _read_text(path: str | os.PathLike) -> str:
+    with open(path, "r", encoding="ascii") as fh:
+        return fh.read()
 
 
 def dumps_symmat(M: SymmetricMatrix) -> str:
-    buf = io.StringIO()
-    buf.write(f"{M.dim}\n")
-    pos = 0
-    for i in range(M.dim):
-        row_len = M.dim - i
-        row = M.packed[pos : pos + row_len]
-        buf.write(" ".join(format(v, ".17g") for v in row))
-        buf.write("\n")
-        pos += row_len
-    return buf.getvalue()
+    return _dumps_v1((M.dim,), np.split(M.packed, np.cumsum(np.arange(M.dim, 1, -1))))
 
 
 def loads_symmat(text: str) -> SymmetricMatrix:
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty symmat payload")
-    n = int(tokens[0])
-    if n < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
-    values = tokens[1:]
-    if len(values) != _packed_size(n):
-        raise ValueError(
-            f"expected {_packed_size(n)} entries for n={n}, got {len(values)}"
-        )
-    return SymmetricMatrix(n, np.array([float(v) for v in values]))
+    (n,), values = _loads_v1(text, "symmat", 1, _packed_size)
+    return SymmetricMatrix(n, values)
 
 
 def write_symmat(M: SymmetricMatrix, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dumps_symmat(M))
+    _write_text(path, dumps_symmat(M))
 
 
 def read_symmat(path: str | os.PathLike) -> SymmetricMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_symmat(fh.read())
+    return loads_symmat(_read_text(path))

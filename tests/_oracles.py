@@ -290,6 +290,28 @@ def reference_general_dual(stacked: np.ndarray, trials: int, seed: int) -> np.nd
     return values
 
 
+def reference_project_traceless(dense: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The traceless projection of one finite matrix whose diagonal sum does
+    not overflow, by the per-matrix rule: M - (tr M / n) I unless
+    |tr M| <= 1e-13 n ||M||_F.  The trace is the plain sum of a contiguous
+    copy of the diagonal, and the norm is np.linalg.norm, taken as
+    s * ||M / s||_F with s = max|M| when it overflows.  Returns the result
+    and whether the trace was kept."""
+    n = dense.shape[0]
+    trace = float(dense.diagonal().copy().sum())
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(dense))
+    scale = 1.0
+    if norm == math.inf:
+        scale = float(np.abs(dense).max())
+        norm = float(np.linalg.norm(dense / scale))
+    out = dense.copy()
+    kept = abs(trace) <= 1e-13 * n * scale * norm
+    if not kept:
+        out[np.diag_indices(n)] -= trace / n
+    return out, kept
+
+
 def reference_wht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of one table, level by level
     with copied halves: sum_v f(v) * chi_S(v) for every mask S."""

