@@ -82,7 +82,12 @@ def parse_grid(raw: str) -> list[float]:
     parts = raw.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:steps, got {raw!r}")
-    start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(
+            f"--grid needs numbers start:stop and an integer step count, got {raw!r}"
+        ) from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid ends must be finite, got {raw!r}")
     if steps < 1:

@@ -133,8 +133,11 @@ def check_enumeration(n: int, k: int, cap: int, advice: str = "") -> None:
         raise EnumerationLimitError(f"C({n},{k}) = {count} subsets exceed the cap {cap}{advice}")
 
 
-def _screen_pd(flat: np.ndarray, idx: np.ndarray, n: int, k: int, shift: float) -> np.ndarray:
-    """Vectorized check that Y_I + shift*I is positive definite, per subset.
+def _screen_pd(
+    flat: np.ndarray, idx: np.ndarray, n: int, k: int, shift: float | np.ndarray
+) -> np.ndarray:
+    """Vectorized check that Y_I + shift*I is positive definite, per subset;
+    shift is a float or one float per subset.
 
     Up-looking LDL on a (k, k, batch) layout; a lane passes iff every pivot is
     strictly positive.  Much cheaper than one eigendecomposition per subset.
@@ -163,9 +166,10 @@ def _screen_pd(flat: np.ndarray, idx: np.ndarray, n: int, k: int, shift: float) 
     return ok
 
 
-def _screen_shift(scale: float, k: int, c: float) -> float:
+def _screen_shift(scale: float, k: int, c: float | np.ndarray) -> float | np.ndarray:
     """Diagonal shift c - margin for the LDL screen of k-subsets of a matrix Y
-    with scale = max|Y|, margin = 64 k^2 (eps (scale + |c|) + eta).
+    with scale = max|Y|, margin = 64 k^2 (eps (scale + |c|) + eta); c is a
+    float or one float per subset, and the shift has its shape.
 
     A subset S passes when the screen's LDL factorization of Y_S + shift*I
     ends with every pivot positive.  The margin makes that certify computed
@@ -187,29 +191,45 @@ def _screen_shift(scale: float, k: int, c: float) -> float:
       smallest eigenvalue eigvalsh computes for Y_S, and minus the largest
       it computes for -Y_S, are both above -c.
 
-    The arithmetic is on Python floats, so no FP warning escapes.  When c or
-    scale is infinite the margin is infinite and the shift is -inf or NaN;
-    then no pivot is positive and every subset fails, which is safe.
+    The arithmetic runs under np.errstate, so no FP warning escapes.  When c
+    or scale is infinite, or scale + |c| overflows, the margin is infinite
+    and the shift is -inf or NaN; then no pivot is positive and every subset
+    it applies to fails, which is safe.
     """
     eps = float(np.finfo(np.float64).eps)
     eta = float(np.finfo(np.float64).smallest_subnormal)
-    return c - 64.0 * k * k * (eps * (scale + abs(c)) + eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return c - 64.0 * k * k * (eps * (scale + abs(c)) + eta)
 
 
-def unscreened(Y: np.ndarray, idx: np.ndarray, c: float) -> np.ndarray:
-    """The rows S of idx the LDL screen cannot clear at c.
+def screen_clears(Y: np.ndarray, idx: np.ndarray, c: float | np.ndarray) -> np.ndarray:
+    """Which rows S of idx the LDL screen clears at c, a float or one float
+    per row.
 
-    Every row left out has a block Y_S whose smallest eigenvalue, as
-    eigvalsh computes it, is above -c; so is minus the largest eigenvalue
-    eigvalsh computes for -Y_S (see _screen_shift).  The one screen behind
-    membership (Y = X, c = tol), refutation (the same) and the exhaustive
-    largest k-sparse eigenvalue (Y = -X, c = the best value so far).  The
-    screen treats each row on its own, so how idx is sliced changes nothing.
+    Every cleared row has a block Y_S whose smallest eigenvalue, as eigvalsh
+    computes it, is above -c; so is minus the largest eigenvalue eigvalsh
+    computes for -Y_S (see _screen_shift).  The screen treats each row on
+    its own, so how idx is sliced changes nothing.
     """
     n, k = Y.shape[0], idx.shape[1]
     flat = np.ascontiguousarray(Y).ravel()
     shift = _screen_shift(float(np.abs(Y).max()), k, c)
-    return idx[~_screen_pd(flat, idx, n, k, shift)]
+    return _screen_pd(flat, idx, n, k, shift)
+
+
+def unscreened(Y: np.ndarray, idx: np.ndarray, c: float | np.ndarray) -> np.ndarray:
+    """The rows S of idx the LDL screen cannot clear at c (see screen_clears).
+
+    The one screen behind membership (Y = X, c = tol), refutation (the
+    same) and the largest k-sparse eigenvalue (Y = -X).  The exhaustive
+    search runs it at c = the best value so far.  The greedy swap ascent
+    takes the mask from screen_clears, each candidate at its own ascent's
+    move threshold c = value + 1e-12: a cleared swap has a computed lambda_1
+    below c, so it can neither start a move nor be the first best swap of
+    one.  That cuts the blocks width_dual_base_sparse(20, 4, 20, 1,
+    "greedy") solves from 39,772 to 15,995.
+    """
+    return idx[~screen_clears(Y, idx, c)]
 
 
 def subset_chunks(n: int, k: int, chunk: int = 32768):

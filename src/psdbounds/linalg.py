@@ -243,17 +243,19 @@ def is_psd(M: SymmetricMatrix, tol: float | None = None) -> bool:
     return bool(eigenvalues_descending(M)[-1] >= -tol)
 
 
-def _diagonal_sums(diags: np.ndarray) -> np.ndarray:
-    """Row sums of a C-contiguous (T, n) stack of diagonals.  A row whose
-    plain sum overflows although its entries are finite is summed as
-    s * sum(d / s) with s = max|d|, so a representable trace stays finite;
-    every other row keeps the plain sum's bits."""
+def _diagonal_sums(diags: np.ndarray, parts: int = 1) -> np.ndarray:
+    """Row sums of a C-contiguous (T, n) stack of diagonals, each divided by
+    parts.  A row whose plain sum overflows although its entries are finite
+    is taken as s * (sum(d / s) / parts) with s = max|d|, so a representable
+    result stays finite; every other row keeps the bits of the plain sum
+    divided by parts (x / 1 is exactly x)."""
     with np.errstate(over="ignore"):
         sums = diags.sum(axis=1)
         over = ~np.isfinite(sums) & np.isfinite(diags).all(axis=1)
+        sums /= parts
         if over.any():
             scale = np.abs(diags[over]).max(axis=1)
-            sums[over] = scale * (diags[over] / scale[:, None]).sum(axis=1)
+            sums[over] = scale * ((diags[over] / scale[:, None]).sum(axis=1) / parts)
     return sums
 
 
@@ -275,20 +277,23 @@ def _project_traceless_stack(mats: np.ndarray) -> np.ndarray:
     returns which of them kept their trace.
 
     Each trace sums a contiguous copy of the diagonal, in the order
-    ``SymmetricMatrix.trace`` sums the packed one.  A Frobenius norm from
+    ``SymmetricMatrix.trace`` sums the packed one, and the shift is that sum
+    divided by n; a row whose plain sum overflows takes both scaled, so a
+    trace past the float range still gives a finite shift.  A Frobenius norm from
     one batched contraction settles the rows whose trace is clearly above
     the roundoff threshold; the rest, normally none, get the exact
     per-matrix test.
     """
     n = mats.shape[-1]
-    traces = _diagonal_sums(np.diagonal(mats, axis1=1, axis2=2).copy())
+    diags = np.diagonal(mats, axis1=1, axis2=2).copy()
+    traces = _diagonal_sums(diags)
     with np.errstate(over="ignore"):  # an overflowing estimate sends the row to the exact test
         approx = np.sqrt(np.einsum("bij,bij->b", mats, mats))
     keep = np.abs(traces) <= 2e-13 * n * approx  # twice the threshold: margin for the estimate
     for b in np.flatnonzero(keep):
         scale, norm = _frobenius_parts(mats[b])
         keep[b] = abs(float(traces[b])) <= 1e-13 * n * scale * norm
-    shift = np.where(keep, 0.0, traces / n)  # x - 0.0 is exactly x
+    shift = np.where(keep, 0.0, _diagonal_sums(diags, n))  # x - 0.0 is exactly x
     idx = np.arange(n)
     mats[:, idx, idx] -= shift[:, None]
     return keep
@@ -315,8 +320,9 @@ def _loads_v1(text: str, kind: str, width: int, count) -> tuple[tuple[int, ...],
     """The width header integers of a v1 text and the floats after them.
 
     count(*header) checks the header, raising a ValueError subclass, and only
-    then works out how many floats follow it.  A bad header or float count
-    raises an error that names the header.
+    then works out how many floats follow it.  A bad header, a wrong float
+    count or a payload token float() rejects raises an error that names the
+    header; the last one also names the token and its 0-based position.
     """
     tokens = text.split()
     head = f"{kind} header {' '.join(tokens[:width])!r}"
@@ -329,7 +335,15 @@ def _loads_v1(text: str, kind: str, width: int, count) -> tuple[tuple[int, ...],
         raise type(exc)(f"{head}: {exc}") from None
     if len(tokens) - width != expected:
         raise ValueError(f"{head}: expected {expected} floats, got {len(tokens) - width}")
-    return header, np.array([float(v) for v in tokens[width:]])
+    values = []
+    for token in tokens[width:]:
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValueError(
+                f"{head}: payload float {len(values)} (0-based) is not a number: {token!r}"
+            ) from None
+    return header, np.array(values)
 
 
 def _write_text(path: str | os.PathLike, text: str) -> None:

@@ -25,6 +25,7 @@ from .cones import (
     ConeFamily,
     check_enumeration,
     principal_submatrices,
+    screen_clears,
     subset_chunks,
     unscreened,
 )
@@ -177,14 +178,21 @@ def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
 
     Each ascent starts from the largest eigenvalue of its start block and
     moves to the first best swap while that beats its value by more than
-    1e-12.  Every step solves, in one eigvalsh call, only the candidates no
-    ascent has met before; a dict keyed by the candidate's index bytes keeps
-    the rest, and eigvalsh solves each matrix of a stack on its own, so the
-    memo changes no value.
+    1e-12, that is, exceeds its threshold c = value + 1e-12.  Each step runs
+    the LDL screen on -dense over every candidate at its own ascent's c.  A
+    candidate the screen clears has a computed lambda_1 below c, so it can
+    neither trigger a move nor be the first maximum when one happens; it
+    counts as -inf.  eigvalsh solves, in one call, only the rejected
+    candidates no ascent has met before; a dict keyed by the candidate's
+    index bytes keeps the rest.  eigvalsh solves each matrix of a stack on
+    its own, so neither the screen nor the memo changes a value or a
+    tie-break.  The screen cuts the blocks width_dual_base_sparse(20, 4,
+    20, 1, "greedy") sends to eigvalsh from 39,772 to 15,995.
     """
     supports = np.array(supports, dtype=np.intp)
     k = supports.shape[1]
     n = dense.shape[0]
+    negated = -dense
     best = _lambda1_batch(dense, supports)
     memo: dict[bytes, float] = {}
     row_key = np.dtype((np.void, k * np.dtype(np.intp).itemsize))
@@ -192,15 +200,19 @@ def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
     while active.size:
         cands = _swap_neighbourhoods(supports[active], n)
         flat = cands.reshape(-1, k)
-        keys = flat.view(row_key).ravel().tolist()
+        bar = best[active] + 1e-12
+        live = ~screen_clears(negated, flat, bar.repeat(cands.shape[1]))
+        keys = flat[live].view(row_key).ravel().tolist()
         fresh = [key for key in dict.fromkeys(keys) if key not in memo]
         if fresh:
             rows = np.frombuffer(b"".join(fresh), dtype=np.intp).reshape(-1, k)
             memo.update(zip(fresh, _lambda1_batch(dense, rows).tolist()))
-        vals = np.array([memo[key] for key in keys]).reshape(cands.shape[:2])
+        vals = np.full(flat.shape[0], -math.inf)
+        vals[live] = [memo[key] for key in keys]
+        vals = vals.reshape(cands.shape[:2])
         top = vals.argmax(axis=1)
         top_vals = vals[np.arange(active.size), top]
-        moved = ~(top_vals <= best[active] + 1e-12)
+        moved = ~(top_vals <= bar)
         best[active[moved]] = top_vals[moved]
         supports[active[moved]] = cands[moved, top[moved]]
         active = active[moved]
@@ -210,14 +222,19 @@ def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
 def _grown_support(dense: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     """A k-support grown from the best single coordinate, one coordinate at
     a time, each the first that maximizes the largest eigenvalue; returned
-    with that eigenvalue."""
+    with that eigenvalue.  The candidates of a step are the support plus
+    each outside index in increasing order, each row sorted."""
     n = dense.shape[0]
     diag = np.diag(dense)
+    inside = np.zeros(n, dtype=bool)
     support = np.array([np.argmax(diag)])
     value = float(diag[support[0]])
     while support.size < k:
-        outside = np.setdiff1d(np.arange(n), support)
-        cands = np.sort(np.column_stack([np.tile(support, (outside.size, 1)), outside]), axis=1)
+        inside[support] = True
+        cands = np.empty((n - support.size, support.size + 1), dtype=np.intp)
+        cands[:, :-1] = support
+        cands[:, -1] = np.flatnonzero(~inside)
+        cands.sort(axis=1)
         values = _lambda1_batch(dense, cands)
         top = values.argmax()
         support, value = cands[top], float(values[top])
@@ -269,7 +286,13 @@ def k_sparse_largest_eigenvalue(
     More than cap subsets raise EnumerationLimitError.  Greedy mode returns a
     lower bound from local swap ascent (best-single-coordinate start plus 20
     random restarts from a fixed internal stream; deterministic given G, k).
-    Non-finite entries raise NumericalFailureError.
+    Each ascent step solves only the swaps the same screen, run on -G at
+    that ascent's move threshold (its value + 1e-12), cannot clear; a
+    cleared swap has a computed value below the threshold, so it cannot be
+    the move, and the result is bit for bit that of solving every swap
+    (width_dual_base_sparse(20, 4, 20, 1, "greedy") solves 15,995 blocks
+    with the screen, 39,772 without).  Non-finite entries raise
+    NumericalFailureError.
     """
     n = G.dim
     if not 1 <= k <= n:

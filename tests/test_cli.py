@@ -570,6 +570,8 @@ class TestErrorContract:
             (["widths", "estimate", "--kind", "base-psd", "--trials", "10"], "--n"),
             (["bounds", "eval", "--formula", "zeta", "--params", "delta=abc"], "'delta'"),
             (["bounds", "curve", "--formula", "psi", "--grid", "0:1"], "start:stop:steps"),
+            (["bounds", "curve", "--formula", "psi", "--grid", "0.1:x:3"], "--grid"),
+            (["figures", "--name", "delta-star", "--grid", "0:1:2.5"], "'0:1:2.5'"),
             (["bounds", "eval"], "--formula"),
             (["hypercube", "verify", "--lemma", "variance", "--trials", "0"], "2 trials"),
             (["bounds", "eval", "--formula", "zeta", "--params", "delta=0.2", "--format", "csv"],
@@ -597,7 +599,8 @@ class TestErrorContract:
             (["widths", "estimate", "--kind", "oracle:l1-ball", "--n", "-2", "--trials", "5"],
              "dimension must be >= 1"),
         ],
-        ids=["missing-n", "non-numeric-param", "bad-grid", "parser-error", "variance-trials",
+        ids=["missing-n", "non-numeric-param", "bad-grid", "grid-not-a-number",
+             "grid-steps-not-an-integer", "parser-error", "variance-trials",
              "eval-csv", "curve-json", "witness-csv", "harmonic-trials",
              "hypercontractivity-trials", "maximal-trials", "hypercontractivity-n",
              "radius-not-a-number", "negative-radius",

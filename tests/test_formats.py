@@ -158,11 +158,38 @@ def test_malformed_input_is_rejected_naming_the_header(name, header, payload, tm
     assert str(info.value).startswith(f"{name} header {header!r}: ")
 
 
+NOT_A_NUMBER = [
+    ("symmat", "2", "1 abc 3\n", 1, "abc"),
+    ("symmat", "1", "0x1p3\n", 0, "0x1p3"),
+    ("conefam", "2 1 1", "1\n--0\n", 1, "--0"),
+    ("hfun", "2", "1 2 3 1,5\n", 3, "1,5"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, header, payload, position, token",
+    NOT_A_NUMBER,
+    ids=[f"{n}:{h}:{t}" for n, h, _, _, t in NOT_A_NUMBER],
+)
+def test_payload_token_that_is_not_a_number_is_named_with_its_position(
+    name, header, payload, position, token, tmp_path
+):
+    path = tmp_path / f"bad.{name}"
+    path.write_text(f"{header}\n{payload}")
+    with pytest.raises(ValueError) as info:
+        READERS[name](path)
+    assert str(info.value) == (
+        f"{name} header {header!r}: payload float {position} (0-based) is not a number: {token!r}"
+    )
+
+
 @pytest.mark.parametrize(
     "matrix, family",
     [("3\n1 0 0\n1 0\n", "3 1 1\n1\n0\n0\n"), ("0\n", "3 1 1\n1\n0\n0\n"),
-     ("1\n1\n", "-1 -1 1\n1\n"), ("1\n1\n", "1 1 1\n1\n2\n")],
-    ids=["short-symmat", "bad-symmat-header", "bad-conefam-header", "long-conefam"],
+     ("1\n1\n", "-1 -1 1\n1\n"), ("1\n1\n", "1 1 1\n1\n2\n"),
+     ("2\n1 abc 3\n", "2 1 1\n1\n0\n"), ("2\n1 0 1\n", "2 1 1\n1\nzero\n")],
+    ids=["short-symmat", "bad-symmat-header", "bad-conefam-header", "long-conefam",
+         "symmat-token", "conefam-token"],
 )
 def test_cli_exits_2_with_one_json_line(matrix, family, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

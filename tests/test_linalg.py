@@ -312,6 +312,18 @@ class TestProjectTraceless:
         assert np.array_equal(out.to_dense(), np.diag([1e308 - shift, 1e308 - shift, -1e308 - shift]))
         assert project_traceless(out) is out
 
+    # the trace, 3e308, is past the float range, but the shift 1e308 is not
+    def test_trace_beyond_the_float_range_projects_to_zero(self):
+        M = diag(1e308, 1e308, 1e308)
+        assert M.trace() == math.inf
+        assert np.array_equal(project_traceless(M).to_dense(), np.zeros((3, 3)))
+        # in a stack, beside a row whose scaled sum 2.5 * 2^1023 is exact
+        h = 2.0**1023
+        mats = np.stack([np.diag([1e308, 1e308, 1e308, 0.0]), np.diag([h, h, h / 2, 0.0])])
+        _project_traceless_stack(mats)
+        assert np.array_equal(mats[0], np.diag([0.25e308, 0.25e308, 0.25e308, -0.75e308]))
+        assert np.array_equal(mats[1], np.diag([0.375 * h, 0.375 * h, -0.125 * h, -0.625 * h]))
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(dense=scaled_matrices())
     @example(dense=np.diag([1.0, -1.0, 4.24e-13]))

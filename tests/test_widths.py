@@ -169,6 +169,29 @@ class TestGreedyAgainstReference:
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(reference_greedy_k_sparse(dense, k)).tobytes()
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        shape=st.integers(3, 16).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1))),
+        kind=st.sampled_from(["gaussian", "integer", "signed graph", "blocks"]),
+        scale=st.one_of(
+            st.integers(-300, 300).map(lambda e: 10.0**e), st.sampled_from([1e-310, 1e-320])
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(12, 4), kind="gaussian", scale=1e300, seed=0)
+    @example(shape=(12, 4), kind="gaussian", scale=1e-300, seed=0)
+    @example(shape=(9, 3), kind="gaussian", scale=1e-310, seed=1)  # subnormal entries
+    @example(shape=(9, 3), kind="integer", scale=1e-320, seed=2)
+    @example(shape=(14, 5), kind="signed graph", scale=1e-150, seed=203)
+    def test_bits_equal_reference_at_any_scale(self, shape, kind, scale, seed):
+        # the screen's threshold best + 1e-12 is far below an ulp of the
+        # values at 1e300, and far above them at 1e-300; the suite turns
+        # every RuntimeWarning into an error
+        n, k = shape
+        dense = tie_heavy_or_gaussian(kind, n, seed) * scale
+        got = widths._greedy_k_sparse(dense, k)
+        assert bits(got) == bits(reference_greedy_k_sparse(dense, k))
+
     @pytest.mark.parametrize("kind", ["gaussian", "blocks"])
     def test_bits_equal_reference_beyond_63_dimensions(self, kind):
         dense = tie_heavy_or_gaussian(kind, 70, 3)
@@ -190,6 +213,27 @@ class TestGreedyAgainstReference:
         assert widths._swap_ascents(dense, [[0, 1]]) == [0.0]
         assert reference_swap_ascent(dense, [0, 1]) == 0.0
 
+    def test_a_swap_one_ulp_past_the_threshold_moves(self):
+        # the {0, 2} block's lambda_1 is computed one ulp above 0 + 1e-12; the
+        # screen's LDL alone, without its margin, would clear it by rounding
+        dense = np.zeros((4, 4))
+        dense[0, 2] = dense[2, 0] = 1.1879262898402614e-12
+        dense[2, 2] = -4.111688700936489e-13
+        [got] = widths._swap_ascents(dense, [[0, 1]])
+        assert got == reference_swap_ascent(dense, [0, 1]) == 1.0000000000000002e-12
+
+    def test_each_ascent_screens_at_its_own_threshold(self):
+        # ascent 0 sits at lambda_1 = 10; ascent 1 starts at 0, and only the
+        # two swaps bringing in coordinate 2 gain, worth 1: at ascent 0's
+        # threshold the screen would clear both
+        dense = np.zeros((6, 6))
+        dense[4, 5] = dense[5, 4] = 10.0
+        dense[2, 2] = 1.0
+        starts = [[4, 5], [0, 1]]
+        got = widths._swap_ascents(dense, starts)
+        assert got == [reference_swap_ascent(dense, s) for s in starts]
+        assert got[1] == 1.0
+
     def test_solves_each_swap_candidate_once_per_matrix(self, monkeypatch):
         dense = tie_heavy_or_gaussian("gaussian", 12, 7)
         calls = []
@@ -206,6 +250,21 @@ class TestGreedyAgainstReference:
         assert len(calls[3]) == 21
         swaps = [tuple(row) for idx in calls[4:] for row in idx]
         assert swaps and len(swaps) == len(set(swaps))
+
+    def test_screen_keeps_most_swap_candidates_from_the_gather(self, monkeypatch):
+        # the memoized ascent without the screen, counted by making the
+        # screen clear nothing, against the screened one
+        dense = sample_standard_gaussian_sym(20, 5).to_dense()
+        gathered = []
+        gather = widths.principal_submatrices
+        counting = lambda d, idx: gathered.append(len(idx)) or gather(d, idx)
+        monkeypatch.setattr(widths, "principal_submatrices", counting)
+        screened_value = widths._greedy_k_sparse(dense, 4)
+        screened = sum(gathered)
+        gathered.clear()
+        monkeypatch.setattr(cones, "_screen_pd", lambda *args: np.zeros(len(args[1]), dtype=bool))
+        assert widths._greedy_k_sparse(dense, 4) == screened_value
+        assert screened < sum(gathered) / 2
 
 
 def exhaustive_case(kind, n, seed):
