@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -133,24 +134,19 @@ def check_enumeration(n: int, k: int, cap: int, advice: str = "") -> None:
         raise EnumerationLimitError(f"C({n},{k}) = {count} subsets exceed the cap {cap}{advice}")
 
 
-def _screen_pd(
-    flat: np.ndarray, idx: np.ndarray, n: int, k: int, shift: float | np.ndarray
-) -> np.ndarray:
-    """Vectorized check that Y_I + shift*I is positive definite, per subset;
-    shift is a float or one float per subset.
+def _ldl_positive(A: np.ndarray, shift: float | np.ndarray) -> np.ndarray:
+    """Which lanes of the (k, k, batch) stack A + shift*I are positive
+    definite, reading only A[a, b] for a <= b; shift is a float or one float
+    per lane.  A is overwritten.
 
-    Up-looking LDL on a (k, k, batch) layout; a lane passes iff every pivot is
-    strictly positive.  Much cheaper than one eigendecomposition per subset.
+    Up-looking LDL, one lane per matrix; a lane passes iff every pivot is
+    strictly positive.  Much cheaper than one eigendecomposition per matrix.
     """
-    batch = idx.shape[0]
-    A = np.empty((k, k, batch))
-    row_off = (idx * n).T
-    ok = np.ones(batch, dtype=bool)
-    tmp = np.empty(batch)
+    k = A.shape[0]
+    ok = np.ones(A.shape[2], dtype=bool)
+    tmp = np.empty(A.shape[2])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for a in range(k):
-            for b in range(a, k):
-                np.take(flat, row_off[a] + idx[:, b], out=A[a, b])
             A[a, a] += shift
         for j in range(k):
             d = A[j, j]
@@ -166,12 +162,34 @@ def _screen_pd(
     return ok
 
 
-def _screen_shift(scale: float, k: int, c: float | np.ndarray) -> float | np.ndarray:
-    """Diagonal shift c - margin for the LDL screen of k-subsets of a matrix Y
-    with scale = max|Y|, margin = 64 k^2 (eps (scale + |c|) + eta); c is a
-    float or one float per subset, and the shift has its shape.
+def _screen_pd(
+    flat: np.ndarray, idx: np.ndarray, n: int, k: int, shift: float | np.ndarray
+) -> np.ndarray:
+    """Vectorized check that Y_I + shift*I is positive definite, per subset I
+    of the (batch, k) rows idx of the n-by-n matrix Y raveled into flat;
+    shift is a float or one float per subset.  Gathers the upper triangles
+    into the (k, k, batch) layout of _ldl_positive.
+    """
+    A = np.empty((k, k, idx.shape[0]))
+    row_off = (idx * n).T
+    for a in range(k):
+        for b in range(a, k):
+            np.take(flat, row_off[a] + idx[:, b], out=A[a, b])
+    return _ldl_positive(A, shift)
 
-    A subset S passes when the screen's LDL factorization of Y_S + shift*I
+
+def _screen_shift(scale: float, k: int, c: float | np.ndarray) -> float | np.ndarray:
+    """Diagonal shift c - margin for the LDL screen of k-by-k blocks Y_S,
+    margin = 64 k^2 (eps (scale + |c|) + eta), where scale bounds every
+    entry the screen reads: max|Y| when the blocks are principal
+    submatrices of Y, max|block| over the whole stack when they are a stack
+    of blocks.  c is a float or one float per block, and the shift has its
+    shape.  The screen must read the triangle eigvalsh reads (the lower
+    one, which is the upper one for a principal submatrix of a symmetric
+    matrix; a stack computed as U^T G U is not bitwise symmetric), so Y_S
+    below is the symmetric block that triangle defines.
+
+    A block S passes when the screen's LDL factorization of Y_S + shift*I
     ends with every pivot positive.  The margin makes that certify computed
     smallest eigenvalues, for c of either sign:
 
@@ -217,17 +235,35 @@ def screen_clears(Y: np.ndarray, idx: np.ndarray, c: float | np.ndarray) -> np.n
     return _screen_pd(flat, idx, n, k, shift)
 
 
+def screen_clears_blocks(blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Which blocks B of the (M, k, k) stack blocks the LDL screen clears
+    below c, one float per block.
+
+    The screen runs on minus the lower triangle of each block, the triangle
+    eigvalsh reads, with scale = max|B| over the stack.  Every cleared block
+    has a largest eigenvalue, as eigvalsh computes it, below c (see
+    _screen_shift).  Each block is screened on its own, so how the stack is
+    sliced changes nothing but the margin.
+    """
+    k = blocks.shape[-1]
+    A = np.empty((k, k, len(blocks)))
+    np.negative(blocks.transpose(2, 1, 0), out=A)  # A[a, b] = -B[b, a]: the lower triangle at a <= b
+    return _ldl_positive(A, _screen_shift(float(np.abs(blocks).max()), k, c))
+
+
 def unscreened(Y: np.ndarray, idx: np.ndarray, c: float | np.ndarray) -> np.ndarray:
     """The rows S of idx the LDL screen cannot clear at c (see screen_clears).
 
     The one screen behind membership (Y = X, c = tol), refutation (the
-    same) and the largest k-sparse eigenvalue (Y = -X).  The exhaustive
-    search runs it at c = the best value so far.  The greedy swap ascent
-    takes the mask from screen_clears, each candidate at its own ascent's
-    move threshold c = value + 1e-12: a cleared swap has a computed lambda_1
-    below c, so it can neither start a move nor be the first best swap of
-    one.  That cuts the blocks width_dual_base_sparse(20, 4, 20, 1,
-    "greedy") solves from 39,772 to 15,995.
+    same) and the largest k-sparse eigenvalue (Y = -X); its LDL kernel also
+    screens the compressed blocks of the general dual width
+    (screen_clears_blocks).  The exhaustive search runs it at c = the best
+    value so far.  The greedy swap ascent takes the mask from screen_clears,
+    each candidate at its own ascent's move threshold c = value + 1e-12: a
+    cleared swap has a computed lambda_1 below c, so it can neither start a
+    move nor be the first best swap of one.  That cuts the blocks
+    width_dual_base_sparse(20, 4, 20, 1, "greedy") solves from 39,772 to
+    15,995.
     """
     return idx[~screen_clears(Y, idx, c)]
 
@@ -354,10 +390,26 @@ def general_kpsd_member(X: SymmetricMatrix, family: ConeFamily, tol: float | Non
         )
     require_finite(X)
     tol = psd_tolerance(X, tol)
-    dense = X.to_dense()
-    stacked = family.stacked()
-    compressed = np.einsum("uik,ij,ujl->ukl", stacked, dense, stacked, optimize=True)
+    compressed = compressor(family)(X.to_dense())
     return bool(np.linalg.eigvalsh(compressed)[:, 0].min() >= -tol)
+
+
+def compressor(family: ConeFamily) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from an n-by-n matrix G to the (N, k, k) stack of U^T G U,
+    one block per basis U of the family.
+
+    Each call replays the plan np.einsum("uik,ij,ujl->ukl", stacked, G,
+    stacked, optimize=True) runs, bit for bit: G^T times every basis side by
+    side, then one batched product of each basis with its slice of that.
+    The einsum re-parses its subscripts and re-plans on every call, which
+    costs more than the arithmetic for small families.  The transposed G
+    and the strided view are part of the plan: a contiguous copy of the
+    intermediate changes bits.
+    """
+    stacked = family.stacked()
+    count, n, k = stacked.shape
+    right = stacked.transpose(1, 0, 2).reshape(n, count * k)
+    return lambda G: np.matmul((G.T @ right).reshape(n, count, k).transpose(1, 2, 0), stacked)
 
 
 def g_abn(a: float, b: float, n: int) -> SymmetricMatrix:

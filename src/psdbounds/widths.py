@@ -24,8 +24,10 @@ from .cones import (
     DEFAULT_ENUMERATION_CAP,
     ConeFamily,
     check_enumeration,
+    compressor,
     principal_submatrices,
     screen_clears,
+    screen_clears_blocks,
     subset_chunks,
     unscreened,
 )
@@ -74,11 +76,22 @@ class WidthEstimate:
 
     @classmethod
     def from_values(cls, values: np.ndarray, seed: int, keep_values: bool = True) -> "WidthEstimate":
+        """Mean and standard error of values.  When the plain mean or standard
+        deviation leaves the float range, both are taken as s * (the moment
+        of values / s) with s = max|values|, the pattern of
+        linalg._frobenius_parts; finite values then give finite moments.
+        Ordinary values keep the plain moments' bits."""
         values = np.asarray(values, dtype=np.float64)
         trials = values.size
-        mean = float(values.mean())
-        std_error = float(values.std(ddof=1) / math.sqrt(trials))
-        return cls(mean, std_error, trials, seed, values if keep_values else None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(values.mean())
+            std = float(values.std(ddof=1))
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            scale = float(np.abs(values).max())
+            if 0.0 < scale < math.inf:
+                mean = scale * float((values / scale).mean())
+                std = scale * float((values / scale).std(ddof=1))
+        return cls(mean, std / math.sqrt(trials), trials, seed, values if keep_values else None)
 
 
 @dataclass(frozen=True)
@@ -339,6 +352,7 @@ def width_dual_base_sparse(
 
 
 _DUAL_STACK_BYTES = 1 << 24  # byte cap on the compressed matrices of one width_general_dual chunk
+_SCREEN_BLOCKS = 1024  # blocks per LDL screen call, to keep its working set small
 
 
 def width_general_dual(
@@ -349,20 +363,41 @@ def width_general_dual(
 ) -> WidthEstimate:
     """Width of the dual base of a general k-PSD relaxation: expected maximum
     over the family of the largest eigenvalue of U^T G U.
+
+    Each trial's N blocks U^T G U come from cones.compressor, bit for bit
+    the einsum "uik,ij,ujl->ukl" of each trial.  eigvalsh first solves, per
+    trial, the block holding the largest diagonal entry; its largest
+    eigenvalue c is attained.  For N > 1 the LDL screen then runs on minus
+    the lower triangle of the other blocks at c (cones.screen_clears_blocks)
+    and eigvalsh solves only the blocks it rejects.  A cleared block has a
+    computed largest eigenvalue below c, and eigvalsh solves each matrix of
+    a stack on its own, so every per-trial value is the bits of solving
+    every block.
     """
-    n = family.ambient_dim
-    stacked = family.stacked()
-    subscripts = "uik,ij,ujl->ukl"
-    # the path optimize=True would search on every trial, searched once
-    path = np.einsum_path(subscripts, stacked, np.empty((n, n)), stacked, optimize=True)[0]
+    n, count, k = family.ambient_dim, len(family), family.rank
+    compress = compressor(family)
 
     def per_stack(mats: np.ndarray) -> np.ndarray:
-        # one einsum per trial: a batched contraction is not bit-exact;
-        # one eigvalsh per stack: it solves each matrix on its own
-        compressed = np.stack([np.einsum(subscripts, stacked, G, stacked, optimize=path) for G in mats])
-        return np.linalg.eigvalsh(compressed)[..., -1].max(axis=1)
+        # one contraction per trial: a batched contraction is not bit-exact
+        blocks = np.stack([compress(G) for G in mats])
+        rows = np.arange(len(mats))
+        seeds = blocks.diagonal(axis1=2, axis2=3).reshape(len(mats), count * k).argmax(axis=1) // k
+        best = np.linalg.eigvalsh(blocks[rows, seeds])[:, -1]
+        if count == 1:
+            return best
+        live = np.ones((len(mats), count), dtype=bool)
+        step = max(1, _SCREEN_BLOCKS // count)
+        for start in range(0, len(mats), step):
+            part = slice(start, start + step)
+            cleared = screen_clears_blocks(blocks[part].reshape(-1, k, k), best[part].repeat(count))
+            live[part] = ~cleared.reshape(-1, count)
+        live[rows, seeds] = False
+        trial, block = np.nonzero(live)
+        if trial.size:
+            np.maximum.at(best, trial, np.linalg.eigvalsh(blocks[trial, block])[:, -1])
+        return best
 
-    chunk = min(_TRIAL_CHUNK, max(1, _DUAL_STACK_BYTES // (len(family) * family.rank**2 * 8)))
+    chunk = min(_TRIAL_CHUNK, max(1, _DUAL_STACK_BYTES // (count * k * k * 8)))
     return _matrix_trials(n, trials, seed, keep_values, per_stack, chunk)
 
 
@@ -421,8 +456,8 @@ def concentration_check(
     width, reported with the Gaussian concentration bound exp(-alpha^2/4pi).
     The oracle's set must contain the origin.
     """
-    if alpha < 0:
-        raise InvalidArgumentError(f"alpha must be nonnegative, got {alpha}")
+    if not isinstance(alpha, numbers.Real) or not alpha >= 0:
+        raise InvalidArgumentError(f"alpha must be a nonnegative number, got {alpha!r}")
     _check_trials(trials)
     values = _oracle_values(oracle, trials, seed)
     estimate = WidthEstimate.from_values(values, seed, keep_values=False)
@@ -452,6 +487,48 @@ def base_psd_width_ratio(n: int, trials: int, seed: int) -> float:
 # -- built-in oracles ----------------------------------------------------------
 
 
+_PAIRWISE_BLOCK = 128  # numpy's pairwise sum splits rows longer than this
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=1) of a 2-D float array, bit for bit.
+
+    numpy sums each row pairwise with its own inner loop, which costs more
+    than the arithmetic when rows are short.  Up to _PAIRWISE_BLOCK columns
+    _pairwise_columns replays that order on whole columns, and numpy adds
+    the row sum to 0.0; wider blocks go to x.sum.
+    """
+    if x.shape[1] > _PAIRWISE_BLOCK:
+        return x.sum(axis=1)
+    return 0.0 + _pairwise_columns(x)
+
+
+def _pairwise_columns(x: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of every row of x, at most _PAIRWISE_BLOCK
+    columns, one column operation at a time: below 8 terms in order;
+    otherwise in 8 accumulators, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in order."""
+    n = x.shape[1]
+    if n < 8:
+        total = x[:, 0].copy()
+        for j in range(1, n):
+            total += x[:, j]
+        return total
+    tail = n - n % 8
+    r = x[:, :8].copy()
+    for i in range(8, tail, 8):
+        r += x[:, i : i + 8]
+    total = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
+    for j in range(tail, n):
+        total += x[:, j]
+    return total
+
+
+# With the largest semi-axis s between these bounds, no (s g)^2 overflows for a
+# Gaussian g, and the squares that underflow are negligible next to their sum.
+_PLAIN_AXES = (2.0**-300, 2.0**300)
+
+
 def _check_ball(dim: int, radius: float) -> None:
     if dim < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
@@ -462,28 +539,46 @@ def _check_ball(dim: int, radius: float) -> None:
 
 
 def l2_ball_oracle(dim: int, radius: float = 1.0) -> SupportOracle:
+    """Support function radius * ||g|| of the centered Euclidean ball.
+
+    The radius scales the norm of g itself, so no square leaves the float
+    range on its account.  evaluate_batch sums squares with _row_sums, bit
+    for bit np.linalg.norm(dirs, axis=1).
+    """
     _check_ball(dim, radius)
     return SupportOracle(
         dim=dim,
         evaluate=lambda g: radius * float(np.linalg.norm(g)),
-        evaluate_batch=lambda dirs: radius * np.linalg.norm(dirs, axis=1),
+        evaluate_batch=lambda dirs: radius * np.sqrt(_row_sums(dirs * dirs)),
         label=f"l2-ball(d={dim}, r={radius:g})",
     )
 
 
 def ellipsoid_oracle(semi_axes) -> SupportOracle:
+    """Support function ||a o g|| of the centered ellipsoid with semi-axes a.
+
+    When the largest semi-axis s lies outside _PLAIN_AXES, a square could
+    overflow or underflow, so the value is s * ||(a / s) o g||; otherwise
+    it is the plain norm, with the batch's squares summed by _row_sums.
+    """
     axes = np.asarray(semi_axes, dtype=np.float64)
     if axes.ndim != 1 or axes.size < 1 or not (np.isfinite(axes) & (axes > 0)).all():
         raise InvalidArgumentError("semi-axes must be a nonempty vector of positive finite numbers")
+    scale = float(axes.max())
+    if _PLAIN_AXES[0] <= scale <= _PLAIN_AXES[1]:
+        scale, unit = 1.0, axes  # x * 1.0 is exactly x
+    else:
+        unit = axes / scale
     return SupportOracle(
         dim=axes.size,
-        evaluate=lambda g: float(np.sqrt(((axes * g) ** 2).sum())),
-        evaluate_batch=lambda dirs: np.sqrt(((dirs * axes) ** 2).sum(axis=1)),
+        evaluate=lambda g: scale * float(np.sqrt(((unit * g) ** 2).sum())),
+        evaluate_batch=lambda dirs: scale * np.sqrt(_row_sums((dirs * unit) ** 2)),
         label=f"ellipsoid(axes={','.join(format(a, 'g') for a in axes)})",
     )
 
 
 def l1_ball_oracle(dim: int, radius: float = 1.0) -> SupportOracle:
+    """Support function radius * max|g_i| of the centered cross-polytope."""
     _check_ball(dim, radius)
     return SupportOracle(
         dim=dim,

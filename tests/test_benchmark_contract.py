@@ -98,9 +98,15 @@ def test_tracer_counts_only_the_exhaustive_blocks_that_reach_eigvalsh(tracing, m
 
 
 def test_tracer_sees_one_stream_and_one_contraction_per_general_dual_trial(tracing, monkeypatch):
-    # the trace evidence of the per-trial path: one re-keyed substream and
-    # one einsum per trial, every compressed matrix solved exactly once
+    # the trace evidence of the screened path: one re-keyed substream per
+    # trial, no einsum, and eigvalsh sees each trial's seed block plus the
+    # blocks the screen rejects, counted here at the screen itself
     monkeypatch.setattr(widths, "thread_count", lambda: 1)
+    cleared = []
+    screen = widths.screen_clears_blocks
+    monkeypatch.setattr(
+        widths, "screen_clears_blocks", lambda blocks, c: cleared.append(screen(blocks, c)) or cleared[-1]
+    )
     family = cones.coordinate_family(7, 3)
     tracer = tracing.Tracer()
     handle = tracing.install(tracer)
@@ -109,10 +115,13 @@ def test_tracer_sees_one_stream_and_one_contraction_per_general_dual_trial(traci
     finally:
         handle.remove()
     metrics = tracer.collect()
+    # each seed block is screened at its own largest eigenvalue, so it is
+    # never cleared and the screen's rejected blocks count every seed once
+    solved = sum(int((~mask).sum()) for mask in cleared)
     assert metrics["rng.substream.calls"] == 70
-    assert metrics["lapack.einsum.calls"] == 70
-    assert metrics["lapack.eigvalsh.matrices"] == 70 * len(family)
-    assert metrics["lapack.eigvalsh.calls"] == 2  # one per 64-trial chunk
+    assert metrics["lapack.einsum.calls"] == 0
+    assert metrics["lapack.eigvalsh.matrices"] == solved < 70 * len(family)
+    assert metrics["lapack.eigvalsh.calls"] == 4  # seed and rejected blocks of each 64-trial chunk
 
 
 @pytest.mark.parametrize("lemma", ["harmonic", "hypercontractivity"])

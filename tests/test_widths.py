@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import threading
@@ -452,22 +453,37 @@ class TestWidthGeneralDual:
         b = width_general_dual(family, 50, seed=2)
         assert np.array_equal(a.per_trial_values, b.per_trial_values)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        n=st.integers(1, 10),
+        n=st.integers(1, 24),
         k_pick=st.sampled_from(["one", "n", "mid"]),
-        count=st.sampled_from([1, 2, 7, 100]),
+        count=st.sampled_from([1, 2, 7, 100, 300]),
+        duplicated=st.booleans(),
         trials=st.integers(2, 140),
         seed=st.integers(0, 2**64 - 1),
         threads=st.sampled_from([1, 2]),
         stack_trials=st.sampled_from([None, 1, 5]),
     )
-    @example(n=10, k_pick="n", count=100, trials=130, seed=2**64 - 1, threads=2, stack_trials=None)
-    @example(n=1, k_pick="one", count=7, trials=65, seed=0, threads=1, stack_trials=None)
-    @example(n=6, k_pick="mid", count=2, trials=129, seed=3, threads=2, stack_trials=5)
-    def test_bits_equal_the_per_trial_reference(self, n, k_pick, count, trials, seed, threads, stack_trials):
+    @example(
+        n=10, k_pick="n", count=100, duplicated=False, trials=130, seed=2**64 - 1, threads=2, stack_trials=None
+    )
+    @example(n=1, k_pick="one", count=7, duplicated=False, trials=65, seed=0, threads=1, stack_trials=None)
+    @example(n=6, k_pick="mid", count=2, duplicated=False, trials=129, seed=3, threads=2, stack_trials=5)
+    @example(n=24, k_pick="mid", count=300, duplicated=True, trials=40, seed=5, threads=2, stack_trials=None)
+    @example(n=16, k_pick="one", count=300, duplicated=True, trials=70, seed=6, threads=1, stack_trials=None)
+    @example(n=24, k_pick="n", count=7, duplicated=True, trials=9, seed=7, threads=2, stack_trials=1)
+    def test_bits_equal_the_per_trial_reference(
+        self, n, k_pick, count, duplicated, trials, seed, threads, stack_trials
+    ):
+        # duplicated: every basis twice (and the family cut to count), so
+        # blocks tie exactly with the solved seed block of their trial
         k = {"one": 1, "n": n, "mid": max(1, n // 2)}[k_pick]
-        family = random_family(n, k, count, np.random.default_rng(n * 1000 + count))
+        rng = np.random.default_rng(n * 1000 + count)
+        family = random_family(n, k, -(-count // 2) if duplicated else count, rng)
+        if duplicated:
+            family = ConeFamily(n, (family.bases * 2)[:count])
+        if count > 100 or duplicated:  # the new sizes; the rest keep every trial
+            trials = min(trials, 2 + 6000 // count)
         # stack_trials: trials per chunk, to cover chunks below _TRIAL_CHUNK
         limit = widths._DUAL_STACK_BYTES if stack_trials is None else stack_trials * count * k * k * 8
         with mock.patch.object(widths, "thread_count", lambda: threads), mock.patch.object(
@@ -476,6 +492,55 @@ class TestWidthGeneralDual:
             values = width_general_dual(family, trials, seed).per_trial_values
         expected = reference_general_dual(family.stacked(), trials, seed)
         assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 7),
+        count=st.integers(1, 40),
+        scale=st.sampled_from([1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300]),
+        upper=st.sampled_from(["random", "huge", "zero"]),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=4, count=20, scale=1.0, upper="huge", ties=True, seed=0)
+    @example(k=3, count=12, scale=1e-300, upper="random", ties=True, seed=1)
+    @example(k=5, count=30, scale=1e300, upper="zero", ties=True, seed=2)
+    def test_stack_screen_clears_only_blocks_computed_below_c(self, k, count, scale, upper, ties, seed):
+        # the screen of width_general_dual: blocks whose upper triangle is not
+        # the lower one's mirror, c the largest eigenvalue of a solved block;
+        # every block cleared at c has eigvalsh's largest eigenvalue below c
+        rng = np.random.default_rng(seed)
+        lower = np.tril(rng.standard_normal((count, k, k)))
+        blocks = lower + np.tril(lower, -1).transpose(0, 2, 1)
+        if ties:  # copies of the seed block, and copies nudged by one ulp
+            blocks[1::3] = blocks[0]
+            blocks[2::3] = np.nextafter(blocks[0], np.inf)
+        blocks *= scale / np.abs(blocks).max()
+        rows, cols = np.triu_indices(k, 1)
+        blocks[:, rows, cols] = {
+            "random": rng.standard_normal((count, rows.size)) * scale,
+            "huge": 1e6 * scale if scale < 1e300 else 1.7e308,
+            "zero": 0.0,
+        }[upper]
+        c = np.full(count, np.linalg.eigvalsh(blocks[0])[-1])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cleared = cones.screen_clears_blocks(blocks, c)
+        assert not cleared[0]
+        assert (np.linalg.eigvalsh(blocks[cleared])[:, -1] < c[cleared]).all()
+
+    def test_stack_screen_clears_most_blocks_of_a_gaussian_family(self):
+        # the work the screen saves: a few of 100 blocks per trial reach eigvalsh
+        family = random_family(16, 4, 100, np.random.default_rng(3))
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *rest):
+            solved.append(math.prod(np.shape(a)[:-2]))
+            return eigvalsh(a, *rest)
+
+        with mock.patch.object(np.linalg, "eigvalsh", counting):
+            width_general_dual(family, 64, seed=1)
+        assert sum(solved) < 64 * 100 / 10
 
 
 class TestWidthViaOracle:
@@ -565,6 +630,103 @@ class TestWidthViaOracle:
             ellipsoid_oracle(axes)
 
 
+    @pytest.mark.parametrize(
+        "axes,width",
+        # E||a o g|| for a multiple of the identity is a * kappa(d); a single
+        # dominant axis gives a * E|g_1| = a * sqrt(2 / pi)
+        [([1e-200, 1e-200], 1e-200 * kappa(2)), ([1e200, 1.0], 1e200 * math.sqrt(2 / math.pi)),
+         ([1e-300, 1e-300, 1e-300], 1e-300 * kappa(3)), ([1e306, 1.0], 1e306 * math.sqrt(2 / math.pi))],
+    )
+    def test_ellipsoid_width_past_the_float_range(self, axes, width):
+        # the estimate is the one of the axes scaled to max 1, scaled back
+        scale = max(axes)
+        est = width_via_oracle(ellipsoid_oracle(axes), 20_000, seed=3)
+        unit = width_via_oracle(ellipsoid_oracle(np.divide(axes, scale)), 20_000, seed=3)
+        assert math.isclose(est.mean, scale * unit.mean, rel_tol=1e-12)
+        assert abs(unit.mean - width / scale) <= 4 * unit.std_error
+
+    def test_scaled_ellipsoid_batch_and_scalar_paths_agree(self):
+        g = np.array([[3.0, 4.0], [1e-10, -2.0]])
+        for axes, expected in (([1e-200, 1e-200], [5e-200, 2e-200]), ([1e200, 1e200], [5e200, 2e200])):
+            oracle = ellipsoid_oracle(axes)
+            assert np.allclose(oracle.evaluate_batch(g), expected, rtol=1e-15)
+            assert np.allclose([oracle.evaluate(row) for row in g], expected, rtol=1e-15)
+
+    @pytest.mark.parametrize("axes", [[2.0, 1.0], [1.5, 0.5, 2.0], [2.0**-300] * 3, [2.0**300, 1.0]])
+    def test_ordinary_ellipsoid_keeps_the_plain_bits(self, axes):
+        a = np.asarray(axes)
+        dirs = np.random.default_rng(0).standard_normal((500, a.size))
+        plain = np.sqrt(((dirs * a) ** 2).sum(axis=1))
+        assert ellipsoid_oracle(axes).evaluate_batch(dirs).tobytes() == plain.tobytes()
+
+    def test_ball_oracle_batches_keep_the_plain_bits(self):
+        dirs = np.random.default_rng(1).standard_normal((3000, 5))
+        l2, l1 = l2_ball_oracle(5, 2.0), l1_ball_oracle(5, 2.0)
+        assert l2.evaluate_batch(dirs).tobytes() == (2.0 * np.linalg.norm(dirs, axis=1)).tobytes()
+        assert l1.evaluate_batch(dirs).tobytes() == (2.0 * np.abs(dirs).max(axis=1)).tobytes()
+
+    def test_huge_radius_gives_a_finite_standard_error(self):
+        est = width_via_oracle(l2_ball_oracle(2, 1e300), 100, seed=1)
+        assert math.isfinite(est.std_error) and 0 < est.std_error < est.mean
+        small = width_via_oracle(l2_ball_oracle(2, 1.0), 100, seed=1)
+        assert math.isclose(est.std_error, 1e300 * small.std_error, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "values", [[5.0, 5.0, 5.0], [-3.0] * 4, [0.0, 0.0], [1e-310, 1e-310], [1.5, 2.5, 1.0]]
+    )
+    def test_constant_and_ordinary_values_keep_the_plain_moments(self, values):
+        est = widths.WidthEstimate.from_values(np.array(values), 0)
+        plain = np.array(values)
+        assert (est.mean, est.std_error) == (plain.mean(), plain.std(ddof=1) / math.sqrt(plain.size))
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: width_via_oracle(l2_ball_oracle(3), 70_000, seed=2),
+         lambda: width_via_oracle(ellipsoid_oracle([1e200, 1.0]), 70_000, seed=2),
+         lambda: width_general_dual(random_family(16, 4, 100, np.random.default_rng(4)), 130, seed=2)],
+    )
+    def test_estimates_leave_no_garbage(self, call):
+        # a reference cycle (a recursive closure, say) pins every block it
+        # reaches until the collector runs
+        call()
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+
+
+def _row_sum_entries():
+    special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308])
+    normal = st.floats(-1e6, 1e6, allow_nan=False)
+    return st.one_of(normal, special)
+
+
+class TestRowSums:
+    """widths._row_sums replays numpy's own row summation order bit for bit,
+    so a numpy that changes that order fails here."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(1, 40),
+        cols=st.one_of(st.integers(1, 128), st.sampled_from([129, 300, 1031])),
+        seed=st.integers(0, 2**32 - 1),
+        entries=st.lists(_row_sum_entries(), min_size=1, max_size=64),
+    )
+    def test_bits_equal_numpy_row_sums(self, rows, cols, seed, entries):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+        where = rng.integers(0, x.size, len(entries))
+        x.flat[where] = entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = x.sum(axis=1)
+            sums = widths._row_sums(x)
+        assert sums.tobytes() == expected.tobytes()
+
+    def test_every_width_up_to_128_columns(self):
+        for cols in range(1, widths._PAIRWISE_BLOCK + 1):
+            x = np.random.default_rng(cols).standard_normal((9, cols)) * 1e3
+            assert (0.0 + widths._pairwise_columns(x)).tobytes() == x.sum(axis=1).tobytes(), cols
+
+
 _REPRO_FAMILY = random_family(8, 3, 4, np.random.default_rng(5))
 _REPRO_ESTIMATORS = {
     "base_psd": lambda trials: width_base_psd(7, trials, seed=11),
@@ -618,6 +780,11 @@ class TestConcentration:
     def test_alpha_validation(self):
         with pytest.raises(InvalidArgumentError):
             concentration_check(l2_ball_oracle(3), -0.5, 100, seed=0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf, "0.5", None, 1j])
+    def test_alpha_must_be_a_nonnegative_number(self, alpha):
+        with pytest.raises(InvalidArgumentError, match="alpha"):
+            concentration_check(l2_ball_oracle(3), alpha, 100, seed=0)
 
 
 class TestKappa:
