@@ -435,8 +435,7 @@ def _run_figures(args: argparse.Namespace, params: dict) -> int:
     for filename, formula, fixed in curves:
         curve = bounds.emit_curve(formula, grid, **{**params["extra"], **fixed})
         path = os.path.join(out_dir, filename)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_curve_csv(args, curve))
+        _emit(_curve_csv(args, curve), path)
         written.append(path)
     sys.stdout.write(_json_artifact(args, params, {"files": written}))
     return EXIT_OK

@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 _TRIAL_CHUNK = 64  # fixed so per-trial arithmetic is independent of threading
+_TINY_STD = 2.0**-480  # a std this large has squared deviations far above the subnormals
 
 
 def thread_count() -> int:
@@ -80,17 +81,22 @@ class WidthEstimate:
         deviation leaves the float range, both are taken as s * (the moment
         of values / s) with s = max|values|, the pattern of
         linalg._frobenius_parts; finite values then give finite moments.
-        Ordinary values keep the plain moments' bits."""
+        When the plain standard deviation is below _TINY_STD, its squared
+        deviations may have underflowed, so it alone is taken that way.
+        Ordinary values, and constant ones, keep the plain moments' bits."""
         values = np.asarray(values, dtype=np.float64)
         trials = values.size
         with np.errstate(over="ignore", invalid="ignore"):
             mean = float(values.mean())
             std = float(values.std(ddof=1))
-        if not (math.isfinite(mean) and math.isfinite(std)):
+        overflowed = not (math.isfinite(mean) and math.isfinite(std))
+        if overflowed or std < _TINY_STD:
             scale = float(np.abs(values).max())
             if 0.0 < scale < math.inf:
-                mean = scale * float((values / scale).mean())
-                std = scale * float((values / scale).std(ddof=1))
+                unit = values / scale
+                if overflowed:
+                    mean = scale * float(unit.mean())
+                std = scale * float(unit.std(ddof=1))
         return cls(mean, std / math.sqrt(trials), trials, seed, values if keep_values else None)
 
 
@@ -100,7 +106,9 @@ class SupportOracle:
 
     ``evaluate`` maps one direction to sup_{z in S} <g, z>; an optional
     ``evaluate_batch`` maps a (T, dim) block of directions to T values and is
-    used when present.  Oracles must be pure.
+    used when present.  The built-in oracles define only the batch formula
+    and evaluate runs it on one row, so both give the same bits.  Oracles
+    must be pure.
     """
 
     dim: int
@@ -307,17 +315,23 @@ def k_sparse_largest_eigenvalue(
     with the screen, 39,772 without).  Non-finite entries raise
     NumericalFailureError.
     """
-    n = G.dim
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_k_sparse(G.dim, k, mode)
     require_finite(G)
     return _k_sparse_lambda1(G.to_dense(), k, mode, cap)
+
+
+def _check_k_sparse(n: int, k: int, mode: str) -> None:
+    if not 1 <= k <= n:
+        raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if mode not in ("exhaustive", "greedy"):
+        raise InvalidArgumentError(f"unknown mode {mode!r}; expected 'exhaustive' or 'greedy'")
 
 
 def _k_sparse_lambda1(
     dense: np.ndarray, k: int, mode: str, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> float:
-    """k_sparse_largest_eigenvalue on a finite dense matrix with 1 <= k <= n."""
+    """k_sparse_largest_eigenvalue on a finite dense matrix, with k and mode
+    checked by _check_k_sparse."""
     n = dense.shape[0]
     if k == n:
         return float(np.linalg.eigvalsh(dense)[-1])
@@ -325,9 +339,7 @@ def _k_sparse_lambda1(
         return float(np.diag(dense).max())
     if mode == "exhaustive":
         return _max_lambda1_subsets(dense, k, cap)
-    if mode == "greedy":
-        return _greedy_k_sparse(dense, k)
-    raise InvalidArgumentError(f"unknown mode {mode!r}; expected 'exhaustive' or 'greedy'")
+    return _greedy_k_sparse(dense, k)
 
 
 def width_dual_base_sparse(
@@ -341,8 +353,7 @@ def width_dual_base_sparse(
     """Width of the unit-trace slice of the factor-width-k cone: expected
     largest k-sparse eigenvalue of a standard Gaussian symmetric matrix.
     """
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_k_sparse(n, k, mode)
 
     def per_stack(mats: np.ndarray) -> np.ndarray:
         # Gaussian trial matrices are finite: no round trip through SymmetricMatrix
@@ -487,41 +498,31 @@ def base_psd_width_ratio(n: int, trials: int, seed: int) -> float:
 # -- built-in oracles ----------------------------------------------------------
 
 
-_PAIRWISE_BLOCK = 128  # numpy's pairwise sum splits rows longer than this
-
-
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """x.sum(axis=1) of a 2-D float array, bit for bit.
 
-    numpy sums each row pairwise with its own inner loop, which costs more
-    than the arithmetic when rows are short.  Up to _PAIRWISE_BLOCK columns
-    _pairwise_columns replays that order on whole columns, and numpy adds
-    the row sum to 0.0; wider blocks go to x.sum.
+    numpy sums each row with its own inner loop, which costs more than the
+    arithmetic when rows are short.  Below 8 columns numpy adds the terms in
+    order and the row sum to 0.0, so this adds whole columns in order;
+    wider blocks go to x.sum.
     """
-    if x.shape[1] > _PAIRWISE_BLOCK:
+    if x.shape[1] >= 8:
         return x.sum(axis=1)
-    return 0.0 + _pairwise_columns(x)
-
-
-def _pairwise_columns(x: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of every row of x, at most _PAIRWISE_BLOCK
-    columns, one column operation at a time: below 8 terms in order;
-    otherwise in 8 accumulators, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in order."""
-    n = x.shape[1]
-    if n < 8:
-        total = x[:, 0].copy()
-        for j in range(1, n):
-            total += x[:, j]
-        return total
-    tail = n - n % 8
-    r = x[:, :8].copy()
-    for i in range(8, tail, 8):
-        r += x[:, i : i + 8]
-    total = ((r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])) + ((r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7]))
-    for j in range(tail, n):
+    total = x[:, 0].copy()
+    for j in range(1, x.shape[1]):
         total += x[:, j]
-    return total
+    return 0.0 + total
+
+
+def _batch_oracle(dim: int, batch: Callable[[np.ndarray], np.ndarray], label: str) -> SupportOracle:
+    """Oracle defined by its batch formula alone: evaluate runs it on one row,
+    so a scalar value has the bits of the batch row."""
+    return SupportOracle(
+        dim=dim,
+        evaluate=lambda g: float(batch(np.asarray(g, dtype=np.float64)[None])[0]),
+        evaluate_batch=batch,
+        label=label,
+    )
 
 
 # With the largest semi-axis s between these bounds, no (s g)^2 overflows for a
@@ -542,15 +543,12 @@ def l2_ball_oracle(dim: int, radius: float = 1.0) -> SupportOracle:
     """Support function radius * ||g|| of the centered Euclidean ball.
 
     The radius scales the norm of g itself, so no square leaves the float
-    range on its account.  evaluate_batch sums squares with _row_sums, bit
-    for bit np.linalg.norm(dirs, axis=1).
+    range on its account.  Squares are summed with _row_sums, bit for bit
+    np.linalg.norm(dirs, axis=1); evaluate runs the same formula on one row.
     """
     _check_ball(dim, radius)
-    return SupportOracle(
-        dim=dim,
-        evaluate=lambda g: radius * float(np.linalg.norm(g)),
-        evaluate_batch=lambda dirs: radius * np.sqrt(_row_sums(dirs * dirs)),
-        label=f"l2-ball(d={dim}, r={radius:g})",
+    return _batch_oracle(
+        dim, lambda dirs: radius * np.sqrt(_row_sums(dirs * dirs)), f"l2-ball(d={dim}, r={radius:g})"
     )
 
 
@@ -559,7 +557,8 @@ def ellipsoid_oracle(semi_axes) -> SupportOracle:
 
     When the largest semi-axis s lies outside _PLAIN_AXES, a square could
     overflow or underflow, so the value is s * ||(a / s) o g||; otherwise
-    it is the plain norm, with the batch's squares summed by _row_sums.
+    it is the plain norm.  Squares are summed with _row_sums; evaluate runs
+    the same formula on one row.
     """
     axes = np.asarray(semi_axes, dtype=np.float64)
     if axes.ndim != 1 or axes.size < 1 or not (np.isfinite(axes) & (axes > 0)).all():
@@ -569,22 +568,19 @@ def ellipsoid_oracle(semi_axes) -> SupportOracle:
         scale, unit = 1.0, axes  # x * 1.0 is exactly x
     else:
         unit = axes / scale
-    return SupportOracle(
-        dim=axes.size,
-        evaluate=lambda g: scale * float(np.sqrt(((unit * g) ** 2).sum())),
-        evaluate_batch=lambda dirs: scale * np.sqrt(_row_sums((dirs * unit) ** 2)),
-        label=f"ellipsoid(axes={','.join(format(a, 'g') for a in axes)})",
+    return _batch_oracle(
+        axes.size,
+        lambda dirs: scale * np.sqrt(_row_sums((dirs * unit) ** 2)),
+        f"ellipsoid(axes={','.join(format(a, 'g') for a in axes)})",
     )
 
 
 def l1_ball_oracle(dim: int, radius: float = 1.0) -> SupportOracle:
-    """Support function radius * max|g_i| of the centered cross-polytope."""
+    """Support function radius * max|g_i| of the centered cross-polytope;
+    evaluate runs the batch formula on one row."""
     _check_ball(dim, radius)
-    return SupportOracle(
-        dim=dim,
-        evaluate=lambda g: radius * float(np.abs(g).max()),
-        evaluate_batch=lambda dirs: radius * np.abs(dirs).max(axis=1),
-        label=f"l1-ball(d={dim}, r={radius:g})",
+    return _batch_oracle(
+        dim, lambda dirs: radius * np.abs(dirs).max(axis=1), f"l1-ball(d={dim}, r={radius:g})"
     )
 
 

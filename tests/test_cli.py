@@ -598,13 +598,18 @@ class TestErrorContract:
              "dimension must be >= 1"),
             (["widths", "estimate", "--kind", "oracle:l1-ball", "--n", "-2", "--trials", "5"],
              "dimension must be >= 1"),
+            (["widths", "estimate", "--kind", "sparse-dual", "--n", "5", "--k", "1",
+              "--trials", "5", "--params", "mode=bogus"], "unknown mode 'bogus'"),
+            (["widths", "estimate", "--kind", "sparse-dual", "--n", "5", "--k", "5",
+              "--trials", "5", "--params", "mode=bogus"], "unknown mode 'bogus'"),
         ],
         ids=["missing-n", "non-numeric-param", "bad-grid", "grid-not-a-number",
              "grid-steps-not-an-integer", "parser-error", "variance-trials",
              "eval-csv", "curve-json", "witness-csv", "harmonic-trials",
              "hypercontractivity-trials", "maximal-trials", "hypercontractivity-n",
              "radius-not-a-number", "negative-radius",
-             "infinite-radius", "nan-axis", "l2-ball-zero-n", "l1-ball-negative-n"],
+             "infinite-radius", "nan-axis", "l2-ball-zero-n", "l1-ball-negative-n",
+             "sparse-mode-at-k-1", "sparse-mode-at-k-n"],
     )
     def test_usage_error_is_one_json_line(self, argv, needle, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -129,6 +129,15 @@ class TestKSparseLargestEigenvalue:
         with pytest.raises(InvalidArgumentError):
             k_sparse_largest_eigenvalue(G, 6, mode="annealing")
 
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_unknown_mode_raises_at_the_shortcut_sizes(self, k):
+        # k = 1 and k = n need no search, but the mode is still checked
+        with pytest.raises(InvalidArgumentError, match="unknown mode 'bogus'"):
+            k_sparse_largest_eigenvalue(sample_standard_gaussian_sym(5, 0), k, mode="bogus")
+        with mock.patch.object(widths, "gaussian_sym_batch", side_effect=AssertionError("drew a trial")):
+            with pytest.raises(InvalidArgumentError, match="unknown mode 'bogus'"):
+                width_dual_base_sparse(5, k, 10, seed=1, mode="bogus")
+
 
 def tie_heavy_or_gaussian(kind, n, seed):
     rng = np.random.default_rng(seed)
@@ -584,12 +593,26 @@ class TestWidthViaOracle:
         corrected = moved.mean - float((dirs @ shift).mean())
         assert abs(corrected - base.mean) <= 3 * math.hypot(base.std_error, moved.std_error)
 
-    def test_scalar_and_batch_paths_agree(self):
-        batched = ellipsoid_oracle([1.5, 0.5, 2.0])
-        scalar = SupportOracle(dim=3, evaluate=batched.evaluate)
-        a = width_via_oracle(batched, 500, seed=29)
-        b = width_via_oracle(scalar, 500, seed=29)
-        assert np.allclose(a.per_trial_values, b.per_trial_values, rtol=1e-15)
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: l2_ball_oracle(1), lambda: l2_ball_oracle(2), lambda: l2_ball_oracle(7),
+         lambda: l2_ball_oracle(8), lambda: l2_ball_oracle(9), lambda: l2_ball_oracle(40),
+         lambda: l2_ball_oracle(200), lambda: l2_ball_oracle(2, 1e-300),
+         lambda: ellipsoid_oracle([1.5, 0.5, 2.0]), lambda: ellipsoid_oracle([2.0, 1.0]),
+         lambda: ellipsoid_oracle([1e-200, 1e-200]), lambda: ellipsoid_oracle([1e200, 1.0]),
+         lambda: l1_ball_oracle(1), lambda: l1_ball_oracle(7), lambda: l1_ball_oracle(8, 3.0)],
+        ids=["l2-d1", "l2-d2", "l2-d7", "l2-d8", "l2-d9", "l2-d40", "l2-d200", "l2-tiny",
+             "ellipsoid-d3", "ellipsoid-2-1", "ellipsoid-tiny", "ellipsoid-huge",
+             "l1-d1", "l1-d7", "l1-d8"],
+    )
+    def test_scalar_and_batch_paths_agree(self, make):
+        # an oracle wrapped without its batch gives the same widths bit for bit
+        batched = make()
+        scalar = SupportOracle(dim=batched.dim, evaluate=batched.evaluate)
+        a = width_via_oracle(batched, 2000, seed=29)
+        b = width_via_oracle(scalar, 2000, seed=29)
+        assert a.per_trial_values.tobytes() == b.per_trial_values.tobytes()
+        assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
     def test_nonfinite_oracle_reports_direction(self):
         bad = SupportOracle(dim=2, evaluate=lambda g: float("nan"), label="broken")
@@ -672,6 +695,19 @@ class TestWidthViaOracle:
         assert math.isclose(est.std_error, 1e300 * small.std_error, rel_tol=1e-12)
 
     @pytest.mark.parametrize(
+        "scale, tiny, unit",
+        [(1e-300, l2_ball_oracle(2, 1e-300), l2_ball_oracle(2, 1.0)),
+         (1e-200, ellipsoid_oracle([1e-200, 1e-200]), ellipsoid_oracle([1.0, 1.0]))],
+        ids=["l2-ball-1e-300", "ellipsoid-1e-200"],
+    )
+    def test_tiny_values_give_a_scaled_standard_error(self, scale, tiny, unit):
+        # the plain squared deviations underflow; the scaled ones do not
+        est = width_via_oracle(tiny, 100, seed=1)
+        ref = width_via_oracle(unit, 100, seed=1)
+        assert 0 < est.std_error < est.mean
+        assert math.isclose(est.std_error, scale * ref.std_error, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
         "values", [[5.0, 5.0, 5.0], [-3.0] * 4, [0.0, 0.0], [1e-310, 1e-310], [1.5, 2.5, 1.0]]
     )
     def test_constant_and_ordinary_values_keep_the_plain_moments(self, values):
@@ -722,9 +758,10 @@ class TestRowSums:
         assert sums.tobytes() == expected.tobytes()
 
     def test_every_width_up_to_128_columns(self):
-        for cols in range(1, widths._PAIRWISE_BLOCK + 1):
+        # the widths below 8 that the column replay covers
+        for cols in range(1, 8):
             x = np.random.default_rng(cols).standard_normal((9, cols)) * 1e3
-            assert (0.0 + widths._pairwise_columns(x)).tobytes() == x.sum(axis=1).tobytes(), cols
+            assert widths._row_sums(x).tobytes() == x.sum(axis=1).tobytes(), cols
 
 
 _REPRO_FAMILY = random_family(8, 3, 4, np.random.default_rng(5))
