@@ -385,7 +385,7 @@ def _number(params: dict, name: str, default=None):
     value = params.get(name, default)
     if value is None:
         raise InvalidArgumentError(f"missing parameter {name!r}")
-    if not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidArgumentError(f"parameter {name!r} must be a number, got {value!r}")
     return value
 

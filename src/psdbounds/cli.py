@@ -184,16 +184,31 @@ def _make_oracle(name: str, dim: int | None, extra: dict) -> widths.SupportOracl
     raise ValueError(f"unknown oracle {name!r}; expected l2-ball, l1-ball, or ellipsoid")
 
 
+# the flags beyond --n that each widths kind reads; an oracle kind reads --n only
+_WIDTH_FLAGS = {"base-psd": (), "sparse-dual": ("--k",), "general-dual": ("--k", "--family")}
+
+
+def _derived_size(kind: str, flag: str, given: int | None, size: int) -> int:
+    if given is not None and given != size:
+        raise InvalidArgumentError(f"{flag} {given} differs from {size}, the size {kind} derives")
+    return size
+
+
 def _run_widths(args: argparse.Namespace, params: dict) -> int:
     kind, n, k, seed, extra = args.kind, args.n, args.k, args.seed, params["extra"]
     params.update(kind=kind, n=n, k=k, family=args.family, trials=args.trials)
     trials = args.trials
     if trials is None:
         trials = 100_000 if kind.startswith("oracle:") else 2000
-    family_size: int | None = None
+    if kind not in _WIDTH_FLAGS and not kind.startswith("oracle:"):
+        raise ValueError(f"unknown kind {kind!r}")
+    for flag, value in (("--k", k), ("--family", args.family)):
+        if value is not None and flag not in _WIDTH_FLAGS.get(kind, ()):
+            raise InvalidArgumentError(f"{kind} does not read {flag}")
     if n is None and kind in ("base-psd", "sparse-dual", "oracle:l2-ball", "oracle:l1-ball"):
         raise ValueError(f"{kind} needs --n")
 
+    family_size: int | None = None
     if kind == "base-psd":
         estimate = widths.width_base_psd(n, trials, seed, keep_values=False)
     elif kind == "sparse-dual":
@@ -207,43 +222,23 @@ def _run_widths(args: argparse.Namespace, params: dict) -> int:
             raise ValueError("general-dual needs --family")
         family = cones.read_conefam(args.family)
         family_size = len(family)
-        n, k = family.ambient_dim, family.rank
+        n = _derived_size(kind, "--n", n, family.ambient_dim)
+        k = _derived_size(kind, "--k", k, family.rank)
         estimate = widths.width_general_dual(family, trials, seed, keep_values=False)
-    elif kind.startswith("oracle:"):
+    else:
         oracle = _make_oracle(kind.split(":", 1)[1], n, extra)
-        n = oracle.dim
+        n = _derived_size(kind, "--n", n, oracle.dim)
         estimate = widths.width_via_oracle(oracle, trials, seed, keep_values=False)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
 
+    # n, k and N are the sizes the estimate used: ints, or None where the kind has none
     if args.fmt == "csv":
-        text = _csv_header(args) + "kind,n,k,N,trials,seed,mean,std_error\n"
-        text += ",".join(
-            [
-                kind,
-                str(int(n)) if n is not None else "",
-                str(int(k)) if k is not None else "",
-                str(family_size) if family_size is not None else "",
-                str(estimate.trials),
-                str(seed),
-                _fmt_float(estimate.mean),
-                _fmt_float(estimate.std_error),
-            ]
-        ) + "\n"
-        _emit(text, args.out)
+        cells = ["" if v is None else str(v) for v in (kind, n, k, family_size, estimate.trials, seed)]
+        row = ",".join(cells + [_fmt_float(estimate.mean), _fmt_float(estimate.std_error)])
+        _emit(_csv_header(args) + "kind,n,k,N,trials,seed,mean,std_error\n" + row + "\n", args.out)
     else:
-        payload = {
-            "estimate": {
-                "kind": kind,
-                "n": None if n is None else int(n),
-                "k": None if k is None else int(k),
-                "N": family_size,
-                "mean": estimate.mean,
-                "std_error": estimate.std_error,
-                "trials": estimate.trials,
-            }
-        }
-        _emit(_json_artifact(args, params, payload), args.out)
+        block = {"kind": kind, "n": n, "k": k, "N": family_size, "mean": estimate.mean,
+                 "std_error": estimate.std_error, "trials": estimate.trials}
+        _emit(_json_artifact(args, params, {"estimate": block}), args.out)
     return EXIT_OK
 
 
@@ -291,7 +286,7 @@ def _verify_harmonic(n, trials, seed, lam):
     failures = [
         {"trial": t, "seed": seed, "norm2": norm2, "bound": bound}
         for t, norm2, bound in hypercube.harmonic_trials(n, trials, seed, lam)
-        if not norm2 <= bound + 1e-12
+        if not hypercube.bound_holds(norm2, bound)
     ]
     return trials, failures
 
@@ -300,7 +295,7 @@ def _verify_hypercontractivity(n, trials, seed, rho, p):
     failures = [
         {"trial": t, "seed": seed, "rho": rho, "p": p, "lhs": lhs, "rhs": rhs}
         for t, lhs, rhs in hypercube.hypercontractivity_trials(n, trials, seed, rho, p)
-        if not lhs <= rhs + 1e-12
+        if not hypercube.bound_holds(lhs, rhs)
     ]
     return trials, failures
 
@@ -387,8 +382,8 @@ def _run_hypercube(args: argparse.Namespace, params: dict) -> int:
     if lemma == "harmonic":
         checked, failures = _verify_harmonic(n, trials, seed, lam)
     elif lemma == "hypercontractivity":
-        rho = float(extra.get("rho", 0.5))
-        p = float(extra.get("p", 2.0))
+        rho = float(bounds._number(extra, "rho", 0.5))
+        p = float(bounds._number(extra, "p", 2.0))
         checked, failures = _verify_hypercontractivity(n, trials, seed, rho, p)
     elif lemma == "moments":
         checked, failures, extra_payload = _verify_moments(n)

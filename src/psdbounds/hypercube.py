@@ -43,6 +43,7 @@ __all__ = [
     "project_degree",
     "noise_operator",
     "norm_p",
+    "bound_holds",
     "hypercontractivity_check",
     "harmonic_bound_check",
     "harmonic_trials",
@@ -242,12 +243,17 @@ def norm_p(f: HypercubeFunction, p: float) -> float:
     return float(_power_means(f.values[None], p)[0] ** (1.0 / p))
 
 
+def bound_holds(value: float, bound: float) -> bool:
+    """The verify pass rule for value <= bound: a slack of 1e-12; a NaN fails."""
+    return value <= bound + 1e-12
+
+
 def hypercontractivity_check(
     f: HypercubeFunction, rho: float, p: float
 ) -> tuple[float, float, bool]:
     """Both sides of ||T_rho f||_q <= ||f||_p with q = 1 + (p-1)/rho^2."""
     [lhs], [rhs] = _hypercontractivity_sides(f.values[None], rho, p)
-    return lhs, rhs, lhs <= rhs + 1e-12
+    return lhs, rhs, bound_holds(lhs, rhs)
 
 
 def _hypercontractivity_sides(
@@ -308,7 +314,7 @@ def harmonic_bound_check(f: HypercubeFunction, lam: float) -> tuple[float, float
     """
     [norm2], bound = _harmonic_sides(f.values[None], lam)
     norm2 = float(norm2)
-    return norm2, bound, norm2 <= bound + 1e-12
+    return norm2, bound, bound_holds(norm2, bound)
 
 
 def _harmonic_sides(values: np.ndarray, lam: float) -> tuple[np.ndarray, float]:

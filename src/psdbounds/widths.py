@@ -102,19 +102,31 @@ class WidthEstimate:
 
 @dataclass(frozen=True)
 class SupportOracle:
-    """Support-function oracle h_S for a set S in R^dim.
+    """Support-function oracle h_S for a set S in R^dim, held as one formula.
 
-    ``evaluate`` maps one direction to sup_{z in S} <g, z>; an optional
-    ``evaluate_batch`` maps a (T, dim) block of directions to T values and is
-    used when present.  The built-in oracles define only the batch formula
-    and evaluate runs it on one row, so both give the same bits.  Oracles
-    must be pure.
+    ``evaluate`` maps one direction to sup_{z in S} <g, z>; ``evaluate_batch``
+    maps a (T, dim) block of directions to T values.  Given one, the oracle
+    derives the other (the batch run on one row, or evaluate run on each
+    row), so both give the same bits; given neither, it raises
+    InvalidArgumentError.  Oracles must be pure.
     """
 
     dim: int
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], float] | None = None
     evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
+
+    def __post_init__(self):
+        # derived from the given callable, not self: an oracle holds no cycle
+        one, batch = self.evaluate, self.evaluate_batch
+        if one is None and batch is None:
+            raise InvalidArgumentError("a support oracle needs evaluate or evaluate_batch")
+        if one is None:
+            one = lambda g: float(batch(np.asarray(g, dtype=np.float64)[None])[0])
+        elif batch is None:
+            batch = lambda dirs: np.array([one(g) for g in dirs], dtype=np.float64)
+        object.__setattr__(self, "evaluate", one)
+        object.__setattr__(self, "evaluate_batch", batch)
 
 
 @dataclass(frozen=True)
@@ -317,7 +329,14 @@ def k_sparse_largest_eigenvalue(
     """
     _check_k_sparse(G.dim, k, mode)
     require_finite(G)
-    return _k_sparse_lambda1(G.to_dense(), k, mode, cap)
+    dense = G.to_dense()
+    if k == G.dim:
+        return float(np.linalg.eigvalsh(dense)[-1])
+    if k == 1:
+        return float(np.diag(dense).max())
+    if mode == "exhaustive":
+        return _max_lambda1_subsets(dense, k, cap)
+    return _greedy_k_sparse(dense, k)
 
 
 def _check_k_sparse(n: int, k: int, mode: str) -> None:
@@ -325,21 +344,6 @@ def _check_k_sparse(n: int, k: int, mode: str) -> None:
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
     if mode not in ("exhaustive", "greedy"):
         raise InvalidArgumentError(f"unknown mode {mode!r}; expected 'exhaustive' or 'greedy'")
-
-
-def _k_sparse_lambda1(
-    dense: np.ndarray, k: int, mode: str, cap: int = DEFAULT_ENUMERATION_CAP
-) -> float:
-    """k_sparse_largest_eigenvalue on a finite dense matrix, with k and mode
-    checked by _check_k_sparse."""
-    n = dense.shape[0]
-    if k == n:
-        return float(np.linalg.eigvalsh(dense)[-1])
-    if k == 1:
-        return float(np.diag(dense).max())
-    if mode == "exhaustive":
-        return _max_lambda1_subsets(dense, k, cap)
-    return _greedy_k_sparse(dense, k)
 
 
 def width_dual_base_sparse(
@@ -352,12 +356,14 @@ def width_dual_base_sparse(
 ) -> WidthEstimate:
     """Width of the unit-trace slice of the factor-width-k cone: expected
     largest k-sparse eigenvalue of a standard Gaussian symmetric matrix.
+
+    k and mode are checked before any draw.  Each trial goes through
+    k_sparse_largest_eigenvalue as SymmetricMatrix.from_dense(G), which keeps G's bits.
     """
     _check_k_sparse(n, k, mode)
 
     def per_stack(mats: np.ndarray) -> np.ndarray:
-        # Gaussian trial matrices are finite: no round trip through SymmetricMatrix
-        return np.array([_k_sparse_lambda1(G, k, mode) for G in mats])
+        return np.array([k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(G), k, mode) for G in mats])
 
     return _matrix_trials(n, trials, seed, keep_values, per_stack)
 
@@ -425,14 +431,9 @@ def _oracle_values(oracle: SupportOracle, trials: int, seed: int) -> np.ndarray:
     while pos < trials:
         take = min(block, trials - pos)
         dirs = rng.standard_normal((take, oracle.dim))
-        if oracle.evaluate_batch is not None:
-            vals = np.asarray(oracle.evaluate_batch(dirs), dtype=np.float64)
-            if vals.shape != (take,):
-                raise OracleFailureError(
-                    f"evaluate_batch returned shape {vals.shape}, expected ({take},)"
-                )
-        else:
-            vals = np.array([oracle.evaluate(d) for d in dirs], dtype=np.float64)
+        vals = np.asarray(oracle.evaluate_batch(dirs), dtype=np.float64)
+        if vals.shape != (take,):
+            raise OracleFailureError(f"evaluate_batch returned shape {vals.shape}, expected ({take},)")
         if not np.isfinite(vals).all():
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise OracleFailureError(
@@ -467,7 +468,7 @@ def concentration_check(
     width, reported with the Gaussian concentration bound exp(-alpha^2/4pi).
     The oracle's set must contain the origin.
     """
-    if not isinstance(alpha, numbers.Real) or not alpha >= 0:
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not alpha >= 0:
         raise InvalidArgumentError(f"alpha must be a nonnegative number, got {alpha!r}")
     _check_trials(trials)
     values = _oracle_values(oracle, trials, seed)
@@ -514,17 +515,6 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return 0.0 + total
 
 
-def _batch_oracle(dim: int, batch: Callable[[np.ndarray], np.ndarray], label: str) -> SupportOracle:
-    """Oracle defined by its batch formula alone: evaluate runs it on one row,
-    so a scalar value has the bits of the batch row."""
-    return SupportOracle(
-        dim=dim,
-        evaluate=lambda g: float(batch(np.asarray(g, dtype=np.float64)[None])[0]),
-        evaluate_batch=batch,
-        label=label,
-    )
-
-
 # With the largest semi-axis s between these bounds, no (s g)^2 overflows for a
 # Gaussian g, and the squares that underflow are negligible next to their sum.
 _PLAIN_AXES = (2.0**-300, 2.0**300)
@@ -533,7 +523,7 @@ _PLAIN_AXES = (2.0**-300, 2.0**300)
 def _check_ball(dim: int, radius: float) -> None:
     if dim < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-    if not isinstance(radius, numbers.Real):
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
         raise InvalidArgumentError(f"parameter 'radius' must be a number, got {radius!r}")
     if not (math.isfinite(radius) and radius >= 0):
         raise InvalidArgumentError(f"radius must be a nonnegative finite number, got {radius!r}")
@@ -544,11 +534,13 @@ def l2_ball_oracle(dim: int, radius: float = 1.0) -> SupportOracle:
 
     The radius scales the norm of g itself, so no square leaves the float
     range on its account.  Squares are summed with _row_sums, bit for bit
-    np.linalg.norm(dirs, axis=1); evaluate runs the same formula on one row.
+    np.linalg.norm(dirs, axis=1).
     """
     _check_ball(dim, radius)
-    return _batch_oracle(
-        dim, lambda dirs: radius * np.sqrt(_row_sums(dirs * dirs)), f"l2-ball(d={dim}, r={radius:g})"
+    return SupportOracle(
+        dim,
+        evaluate_batch=lambda dirs: radius * np.sqrt(_row_sums(dirs * dirs)),
+        label=f"l2-ball(d={dim}, r={radius:g})",
     )
 
 
@@ -557,8 +549,7 @@ def ellipsoid_oracle(semi_axes) -> SupportOracle:
 
     When the largest semi-axis s lies outside _PLAIN_AXES, a square could
     overflow or underflow, so the value is s * ||(a / s) o g||; otherwise
-    it is the plain norm.  Squares are summed with _row_sums; evaluate runs
-    the same formula on one row.
+    it is the plain norm.  Squares are summed with _row_sums.
     """
     axes = np.asarray(semi_axes, dtype=np.float64)
     if axes.ndim != 1 or axes.size < 1 or not (np.isfinite(axes) & (axes > 0)).all():
@@ -568,34 +559,34 @@ def ellipsoid_oracle(semi_axes) -> SupportOracle:
         scale, unit = 1.0, axes  # x * 1.0 is exactly x
     else:
         unit = axes / scale
-    return _batch_oracle(
+    return SupportOracle(
         axes.size,
-        lambda dirs: scale * np.sqrt(_row_sums((dirs * unit) ** 2)),
-        f"ellipsoid(axes={','.join(format(a, 'g') for a in axes)})",
+        evaluate_batch=lambda dirs: scale * np.sqrt(_row_sums((dirs * unit) ** 2)),
+        label=f"ellipsoid(axes={','.join(format(a, 'g') for a in axes)})",
     )
 
 
 def l1_ball_oracle(dim: int, radius: float = 1.0) -> SupportOracle:
-    """Support function radius * max|g_i| of the centered cross-polytope;
-    evaluate runs the batch formula on one row."""
+    """Support function radius * max|g_i| of the centered cross-polytope."""
     _check_ball(dim, radius)
-    return _batch_oracle(
-        dim, lambda dirs: radius * np.abs(dirs).max(axis=1), f"l1-ball(d={dim}, r={radius:g})"
+    return SupportOracle(
+        dim,
+        evaluate_batch=lambda dirs: radius * np.abs(dirs).max(axis=1),
+        label=f"l1-ball(d={dim}, r={radius:g})",
     )
 
 
 def shifted_oracle(oracle: SupportOracle, shift) -> SupportOracle:
-    """Oracle for S + shift; per-direction value moves by <g, shift> exactly."""
+    """Oracle for S + shift: the value of each direction g moves by <g, shift>.
+
+    Its one formula is oracle's batch plus _row_sums(dirs * shift).  A BLAS
+    product dirs @ shift can round a row differently in a block than alone; a
+    row sum cannot, so evaluate has the bits of the batch row.
+    """
     t = np.asarray(shift, dtype=np.float64)
     if t.shape != (oracle.dim,):
         raise InvalidArgumentError(f"shift must have shape ({oracle.dim},), got {t.shape}")
-    batch = None
-    if oracle.evaluate_batch is not None:
-        inner_batch = oracle.evaluate_batch
-        batch = lambda dirs: np.asarray(inner_batch(dirs)) + dirs @ t
-    return SupportOracle(
-        dim=oracle.dim,
-        evaluate=lambda g, _e=oracle.evaluate: float(_e(g)) + float(g @ t),
-        evaluate_batch=batch,
-        label=f"{oracle.label}+shift" if oracle.label else "shifted",
-    )
+    inner = oracle.evaluate_batch
+    batch = lambda dirs: np.asarray(inner(dirs)) + _row_sums(dirs * t)
+    label = f"{oracle.label}+shift" if oracle.label else "shifted"
+    return SupportOracle(oracle.dim, evaluate_batch=batch, label=label)

@@ -30,6 +30,7 @@ def test_tracer_installs_and_restores_every_name(tracing):
         (np, "einsum"),
         (widths, "gaussian_sym"),
         (widths, "ThreadPoolExecutor"),
+        (widths, "k_sparse_largest_eigenvalue"),
         (hypercube, "gaussian_sym"),
         (hypercube, "project_traceless"),
         (linalg, "substream"),
@@ -95,6 +96,21 @@ def test_tracer_counts_only_the_exhaustive_blocks_that_reach_eigvalsh(tracing, m
         handle.remove()
     counted = tracer.collect()["widths.k_sparse.exhaustive.eig_subsets"]
     assert 0 < counted == sum(solved) < math.comb(14, 5)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_tracer_sees_every_sparse_dual_trial_as_a_k_sparse_call(tracing, mode):
+    # each trial goes through the public k_sparse_largest_eigenvalue, so the
+    # k-sparse spans hold every eigensolve of the estimate
+    tracer = tracing.Tracer()
+    handle = tracing.install(tracer)
+    try:
+        widths.width_dual_base_sparse(8, 3, 70, seed=2, mode=mode)
+    finally:
+        handle.remove()
+    metrics = tracer.collect()
+    assert metrics[f"widths.k_sparse.{mode}.calls"] == 70
+    assert metrics[f"widths.k_sparse.{mode}.eig_subsets"] == metrics["lapack.eigvalsh.matrices"] > 0
 
 
 def test_tracer_sees_one_stream_and_one_contraction_per_general_dual_trial(tracing, monkeypatch):

@@ -561,6 +561,15 @@ class TestParsing:
         assert cli.main(["frobnicate"]) == 2
 
 
+def _run_widths_estimate(flags, tmp_path, capsys):
+    """run_cli on `widths estimate --trials 5` plus flags, with "{family}"
+    bound to a coordinate family at n = 6, k = 2 (N = 15)."""
+    family = tmp_path / "fam.conefam"
+    write_conefam(coordinate_family(6, 2), family)
+    flags = [str(family) if flag == "{family}" else flag for flag in flags]
+    return run_cli(["widths", "estimate", "--trials", "5", *flags], capsys)
+
+
 class TestErrorContract:
     """Bad input exits 2 with exactly one JSON line on stderr."""
 
@@ -602,6 +611,17 @@ class TestErrorContract:
               "--trials", "5", "--params", "mode=bogus"], "unknown mode 'bogus'"),
             (["widths", "estimate", "--kind", "sparse-dual", "--n", "5", "--k", "5",
               "--trials", "5", "--params", "mode=bogus"], "unknown mode 'bogus'"),
+            # a boolean is not a number, though parse_params coerces true to True
+            (["bounds", "eval", "--formula", "phi", "--params", "delta=true"],
+             "parameter 'delta' must be a number, got True"),
+            (["bounds", "eval", "--formula", "thm1", "--params", "n=true,k=2"],
+             "parameter 'n' must be a number, got True"),
+            (["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "3", "--trials", "5",
+              "--params", "radius=true"], "parameter 'radius' must be a number, got True"),
+            (["hypercube", "verify", "--lemma", "hypercontractivity", "--params", "rho=true"],
+             "parameter 'rho' must be a number, got True"),
+            (["hypercube", "verify", "--lemma", "hypercontractivity", "--params", "p=false"],
+             "parameter 'p' must be a number, got False"),
         ],
         ids=["missing-n", "non-numeric-param", "bad-grid", "grid-not-a-number",
              "grid-steps-not-an-integer", "parser-error", "variance-trials",
@@ -609,7 +629,8 @@ class TestErrorContract:
              "hypercontractivity-trials", "maximal-trials", "hypercontractivity-n",
              "radius-not-a-number", "negative-radius",
              "infinite-radius", "nan-axis", "l2-ball-zero-n", "l1-ball-negative-n",
-             "sparse-mode-at-k-1", "sparse-mode-at-k-n"],
+             "sparse-mode-at-k-1", "sparse-mode-at-k-n", "bool-delta", "bool-thm1-n",
+             "bool-radius", "bool-rho", "bool-p"],
     )
     def test_usage_error_is_one_json_line(self, argv, needle, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -617,6 +638,44 @@ class TestErrorContract:
         [line] = err.splitlines()
         error = json.loads(line)["error"]
         assert error["kind"] == "usage" and needle in error["message"]
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [
+            (["--kind", "oracle:ellipsoid", "--n", "3", "--params", "axes=1:2"],
+             "--n 3 differs from 2, the size oracle:ellipsoid derives"),
+            (["--kind", "general-dual", "--family", "{family}", "--n", "5"],
+             "--n 5 differs from 6, the size general-dual derives"),
+            (["--kind", "general-dual", "--family", "{family}", "--k", "3"],
+             "--k 3 differs from 2, the size general-dual derives"),
+            (["--kind", "base-psd", "--n", "4", "--k", "2"], "base-psd does not read --k"),
+            (["--kind", "base-psd", "--n", "4", "--family", "{family}"],
+             "base-psd does not read --family"),
+            (["--kind", "sparse-dual", "--n", "4", "--k", "2", "--family", "{family}"],
+             "sparse-dual does not read --family"),
+            (["--kind", "oracle:l2-ball", "--n", "3", "--k", "2"], "oracle:l2-ball does not read --k"),
+        ],
+        ids=["oracle-n", "general-dual-n", "general-dual-k", "base-psd-k", "base-psd-family",
+             "sparse-dual-family", "oracle-k"],
+    )
+    def test_widths_flag_that_contradicts_the_kind(self, flags, needle, tmp_path, capsys):
+        # the estimate block would otherwise name sizes the estimate did not use
+        code, out, err = _run_widths_estimate(flags, tmp_path, capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["kind"] == "usage" and needle in error["message"]
+
+    @pytest.mark.parametrize(
+        "flags, sizes",
+        [(["--kind", "oracle:ellipsoid", "--n", "2", "--params", "axes=1:2"], (2, None, None)),
+         (["--kind", "general-dual", "--family", "{family}", "--n", "6", "--k", "2"], (6, 2, 15))],
+        ids=["oracle-n", "general-dual-n-k"],
+    )
+    def test_widths_flags_that_agree_with_the_kind_are_accepted(self, flags, sizes, tmp_path, capsys):
+        code, out, _ = _run_widths_estimate(flags, tmp_path, capsys)
+        estimate = json.loads(out)["estimate"]
+        assert code == 0 and (estimate["n"], estimate["k"], estimate["N"]) == sizes
 
     @pytest.mark.parametrize("extra", [[], ["--tol", "0"], ["--refute", "--samples", "5"]])
     def test_non_finite_matrix_is_a_numerical_failure(self, extra, tmp_path, capsys):

@@ -600,10 +600,13 @@ class TestWidthViaOracle:
          lambda: l2_ball_oracle(200), lambda: l2_ball_oracle(2, 1e-300),
          lambda: ellipsoid_oracle([1.5, 0.5, 2.0]), lambda: ellipsoid_oracle([2.0, 1.0]),
          lambda: ellipsoid_oracle([1e-200, 1e-200]), lambda: ellipsoid_oracle([1e200, 1.0]),
-         lambda: l1_ball_oracle(1), lambda: l1_ball_oracle(7), lambda: l1_ball_oracle(8, 3.0)],
+         lambda: l1_ball_oracle(1), lambda: l1_ball_oracle(7), lambda: l1_ball_oracle(8, 3.0),
+         lambda: shifted_oracle(l2_ball_oracle(9), np.linspace(-1.0, 2.0, 9)),
+         lambda: shifted_oracle(l2_ball_oracle(40), np.linspace(-1.0, 2.0, 40)),
+         lambda: SupportOracle(5, evaluate_batch=lambda dirs: np.abs(dirs).sum(axis=1))],
         ids=["l2-d1", "l2-d2", "l2-d7", "l2-d8", "l2-d9", "l2-d40", "l2-d200", "l2-tiny",
              "ellipsoid-d3", "ellipsoid-2-1", "ellipsoid-tiny", "ellipsoid-huge",
-             "l1-d1", "l1-d7", "l1-d8"],
+             "l1-d1", "l1-d7", "l1-d8", "shifted-l2-d9", "shifted-l2-d40", "batch-only-cube-d5"],
     )
     def test_scalar_and_batch_paths_agree(self, make):
         # an oracle wrapped without its batch gives the same widths bit for bit
@@ -613,6 +616,10 @@ class TestWidthViaOracle:
         b = width_via_oracle(scalar, 2000, seed=29)
         assert a.per_trial_values.tobytes() == b.per_trial_values.tobytes()
         assert (a.mean, a.std_error) == (b.mean, b.std_error)
+
+    def test_an_oracle_needs_a_formula(self):
+        with pytest.raises(InvalidArgumentError, match="evaluate or evaluate_batch"):
+            SupportOracle(3, label="empty")
 
     def test_nonfinite_oracle_reports_direction(self):
         bad = SupportOracle(dim=2, evaluate=lambda g: float("nan"), label="broken")
@@ -633,7 +640,7 @@ class TestWidthViaOracle:
             make(3, radius)
 
     @pytest.mark.parametrize("make", [l2_ball_oracle, l1_ball_oracle])
-    @pytest.mark.parametrize("radius", ["abc", None, 1j])
+    @pytest.mark.parametrize("radius", ["abc", None, 1j, True])
     def test_ball_oracles_reject_a_radius_that_is_not_a_number(self, make, radius):
         with pytest.raises(InvalidArgumentError, match="parameter 'radius' must be a number"):
             make(3, radius)
@@ -818,7 +825,7 @@ class TestConcentration:
         with pytest.raises(InvalidArgumentError):
             concentration_check(l2_ball_oracle(3), -0.5, 100, seed=0)
 
-    @pytest.mark.parametrize("alpha", [math.nan, -math.inf, "0.5", None, 1j])
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf, "0.5", None, 1j, True])
     def test_alpha_must_be_a_nonnegative_number(self, alpha):
         with pytest.raises(InvalidArgumentError, match="alpha"):
             concentration_check(l2_ball_oracle(3), alpha, 100, seed=0)
