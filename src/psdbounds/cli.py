@@ -9,6 +9,7 @@ embed a literal rerun command line in their header comments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,6 +28,8 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
+
+MAX_GRID_STEPS = 100_000  # points of one --grid
 
 
 def _fmt_float(x: float) -> str:
@@ -92,6 +95,8 @@ def parse_grid(raw: str) -> list[float]:
         raise ValueError(f"grid ends must be finite, got {raw!r}")
     if steps < 1:
         raise ValueError(f"grid needs at least one step, got {steps}")
+    if steps > MAX_GRID_STEPS:  # before the grid is allocated
+        raise SizeLimitError(f"grid supports at most {MAX_GRID_STEPS} steps, got {steps}")
     if steps == 1:
         return [start]
     return list(np.linspace(start, stop, steps))
@@ -179,7 +184,12 @@ def _make_oracle(name: str, dim: int | None, extra: dict) -> widths.SupportOracl
         axes_raw = extra.get("axes")
         if axes_raw is None:
             raise ValueError("oracle:ellipsoid needs axes=a:b[:c...] in --params")
-        axes = [float(a) for a in str(axes_raw).split(":")]
+        try:
+            axes = [float(a) for a in str(axes_raw).split(":")]
+        except ValueError:
+            raise InvalidArgumentError(
+                f"parameter 'axes' must be numbers a:b[:c...], got {axes_raw!r}"
+            ) from None
         return widths.ellipsoid_oracle(axes)
     raise ValueError(f"unknown oracle {name!r}; expected l2-ball, l1-ball, or ellipsoid")
 
@@ -447,6 +457,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh `psdb` parser; extending it leaves the one main uses unchanged."""
     parser = _Parser(
         prog=PROG,
         description="PSD-cone approximation toolkit: bounds, widths, membership, hypercube checks",
@@ -460,17 +471,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
         p.add_argument("--seed", type=int, default=seed_default)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run)  # a handler's name, looked up when main runs it
 
     p_bounds = sub.add_parser("bounds", help="closed-form bounds")
     bounds_sub = p_bounds.add_subparsers(dest="action", required=True)
     p_eval = bounds_sub.add_parser("eval", help="evaluate one formula")
     p_eval.add_argument("--formula", required=True)
-    common(p_eval, _run_eval)
+    common(p_eval, "_run_eval")
     p_curve = bounds_sub.add_parser("curve", help="evaluate a formula on a grid")
     p_curve.add_argument("--formula", required=True)
     p_curve.add_argument("--grid", required=True, help="start:stop:steps")
-    common(p_curve, _run_curve, formats=("csv",))
+    common(p_curve, "_run_curve", formats=("csv",))
 
     p_widths = sub.add_parser("widths", help="Monte Carlo width estimates")
     widths_sub = p_widths.add_subparsers(dest="action", required=True)
@@ -485,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="default: 2000 for matrix statistics, 100000 for oracle kinds",
     )
-    common(p_est, _run_widths, seed_default=0, formats=("json", "csv"))
+    common(p_est, "_run_widths", seed_default=0, formats=("json", "csv"))
 
     p_cones = sub.add_parser("cones", help="membership and witnesses")
     cones_sub = p_cones.add_subparsers(dest="action", required=True)
@@ -496,12 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_member.add_argument("--tol", type=float, default=None)
     p_member.add_argument("--refute", action="store_true", help="randomized refutation mode")
     p_member.add_argument("--samples", type=int, default=10000)
-    common(p_member, _run_member, seed_default=0)
+    common(p_member, "_run_member", seed_default=0)
     p_witness = cones_sub.add_parser("witness")
     p_witness.add_argument("--n", type=int, required=True)
     p_witness.add_argument("--k", type=int, required=True)
     p_witness.add_argument("--matrix-out", dest="matrix_out", default=None)
-    common(p_witness, _run_witness)
+    common(p_witness, "_run_witness")
 
     p_hc = sub.add_parser("hypercube", help="lemma verification suites")
     hc_sub = p_hc.add_subparsers(dest="action", required=True)
@@ -514,36 +525,49 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=8)
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--lam", type=float, default=math.e)
-    common(p_verify, _run_hypercube, seed_default=0)
+    common(p_verify, "_run_hypercube", seed_default=0)
 
     p_fig = sub.add_parser("figures", help="emit figure CSV bundles")
     p_fig.add_argument("--name", required=True, choices=tuple(FIGURES))
     p_fig.add_argument("--grid", default=None, help="start:stop:steps")
-    common(p_fig, _run_figures, formats=("csv",))
+    common(p_fig, "_run_figures", formats=("csv",))
 
     return parser
+
+
+def _report(kind: str, message: str, code: int) -> int:
+    """Write the one JSON error line and return the exit code."""
+    sys.stderr.write(json.dumps({"error": {"kind": kind, "message": message}}) + "\n")
+    return code
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process.  Parsing leaves it as
+    built: it holds handler names, not handlers, and no argument appends to
+    or shares a mutable default."""
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         args.argv = list(argv)
         extra = read_config_file(args.config) if args.config else {}
         extra.update(parse_params(args.params))
-        return args.run(args, {"extra": extra})
+        return globals()[args.run](args, {"extra": extra})
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     except NumericalFailureError as exc:
-        sys.stderr.write(json.dumps({"error": {"kind": "numerical", "message": str(exc)}}) + "\n")
-        return EXIT_NUMERICAL
+        return _report("numerical", str(exc), EXIT_NUMERICAL)
     except OracleFailureError as exc:
-        sys.stderr.write(json.dumps({"error": {"kind": "oracle", "message": str(exc)}}) + "\n")
-        return EXIT_NUMERICAL
+        return _report("oracle", str(exc), EXIT_NUMERICAL)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        sys.stderr.write(json.dumps({"error": {"kind": "usage", "message": str(exc)}}) + "\n")
-        return EXIT_USAGE
+        return _report("usage", str(exc), EXIT_USAGE)
+    except MemoryError as exc:  # a request within the size caps but past the free memory
+        return _report("usage", str(exc) or "not enough memory for this request", EXIT_USAGE)
 
 
 if __name__ == "__main__":

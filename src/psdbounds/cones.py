@@ -21,12 +21,14 @@ from .errors import (
     EnumerationLimitError,
     InvalidArgumentError,
     InvalidDimensionError,
+    SizeLimitError,
 )
 from .linalg import SymmetricMatrix, psd_tolerance, require_finite
 from .linalg import _dumps_v1, _loads_v1, _read_text, _write_text
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
+    "MAX_WITNESS_DIM",
     "SubspaceBasis",
     "ConeFamily",
     "sparse_kpsd_member",
@@ -42,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**7
+MAX_WITNESS_DIM = 2048  # witness_matrix's dense n-by-n: 32 MiB, about 180 MB at peak
 
 _ORTHO_DRIFT = 1e-10
 
@@ -428,6 +431,8 @@ def witness_matrix(n: int, k: int) -> SymmetricMatrix:
     if k <= 1:
         raise InvalidArgumentError("the construction needs k >= 2")
     _check_nk(n, k)
+    if n > MAX_WITNESS_DIM:  # before the dense n-by-n matrix is allocated
+        raise SizeLimitError(f"the witness matrix supports n <= {MAX_WITNESS_DIM}, got {n}")
     a = (k - n) / (n * (k - 1))
     b = k / (n * (k - 1))
     return g_abn(a, b, n)

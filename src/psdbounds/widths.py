@@ -124,9 +124,27 @@ class SupportOracle:
         if one is None:
             one = lambda g: float(batch(np.asarray(g, dtype=np.float64)[None])[0])
         elif batch is None:
-            batch = lambda dirs: np.array([one(g) for g in dirs], dtype=np.float64)
+            batch = _batch_of(one)
         object.__setattr__(self, "evaluate", one)
         object.__setattr__(self, "evaluate_batch", batch)
+
+
+def _batch_of(one: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """The batch formula of a scalar one: evaluate run on each row, and an
+    error naming evaluate when it returns something other than one value."""
+
+    def batch(dirs: np.ndarray) -> np.ndarray:
+        values = np.empty(len(dirs))
+        for t, g in enumerate(dirs):
+            value = one(g)
+            if np.shape(value) != ():
+                raise OracleFailureError(
+                    f"evaluate returned shape {np.shape(value)}, expected ()", direction=g.copy()
+                )
+            values[t] = value
+        return values
+
+    return batch
 
 
 @dataclass(frozen=True)

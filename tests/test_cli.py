@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from psdbounds import cli, hypercube, widths
 from psdbounds.bounds import FORMULAS
 from psdbounds.cones import coordinate_family, write_conefam, witness_matrix
+from psdbounds.errors import SizeLimitError
 from psdbounds.linalg import SymmetricMatrix, write_symmat
 
 from _oracles import (
@@ -557,8 +558,149 @@ class TestParsing:
         with pytest.raises(ValueError):
             cli.parse_grid("0:1")
 
+    def test_parse_grid_caps_its_steps(self):
+        assert len(cli.parse_grid(f"0:1:{cli.MAX_GRID_STEPS}")) == cli.MAX_GRID_STEPS
+        with pytest.raises(SizeLimitError, match=f"at most {cli.MAX_GRID_STEPS} steps"):
+            cli.parse_grid(f"0:1:{cli.MAX_GRID_STEPS + 1}")
+
     def test_unknown_command_is_usage_error(self):
         assert cli.main(["frobnicate"]) == 2
+
+
+# two commands of each group on one subcommand, most with --params of keys
+# the other does not give, so a value that one call leaves in a shared parser
+# shows in a later call's echo
+_REUSE_RUNS = {
+    "bounds": ["bounds", "eval", "--formula", "zeta", "--params", "delta=0.2",
+               "--out", "bounds.json"],
+    "bounds-again": ["bounds", "eval", "--formula", "delta_star", "--params", "eps=0.1"],
+    "widths": ["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "3", "--trials", "50",
+               "--params", "radius=2", "--out", "widths.json"],
+    "widths-again": ["widths", "estimate", "--kind", "oracle:ellipsoid", "--trials", "50",
+                     "--params", "axes=1:2"],
+    "cones": ["cones", "witness", "--n", "6", "--k", "3", "--matrix-out", "w.symmat"],
+    "cones-again": ["cones", "witness", "--n", "4", "--k", "2"],
+    "hypercube": ["hypercube", "verify", "--lemma", "hypercontractivity", "--n", "4",
+                  "--trials", "5", "--params", "rho=0.7", "--seed", "2"],
+    "hypercube-again": ["hypercube", "verify", "--lemma", "hypercontractivity", "--n", "4",
+                        "--trials", "5", "--params", "p=3"],
+    "figures": ["figures", "--name", "delta-star", "--grid", "0:1:5", "--out", "figs",
+                "--params", "tol=1e-6"],
+    "figures-again": ["figures", "--name", "xc-lower", "--grid", "1:100:4", "--out", "figs2",
+                      "--params", "n=1000"],
+}
+_HANDLERS = {"_run_eval": "bounds", "_run_widths": "widths", "_run_witness": "cones",
+             "_run_hypercube": "hypercube", "_run_figures": "figures"}
+
+
+def _bytes_of(argv, directory):
+    """Exit code, stdout, stderr and the bytes of every file written, for
+    argv run in directory, which is made for it (and its parents)."""
+    directory.mkdir(parents=True)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
+    files = {path.relative_to(directory).as_posix(): path.read_bytes()
+             for path in sorted(directory.rglob("*")) if path.is_file()}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+class TestParserReuse:
+    """main parses every call with one parser per process, and no call can
+    tell: each writes what it writes on a parser of its own."""
+
+    @pytest.fixture
+    def alone(self, tmp_path, monkeypatch):
+        """_bytes_of each _REUSE_RUNS command, run on a fresh build_parser()."""
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            runs = {name: _bytes_of(argv, tmp_path / f"alone{name}")
+                    for name, argv in _REUSE_RUNS.items()}
+        assert all(code == 0 and (out or files) for code, out, _, files in runs.values())
+        return runs
+
+    def check_runs(self, alone, directory):
+        for name, argv in _REUSE_RUNS.items():
+            assert _bytes_of(argv, directory / name) == alone[name], name
+
+    def test_calls_in_a_row_write_what_each_writes_alone(self, alone, tmp_path):
+        for round in range(2):  # each command after others of its subcommand
+            self.check_runs(alone, tmp_path / f"round{round}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "eval", "--params", "delta=0.3", "--out", "x.json", "--bogus"],
+            ["widths", "estimate", "--kind", "base-psd", "--params", "radius=5", "--n", "x"],
+            ["cones", "witness", "--n", "6", "--k", "3", "--matrix-out", "m", "--tol", "1"],
+            ["hypercube", "verify", "--params", "rho=0.9", "--seed", "4", "--lemma", "nope"],
+            ["figures", "--name", "delta-star", "--params", "eps=1", "--grid"],
+            ["frobnicate", "--params", "delta=0.4"],
+        ],
+        ids=["unknown-flag", "not-an-int", "flag-of-another-command", "bad-choice",
+             "missing-value", "unknown-command"],
+    )
+    def test_a_call_that_fails_to_parse_changes_no_later_call(self, argv, alone, tmp_path):
+        code, out, err, files = _bytes_of(argv, tmp_path / "failed")
+        assert (code, out, files) == (2, "", {})
+        [line] = err.splitlines()
+        assert json.loads(line)["error"]["kind"] == "usage"
+        self.check_runs(alone, tmp_path / "after")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["--version"], ["bounds", "eval", "--help"], ["figures", "--help"]],
+        ids=["help", "version", "eval-help", "figures-help"],
+    )
+    def test_help_and_version_change_no_later_call(self, argv, alone, tmp_path):
+        code, out, err, files = _bytes_of(argv, tmp_path / "info")
+        assert code == 0 and out.startswith(("usage: psdb", f"psdb {cli.__version__}")) and err == ""
+        self.check_runs(alone, tmp_path / "after")
+
+    def test_extending_build_parser_changes_nothing_main_accepts(self, alone, tmp_path):
+        argv = ["--extra-flag=1", *_REUSE_RUNS["bounds"]]
+        self.check_runs(alone, tmp_path / "before")
+        parser = cli.build_parser()
+        parser.add_argument("--extra-flag")
+        assert parser.parse_args(argv).extra_flag == "1"
+        assert cli.build_parser() is not parser
+        code, out, err, _ = _bytes_of(argv, tmp_path / "extended")
+        assert (code, out) == (2, "") and "--extra-flag" in json.loads(err)["error"]["message"]
+        self.check_runs(alone, tmp_path / "after")
+
+    @pytest.mark.parametrize("handler", list(_HANDLERS))
+    def test_a_patched_handler_runs_on_the_next_call(self, handler, alone, tmp_path, monkeypatch):
+        argv = _REUSE_RUNS[_HANDLERS[handler]]
+        assert _bytes_of(argv, tmp_path / "before") == alone[_HANDLERS[handler]]
+        seen = []
+        monkeypatch.setattr(cli, handler, lambda args, params: seen.append(args.argv) or 5)
+        assert _bytes_of(argv, tmp_path / "patched") == (5, "", "", {})
+        assert seen == [argv]
+
+    def test_ten_calls_construct_the_parser_once(self, tmp_path, monkeypatch):
+        # a guard on the gain: a parser per call costs about 2 ms, as much as
+        # a small command's own work
+        roots = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                if kwargs.get("prog") == cli.PROG:  # the root, not a subcommand
+                    roots.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        cli._parser.cache_clear()
+        try:
+            for i, argv in enumerate(_REUSE_RUNS.values()):
+                assert _bytes_of(argv, tmp_path / f"run{i}")[0] == 0
+        finally:
+            cli._parser.cache_clear()  # the next main builds from the real class
+        assert len(roots) == 1
 
 
 def _run_widths_estimate(flags, tmp_path, capsys):
@@ -622,6 +764,13 @@ class TestErrorContract:
              "parameter 'rho' must be a number, got True"),
             (["hypercube", "verify", "--lemma", "hypercontractivity", "--params", "p=false"],
              "parameter 'p' must be a number, got False"),
+            # rejected before a 745 GiB grid or an 80 GB witness is allocated
+            (["bounds", "curve", "--formula", "psi", "--grid", "0:1:100000000000"],
+             "grid supports at most 100000 steps, got 100000000000"),
+            (["cones", "witness", "--n", "100000", "--k", "2"],
+             "the witness matrix supports n <= 2048, got 100000"),
+            (["widths", "estimate", "--kind", "oracle:ellipsoid", "--params", "axes=1:x",
+              "--trials", "5"], "parameter 'axes' must be numbers a:b[:c...], got '1:x'"),
         ],
         ids=["missing-n", "non-numeric-param", "bad-grid", "grid-not-a-number",
              "grid-steps-not-an-integer", "parser-error", "variance-trials",
@@ -630,7 +779,8 @@ class TestErrorContract:
              "radius-not-a-number", "negative-radius",
              "infinite-radius", "nan-axis", "l2-ball-zero-n", "l1-ball-negative-n",
              "sparse-mode-at-k-1", "sparse-mode-at-k-n", "bool-delta", "bool-thm1-n",
-             "bool-radius", "bool-rho", "bool-p"],
+             "bool-radius", "bool-rho", "bool-p", "grid-steps-cap", "witness-n-cap",
+             "axes-not-a-number"],
     )
     def test_usage_error_is_one_json_line(self, argv, needle, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -638,6 +788,24 @@ class TestErrorContract:
         [line] = err.splitlines()
         error = json.loads(line)["error"]
         assert error["kind"] == "usage" and needle in error["message"]
+
+    @pytest.mark.parametrize(
+        "error, needle",
+        [(MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+         (MemoryError(), "not enough memory for this request")],
+        ids=["numpy-message", "bare"],
+    )
+    def test_running_out_of_memory_is_one_json_line(self, error, needle, capsys, monkeypatch):
+        # a request within every size cap can still need more memory than there is
+        def allocate(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(widths, "width_base_psd", allocate)
+        argv = ["widths", "estimate", "--kind", "base-psd", "--n", "3", "--trials", str(10**12)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == {"kind": "usage", "message": needle}
 
     @pytest.mark.parametrize(
         "flags, needle",

@@ -29,6 +29,7 @@ from psdbounds.errors import (
     InvalidArgumentError,
     InvalidDimensionError,
     NumericalFailureError,
+    SizeLimitError,
 )
 from psdbounds.linalg import SymmetricMatrix, default_psd_tol, eigenvalues_descending, is_psd
 
@@ -515,6 +516,12 @@ class TestSpikedConstructions:
         assert eps == 8.0
         assert is_psd(sym(W + (eps + 1e-6) / 10 * np.eye(10)), 1e-9)
         assert not is_psd(sym(W + (eps - 1e-6) / 10 * np.eye(10)), 1e-9)
+
+    def test_witness_past_the_size_cap_is_rejected_before_allocation(self):
+        n = cones.MAX_WITNESS_DIM + 1
+        with pytest.raises(SizeLimitError, match=f"n <= {cones.MAX_WITNESS_DIM}, got {n}"):
+            witness_matrix(n, 2)
+        assert eps_star_lower_sparse(10**5, 2) == 99_998.0  # the bound needs no matrix
 
     def test_witness_rejects_k_one(self):
         with pytest.raises(InvalidArgumentError):

@@ -621,6 +621,13 @@ class TestWidthViaOracle:
         with pytest.raises(InvalidArgumentError, match="evaluate or evaluate_batch"):
             SupportOracle(3, label="empty")
 
+    def test_an_evaluate_that_is_not_scalar_is_named(self):
+        # the batch is derived from evaluate, so the error names evaluate
+        oracle = SupportOracle(2, evaluate=lambda g: np.array([1.0, 2.0]))
+        with pytest.raises(OracleFailureError, match=r"^evaluate returned shape \(2,\), expected \(\)$") as err:
+            width_via_oracle(oracle, 5, 1)
+        assert err.value.direction.shape == (2,)
+
     def test_nonfinite_oracle_reports_direction(self):
         bad = SupportOracle(dim=2, evaluate=lambda g: float("nan"), label="broken")
         with pytest.raises(OracleFailureError) as err:
