@@ -280,10 +280,10 @@ def _run_member(args: argparse.Namespace, params: dict) -> int:
 
 def _run_witness(args: argparse.Namespace, params: dict) -> int:
     params.update(n=args.n, k=args.k, matrix_out=args.matrix_out)
-    W = cones.witness_matrix(args.n, args.k)
-    payload = {"value": cones.eps_star_lower_sparse(args.n, args.k), "trace": W.trace()}
+    trace = cones.witness_trace(args.n, args.k)
+    payload = {"value": cones.eps_star_lower_sparse(args.n, args.k), "trace": trace}
     if args.matrix_out:
-        linalg.write_symmat(W, args.matrix_out)
+        linalg.write_symmat(cones.witness_matrix(args.n, args.k), args.matrix_out)
         payload["files"] = [args.matrix_out]
     _emit(_json_artifact(args, params, payload), args.out)
     return EXIT_OK

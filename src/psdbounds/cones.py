@@ -9,6 +9,7 @@ cone, and the (n-k)/(k-1) separation it certifies.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .errors import (
     SizeLimitError,
 )
 from .linalg import SymmetricMatrix, psd_tolerance, require_finite
-from .linalg import _dumps_v1, _loads_v1, _read_text, _write_text
+from .linalg import _diagonal_sums, _dumps_v1, _loads_v1, _read_text, _write_text
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -36,6 +37,7 @@ __all__ = [
     "general_kpsd_member",
     "g_abn",
     "witness_matrix",
+    "witness_trace",
     "eps_star_lower_sparse",
     "coordinate_family",
     "sample_factor_width_extreme",
@@ -271,9 +273,47 @@ def unscreened(Y: np.ndarray, idx: np.ndarray, c: float | np.ndarray) -> np.ndar
     return idx[~screen_clears(Y, idx, c)]
 
 
+_TABLE_ROWS = 32768  # subset tables with at most this many rows ...
+_TABLE_ENTRIES = 1 << 18  # ... and at most this many entries are cached
+
+
 def subset_chunks(n: int, k: int, chunk: int = 32768):
-    """All k-subsets of range(n) in lexicographic order, as index arrays of
-    at most chunk rows.
+    """All k-subsets of range(n) in lexicographic order, as (rows, k) intp
+    arrays of at most chunk rows.
+
+    When C(n, k) <= _TABLE_ROWS and C(n, k) k <= _TABLE_ENTRIES, the rows
+    are slices of the whole table, unranked once per process and cached by
+    _subset_table; each chunk is a fresh intp copy of its slice.  Larger
+    enumerations are unranked chunk by chunk, as _unranked_chunks yields
+    them.  Either way the rows and chunk boundaries are the same.
+    """
+    count = math.comb(n, k)
+    if count > _TABLE_ROWS or count * k > _TABLE_ENTRIES:
+        yield from _unranked_chunks(n, k, chunk)
+        return
+    table = _subset_table(n, k)
+    for first in range(0, count, chunk):
+        yield table[first : first + chunk].astype(np.intp)
+
+
+@functools.lru_cache(maxsize=32)
+def _subset_table(n: int, k: int) -> np.ndarray:
+    """The read-only (C(n, k), k) table of subset_chunks, one piece of
+    _unranked_chunks, stored in np.min_scalar_type(n - 1).
+
+    A cached table has at most 2^18 entries, and n <= 2^18 (n <= 256 takes
+    one byte per entry, n <= 65536 two, larger n four), so one table holds
+    at most 1 MiB and the 32 the cache keeps at most 32 MiB; with n <= 256,
+    at most 256 KiB and 8 MiB.
+    """
+    table = next(_unranked_chunks(n, k, math.comb(n, k))).astype(np.min_scalar_type(n - 1))
+    table.setflags(write=False)
+    return table
+
+
+def _unranked_chunks(n: int, k: int, chunk: int):
+    """All k-subsets of range(n) in lexicographic order, unranked as index
+    arrays of at most chunk rows.
 
     Each chunk is a range of lexicographic ranks, unranked with one
     searchsorted per position, so memory stays at one chunk.  below[p, v]
@@ -424,18 +464,33 @@ def g_abn(a: float, b: float, n: int) -> SymmetricMatrix:
     return SymmetricMatrix.from_dense(dense)
 
 
-def witness_matrix(n: int, k: int) -> SymmetricMatrix:
-    """Unit-trace matrix with every k-by-k principal submatrix PSD but whose
-    smallest eigenvalue forces any PSD shift to be at least (n-k)/(k-1)/n.
-    """
+def _witness_ab(n: int, k: int) -> tuple[float, float]:
+    """The witness's eigenvalue a on the all-ones vector and b on its
+    complement, once n and k pass the witness's checks."""
     if k <= 1:
         raise InvalidArgumentError("the construction needs k >= 2")
     _check_nk(n, k)
     if n > MAX_WITNESS_DIM:  # before the dense n-by-n matrix is allocated
         raise SizeLimitError(f"the witness matrix supports n <= {MAX_WITNESS_DIM}, got {n}")
-    a = (k - n) / (n * (k - 1))
-    b = k / (n * (k - 1))
+    return (k - n) / (n * (k - 1)), k / (n * (k - 1))
+
+
+def witness_matrix(n: int, k: int) -> SymmetricMatrix:
+    """Unit-trace matrix with every k-by-k principal submatrix PSD but whose
+    smallest eigenvalue forces any PSD shift to be at least (n-k)/(k-1)/n.
+    """
+    a, b = _witness_ab(n, k)
     return g_abn(a, b, n)
+
+
+def witness_trace(n: int, k: int) -> float:
+    """witness_matrix(n, k).trace(), bit for bit, from the diagonal alone.
+
+    g_abn's diagonal holds n copies of a * (1/n) + b * (1 - 1/n), and the
+    trace sums it as SymmetricMatrix.trace does, so no n-by-n matrix is built.
+    """
+    a, b = _witness_ab(n, k)
+    return float(_diagonal_sums(np.full((1, n), a * (1.0 / n) + b * (1.0 - 1.0 / n)))[0])
 
 
 def eps_star_lower_sparse(n: int, k: int) -> float:

@@ -10,6 +10,7 @@ fixed, so results do not depend on the degree of parallelism.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -171,23 +172,28 @@ def _matrix_trials(
     gaussian_sym_batch (chunk 0 means _TRIAL_CHUNK) and per_stack maps it to
     one value per trial, which must depend only on that trial's matrix.
     Tasks run on a thread pool of up to thread_count() workers; a single
-    worker runs them on the caller's thread.
+    worker runs them on the caller's thread.  The (trials,) value array is
+    allocated before the first draw and each task writes its own slice, so
+    a trial count past the free memory raises MemoryError at once.
     """
     _check_trials(trials)
     check_seed(seed)
     chunk = chunk or _TRIAL_CHUNK
+    values = np.empty(trials)
 
-    def task(start: int) -> np.ndarray:
-        return per_stack(gaussian_sym_batch(n, seed, start, min(start + chunk, trials)))
+    def task(start: int) -> None:
+        stop = min(start + chunk, trials)
+        values[start:stop] = per_stack(gaussian_sym_batch(n, seed, start, stop))
 
     starts = range(0, trials, chunk)
     workers = min(thread_count(), len(starts))
     if workers <= 1:
-        parts = [task(start) for start in starts]
+        for start in starts:
+            task(start)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(task, starts))
-    return WidthEstimate.from_values(np.concatenate(parts), seed, keep_values)
+            list(pool.map(task, starts))
+    return WidthEstimate.from_values(values, seed, keep_values)
 
 
 def width_base_psd(n: int, trials: int, seed: int, keep_values: bool = True) -> WidthEstimate:
@@ -292,7 +298,7 @@ def _grown_support(dense: np.ndarray, k: int) -> tuple[np.ndarray, float]:
     return support, value
 
 
-def _max_lambda1_subsets(dense: np.ndarray, k: int, cap: int) -> float:
+def _max_lambda1_subsets(dense: np.ndarray, k: int) -> float:
     """Largest eigvalsh lambda_1 over every k-by-k principal submatrix.
 
     The grown support's lambda_1 is attained, so the maximum is at least
@@ -304,7 +310,6 @@ def _max_lambda1_subsets(dense: np.ndarray, k: int, cap: int) -> float:
     result is the bits of solving every block.
     """
     n = dense.shape[0]
-    check_enumeration(n, k, cap, "; use greedy mode")
     grown = _grown_support(dense, k)[1]
     negated = -dense
     best = -math.inf
@@ -315,11 +320,20 @@ def _max_lambda1_subsets(dense: np.ndarray, k: int, cap: int) -> float:
     return best
 
 
-def _greedy_k_sparse(dense: np.ndarray, k: int) -> float:
-    n = dense.shape[0]
-    support = _grown_support(dense, k)[0]
+@functools.lru_cache(maxsize=32)
+def _greedy_restarts(n: int, k: int) -> np.ndarray:
+    """The read-only (20, k) restart supports of greedy mode, the first 20
+    k-subsets of the fixed internal stream.  They depend only on (n, k), so
+    each shape is drawn once per process; an entry holds 160 k bytes, and
+    the 32 the cache keeps at most 5 KiB k."""
     restarts = k_subsets(substream(_GREEDY_STREAM_KEY), n, k, _GREEDY_RESTARTS)
-    return max(_swap_ascents(dense, [support, *restarts]))
+    restarts.setflags(write=False)
+    return restarts
+
+
+def _greedy_k_sparse(dense: np.ndarray, k: int) -> float:
+    support = _grown_support(dense, k)[0]
+    return max(_swap_ascents(dense, [support, *_greedy_restarts(dense.shape[0], k)]))
 
 
 def k_sparse_largest_eigenvalue(
@@ -345,7 +359,7 @@ def k_sparse_largest_eigenvalue(
     with the screen, 39,772 without).  Non-finite entries raise
     NumericalFailureError.
     """
-    _check_k_sparse(G.dim, k, mode)
+    _check_k_sparse(G.dim, k, mode, cap)
     require_finite(G)
     dense = G.to_dense()
     if k == G.dim:
@@ -353,15 +367,19 @@ def k_sparse_largest_eigenvalue(
     if k == 1:
         return float(np.diag(dense).max())
     if mode == "exhaustive":
-        return _max_lambda1_subsets(dense, k, cap)
+        return _max_lambda1_subsets(dense, k)
     return _greedy_k_sparse(dense, k)
 
 
-def _check_k_sparse(n: int, k: int, mode: str) -> None:
+def _check_k_sparse(n: int, k: int, mode: str, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """k and mode, and in exhaustive mode with 1 < k < n the subset count
+    against cap."""
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
     if mode not in ("exhaustive", "greedy"):
         raise InvalidArgumentError(f"unknown mode {mode!r}; expected 'exhaustive' or 'greedy'")
+    if mode == "exhaustive" and 1 < k < n:
+        check_enumeration(n, k, cap, "; use greedy mode")
 
 
 def width_dual_base_sparse(
@@ -375,7 +393,8 @@ def width_dual_base_sparse(
     """Width of the unit-trace slice of the factor-width-k cone: expected
     largest k-sparse eigenvalue of a standard Gaussian symmetric matrix.
 
-    k and mode are checked before any draw.  Each trial goes through
+    k, mode and, in exhaustive mode, the subset count against
+    DEFAULT_ENUMERATION_CAP are checked before any draw.  Each trial goes through
     k_sparse_largest_eigenvalue as SymmetricMatrix.from_dense(G), which keeps G's bits.
     """
     _check_k_sparse(n, k, mode)

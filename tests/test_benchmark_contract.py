@@ -150,3 +150,29 @@ def test_tracer_counts_every_verify_trial_substream(tracing, lemma, capsys):
         handle.remove()
     capsys.readouterr()
     assert tracer.collect()["rng.substream.calls"] == 23
+
+
+def test_exact_counts_are_blind_to_cache_warmth(tracing):
+    # the subset tables and greedy restarts are cached per process; the
+    # counts the benchmark gates on must not depend on whether they are
+    def traced_pass():
+        tracer = tracing.Tracer()
+        handle = tracing.install(tracer)
+        try:
+            for mode in ("exhaustive", "greedy"):
+                widths.width_dual_base_sparse(9, 4, 20, seed=3, mode=mode)
+            assert cones.sparse_kpsd_member(cones.witness_matrix(10, 3), 3, 1e-9)
+            assert not cones.sparse_kpsd_member(cones.witness_matrix(10, 3), 4, 1e-9)
+        finally:
+            handle.remove()
+        return tracer.collect()
+
+    cones._subset_table.cache_clear()
+    widths._greedy_restarts.cache_clear()
+    cold = traced_pass()
+    warm = traced_pass()
+    assert cones._subset_table.cache_info().hits > 0 and widths._greedy_restarts.cache_info().hits > 0
+    assert cold["lapack.eigvalsh.matrices"] > 0
+    assert {name: warm[name] for name in tracing.EXACT_COUNTS} == {name: cold[name] for name in tracing.EXACT_COUNTS}
+    # only the greedy restarts' one draw per shape leaves the warm pass
+    assert warm["rng.substream.calls"] == cold["rng.substream.calls"] - 1

@@ -344,6 +344,16 @@ class TestConesCommands:
 
         W = read_symmat(m_path)
         assert abs(W.trace() - 1.0) < 1e-12
+        assert doc["trace"] == W.trace()
+
+    def test_witness_without_matrix_out_builds_no_matrix(self, capsys, monkeypatch):
+        from psdbounds import cones
+
+        trace = cones.witness_matrix(2048, 3).trace()
+        monkeypatch.setattr(cones, "g_abn", lambda *args: pytest.fail("built the dense witness"))
+        code, out, _ = run_cli(["cones", "witness", "--n", "2048", "--k", "3"], capsys)
+        doc = last_json(out)
+        assert code == 0 and doc["trace"] == trace and doc["value"] == 2045 / 2
 
 
 class TestHypercubeVerify:
@@ -806,6 +816,25 @@ class TestErrorContract:
         assert code == 2 and out == ""
         [line] = err.splitlines()
         assert json.loads(line)["error"] == {"kind": "usage", "message": needle}
+
+    @pytest.mark.parametrize("kind", ["base-psd", "sparse-dual"])
+    def test_too_many_matrix_trials_fail_at_once(self, kind):
+        # the 7.28 TiB value array is allocated before the first draw; the
+        # child's address space is capped so that holds however the system
+        # overcommits, and the timeout ends a run that draws instead
+        import resource
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        argv = ["widths", "estimate", "--kind", kind, "--n", "4", "--trials", str(10**12)]
+        argv += ["--k", "2"] if kind == "sparse-dual" else []
+        proc = subprocess.run([sys.executable, "-m", "psdbounds.cli", *argv], capture_output=True,
+                              text=True, timeout=60, preexec_fn=cap_address_space, check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        error = json.loads(line)["error"]
+        assert error["kind"] == "usage" and "Unable to allocate 7.28 TiB" in error["message"]
 
     @pytest.mark.parametrize(
         "flags, needle",

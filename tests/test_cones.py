@@ -50,7 +50,11 @@ class TestSubsetChunks:
     """The numpy enumeration yields itertools.combinations, chunk by chunk."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 32768])
-    @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (5, 5), (6, 3), (9, 4), (12, 6)])
+    @pytest.mark.parametrize(
+        "n, k",
+        # C(n, k) up to 32,768 rows reads a cached table, (32769, 1) streams
+        [(1, 1), (5, 1), (5, 5), (6, 3), (9, 4), (12, 6), (14, 5), (16, 8), (32768, 1), (32769, 1)],
+    )
     def test_rows_and_chunks_equal_itertools(self, n, k, chunk):
         want = list(itertools.combinations(range(n), k))
         got = list(subset_chunks(n, k, chunk))
@@ -69,6 +73,71 @@ class TestSubsetChunks:
         # C(n, k) is small, but C(n, k - p) for middle positions p is beyond int64
         got = np.concatenate(list(subset_chunks(n, k)))
         assert np.array_equal(got, np.array(list(itertools.combinations(range(n), k))))
+
+
+class TestSubsetTableCache:
+    """Small shapes read a cached table; larger ones stream; the rows agree."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        cones._subset_table.cache_clear()
+        yield
+        cones._subset_table.cache_clear()
+
+    @pytest.mark.parametrize("chunk", [7, 64, 32768])  # one row per chunk would take seconds
+    @pytest.mark.parametrize("n, k", [(23, 5), (100, 98)])  # 33,649 rows; 485,100 entries
+    def test_shapes_past_a_cap_stream_the_same_rows(self, n, k, chunk):
+        want = list(itertools.combinations(range(n), k))
+        got = list(subset_chunks(n, k, chunk))
+        assert [len(c) for c in got] == [len(want[i : i + chunk]) for i in range(0, len(want), chunk)]
+        assert all(c.dtype == np.intp and c.shape[1] == k for c in got)
+        assert np.concatenate(got).tolist() == [list(row) for row in want]
+        assert cones._subset_table.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n, k, dtype", [(14, 5, np.uint8), (256, 2, np.uint8), (300, 299, np.uint16)])
+    def test_cached_table_is_compact_and_read_only(self, n, k, dtype):
+        list(subset_chunks(n, k))
+        table = cones._subset_table(n, k)
+        assert table.dtype == dtype and table.shape == (math.comb(n, k), k)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    def test_a_chunk_is_a_writable_intp_copy(self):
+        want = [list(row) for row in itertools.combinations(range(9), 4)]
+        first = next(subset_chunks(9, 4, 64))
+        assert first.dtype == np.intp and first.flags.writeable
+        assert not np.shares_memory(first, cones._subset_table(9, 4))
+        first[:] = 0
+        assert np.concatenate(list(subset_chunks(9, 4, 64))).tolist() == want
+
+    def test_a_table_past_a_cap_is_not_cached(self):
+        info = cones._subset_table.cache_info
+        assert info().maxsize >= 32
+        for n, k in [(100, 98), (23, 5), (20, 10)]:
+            for _ in subset_chunks(n, k):
+                pass
+        assert info().currsize == 0 and info().misses == 0
+        for _ in range(3):
+            list(subset_chunks(14, 5))
+        assert (info().currsize, info().misses, info().hits) == (1, 1, 2)
+
+    def test_cold_and_warm_runs_give_the_same_bits(self, rng):
+        shapes = [(6, 3), (9, 4), (10, 2), (12, 6)]
+        members = [witness_matrix(n, k) for n, k in shapes]
+        gauss = [sym(random_symmetric(n, rng, diag_shift=0.5)) for n, _ in shapes]
+
+        def run():
+            found = []
+            for (n, k), W, G in zip(shapes, members, gauss):
+                found += [sparse_kpsd_member(W, k, 1e-9), sparse_kpsd_member(W, k + 1, 1e-9),
+                          sparse_kpsd_member(G, k), sparse_kpsd_member(W, k, 0.0)]
+                found.append(coordinate_family(n, k).stacked().tobytes())
+            return found
+
+        cold = run()
+        assert cones._subset_table.cache_info().currsize == 2 * len(shapes)  # k and k + 1
+        assert run() == cold
 
 
 class TestSparseMembership:
@@ -522,10 +591,19 @@ class TestSpikedConstructions:
         with pytest.raises(SizeLimitError, match=f"n <= {cones.MAX_WITNESS_DIM}, got {n}"):
             witness_matrix(n, 2)
         assert eps_star_lower_sparse(10**5, 2) == 99_998.0  # the bound needs no matrix
+        with pytest.raises(SizeLimitError, match=f"n <= {cones.MAX_WITNESS_DIM}, got {n}"):
+            cones.witness_trace(n, 2)
+
+    @pytest.mark.parametrize("n", [*range(2, 60), 100, 257, 1000, 2048])
+    def test_witness_trace_is_the_matrix_trace_bit_for_bit(self, n):
+        for k in sorted({2, 3, n // 2, n} & set(range(2, n + 1))):
+            assert cones.witness_trace(n, k).hex() == witness_matrix(n, k).trace().hex()
 
     def test_witness_rejects_k_one(self):
         with pytest.raises(InvalidArgumentError):
             witness_matrix(5, 1)
+        with pytest.raises(InvalidArgumentError):
+            cones.witness_trace(5, 1)
         with pytest.raises(InvalidArgumentError):
             eps_star_lower_sparse(5, 1)
 

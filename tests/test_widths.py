@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import sys
 import threading
 from unittest import mock
 
@@ -435,6 +436,66 @@ class TestWidthDualSparse:
         for lo, hi in zip(estimates, estimates[1:]):
             gap = hi.mean - lo.mean
             assert gap > 2 * math.hypot(lo.std_error, hi.std_error)
+
+    def test_enumeration_cap_is_checked_before_any_draw(self):
+        # C(40, 20) is past the default cap; greedy mode needs no enumeration
+        with mock.patch.object(widths, "gaussian_sym_batch", side_effect=AssertionError("drew a trial")):
+            with pytest.raises(EnumerationLimitError, match=r"C\(40,20\) = .*; use greedy mode"):
+                width_dual_base_sparse(40, 20, 10, seed=1)
+        assert width_dual_base_sparse(40, 20, 2, seed=1, mode="greedy").trials == 2
+
+    def test_trial_values_past_memory_fail_before_any_draw(self, monkeypatch):
+        # the value array is allocated first; 2^56 trials need 512 PiB
+        monkeypatch.setattr(widths, "thread_count", lambda: 1)
+        monkeypatch.setattr(widths, "gaussian_sym_batch", mock.Mock(side_effect=AssertionError("drew a trial")))
+        with pytest.raises(MemoryError):
+            width_dual_base_sparse(6, 3, 2**56, seed=4)
+        with pytest.raises(MemoryError):
+            width_base_psd(2, 2**56, seed=4)
+
+
+class TestGreedyRestartCache:
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        widths._greedy_restarts.cache_clear()
+        cones._subset_table.cache_clear()
+        yield
+        widths._greedy_restarts.cache_clear()
+
+    @pytest.mark.parametrize("n, k", [(9, 4), (20, 4), (14, 13)])
+    def test_cached_restarts_equal_a_fresh_draw(self, n, k):
+        fresh = widths.k_subsets(widths.substream(widths._GREEDY_STREAM_KEY), n, k, 20)
+        cached = widths._greedy_restarts(n, k)
+        assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
+        assert not cached.flags.writeable
+        assert widths._greedy_restarts(n, k) is cached
+        info = widths._greedy_restarts.cache_info()
+        assert (info.misses, info.hits) == (1, 1) and info.maxsize >= 32
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+    def test_pool_threads_filling_a_cold_cache_agree(self, mode, monkeypatch):
+        # more workers than cores, switching often, all missing the caches at once
+        want = width_dual_base_sparse(9, 4, 300, seed=6, mode=mode).per_trial_values
+        widths._greedy_restarts.cache_clear()
+        cones._subset_table.cache_clear()
+        monkeypatch.setattr(widths, "thread_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = width_dual_base_sparse(9, 4, 300, seed=6, mode=mode).per_trial_values
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+    def test_cold_and_warm_runs_give_the_same_bits(self, mode):
+        mats = [sample_standard_gaussian_sym(n, seed) for n, seed in [(9, 1), (11, 2), (14, 3)]]
+        shapes = [(G, k) for G in mats for k in (2, 4, G.dim - 1)]
+        cold = [bits(k_sparse_largest_eigenvalue(G, k, mode)) for G, k in shapes]
+        assert [bits(k_sparse_largest_eigenvalue(G, k, mode)) for G, k in shapes] == cold
+        widths._greedy_restarts.cache_clear()
+        cones._subset_table.cache_clear()
+        assert [bits(k_sparse_largest_eigenvalue(G, k, mode)) for G, k in shapes] == cold
 
 
 class TestWidthGeneralDual:
