@@ -2,8 +2,8 @@
 
 Submodules:
     linalg     symmetric-matrix primitives and Gaussian sampling
-    cones      membership oracles for the PSD cone and its block relaxations
-    widths     Monte Carlo Gaussian-width estimators
+    cones      membership tests and dual support functions of the block relaxations
+    widths     Monte Carlo Gaussian-width estimators: draws trials and averages
     bounds     closed-form lower-bound curves and root solves
     hypercube  exact Fourier analysis on sign vertices
     cli        the `psdb` command-line entry point

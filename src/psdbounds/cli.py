@@ -175,27 +175,32 @@ def _run_curve(args: argparse.Namespace, params: dict) -> int:
 # -- widths ----------------------------------------------------------------------
 
 
-def _make_oracle(name: str, dim: int | None, extra: dict) -> widths.SupportOracle:
-    if name == "l2-ball":
+def _make_oracle(kind: str, dim: int | None, extra: dict) -> widths.SupportOracle:
+    if kind == "oracle:l2-ball":
         return widths.l2_ball_oracle(dim, extra.get("radius", 1.0))
-    if name == "l1-ball":
+    if kind == "oracle:l1-ball":
         return widths.l1_ball_oracle(dim, extra.get("radius", 1.0))
-    if name == "ellipsoid":
-        axes_raw = extra.get("axes")
-        if axes_raw is None:
-            raise ValueError("oracle:ellipsoid needs axes=a:b[:c...] in --params")
-        try:
-            axes = [float(a) for a in str(axes_raw).split(":")]
-        except ValueError:
-            raise InvalidArgumentError(
-                f"parameter 'axes' must be numbers a:b[:c...], got {axes_raw!r}"
-            ) from None
-        return widths.ellipsoid_oracle(axes)
-    raise ValueError(f"unknown oracle {name!r}; expected l2-ball, l1-ball, or ellipsoid")
+    axes_raw = extra.get("axes")  # oracle:ellipsoid
+    if axes_raw is None:
+        raise ValueError("oracle:ellipsoid needs axes=a:b[:c...] in --params")
+    try:
+        axes = [float(a) for a in str(axes_raw).split(":")]
+    except ValueError:
+        raise InvalidArgumentError(
+            f"parameter 'axes' must be numbers a:b[:c...], got {axes_raw!r}"
+        ) from None
+    return widths.ellipsoid_oracle(axes)
 
 
-# the flags beyond --n that each widths kind reads; an oracle kind reads --n only
-_WIDTH_FLAGS = {"base-psd": (), "sparse-dual": ("--k",), "general-dual": ("--k", "--family")}
+# per widths kind: the flags beyond --n and the --params/--config keys it reads
+_WIDTH_READS = {
+    "base-psd": ((), ()),
+    "sparse-dual": (("--k",), ("mode",)),
+    "general-dual": (("--k", "--family"), ()),
+    "oracle:l2-ball": ((), ("radius",)),
+    "oracle:l1-ball": ((), ("radius",)),
+    "oracle:ellipsoid": ((), ("axes",)),
+}
 
 
 def _derived_size(kind: str, flag: str, given: int | None, size: int) -> int:
@@ -210,11 +215,15 @@ def _run_widths(args: argparse.Namespace, params: dict) -> int:
     trials = args.trials
     if trials is None:
         trials = 100_000 if kind.startswith("oracle:") else 2000
-    if kind not in _WIDTH_FLAGS and not kind.startswith("oracle:"):
-        raise ValueError(f"unknown kind {kind!r}")
+    if kind not in _WIDTH_READS:
+        raise ValueError(f"unknown kind {kind!r}; expected {', '.join(_WIDTH_READS)}")
+    flags, keys = _WIDTH_READS[kind]
     for flag, value in (("--k", k), ("--family", args.family)):
-        if value is not None and flag not in _WIDTH_FLAGS.get(kind, ()):
+        if value is not None and flag not in flags:
             raise InvalidArgumentError(f"{kind} does not read {flag}")
+    for key in extra:
+        if key not in keys and key != "label":  # a label only annotates the echo
+            raise InvalidArgumentError(f"{kind} does not read parameter {key!r}")
     if n is None and kind in ("base-psd", "sparse-dual", "oracle:l2-ball", "oracle:l1-ball"):
         raise ValueError(f"{kind} needs --n")
 
@@ -236,7 +245,7 @@ def _run_widths(args: argparse.Namespace, params: dict) -> int:
         k = _derived_size(kind, "--k", k, family.rank)
         estimate = widths.width_general_dual(family, trials, seed, keep_values=False)
     else:
-        oracle = _make_oracle(kind.split(":", 1)[1], n, extra)
+        oracle = _make_oracle(kind, n, extra)
         n = _derived_size(kind, "--n", n, oracle.dim)
         estimate = widths.width_via_oracle(oracle, trials, seed, keep_values=False)
 

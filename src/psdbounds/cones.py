@@ -1,8 +1,10 @@
-"""Membership oracles for the PSD cone and its block relaxations.
+"""Membership tests and dual support functions of the PSD cone's block relaxations.
 
 The sparse relaxation keeps only the PSD constraints on k-by-k principal
-submatrices; the general relaxation keeps the constraints restricted to an
-arbitrary family of k-dimensional subspaces.  Also provides the rank-one
+submatrices, with the largest k-sparse eigenvalue as its dual support
+function; the general relaxation keeps the constraints restricted to a
+family of k-dimensional subspaces, with max_u lambda_1(U_u^T G U_u).  Every
+search over blocks runs through one LDL screen.  Also provides the rank-one
 spiked matrix that sits inside the sparse relaxation but far from the PSD
 cone, and the (n-k)/(k-1) separation it certifies.
 """
@@ -35,6 +37,9 @@ __all__ = [
     "sparse_kpsd_member",
     "sparse_kpsd_refute",
     "general_kpsd_member",
+    "check_k_sparse",
+    "k_sparse_largest_eigenvalue",
+    "largest_block_eigenvalue",
     "g_abn",
     "witness_matrix",
     "witness_trace",
@@ -167,22 +172,6 @@ def _ldl_positive(A: np.ndarray, shift: float | np.ndarray) -> np.ndarray:
     return ok
 
 
-def _screen_pd(
-    flat: np.ndarray, idx: np.ndarray, n: int, k: int, shift: float | np.ndarray
-) -> np.ndarray:
-    """Vectorized check that Y_I + shift*I is positive definite, per subset I
-    of the (batch, k) rows idx of the n-by-n matrix Y raveled into flat;
-    shift is a float or one float per subset.  Gathers the upper triangles
-    into the (k, k, batch) layout of _ldl_positive.
-    """
-    A = np.empty((k, k, idx.shape[0]))
-    row_off = (idx * n).T
-    for a in range(k):
-        for b in range(a, k):
-            np.take(flat, row_off[a] + idx[:, b], out=A[a, b])
-    return _ldl_positive(A, shift)
-
-
 def _screen_shift(scale: float, k: int, c: float | np.ndarray) -> float | np.ndarray:
     """Diagonal shift c - margin for the LDL screen of k-by-k blocks Y_S,
     margin = 64 k^2 (eps (scale + |c|) + eta), where scale bounds every
@@ -232,12 +221,19 @@ def screen_clears(Y: np.ndarray, idx: np.ndarray, c: float | np.ndarray) -> np.n
     Every cleared row has a block Y_S whose smallest eigenvalue, as eigvalsh
     computes it, is above -c; so is minus the largest eigenvalue eigvalsh
     computes for -Y_S (see _screen_shift).  The screen treats each row on
-    its own, so how idx is sliced changes nothing.
+    its own, so how idx is sliced changes nothing.  Membership runs it on
+    Y = X at c = tol, the k-sparse searches on Y = -G at a value to beat.
+    Each row's upper triangle is gathered into the (k, k, rows) layout of
+    _ldl_positive.
     """
     n, k = Y.shape[0], idx.shape[1]
     flat = np.ascontiguousarray(Y).ravel()
-    shift = _screen_shift(float(np.abs(Y).max()), k, c)
-    return _screen_pd(flat, idx, n, k, shift)
+    A = np.empty((k, k, idx.shape[0]))
+    row_off = (idx * n).T
+    for a in range(k):
+        for b in range(a, k):
+            np.take(flat, row_off[a] + idx[:, b], out=A[a, b])
+    return _ldl_positive(A, _screen_shift(float(np.abs(Y).max()), k, c))
 
 
 def screen_clears_blocks(blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -254,23 +250,6 @@ def screen_clears_blocks(blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
     A = np.empty((k, k, len(blocks)))
     np.negative(blocks.transpose(2, 1, 0), out=A)  # A[a, b] = -B[b, a]: the lower triangle at a <= b
     return _ldl_positive(A, _screen_shift(float(np.abs(blocks).max()), k, c))
-
-
-def unscreened(Y: np.ndarray, idx: np.ndarray, c: float | np.ndarray) -> np.ndarray:
-    """The rows S of idx the LDL screen cannot clear at c (see screen_clears).
-
-    The one screen behind membership (Y = X, c = tol), refutation (the
-    same) and the largest k-sparse eigenvalue (Y = -X); its LDL kernel also
-    screens the compressed blocks of the general dual width
-    (screen_clears_blocks).  The exhaustive search runs it at c = the best
-    value so far.  The greedy swap ascent takes the mask from screen_clears,
-    each candidate at its own ascent's move threshold c = value + 1e-12: a
-    cleared swap has a computed lambda_1 below c, so it can neither start a
-    move nor be the first best swap of one.  That cuts the blocks
-    width_dual_base_sparse(20, 4, 20, 1, "greedy") solves from 39,772 to
-    15,995.
-    """
-    return idx[~screen_clears(Y, idx, c)]
 
 
 _TABLE_ROWS = 32768  # subset tables with at most this many rows ...
@@ -358,7 +337,8 @@ def _first_violation(dense: np.ndarray, chunks, tol: float, first: int) -> bool:
     for idx in chunks:
         start, step = 0, first
         while start < len(idx):
-            block = unscreened(dense, idx[start : start + step], tol)
+            block = idx[start : start + step]
+            block = block[~screen_clears(dense, block, tol)]
             if block.size and np.linalg.eigvalsh(principal_submatrices(dense, block))[:, 0].min() < -tol:
                 return True
             start += step
@@ -382,6 +362,7 @@ def sparse_kpsd_member(
     slice is screened, its rejected subsets go to eigvalsh in one call, and
     the first slice holding a violation ends the search.  The screen and
     eigvalsh treat each subset on its own, so slicing changes no answer.
+    With k = n the one block is X itself, so eigvalsh solves it unscreened.
     Non-finite entries raise NumericalFailureError; a tol that is not finite
     and nonnegative raises InvalidArgumentError.
     """
@@ -390,6 +371,8 @@ def sparse_kpsd_member(
     require_finite(X)
     tol = psd_tolerance(X, tol)
     check_enumeration(n, k, cap, "; use sparse_kpsd_refute for a randomized refutation")
+    if k == n:
+        return bool(np.linalg.eigvalsh(X.to_dense())[0] >= -tol)
     return not _first_violation(X.to_dense(), subset_chunks(n, k), tol, 64)
 
 
@@ -409,8 +392,9 @@ def sparse_kpsd_refute(
     from the seed's stream, drawn 1024 at a time by _rng.k_subsets in one
     vectorized pass.  Each batch passes the LDL screen of sparse_kpsd_member
     first, and only the samples it rejects get an exact eigenvalue check, so
-    the screen changes no answer.  Non-finite entries raise NumericalFailureError, and tol is
-    checked as in sparse_kpsd_member.
+    the screen changes no answer.  With k = n, eigvalsh solves X alone and
+    nothing is drawn.  Non-finite entries raise NumericalFailureError, and
+    tol is checked as in sparse_kpsd_member.
     """
     n = X.dim
     _check_nk(n, k)
@@ -420,6 +404,8 @@ def sparse_kpsd_refute(
     tol = psd_tolerance(X, tol)
     dense = X.to_dense()
     rng = substream(check_seed(seed))
+    if k == n:
+        return bool(np.linalg.eigvalsh(dense)[0] < -tol)
     batches = (k_subsets(rng, n, k, min(1024, samples - done)) for done in range(0, samples, 1024))
     return _first_violation(dense, batches, tol, 1024)
 
@@ -453,6 +439,207 @@ def compressor(family: ConeFamily) -> Callable[[np.ndarray], np.ndarray]:
     count, n, k = stacked.shape
     right = stacked.transpose(1, 0, 2).reshape(n, count * k)
     return lambda G: np.matmul((G.T @ right).reshape(n, count, k).transpose(1, 2, 0), stacked)
+
+
+_SCREEN_BLOCKS = 1024  # blocks per LDL screen call, to keep its working set small
+
+
+def largest_block_eigenvalue(blocks: np.ndarray) -> np.ndarray:
+    """Per stack of the (T, N, k, k) array blocks, the largest eigenvalue
+    over its N blocks, bit for bit as if eigvalsh solved every block.
+
+    eigvalsh first solves each stack's block holding its largest diagonal
+    entry, whose lambda_1 c is attained.  screen_clears_blocks then screens
+    the other blocks at c, and eigvalsh solves only those it rejects; a
+    cleared block has a computed lambda_1 below c.
+    """
+    stacks, count, k = blocks.shape[:3]
+    rows = np.arange(stacks)
+    seeds = blocks.diagonal(axis1=2, axis2=3).reshape(stacks, count * k).argmax(axis=1) // k
+    best = np.linalg.eigvalsh(blocks[rows, seeds])[:, -1]
+    if count == 1:
+        return best
+    live = np.ones((stacks, count), dtype=bool)
+    step = max(1, _SCREEN_BLOCKS // count)
+    for start in range(0, stacks, step):
+        part = slice(start, start + step)
+        cleared = screen_clears_blocks(blocks[part].reshape(-1, k, k), best[part].repeat(count))
+        live[part] = ~cleared.reshape(-1, count)
+    live[rows, seeds] = False
+    stack, block = np.nonzero(live)
+    if stack.size:
+        np.maximum.at(best, stack, np.linalg.eigvalsh(blocks[stack, block])[:, -1])
+    return best
+
+
+# -- the largest k-sparse eigenvalue ------------------------------------------
+
+_GREEDY_STREAM_KEY = 0x6B5053  # fixed internal stream; greedy output is a function of (G, k)
+_GREEDY_RESTARTS = 20
+
+
+def check_k_sparse(n: int, k: int, mode: str, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+    """The checks of k_sparse_largest_eigenvalue that need no matrix: n, k,
+    the mode, and in exhaustive mode with 1 < k < n the subset count."""
+    _check_nk(n, k)
+    if mode not in ("exhaustive", "greedy"):
+        raise InvalidArgumentError(f"unknown mode {mode!r}; expected 'exhaustive' or 'greedy'")
+    if mode == "exhaustive" and 1 < k < n:
+        check_enumeration(n, k, cap, "; use greedy mode")
+
+
+def k_sparse_largest_eigenvalue(
+    G: SymmetricMatrix,
+    k: int,
+    mode: str = "exhaustive",
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> float:
+    """Largest eigenvalue over k-by-k principal submatrices.
+
+    Exhaustive mode maximizes over all C(n, k) subsets, bit for bit as if
+    it solved every block (see _max_lambda1_subsets); more than cap subsets
+    raise EnumerationLimitError.  Greedy mode returns a lower bound from
+    local swap ascent from the best single coordinate and 20 random
+    restarts of a fixed internal stream, deterministic given G and k (see
+    _swap_ascents).  Non-finite entries raise NumericalFailureError.
+    """
+    check_k_sparse(G.dim, k, mode, cap)
+    require_finite(G)
+    dense = G.to_dense()
+    if k == G.dim:
+        return float(np.linalg.eigvalsh(dense)[-1])
+    if k == 1:
+        return float(np.diag(dense).max())
+    if mode == "exhaustive":
+        return _max_lambda1_subsets(dense, k)
+    return _greedy_k_sparse(dense, k)
+
+
+def _lambda1_batch(dense: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(principal_submatrices(dense, subsets))[:, -1]
+
+
+def _grown_support(dense: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """A k-support grown from the best single coordinate, one coordinate at
+    a time, each the first that maximizes the largest eigenvalue; returned
+    with that eigenvalue.  The candidates of a step are the support plus
+    each outside index in increasing order, each row sorted."""
+    n = dense.shape[0]
+    diag = np.diag(dense)
+    inside = np.zeros(n, dtype=bool)
+    support = np.array([np.argmax(diag)])
+    value = float(diag[support[0]])
+    while support.size < k:
+        inside[support] = True
+        cands = np.empty((n - support.size, support.size + 1), dtype=np.intp)
+        cands[:, :-1] = support
+        cands[:, -1] = np.flatnonzero(~inside)
+        cands.sort(axis=1)
+        values = _lambda1_batch(dense, cands)
+        top = values.argmax()
+        support, value = cands[top], float(values[top])
+    return support, value
+
+
+def _max_lambda1_subsets(dense: np.ndarray, k: int) -> float:
+    """Largest eigvalsh lambda_1 over every k-by-k principal submatrix.
+
+    The grown support's lambda_1 is attained, so the maximum is at least
+    that.  Each chunk of subsets goes through the LDL screen on -dense at c,
+    the larger of that value and the best one solved so far; a block the
+    screen clears cannot be the maximum, and only the rejected blocks are
+    solved.  eigvalsh solves each matrix of a stack on its own and max over
+    floats ignores order, so the result is the bits of solving every block.
+    """
+    n = dense.shape[0]
+    grown = _grown_support(dense, k)[1]
+    negated = -dense
+    best = -math.inf
+    for idx in subset_chunks(n, k):
+        idx = idx[~screen_clears(negated, idx, max(best, grown))]
+        if idx.size:
+            best = max(best, float(_lambda1_batch(dense, idx).max()))
+    return best
+
+
+def _swap_neighbourhoods(supports: np.ndarray, n: int) -> np.ndarray:
+    """Every single swap of each row of supports, as an (A, k*(n-k), k) array.
+
+    Row r, candidate i*(n-k) + j swaps out the i-th smallest member of
+    supports[r] for its j-th smallest outside index; each candidate is sorted.
+    """
+    count, k = supports.shape
+    inside = np.zeros((count, n), dtype=bool)
+    inside[np.arange(count)[:, None], supports] = True
+    outside = np.nonzero(~inside)[1].reshape(count, n - k)
+    kept = supports[:, None, :].repeat(k, axis=1)[:, ~np.eye(k, dtype=bool)].reshape(count, k, k - 1)
+    cands = np.empty((count, k, n - k, k), dtype=np.intp)
+    cands[..., :-1] = kept[:, :, None, :]
+    cands[..., -1] = outside[:, None, :]
+    cands.sort(axis=-1)
+    return cands.reshape(count, k * (n - k), k)
+
+
+def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
+    """Steepest-ascent single swaps from each row of supports, run in lockstep.
+
+    Each ascent starts from the largest eigenvalue of its start block and
+    moves to the first best swap while that beats its value by more than
+    1e-12, that is, exceeds its threshold c = value + 1e-12.  Each step runs
+    the LDL screen on -dense over every candidate at its own ascent's c.  A
+    candidate the screen clears has a computed lambda_1 below c, so it can
+    neither trigger a move nor be the first maximum when one happens; it
+    counts as -inf.  eigvalsh solves, in one call, only the rejected
+    candidates no ascent has met before; a dict keyed by the candidate's
+    index bytes keeps the rest.  eigvalsh solves each matrix of a stack on
+    its own, so neither the screen nor the memo changes a value or a
+    tie-break.  The screen cuts the blocks width_dual_base_sparse(20, 4,
+    20, 1, "greedy") sends to eigvalsh from 39,772 to 15,995.
+    """
+    supports = np.array(supports, dtype=np.intp)
+    k = supports.shape[1]
+    n = dense.shape[0]
+    negated = -dense
+    best = _lambda1_batch(dense, supports)
+    memo: dict[bytes, float] = {}
+    row_key = np.dtype((np.void, k * np.dtype(np.intp).itemsize))
+    active = np.arange(len(supports))
+    while active.size:
+        cands = _swap_neighbourhoods(supports[active], n)
+        flat = cands.reshape(-1, k)
+        bar = best[active] + 1e-12
+        live = ~screen_clears(negated, flat, bar.repeat(cands.shape[1]))
+        keys = flat[live].view(row_key).ravel().tolist()
+        fresh = [key for key in dict.fromkeys(keys) if key not in memo]
+        if fresh:
+            rows = np.frombuffer(b"".join(fresh), dtype=np.intp).reshape(-1, k)
+            memo.update(zip(fresh, _lambda1_batch(dense, rows).tolist()))
+        vals = np.full(flat.shape[0], -math.inf)
+        vals[live] = [memo[key] for key in keys]
+        vals = vals.reshape(cands.shape[:2])
+        top = vals.argmax(axis=1)
+        top_vals = vals[np.arange(active.size), top]
+        moved = ~(top_vals <= bar)
+        best[active[moved]] = top_vals[moved]
+        supports[active[moved]] = cands[moved, top[moved]]
+        active = active[moved]
+    return best.tolist()
+
+
+@functools.lru_cache(maxsize=32)
+def _greedy_restarts(n: int, k: int) -> np.ndarray:
+    """The read-only (20, k) restart supports of greedy mode, the first 20
+    k-subsets of the fixed internal stream.  They depend only on (n, k), so
+    each shape is drawn once per process; an entry holds 160 k bytes, and
+    the 32 the cache keeps at most 5 KiB k."""
+    restarts = k_subsets(substream(_GREEDY_STREAM_KEY), n, k, _GREEDY_RESTARTS)
+    restarts.setflags(write=False)
+    return restarts
+
+
+def _greedy_k_sparse(dense: np.ndarray, k: int) -> float:
+    support = _grown_support(dense, k)[0]
+    return max(_swap_ascents(dense, [support, *_greedy_restarts(dense.shape[0], k)]))
 
 
 def g_abn(a: float, b: float, n: int) -> SymmetricMatrix:
@@ -520,7 +707,7 @@ def sample_factor_width_extreme(n: int, k: int, seed: int) -> SymmetricMatrix:
     """
     _check_nk(n, k)
     rng = substream(check_seed(seed))
-    support = np.sort(rng.choice(n, size=k, replace=False))
+    support = k_subsets(rng, n, k, 1)[0]
     v = np.zeros(n)
     u = rng.standard_normal(k)
     norm = np.linalg.norm(u)

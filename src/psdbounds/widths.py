@@ -2,15 +2,16 @@
 
 Widths of matrix-cone bases reduce to expected extreme eigenvalues of random
 symmetric Gaussian matrices; widths of generic convex sets are averaged
-support-function values.  Every estimator is deterministic given its seed:
-matrix trials draw from per-trial substreams keyed (seed, trial), oracle
-trials consume a prefix of the (seed, 0) stream, and aggregation order is
-fixed, so results do not depend on the degree of parallelism.
+support-function values.  The relaxations' dual support functions live in
+cones; this module draws the trials and averages.  Every estimator is
+deterministic given its seed: matrix trials draw from per-trial substreams
+keyed (seed, trial), oracle trials consume a prefix of the (seed, 0) stream,
+and aggregation order is fixed, so results do not depend on the degree of
+parallelism.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
@@ -20,20 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from ._rng import check_seed, k_subsets, substream
+from ._rng import check_seed, substream
 from .cones import (
-    DEFAULT_ENUMERATION_CAP,
     ConeFamily,
-    check_enumeration,
+    check_k_sparse,
     compressor,
-    principal_submatrices,
-    screen_clears,
-    screen_clears_blocks,
-    subset_chunks,
-    unscreened,
+    k_sparse_largest_eigenvalue,
+    largest_block_eigenvalue,
 )
 from .errors import InvalidArgumentError, InvalidDimensionError, OracleFailureError
-from .linalg import SymmetricMatrix, gaussian_sym_batch, require_finite
+from .linalg import SymmetricMatrix, gaussian_sym_batch
 
 # Not called in this module; kept as a module attribute because the
 # benchmark's tracer (perfbench/tracing.py) wraps it by name here.
@@ -204,184 +201,6 @@ def width_base_psd(n: int, trials: int, seed: int, keep_values: bool = True) -> 
     return _matrix_trials(n, trials, seed, keep_values, lambda mats: np.linalg.eigvalsh(mats)[:, -1])
 
 
-_GREEDY_STREAM_KEY = 0x6B5053  # fixed internal stream; greedy output is a function of (G, k)
-_GREEDY_RESTARTS = 20
-
-
-def _lambda1_batch(dense: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(principal_submatrices(dense, subsets))[:, -1]
-
-
-def _swap_neighbourhoods(supports: np.ndarray, n: int) -> np.ndarray:
-    """Every single swap of each row of supports, as an (A, k*(n-k), k) array.
-
-    Row r, candidate i*(n-k) + j swaps out the i-th smallest member of
-    supports[r] for its j-th smallest outside index; each candidate is sorted.
-    """
-    count, k = supports.shape
-    inside = np.zeros((count, n), dtype=bool)
-    inside[np.arange(count)[:, None], supports] = True
-    outside = np.nonzero(~inside)[1].reshape(count, n - k)
-    kept = supports[:, None, :].repeat(k, axis=1)[:, ~np.eye(k, dtype=bool)].reshape(count, k, k - 1)
-    cands = np.empty((count, k, n - k, k), dtype=np.intp)
-    cands[..., :-1] = kept[:, :, None, :]
-    cands[..., -1] = outside[:, None, :]
-    cands.sort(axis=-1)
-    return cands.reshape(count, k * (n - k), k)
-
-
-def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
-    """Steepest-ascent single swaps from each row of supports, run in lockstep.
-
-    Each ascent starts from the largest eigenvalue of its start block and
-    moves to the first best swap while that beats its value by more than
-    1e-12, that is, exceeds its threshold c = value + 1e-12.  Each step runs
-    the LDL screen on -dense over every candidate at its own ascent's c.  A
-    candidate the screen clears has a computed lambda_1 below c, so it can
-    neither trigger a move nor be the first maximum when one happens; it
-    counts as -inf.  eigvalsh solves, in one call, only the rejected
-    candidates no ascent has met before; a dict keyed by the candidate's
-    index bytes keeps the rest.  eigvalsh solves each matrix of a stack on
-    its own, so neither the screen nor the memo changes a value or a
-    tie-break.  The screen cuts the blocks width_dual_base_sparse(20, 4,
-    20, 1, "greedy") sends to eigvalsh from 39,772 to 15,995.
-    """
-    supports = np.array(supports, dtype=np.intp)
-    k = supports.shape[1]
-    n = dense.shape[0]
-    negated = -dense
-    best = _lambda1_batch(dense, supports)
-    memo: dict[bytes, float] = {}
-    row_key = np.dtype((np.void, k * np.dtype(np.intp).itemsize))
-    active = np.arange(len(supports))
-    while active.size:
-        cands = _swap_neighbourhoods(supports[active], n)
-        flat = cands.reshape(-1, k)
-        bar = best[active] + 1e-12
-        live = ~screen_clears(negated, flat, bar.repeat(cands.shape[1]))
-        keys = flat[live].view(row_key).ravel().tolist()
-        fresh = [key for key in dict.fromkeys(keys) if key not in memo]
-        if fresh:
-            rows = np.frombuffer(b"".join(fresh), dtype=np.intp).reshape(-1, k)
-            memo.update(zip(fresh, _lambda1_batch(dense, rows).tolist()))
-        vals = np.full(flat.shape[0], -math.inf)
-        vals[live] = [memo[key] for key in keys]
-        vals = vals.reshape(cands.shape[:2])
-        top = vals.argmax(axis=1)
-        top_vals = vals[np.arange(active.size), top]
-        moved = ~(top_vals <= bar)
-        best[active[moved]] = top_vals[moved]
-        supports[active[moved]] = cands[moved, top[moved]]
-        active = active[moved]
-    return best.tolist()
-
-
-def _grown_support(dense: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """A k-support grown from the best single coordinate, one coordinate at
-    a time, each the first that maximizes the largest eigenvalue; returned
-    with that eigenvalue.  The candidates of a step are the support plus
-    each outside index in increasing order, each row sorted."""
-    n = dense.shape[0]
-    diag = np.diag(dense)
-    inside = np.zeros(n, dtype=bool)
-    support = np.array([np.argmax(diag)])
-    value = float(diag[support[0]])
-    while support.size < k:
-        inside[support] = True
-        cands = np.empty((n - support.size, support.size + 1), dtype=np.intp)
-        cands[:, :-1] = support
-        cands[:, -1] = np.flatnonzero(~inside)
-        cands.sort(axis=1)
-        values = _lambda1_batch(dense, cands)
-        top = values.argmax()
-        support, value = cands[top], float(values[top])
-    return support, value
-
-
-def _max_lambda1_subsets(dense: np.ndarray, k: int) -> float:
-    """Largest eigvalsh lambda_1 over every k-by-k principal submatrix.
-
-    The grown support's lambda_1 is attained, so the maximum is at least
-    that.  Each chunk of subsets goes through the LDL screen on -dense at c,
-    the larger of that value and the best one solved so far; a block the
-    screen clears has a computed lambda_1 below c, so it cannot be the
-    maximum, and only the rejected blocks are solved.  eigvalsh solves each
-    matrix of a stack on its own and max over floats ignores order, so the
-    result is the bits of solving every block.
-    """
-    n = dense.shape[0]
-    grown = _grown_support(dense, k)[1]
-    negated = -dense
-    best = -math.inf
-    for idx in subset_chunks(n, k):
-        idx = unscreened(negated, idx, max(best, grown))
-        if idx.size:
-            best = max(best, float(_lambda1_batch(dense, idx).max()))
-    return best
-
-
-@functools.lru_cache(maxsize=32)
-def _greedy_restarts(n: int, k: int) -> np.ndarray:
-    """The read-only (20, k) restart supports of greedy mode, the first 20
-    k-subsets of the fixed internal stream.  They depend only on (n, k), so
-    each shape is drawn once per process; an entry holds 160 k bytes, and
-    the 32 the cache keeps at most 5 KiB k."""
-    restarts = k_subsets(substream(_GREEDY_STREAM_KEY), n, k, _GREEDY_RESTARTS)
-    restarts.setflags(write=False)
-    return restarts
-
-
-def _greedy_k_sparse(dense: np.ndarray, k: int) -> float:
-    support = _grown_support(dense, k)[0]
-    return max(_swap_ascents(dense, [support, *_greedy_restarts(dense.shape[0], k)]))
-
-
-def k_sparse_largest_eigenvalue(
-    G: SymmetricMatrix,
-    k: int,
-    mode: str = "exhaustive",
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> float:
-    """Largest eigenvalue over k-by-k principal submatrices.
-
-    Exhaustive mode maximizes over all C(n, k) subsets, bit for bit as if
-    it solved every block, but solves only the blocks that the LDL screen of
-    cones.sparse_kpsd_member, run on -G at the largest value known so far,
-    cannot rule out; the value of the support greedy mode grows seeds it.
-    More than cap subsets raise EnumerationLimitError.  Greedy mode returns a
-    lower bound from local swap ascent (best-single-coordinate start plus 20
-    random restarts from a fixed internal stream; deterministic given G, k).
-    Each ascent step solves only the swaps the same screen, run on -G at
-    that ascent's move threshold (its value + 1e-12), cannot clear; a
-    cleared swap has a computed value below the threshold, so it cannot be
-    the move, and the result is bit for bit that of solving every swap
-    (width_dual_base_sparse(20, 4, 20, 1, "greedy") solves 15,995 blocks
-    with the screen, 39,772 without).  Non-finite entries raise
-    NumericalFailureError.
-    """
-    _check_k_sparse(G.dim, k, mode, cap)
-    require_finite(G)
-    dense = G.to_dense()
-    if k == G.dim:
-        return float(np.linalg.eigvalsh(dense)[-1])
-    if k == 1:
-        return float(np.diag(dense).max())
-    if mode == "exhaustive":
-        return _max_lambda1_subsets(dense, k)
-    return _greedy_k_sparse(dense, k)
-
-
-def _check_k_sparse(n: int, k: int, mode: str, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
-    """k and mode, and in exhaustive mode with 1 < k < n the subset count
-    against cap."""
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if mode not in ("exhaustive", "greedy"):
-        raise InvalidArgumentError(f"unknown mode {mode!r}; expected 'exhaustive' or 'greedy'")
-    if mode == "exhaustive" and 1 < k < n:
-        check_enumeration(n, k, cap, "; use greedy mode")
-
-
 def width_dual_base_sparse(
     n: int,
     k: int,
@@ -393,11 +212,12 @@ def width_dual_base_sparse(
     """Width of the unit-trace slice of the factor-width-k cone: expected
     largest k-sparse eigenvalue of a standard Gaussian symmetric matrix.
 
-    k, mode and, in exhaustive mode, the subset count against
-    DEFAULT_ENUMERATION_CAP are checked before any draw.  Each trial goes through
-    k_sparse_largest_eigenvalue as SymmetricMatrix.from_dense(G), which keeps G's bits.
+    n, k, mode and, in exhaustive mode, the subset count are checked before
+    any draw (cones.check_k_sparse).  Each trial goes through this module's
+    k_sparse_largest_eigenvalue, the name the benchmark's tracer wraps, as
+    SymmetricMatrix.from_dense(G), which keeps G's bits.
     """
-    _check_k_sparse(n, k, mode)
+    check_k_sparse(n, k, mode)
 
     def per_stack(mats: np.ndarray) -> np.ndarray:
         return np.array([k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(G), k, mode) for G in mats])
@@ -406,7 +226,6 @@ def width_dual_base_sparse(
 
 
 _DUAL_STACK_BYTES = 1 << 24  # byte cap on the compressed matrices of one width_general_dual chunk
-_SCREEN_BLOCKS = 1024  # blocks per LDL screen call, to keep its working set small
 
 
 def width_general_dual(
@@ -419,37 +238,15 @@ def width_general_dual(
     over the family of the largest eigenvalue of U^T G U.
 
     Each trial's N blocks U^T G U come from cones.compressor, bit for bit
-    the einsum "uik,ij,ujl->ukl" of each trial.  eigvalsh first solves, per
-    trial, the block holding the largest diagonal entry; its largest
-    eigenvalue c is attained.  For N > 1 the LDL screen then runs on minus
-    the lower triangle of the other blocks at c (cones.screen_clears_blocks)
-    and eigvalsh solves only the blocks it rejects.  A cleared block has a
-    computed largest eigenvalue below c, and eigvalsh solves each matrix of
-    a stack on its own, so every per-trial value is the bits of solving
-    every block.
+    the einsum "uik,ij,ujl->ukl" of each trial, and
+    cones.largest_block_eigenvalue takes each trial's maximum over them.
     """
     n, count, k = family.ambient_dim, len(family), family.rank
     compress = compressor(family)
 
     def per_stack(mats: np.ndarray) -> np.ndarray:
         # one contraction per trial: a batched contraction is not bit-exact
-        blocks = np.stack([compress(G) for G in mats])
-        rows = np.arange(len(mats))
-        seeds = blocks.diagonal(axis1=2, axis2=3).reshape(len(mats), count * k).argmax(axis=1) // k
-        best = np.linalg.eigvalsh(blocks[rows, seeds])[:, -1]
-        if count == 1:
-            return best
-        live = np.ones((len(mats), count), dtype=bool)
-        step = max(1, _SCREEN_BLOCKS // count)
-        for start in range(0, len(mats), step):
-            part = slice(start, start + step)
-            cleared = screen_clears_blocks(blocks[part].reshape(-1, k, k), best[part].repeat(count))
-            live[part] = ~cleared.reshape(-1, count)
-        live[rows, seeds] = False
-        trial, block = np.nonzero(live)
-        if trial.size:
-            np.maximum.at(best, trial, np.linalg.eigvalsh(blocks[trial, block])[:, -1])
-        return best
+        return largest_block_eigenvalue(np.stack([compress(G) for G in mats]))
 
     chunk = min(_TRIAL_CHUNK, max(1, _DUAL_STACK_BYTES // (count * k * k * 8)))
     return _matrix_trials(n, trials, seed, keep_values, per_stack, chunk)

@@ -228,7 +228,7 @@ def reference_greedy_k_sparse(dense: np.ndarray, k: int) -> float:
     diagonal entry, then swap ascent from that support and from 20 random
     starts of the fixed greedy stream, re-solving every candidate."""
     from psdbounds._rng import substream
-    from psdbounds.widths import _GREEDY_RESTARTS, _GREEDY_STREAM_KEY
+    from psdbounds.cones import _GREEDY_RESTARTS, _GREEDY_STREAM_KEY
 
     n = dense.shape[0]
     support = [int(np.argmax(np.diag(dense)))]

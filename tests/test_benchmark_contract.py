@@ -31,6 +31,8 @@ def test_tracer_installs_and_restores_every_name(tracing):
         (widths, "gaussian_sym"),
         (widths, "ThreadPoolExecutor"),
         (widths, "k_sparse_largest_eigenvalue"),
+        (widths, "substream"),
+        (cones, "substream"),
         (hypercube, "gaussian_sym"),
         (hypercube, "project_traceless"),
         (linalg, "substream"),
@@ -62,22 +64,24 @@ def test_tracer_counts_sparse_search_eigensolves(tracing, monkeypatch):
     # every gathered subset must reach the traced eigvalsh; a refactor that
     # binds eigvalsh locally would hide this work from the benchmark
     gathered = []
-    gather = widths.principal_submatrices
+    gather = cones.principal_submatrices
     monkeypatch.setattr(
-        widths, "principal_submatrices", lambda d, idx: gathered.append(len(idx)) or gather(d, idx)
+        cones, "principal_submatrices", lambda d, idx: gathered.append(len(idx)) or gather(d, idx)
     )
     tracer = tracing.Tracer()
     handle = tracing.install(tracer)
     try:
         G = linalg.sample_standard_gaussian_sym(10, 3)
         widths.k_sparse_largest_eigenvalue(G, 3, mode="greedy")
+        greedy = sum(gathered)
         assert not cones.sparse_kpsd_member(cones.witness_matrix(10, 3), 4, 1e-9)
     finally:
         handle.remove()
     metrics = tracer.collect()
-    # every solved block, the 21 ascent starts included, passes through the gather
-    assert metrics["widths.k_sparse.greedy.eig_subsets"] == sum(gathered)
-    assert metrics["cones.member.eig_subsets"] == 64
+    # every solved block, the 21 ascent starts included, passes through the
+    # gather; the member call's gathers follow the greedy call's
+    assert metrics["widths.k_sparse.greedy.eig_subsets"] == greedy
+    assert metrics["cones.member.eig_subsets"] == sum(gathered) - greedy == 64
 
 
 def test_tracer_counts_only_the_exhaustive_blocks_that_reach_eigvalsh(tracing, monkeypatch):
@@ -119,9 +123,9 @@ def test_tracer_sees_one_stream_and_one_contraction_per_general_dual_trial(traci
     # blocks the screen rejects, counted here at the screen itself
     monkeypatch.setattr(widths, "thread_count", lambda: 1)
     cleared = []
-    screen = widths.screen_clears_blocks
+    screen = cones.screen_clears_blocks
     monkeypatch.setattr(
-        widths, "screen_clears_blocks", lambda blocks, c: cleared.append(screen(blocks, c)) or cleared[-1]
+        cones, "screen_clears_blocks", lambda blocks, c: cleared.append(screen(blocks, c)) or cleared[-1]
     )
     family = cones.coordinate_family(7, 3)
     tracer = tracing.Tracer()
@@ -168,10 +172,10 @@ def test_exact_counts_are_blind_to_cache_warmth(tracing):
         return tracer.collect()
 
     cones._subset_table.cache_clear()
-    widths._greedy_restarts.cache_clear()
+    cones._greedy_restarts.cache_clear()
     cold = traced_pass()
     warm = traced_pass()
-    assert cones._subset_table.cache_info().hits > 0 and widths._greedy_restarts.cache_info().hits > 0
+    assert cones._subset_table.cache_info().hits > 0 and cones._greedy_restarts.cache_info().hits > 0
     assert cold["lapack.eigvalsh.matrices"] > 0
     assert {name: warm[name] for name in tracing.EXACT_COUNTS} == {name: cold[name] for name in tracing.EXACT_COUNTS}
     # only the greedy restarts' one draw per shape leaves the warm pass

@@ -781,6 +781,19 @@ class TestErrorContract:
              "the witness matrix supports n <= 2048, got 100000"),
             (["widths", "estimate", "--kind", "oracle:ellipsoid", "--params", "axes=1:x",
               "--trials", "5"], "parameter 'axes' must be numbers a:b[:c...], got '1:x'"),
+            # each widths kind reads only its own --params keys, and label
+            (["widths", "estimate", "--kind", "base-psd", "--n", "3", "--trials", "5",
+              "--params", "mode=greedy,radius=4"], "base-psd does not read parameter 'mode'"),
+            (["widths", "estimate", "--kind", "sparse-dual", "--n", "4", "--k", "2", "--trials", "5",
+              "--params", "mode=greedy,radius=4"], "sparse-dual does not read parameter 'radius'"),
+            (["widths", "estimate", "--kind", "general-dual", "--family", "fam.conefam",
+              "--trials", "5", "--params", "mode=greedy"], "general-dual does not read parameter 'mode'"),
+            (["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "3", "--trials", "5",
+              "--params", "axes=1:2"], "oracle:l2-ball does not read parameter 'axes'"),
+            (["widths", "estimate", "--kind", "oracle:l1-ball", "--n", "3", "--trials", "5",
+              "--params", "mode=greedy"], "oracle:l1-ball does not read parameter 'mode'"),
+            (["widths", "estimate", "--kind", "oracle:ellipsoid", "--trials", "5",
+              "--params", "axes=1:2,radius=7"], "oracle:ellipsoid does not read parameter 'radius'"),
         ],
         ids=["missing-n", "non-numeric-param", "bad-grid", "grid-not-a-number",
              "grid-steps-not-an-integer", "parser-error", "variance-trials",
@@ -790,7 +803,8 @@ class TestErrorContract:
              "infinite-radius", "nan-axis", "l2-ball-zero-n", "l1-ball-negative-n",
              "sparse-mode-at-k-1", "sparse-mode-at-k-n", "bool-delta", "bool-thm1-n",
              "bool-radius", "bool-rho", "bool-p", "grid-steps-cap", "witness-n-cap",
-             "axes-not-a-number"],
+             "axes-not-a-number", "base-psd-key", "sparse-dual-key", "general-dual-key",
+             "l2-ball-key", "l1-ball-key", "ellipsoid-key"],
     )
     def test_usage_error_is_one_json_line(self, argv, needle, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -862,6 +876,30 @@ class TestErrorContract:
         [line] = err.splitlines()
         error = json.loads(line)["error"]
         assert error["kind"] == "usage" and needle in error["message"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--kind", "base-psd", "--n", "3", "--params", "label=run1"],
+         ["--kind", "sparse-dual", "--n", "4", "--k", "2", "--params", "mode=greedy,label=run1"],
+         ["--kind", "general-dual", "--family", "{family}", "--params", "label=run1"],
+         ["--kind", "oracle:l2-ball", "--n", "3", "--params", "radius=2,label=run1"],
+         ["--kind", "oracle:l1-ball", "--n", "3", "--params", "radius=2,label=run1"],
+         ["--kind", "oracle:ellipsoid", "--params", "axes=1:2,label=run1"]],
+        ids=["base-psd", "sparse-dual", "general-dual", "l2-ball", "l1-ball", "ellipsoid"],
+    )
+    def test_widths_keys_the_kind_reads_are_accepted(self, flags, tmp_path, capsys):
+        code, out, _ = _run_widths_estimate(flags, tmp_path, capsys)
+        assert code == 0 and json.loads(out)["params"]["extra"]["label"] == "run1"
+
+    def test_widths_config_key_the_kind_does_not_read(self, tmp_path, capsys):
+        # the config file counts as --params does: its keys meet the same check
+        (tmp_path / "run.cfg").write_text("radius=2\nlabel=x\n")
+        code, out, err = _run_widths_estimate(
+            ["--kind", "base-psd", "--n", "3", "--config", str(tmp_path / "run.cfg")], tmp_path, capsys
+        )
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == {"kind": "usage", "message": "base-psd does not read parameter 'radius'"}
 
     @pytest.mark.parametrize(
         "flags, sizes",

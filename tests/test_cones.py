@@ -287,9 +287,9 @@ class TestSparseMembershipEarlyExit:
     @staticmethod
     def screened(monkeypatch):
         sizes = []
-        screen = cones._screen_pd
+        screen = cones.screen_clears
         monkeypatch.setattr(
-            cones, "_screen_pd", lambda flat, idx, *rest: sizes.append(len(idx)) or screen(flat, idx, *rest)
+            cones, "screen_clears", lambda Y, idx, *rest: sizes.append(len(idx)) or screen(Y, idx, *rest)
         )
         return sizes
 
@@ -330,6 +330,40 @@ class TestSparseMembershipEarlyExit:
         sizes, counts = self.screened(monkeypatch), self.solved(monkeypatch)
         assert sparse_kpsd_member(sym(dense), 4, 0.1)
         assert sizes == [64, 128, 256, 47] and counts == [45]
+
+
+class TestWholeMatrixBlock:
+    """With k = n the one block is X itself: membership and refutation
+    answer as linalg.is_psd does, from one eigensolve and no screen."""
+
+    CASES = {
+        "identity": np.eye(7),
+        "singular": np.ones((7, 7)) / 7,
+        "indefinite": witness_matrix(7, 3).to_dense(),
+        "small negative eigenvalue": np.diag([1.0, 2.0, -1e-3, 4.0, 5.0, 6.0, 7.0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("tol", [None, 0.0, 1e-2])
+    def test_answers_as_is_psd_from_one_eigensolve(self, case, tol, monkeypatch):
+        X = sym(self.CASES[case])
+        want = is_psd(X, tol)
+        monkeypatch.setattr(cones, "screen_clears", lambda *args: pytest.fail("the screen ran"))
+        counts = TestSparseMembershipEarlyExit.solved(monkeypatch)
+        assert sparse_kpsd_member(X, 7, tol) is want
+        assert sparse_kpsd_refute(X, 7, tol, samples=5, seed=1) is (not want)
+        assert counts == [1, 1]
+
+    def test_checks_still_run_first(self):
+        X = sym(np.eye(4))
+        with pytest.raises(InvalidArgumentError):
+            sparse_kpsd_refute(X, 4, samples=0)
+        with pytest.raises(InvalidArgumentError):
+            sparse_kpsd_member(X, 4, tol=-1.0)
+        with pytest.raises(EnumerationLimitError):
+            sparse_kpsd_member(X, 4, cap=0)
+        with pytest.raises(NumericalFailureError):
+            sparse_kpsd_member(sym(nan_identity()), 6)
 
 
 class TestSparseNonFinite:
@@ -664,6 +698,18 @@ class TestFactorWidthExtremes:
         for _ in range(100):
             Y = random_sparse_cone_member(n, k, rng)
             assert float((X * Y).sum()) >= -1e-9
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (6, 3), (9, 9), (40, 7), (300, 150), (300, 299)])
+    def test_bits_equal_the_sorted_choice_reference(self, n, k):
+        # the support drawn as np.sort(rng.choice(n, size=k, replace=False))
+        for seed in (0, 1, 2**64 - 1):
+            rng = substream(seed)
+            support = np.sort(rng.choice(n, size=k, replace=False))
+            u = rng.standard_normal(k)
+            v = np.zeros(n)
+            v[support] = u / np.linalg.norm(u)
+            want = sym(np.outer(v, v)).packed
+            assert sample_factor_width_extreme(n, k, seed).packed.tobytes() == want.tobytes()
 
     def test_deterministic(self):
         a = sample_factor_width_extreme(7, 4, 9)
