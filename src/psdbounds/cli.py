@@ -203,6 +203,15 @@ _WIDTH_READS = {
 }
 
 
+def _check_keys(reader: str, extra: dict, keys=()) -> None:
+    """Reject a --params or --config key that reader, a widths kind, a
+    command or a lemma, does not read; every command also takes label,
+    which only annotates the echo."""
+    for key in extra:
+        if key not in keys and key != "label":
+            raise InvalidArgumentError(f"{reader} does not read parameter {key!r}")
+
+
 def _derived_size(kind: str, flag: str, given: int | None, size: int) -> int:
     if given is not None and given != size:
         raise InvalidArgumentError(f"{flag} {given} differs from {size}, the size {kind} derives")
@@ -221,9 +230,7 @@ def _run_widths(args: argparse.Namespace, params: dict) -> int:
     for flag, value in (("--k", k), ("--family", args.family)):
         if value is not None and flag not in flags:
             raise InvalidArgumentError(f"{kind} does not read {flag}")
-    for key in extra:
-        if key not in keys and key != "label":  # a label only annotates the echo
-            raise InvalidArgumentError(f"{kind} does not read parameter {key!r}")
+    _check_keys(kind, extra, keys)
     if n is None and kind in ("base-psd", "sparse-dual", "oracle:l2-ball", "oracle:l1-ball"):
         raise ValueError(f"{kind} needs --n")
 
@@ -269,9 +276,12 @@ def _run_member(args: argparse.Namespace, params: dict) -> int:
         matrix=args.matrix, sparse_k=args.sparse_k, family=args.family, tol=args.tol,
         refute=args.refute, samples=args.samples
     )
+    _check_keys("cones member", params["extra"])
     X = linalg.read_symmat(args.matrix)
     if (args.sparse_k is None) == (args.family is None):
         raise ValueError("membership needs exactly one of --sparse-k or --family")
+    if args.family is not None and args.refute:
+        raise InvalidArgumentError("membership in a --family does not read --refute")
     if args.family is not None:
         member = cones.general_kpsd_member(X, cones.read_conefam(args.family), args.tol)
         certain = True
@@ -289,6 +299,7 @@ def _run_member(args: argparse.Namespace, params: dict) -> int:
 
 def _run_witness(args: argparse.Namespace, params: dict) -> int:
     params.update(n=args.n, k=args.k, matrix_out=args.matrix_out)
+    _check_keys("cones witness", params["extra"])
     trace = cones.witness_trace(args.n, args.k)
     payload = {"value": cones.eps_star_lower_sparse(args.n, args.k), "trace": trace}
     if args.matrix_out:
@@ -392,6 +403,7 @@ def _verify_maximal(trials, seed):
 def _run_hypercube(args: argparse.Namespace, params: dict) -> int:
     lemma, n, trials, seed, lam = args.lemma, args.n, args.trials, args.seed, args.lam
     extra = params["extra"]
+    _check_keys(f"the {lemma} lemma", extra, ("rho", "p") if lemma == "hypercontractivity" else ())
     params.update(lemma=lemma, n=n, trials=trials, lam=lam)
     params.update((key, extra[key]) for key in ("rho", "p") if key in extra)
     extra_payload: dict = {}

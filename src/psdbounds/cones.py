@@ -589,33 +589,25 @@ def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
     the LDL screen on -dense over every candidate at its own ascent's c.  A
     candidate the screen clears has a computed lambda_1 below c, so it can
     neither trigger a move nor be the first maximum when one happens; it
-    counts as -inf.  eigvalsh solves, in one call, only the rejected
-    candidates no ascent has met before; a dict keyed by the candidate's
-    index bytes keeps the rest.  eigvalsh solves each matrix of a stack on
-    its own, so neither the screen nor the memo changes a value or a
-    tie-break.  The screen cuts the blocks width_dual_base_sparse(20, 4,
-    20, 1, "greedy") sends to eigvalsh from 39,772 to 15,995.
+    counts as -inf.  eigvalsh solves, in one call, every candidate the
+    screen rejects.  eigvalsh solves each matrix of a stack on its own, so
+    the screen changes no value or tie-break.  The screen cuts the blocks
+    width_dual_base_sparse(20, 4, 20, 1, "greedy") sends to eigvalsh from
+    105,884 to 19,791.
     """
     supports = np.array(supports, dtype=np.intp)
     k = supports.shape[1]
     n = dense.shape[0]
     negated = -dense
     best = _lambda1_batch(dense, supports)
-    memo: dict[bytes, float] = {}
-    row_key = np.dtype((np.void, k * np.dtype(np.intp).itemsize))
     active = np.arange(len(supports))
     while active.size:
         cands = _swap_neighbourhoods(supports[active], n)
         flat = cands.reshape(-1, k)
         bar = best[active] + 1e-12
         live = ~screen_clears(negated, flat, bar.repeat(cands.shape[1]))
-        keys = flat[live].view(row_key).ravel().tolist()
-        fresh = [key for key in dict.fromkeys(keys) if key not in memo]
-        if fresh:
-            rows = np.frombuffer(b"".join(fresh), dtype=np.intp).reshape(-1, k)
-            memo.update(zip(fresh, _lambda1_batch(dense, rows).tolist()))
         vals = np.full(flat.shape[0], -math.inf)
-        vals[live] = [memo[key] for key in keys]
+        vals[live] = _lambda1_batch(dense, flat[live])
         vals = vals.reshape(cands.shape[:2])
         top = vals.argmax(axis=1)
         top_vals = vals[np.arange(active.size), top]

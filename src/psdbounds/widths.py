@@ -265,7 +265,8 @@ def _oracle_values(oracle: SupportOracle, trials: int, seed: int) -> np.ndarray:
     while pos < trials:
         take = min(block, trials - pos)
         dirs = rng.standard_normal((take, oracle.dim))
-        vals = np.asarray(oracle.evaluate_batch(dirs), dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # the finite check names the trial
+            vals = np.asarray(oracle.evaluate_batch(dirs), dtype=np.float64)
         if vals.shape != (take,):
             raise OracleFailureError(f"evaluate_batch returned shape {vals.shape}, expected ({take},)")
         if not np.isfinite(vals).all():

@@ -794,6 +794,15 @@ class TestErrorContract:
               "--params", "mode=greedy"], "oracle:l1-ball does not read parameter 'mode'"),
             (["widths", "estimate", "--kind", "oracle:ellipsoid", "--trials", "5",
               "--params", "axes=1:2,radius=7"], "oracle:ellipsoid does not read parameter 'radius'"),
+            # so does every other command but bounds and figures, whose formulas read by name
+            (["cones", "witness", "--n", "6", "--k", "2", "--params", "foo=1"],
+             "cones witness does not read parameter 'foo'"),
+            (["hypercube", "verify", "--lemma", "harmonic", "--n", "3", "--trials", "3",
+              "--params", "rho=0.3,foo=1"], "the harmonic lemma does not read parameter 'rho'"),
+            (["hypercube", "verify", "--lemma", "moments", "--n", "3", "--params", "p=2"],
+             "the moments lemma does not read parameter 'p'"),
+            (["hypercube", "verify", "--lemma", "hypercontractivity", "--n", "3", "--trials", "3",
+              "--params", "rho=0.3,foo=1"], "the hypercontractivity lemma does not read parameter 'foo'"),
         ],
         ids=["missing-n", "non-numeric-param", "bad-grid", "grid-not-a-number",
              "grid-steps-not-an-integer", "parser-error", "variance-trials",
@@ -804,7 +813,8 @@ class TestErrorContract:
              "sparse-mode-at-k-1", "sparse-mode-at-k-n", "bool-delta", "bool-thm1-n",
              "bool-radius", "bool-rho", "bool-p", "grid-steps-cap", "witness-n-cap",
              "axes-not-a-number", "base-psd-key", "sparse-dual-key", "general-dual-key",
-             "l2-ball-key", "l1-ball-key", "ellipsoid-key"],
+             "l2-ball-key", "l1-ball-key", "ellipsoid-key", "witness-key", "harmonic-key",
+             "moments-key", "hypercontractivity-key"],
     )
     def test_usage_error_is_one_json_line(self, argv, needle, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -901,6 +911,48 @@ class TestErrorContract:
         [line] = err.splitlines()
         assert json.loads(line)["error"] == {"kind": "usage", "message": "base-psd does not read parameter 'radius'"}
 
+    @pytest.fixture
+    def files(self, tmp_path):
+        """argv with "{matrix}", "{family}" and "{config}" bound to a 6-by-6
+        witness, a coordinate family at n = 6, k = 2 and a config file."""
+        write_symmat(witness_matrix(6, 3), tmp_path / "w.symmat")
+        write_conefam(coordinate_family(6, 2), tmp_path / "fam.conefam")
+        (tmp_path / "run.cfg").write_text("radius=2\nlabel=x\n")
+        paths = {"{matrix}": "w.symmat", "{family}": "fam.conefam", "{config}": "run.cfg"}
+        return lambda argv: [str(tmp_path / paths[a]) if a in paths else a for a in argv]
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["cones", "member", "--matrix", "{matrix}", "--sparse-k", "2", "--params", "tol=1"],
+             "cones member does not read parameter 'tol'"),
+            (["cones", "member", "--matrix", "{matrix}", "--family", "{family}",
+              "--config", "{config}"], "cones member does not read parameter 'radius'"),
+            (["cones", "member", "--matrix", "{matrix}", "--family", "{family}", "--refute",
+              "--samples", "3"], "membership in a --family does not read --refute"),
+        ],
+        ids=["member-key", "member-config-key", "family-refute"],
+    )
+    def test_member_key_or_flag_it_does_not_read(self, argv, needle, files, capsys):
+        # the echo would otherwise carry a key or flag the answer did not use
+        code, out, err = run_cli(files(argv), capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)["error"] == {"kind": "usage", "message": needle}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cones", "member", "--matrix", "{matrix}", "--sparse-k", "2"],
+         ["cones", "member", "--matrix", "{matrix}", "--family", "{family}"],
+         ["cones", "witness", "--n", "6", "--k", "2"],
+         ["hypercube", "verify", "--lemma", "harmonic", "--n", "3", "--trials", "3"],
+         ["hypercube", "verify", "--lemma", "hypercontractivity", "--n", "3", "--trials", "3"]],
+        ids=["member", "member-family", "witness", "harmonic", "hypercontractivity"],
+    )
+    def test_every_command_takes_a_label(self, argv, files, capsys):
+        code, out, _ = run_cli(files([*argv, "--params", "label=run1"]), capsys)
+        assert code == 0 and json.loads(out)["params"]["extra"]["label"] == "run1"
+
     @pytest.mark.parametrize(
         "flags, sizes",
         [(["--kind", "oracle:ellipsoid", "--n", "2", "--params", "axes=1:2"], (2, None, None)),
@@ -981,7 +1033,7 @@ _PARAMS = [
     "delta=0.3", "p=0.5", "n=100,k=4", "eps=0.2,tol=1e-6", "v=1,c=1,N=3", "p=-3,q=2",
     "delta=abc", "n=inf,k=1", "n=1e200,k=1", "eps=1e308", "eps=-1", "which=1,grid=2",
     "mode=greedy", "mode=nope", "axes=1:2:3", "axes=a", "radius=abc", "rho=0.5,p=2",
-    "rho=abc", "novalue",
+    "rho=abc", "novalue", "radius=1e308", "foo=1",
 ]
 _FORMULAS = sorted(FORMULAS) + ["nope"]
 _GRIDS = ["0:1:5", "0.1:0.9:3", "1:50:4", "2:2:1", "0:1", "0:1:0", "a:b:c", "0:inf:3", "1:0:3"]
@@ -1132,9 +1184,13 @@ def test_non_finite_lemma_parameters_give_one_error_line(lemma, flags, code, nee
           "--params", "radius=1,x=inf"], 2, "'x'"),
         (["bounds", "eval", "--formula", "zeta", "--params", "delta=1e-320"], 3, "not finite"),
         (["bounds", "curve", "--formula", "zeta", "--grid", "1e-320:0.5:3"], 3, "not finite"),
+        # no overflow warning from the oracle's arithmetic precedes the line
+        (["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "2", "--trials", "5",
+          "--params", "radius=1e308"], 3, "returned a non-finite value at trial"),
     ],
     ids=["moments-lam-nan", "maximal-lam-inf", "variance-p-inf", "eval-junk-nan",
-         "bracket-eps-inf", "oracle-param-inf", "zeta-value-inf", "zeta-curve-inf"],
+         "bracket-eps-inf", "oracle-param-inf", "zeta-value-inf", "zeta-curve-inf",
+         "oracle-radius-overflow"],
 )
 def test_non_finite_numbers_never_reach_an_artifact(argv, code, needle, tmp_path):
     # strict JSON has no NaN or Infinity: a non-finite parameter is a usage

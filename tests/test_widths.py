@@ -168,8 +168,8 @@ def tie_heavy_or_gaussian(kind, n, seed):
 
 
 class TestGreedyAgainstReference:
-    """The lockstep, memoized swap ascent returns the bits of the one-list-
-    per-candidate search it replaced, ties included."""
+    """The lockstep swap ascent returns the bits of the one-list-per-
+    candidate search it replaced, ties included."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -255,26 +255,37 @@ class TestGreedyAgainstReference:
         assert got == [reference_swap_ascent(dense, s) for s in starts]
         assert got[1] == 1.0
 
-    def test_solves_each_swap_candidate_once_per_matrix(self, monkeypatch):
+    def test_gathers_exactly_the_swap_candidates_the_screen_rejects(self, monkeypatch):
         dense = tie_heavy_or_gaussian("gaussian", 12, 7)
-        calls = []
-        gather = cones.principal_submatrices
+        calls, screens = [], []
+        gather, screen = cones.principal_submatrices, cones.screen_clears
 
         def recording(d, idx):
             calls.append(np.array(idx))
             return gather(d, idx)
 
+        def screening(Y, idx, c):
+            cleared = screen(Y, idx, c)
+            screens.append((np.array(idx), cleared.copy()))
+            return cleared
+
         monkeypatch.setattr(cones, "principal_submatrices", recording)
+        monkeypatch.setattr(cones, "screen_clears", screening)
         cones._greedy_k_sparse(dense, 4)
         # the first three calls grow the start support to 2, 3 and 4 members,
-        # the fourth solves the 21 ascent starts
+        # the fourth solves the 21 ascent starts; each later one holds, in
+        # order, the candidates its step's screen did not clear, repeats too
+        assert [len(idx) for idx in calls[:3]] == [11, 10, 9]
         assert len(calls[3]) == 21
+        assert len(calls) - 4 == len(screens) > 1
+        for idx, (cands, cleared) in zip(calls[4:], screens):
+            assert np.array_equal(idx, cands[~cleared])
         swaps = [tuple(row) for idx in calls[4:] for row in idx]
-        assert swaps and len(swaps) == len(set(swaps))
+        assert len(swaps) > len(set(swaps))
 
     def test_screen_keeps_most_swap_candidates_from_the_gather(self, monkeypatch):
-        # the memoized ascent without the screen, counted by making the
-        # screen clear nothing, against the screened one
+        # the ascent without the screen, counted by making the screen clear
+        # nothing, against the screened one
         dense = sample_standard_gaussian_sym(20, 5).to_dense()
         gathered = []
         gather = cones.principal_submatrices
@@ -704,6 +715,18 @@ class TestWidthViaOracle:
         with pytest.raises(OracleFailureError) as err:
             width_via_oracle(bad, 10, seed=1)
         assert err.value.direction is not None and err.value.direction.shape == (2,)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: l2_ball_oracle(2, 1e308), lambda: l1_ball_oracle(2, 1.7e308),
+         lambda: shifted_oracle(l2_ball_oracle(2), np.array([1e308, 1e308]))],
+        ids=["l2-ball", "l1-ball", "shifted"],
+    )
+    def test_an_overflowing_oracle_is_an_oracle_failure(self, make):
+        # the suite turns every RuntimeWarning into an error, so an overflow
+        # warning from the oracle's arithmetic would escape before the check
+        with pytest.raises(OracleFailureError, match="returned a non-finite value at trial"):
+            width_via_oracle(make(), 5, 0)
 
     def test_positive_homogeneity_of_builtin_oracles(self, rng):
         for oracle in (l2_ball_oracle(3), l1_ball_oracle(3), ellipsoid_oracle([2, 1, 3])):
