@@ -61,7 +61,7 @@ class HansonWrightConstants:
     c2: float = 1.0
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
+        if not (self.c1 > 0 and self.c2 > 0):
             raise InvalidArgumentError("c1 and c2 must be positive")
 
     @property
@@ -94,7 +94,7 @@ def phi(n: int, k: int, eps: float, width_ratio: float = 1.0) -> float:
 
 def _phi_rate(delta: float, eps: float, width_ratio: float) -> float:
     """phi as a function of the sparsity ratio delta = k/n."""
-    if eps < 0:
+    if not eps >= 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     if not 0.0 < width_ratio <= 1.0:
         raise DomainError(f"width_ratio must lie in (0, 1], got {width_ratio}")
@@ -113,10 +113,10 @@ def delta_star(eps: float, tol: float = 1e-9) -> float:
     """Critical sparsity ratio: unique root of the bracket-vs-entropy gap on
     (0, 1/(1+eps)^2), located by bisection to absolute tolerance tol.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
-    if tol <= 0:
-        raise InvalidArgumentError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol}")
     upper = 1.0 / (1.0 + eps) ** 2
     lo = 1e-12
     hi = upper - 1e-12 * upper
@@ -127,8 +127,7 @@ def delta_star(eps: float, tol: float = 1e-9) -> float:
             f"no sign change on ({lo:g}, {hi:g}) for eps={eps}: gap({lo:g})={g_lo:g}, "
             f"gap({hi:g})={g_hi:g}"
         )
-    while hi - lo > 0.5 * tol:
-        mid = 0.5 * (lo + hi)
+    while hi - lo > 0.5 * tol and lo < (mid := 0.5 * (lo + hi)) < hi:  # ends at adjacent floats too
         if _entropy_gap(mid, eps) > 0.0:
             lo = mid
         else:
@@ -265,7 +264,7 @@ def thm1_xc_lower(
     """
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if eps < 0:
+    if not eps >= 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     c = consts.c
     a = 2.0 * k * LN3
@@ -285,7 +284,7 @@ def depressed_cubic_positive_root(p: float, q: float) -> float:
     below 1e-10 * max(1, |q|) plus the unavoidable float evaluation error of
     the polynomial itself.
     """
-    if q <= 0.0:
+    if not q > 0.0:
         raise DomainError(f"constant term must be positive, got {q}")
     disc = (p / 3.0) ** 3 + (q / 2.0) ** 2
     if disc > 0.0:
@@ -309,7 +308,7 @@ def depressed_cubic_positive_root(p: float, q: float) -> float:
             break
     residual = z**3 + p * z - q
     eval_noise = 8.0 * _EPS * (abs(z) ** 3 + abs(p * z) + abs(q))
-    if abs(residual) > 1e-10 * max(1.0, abs(q)) + eval_noise:
+    if not abs(residual) <= 1e-10 * max(1.0, abs(q)) + eval_noise:  # a NaN residual fails too
         raise NumericalFailureError(
             f"cubic root residual {residual:g} out of tolerance for p={p}, q={q}"
         )
@@ -325,7 +324,7 @@ def thm2_xc_lower(n: int, k: int, eps: float) -> float:
     """
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if eps < 0:
+    if not eps >= 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     a = math.sqrt(n) / (22000.0 * math.e * (1.0 + eps))
     b = (
@@ -340,11 +339,11 @@ def maximal_bound(v: float, c: float, n_vars: int) -> float:
     """Expected-maximum bound for n_vars sub-exponential variables with MGF
     parameters (v, c): max(sqrt(2 v ln N), 2 c ln N).
     """
-    if v <= 0:
+    if not v > 0:
         raise DomainError(f"variance proxy must be positive, got {v}")
-    if c < 0:
+    if not c >= 0:
         raise DomainError(f"scale parameter must be nonnegative, got {c}")
-    if n_vars < 1:
+    if not n_vars >= 1:
         raise InvalidArgumentError(f"need at least one variable, got {n_vars}")
     log_n = math.log(n_vars)
     return max(math.sqrt(2.0 * v * log_n), 2.0 * c * log_n)

@@ -161,12 +161,14 @@ def _curve_csv(args: argparse.Namespace, curve: bounds.BoundCurve) -> str:
 
 def _run_eval(args: argparse.Namespace, params: dict) -> int:
     params["formula"] = args.formula
+    _check_finite(params["extra"])
     value = bounds.evaluate(args.formula, params["extra"])
     _emit(_json_artifact(args, params, {"value": value}), args.out)
     return EXIT_OK
 
 
 def _run_curve(args: argparse.Namespace, params: dict) -> int:
+    _check_finite(params["extra"])
     curve = bounds.emit_curve(args.formula, parse_grid(args.grid), **params["extra"])
     _emit(_curve_csv(args, curve), args.out)
     return EXIT_OK
@@ -451,6 +453,7 @@ FIGURES = {
 
 def _run_figures(args: argparse.Namespace, params: dict) -> int:
     params["name"] = args.name
+    _check_finite(params["extra"])  # before any file is written
     default_grid, curves = FIGURES[args.name]
     grid = parse_grid(args.grid or default_grid)
     if args.grid:

@@ -144,31 +144,32 @@ def check_enumeration(n: int, k: int, cap: int, advice: str = "") -> None:
         raise EnumerationLimitError(f"C({n},{k}) = {count} subsets exceed the cap {cap}{advice}")
 
 
-def _ldl_positive(A: np.ndarray, shift: float | np.ndarray) -> np.ndarray:
-    """Which lanes of the (k, k, batch) stack A + shift*I are positive
-    definite, reading only A[a, b] for a <= b; shift is a float or one float
-    per lane.  A is overwritten.
+def _ldl_positive(A: list[np.ndarray], shift: float | np.ndarray) -> np.ndarray:
+    """Which lanes of the k-by-k matrices M + shift*I are positive definite,
+    given as the rows of their upper triangles: A[a] is the (k - a, *lanes)
+    array of the entries M[a, b], b >= a, one matrix per lane.  shift is a
+    float or an array that broadcasts against the lanes.  A is overwritten.
 
     Up-looking LDL, one lane per matrix; a lane passes iff every pivot is
     strictly positive.  Much cheaper than one eigendecomposition per matrix.
     """
-    k = A.shape[0]
-    ok = np.ones(A.shape[2], dtype=bool)
-    tmp = np.empty(A.shape[2])
+    lanes = A[0].shape[1:]
+    ok = np.ones(lanes, dtype=bool)
+    inv, w, tmp = np.empty(lanes), np.empty(lanes), np.empty(lanes)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for a in range(k):
-            A[a, a] += shift
-        for j in range(k):
-            d = A[j, j]
+        for row in A:
+            row[0] += shift
+        for j, pivot in enumerate(A):
+            d = pivot[0]
             ok &= d > 0.0
-            if j == k - 1:
+            if j == len(A) - 1:
                 break
-            inv = np.where(d > 0.0, 1.0 / d, 0.0)
-            for a in range(j + 1, k):
-                w = A[j, a] * inv
-                for b in range(a, k):
-                    np.multiply(w, A[j, b], out=tmp)
-                    np.subtract(A[a, b], tmp, out=A[a, b])
+            np.divide(1.0, d, out=inv)  # a lane with d <= 0 has failed, whatever it computes next
+            for i, row in enumerate(A[j + 1 :], 1):  # row a = j + i: M[a, b] -= (M[j, a] / d) M[j, b]
+                np.multiply(pivot[i], inv, out=w)
+                for src, dst in zip(pivot[i:], row):
+                    np.multiply(w, src, out=tmp)
+                    np.subtract(dst, tmp, out=dst)
     return ok
 
 
@@ -223,33 +224,33 @@ def screen_clears(Y: np.ndarray, idx: np.ndarray, c: float | np.ndarray) -> np.n
     computes for -Y_S (see _screen_shift).  The screen treats each row on
     its own, so how idx is sliced changes nothing.  Membership runs it on
     Y = X at c = tol, the k-sparse searches on Y = -G at a value to beat.
-    Each row's upper triangle is gathered into the (k, k, rows) layout of
-    _ldl_positive.
+    Each row's upper triangle is gathered into the layout of _ldl_positive.
     """
     n, k = Y.shape[0], idx.shape[1]
     flat = np.ascontiguousarray(Y).ravel()
-    A = np.empty((k, k, idx.shape[0]))
+    A = [np.empty((k - a, idx.shape[0])) for a in range(k)]
     row_off = (idx * n).T
     for a in range(k):
         for b in range(a, k):
-            np.take(flat, row_off[a] + idx[:, b], out=A[a, b])
+            np.take(flat, row_off[a] + idx[:, b], out=A[a][b - a])
     return _ldl_positive(A, _screen_shift(float(np.abs(Y).max()), k, c))
 
 
 def screen_clears_blocks(blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Which blocks B of the (M, k, k) stack blocks the LDL screen clears
-    below c, one float per block.
+    """Which blocks B of the (..., k, k) stack blocks the LDL screen clears
+    below c, an array that broadcasts against blocks.shape[:-2].
 
     The screen runs on minus the lower triangle of each block, the triangle
     eigvalsh reads, with scale = max|B| over the stack.  Every cleared block
     has a largest eigenvalue, as eigvalsh computes it, below c (see
     _screen_shift).  Each block is screened on its own, so how the stack is
-    sliced changes nothing but the margin.
+    sliced changes nothing but the margin.  The one working copy holds
+    k(k + 1)/2 of each block's k^2 entries; max|B| is max(max B, -min B).
     """
     k = blocks.shape[-1]
-    A = np.empty((k, k, len(blocks)))
-    np.negative(blocks.transpose(2, 1, 0), out=A)  # A[a, b] = -B[b, a]: the lower triangle at a <= b
-    return _ldl_positive(A, _screen_shift(float(np.abs(blocks).max()), k, c))
+    # row a holds -B[b, a] for b >= a, the lower triangle
+    A = [np.negative(np.moveaxis(blocks[..., a:, a], -1, 0), order="C") for a in range(k)]
+    return _ldl_positive(A, _screen_shift(float(np.maximum(blocks.max(), -blocks.min())), k, c))
 
 
 _TABLE_ROWS = 32768  # subset tables with at most this many rows ...
@@ -423,9 +424,9 @@ def general_kpsd_member(X: SymmetricMatrix, family: ConeFamily, tol: float | Non
     return bool(np.linalg.eigvalsh(compressed)[:, 0].min() >= -tol)
 
 
-def compressor(family: ConeFamily) -> Callable[[np.ndarray], np.ndarray]:
+def compressor(family: ConeFamily) -> Callable[..., np.ndarray]:
     """The map from an n-by-n matrix G to the (N, k, k) stack of U^T G U,
-    one block per basis U of the family.
+    one block per basis U of the family, written into out when given.
 
     Each call replays the plan np.einsum("uik,ij,ujl->ukl", stacked, G,
     stacked, optimize=True) runs, bit for bit: G^T times every basis side by
@@ -438,10 +439,9 @@ def compressor(family: ConeFamily) -> Callable[[np.ndarray], np.ndarray]:
     stacked = family.stacked()
     count, n, k = stacked.shape
     right = stacked.transpose(1, 0, 2).reshape(n, count * k)
-    return lambda G: np.matmul((G.T @ right).reshape(n, count, k).transpose(1, 2, 0), stacked)
-
-
-_SCREEN_BLOCKS = 1024  # blocks per LDL screen call, to keep its working set small
+    return lambda G, out=None: np.matmul(
+        (G.T @ right).reshape(n, count, k).transpose(1, 2, 0), stacked, out=out
+    )
 
 
 def largest_block_eigenvalue(blocks: np.ndarray) -> np.ndarray:
@@ -449,9 +449,9 @@ def largest_block_eigenvalue(blocks: np.ndarray) -> np.ndarray:
     over its N blocks, bit for bit as if eigvalsh solved every block.
 
     eigvalsh first solves each stack's block holding its largest diagonal
-    entry, whose lambda_1 c is attained.  screen_clears_blocks then screens
-    the other blocks at c, and eigvalsh solves only those it rejects; a
-    cleared block has a computed lambda_1 below c.
+    entry, whose lambda_1 c is attained.  One screen_clears_blocks call then
+    screens all T N blocks, each at its own stack's c, and eigvalsh solves
+    only those it rejects; a cleared block has a computed lambda_1 below c.
     """
     stacks, count, k = blocks.shape[:3]
     rows = np.arange(stacks)
@@ -459,12 +459,7 @@ def largest_block_eigenvalue(blocks: np.ndarray) -> np.ndarray:
     best = np.linalg.eigvalsh(blocks[rows, seeds])[:, -1]
     if count == 1:
         return best
-    live = np.ones((stacks, count), dtype=bool)
-    step = max(1, _SCREEN_BLOCKS // count)
-    for start in range(0, stacks, step):
-        part = slice(start, start + step)
-        cleared = screen_clears_blocks(blocks[part].reshape(-1, k, k), best[part].repeat(count))
-        live[part] = ~cleared.reshape(-1, count)
+    live = ~screen_clears_blocks(blocks, best[:, None])
     live[rows, seeds] = False
     stack, block = np.nonzero(live)
     if stack.size:

@@ -370,7 +370,7 @@ def slack_value(x, y, n: int, eps: float) -> float:
 
     Always within [eps/(1+eps), (n+eps)/(1+eps)], hence nonnegative.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise InvalidArgumentError(f"eps must be nonnegative, got {eps}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -480,10 +480,9 @@ def threshold_split(
     """Split f into the part above the threshold and the part at or below it.
 
     For nonnegative f with E f <= 1, the above-threshold part is supported on
-    fewer than 2^n / lam vertices.
+    fewer than 2^n / lam vertices.  lam must be positive and finite.
     """
-    if lam <= 0:
-        raise InvalidArgumentError(f"threshold must be positive, got {lam}")
+    _check_threshold(lam)
     above = f.values > lam
     sharp = np.where(above, f.values, 0.0)
     flat = np.where(above, 0.0, f.values)

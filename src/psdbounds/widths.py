@@ -237,16 +237,19 @@ def width_general_dual(
     """Width of the dual base of a general k-PSD relaxation: expected maximum
     over the family of the largest eigenvalue of U^T G U.
 
-    Each trial's N blocks U^T G U come from cones.compressor, bit for bit
-    the einsum "uik,ij,ujl->ukl" of each trial, and
-    cones.largest_block_eigenvalue takes each trial's maximum over them.
+    cones.compressor contracts each chunk of T trials, bit for bit the einsum
+    "uik,ij,ujl->ukl" of each trial, into one (T, N, k, k) buffer of blocks
+    U^T G U; cones.largest_block_eigenvalue takes each trial's maximum over
+    its N blocks, screening the whole buffer in one call.
     """
     n, count, k = family.ambient_dim, len(family), family.rank
     compress = compressor(family)
 
     def per_stack(mats: np.ndarray) -> np.ndarray:
-        # one contraction per trial: a batched contraction is not bit-exact
-        return largest_block_eigenvalue(np.stack([compress(G) for G in mats]))
+        blocks = np.empty((len(mats), count, k, k))
+        for G, out in zip(mats, blocks):  # one contraction per trial: a batched one is not bit-exact
+            compress(G, out)
+        return largest_block_eigenvalue(blocks)
 
     chunk = min(_TRIAL_CHUNK, max(1, _DUAL_STACK_BYTES // (count * k * k * 8)))
     return _matrix_trials(n, trials, seed, keep_values, per_stack, chunk)
@@ -317,7 +320,7 @@ def concentration_check(
 
 def kappa(d: int) -> float:
     """Expected norm of a standard Gaussian vector in R^d (gamma-ratio form)."""
-    if d < 1:
+    if not d >= 1:
         raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
     return math.sqrt(2.0) * math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
 

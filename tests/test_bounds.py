@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,6 +137,45 @@ class TestDeltaStar:
     def test_domain(self):
         with pytest.raises(DomainError):
             delta_star(-0.5)
+
+    def test_a_tolerance_below_the_float_spacing_returns(self):
+        # the bisection stops once lo and hi are adjacent floats; it runs in
+        # its own process, so a loop that never ends fails instead of hanging
+        code = (
+            "from psdbounds.bounds import delta_star; "
+            "print(delta_star(0.0, 1e-18).hex(), delta_star(0.0, 5e-324).hex())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+        )
+        for root in map(float.fromhex, proc.stdout.split()):
+            assert abs(root - delta_star(0.0, 1e-15)) <= 1e-15
+            assert abs(root - DELTA_STAR_0) < 1e-6
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # NaN and infinity once skipped the bisection and gave the bracket midpoint
+        with pytest.raises(InvalidArgumentError, match="tolerance"):
+            delta_star(0.0, tol)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [(lambda: phi(10, 2, math.nan), DomainError),
+     (lambda: thm1_xc_lower(100, 2, math.nan), DomainError),
+     (lambda: thm2_xc_lower(100, 2, math.nan), DomainError),
+     (lambda: maximal_bound(math.nan, 1.0, 3), DomainError),
+     (lambda: maximal_bound(1.0, math.nan, 3), DomainError),
+     (lambda: HansonWrightConstants(math.nan, 1.0), InvalidArgumentError),
+     (lambda: depressed_cubic_positive_root(math.nan, 1.0), NumericalFailureError),
+     (lambda: depressed_cubic_positive_root(1.0, math.nan), DomainError)],
+    ids=["phi-eps", "thm1-eps", "thm2-eps", "maximal-v", "maximal-c", "hanson-wright-c1",
+         "cubic-p", "cubic-q"],
+)
+def test_nan_fails_the_domain_check(call, error):
+    # a check written as x < 0 lets NaN through to a NaN result
+    with pytest.raises(error):
+        call()
 
 
 class TestXi:

@@ -803,6 +803,12 @@ class TestErrorContract:
              "the moments lemma does not read parameter 'p'"),
             (["hypercube", "verify", "--lemma", "hypercontractivity", "--n", "3", "--trials", "3",
               "--params", "rho=0.3,foo=1"], "the hypercontractivity lemma does not read parameter 'foo'"),
+            (["widths", "estimate", "--kind", "oracle:ellipsoid", "--trials", "5"],
+             "oracle:ellipsoid needs axes"),
+            (["widths", "estimate", "--kind", "base-psd", "--n", "2", "--trials", "5",
+              "--seed", "18446744073709551616"], "seed must be a 64-bit unsigned integer"),
+            (["hypercube", "verify", "--lemma", "variance", "--n", "15"],
+             "per-trial enumeration supports n <= 14, got 15"),
         ],
         ids=["missing-n", "non-numeric-param", "bad-grid", "grid-not-a-number",
              "grid-steps-not-an-integer", "parser-error", "variance-trials",
@@ -814,7 +820,8 @@ class TestErrorContract:
              "bool-radius", "bool-rho", "bool-p", "grid-steps-cap", "witness-n-cap",
              "axes-not-a-number", "base-psd-key", "sparse-dual-key", "general-dual-key",
              "l2-ball-key", "l1-ball-key", "ellipsoid-key", "witness-key", "harmonic-key",
-             "moments-key", "hypercontractivity-key"],
+             "moments-key", "hypercontractivity-key", "ellipsoid-no-axes", "seed-past-64-bits",
+             "variance-n-cap"],
     )
     def test_usage_error_is_one_json_line(self, argv, needle, capsys):
         code, out, err = run_cli(argv, capsys)
@@ -1199,6 +1206,38 @@ def test_non_finite_numbers_never_reach_an_artifact(argv, code, needle, tmp_path
     assert (got, out) == (code, "")
     [line] = lines
     assert needle in json.loads(line)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [(["bounds", "eval", "--formula", "phi", "--params", "delta=0.1,eps=nan", "--out", "{dest}"], "eps"),
+     (["bounds", "curve", "--formula", "maximal", "--grid", "2:10:3", "--params", "v=1,c=nan",
+       "--out", "{dest}"], "c"),
+     (["bounds", "curve", "--formula", "delta_star", "--grid", "0:1:3", "--params", "tol=nan",
+       "--out", "{dest}"], "tol"),
+     (["figures", "--name", "delta-star", "--params", "tol=inf", "--out", "{dest}"], "tol")],
+    ids=["eval-phi-eps-nan", "curve-maximal-c-nan", "curve-delta-star-tol-nan", "figures-tol-inf"],
+)
+def test_non_finite_formula_parameter_writes_nothing(argv, key, tmp_path, capsys):
+    # checked before any formula runs: a NaN once reached the formula, which
+    # ignored it, and figures wrote a file before it failed
+    dest = tmp_path / "dest"
+    code, out, err = run_cli([a.replace("{dest}", str(dest)) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["kind"] == "usage" and f"parameter {key!r} must be finite" in error["message"]
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, trials", [("base-psd", 2000), ("oracle:l1-ball", 100_000)], ids=["matrix", "oracle"]
+)
+def test_widths_estimate_without_trials_uses_the_default(kind, trials, capsys):
+    code, out, _ = run_cli(["widths", "estimate", "--kind", kind, "--n", "2"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["trials"] is None and doc["estimate"]["trials"] == trials
 
 
 def test_non_finite_payload_value_is_a_numerical_failure(tmp_path, monkeypatch):

@@ -370,6 +370,11 @@ class TestSlackValue:
         with pytest.raises(InvalidArgumentError):
             slack_value(np.array([1.0, 0.5]), np.array([1.0, 1.0]), 2, 0.0)
 
+    def test_rejects_nan_eps(self):
+        x = vertex(4, 0)
+        with pytest.raises(InvalidArgumentError, match="eps"):
+            slack_value(x, x, 4, math.nan)
+
 
 class TestMomentIdentities:
     def test_small_case_explicit(self):
@@ -493,6 +498,11 @@ class TestThresholdSplit:
     def test_threshold_validation(self):
         with pytest.raises(InvalidArgumentError):
             threshold_split(hf(2, np.ones(4)), 0.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_threshold_must_be_finite(self, lam):
+        with pytest.raises(InvalidArgumentError, match="threshold"):
+            threshold_split(hf(2, np.ones(4)), lam)
 
 
 class TestHfunFormat:

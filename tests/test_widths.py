@@ -619,6 +619,26 @@ class TestWidthGeneralDual:
         assert not cleared[0]
         assert (np.linalg.eigvalsh(blocks[cleared])[:, -1] < c[cleared]).all()
 
+    @pytest.mark.parametrize("count", [17, 100], ids=["N17", "N100"])
+    def test_bits_equal_the_per_trial_reference_past_1024_blocks_a_chunk(self, count):
+        # a 64-trial chunk holds 1,088 or 6,400 blocks, screened in one call
+        family = random_family(16, 4, count, np.random.default_rng(count))
+        values = width_general_dual(family, 130, seed=9).per_trial_values
+        expected = reference_general_dual(family.stacked(), 130, seed=9)
+        assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_screens_each_chunk_in_one_call(self, monkeypatch):
+        # 70 trials are chunks of 64 and 6; each chunk's 35 blocks per trial
+        # reach the screen in one stack
+        monkeypatch.setattr(widths, "thread_count", lambda: 1)
+        shapes = []
+        screen = cones.screen_clears_blocks
+        monkeypatch.setattr(
+            cones, "screen_clears_blocks", lambda blocks, c: shapes.append(blocks.shape) or screen(blocks, c)
+        )
+        width_general_dual(coordinate_family(7, 3), 70, seed=4)
+        assert shapes == [(64, 35, 3, 3), (6, 35, 3, 3)]
+
     def test_stack_screen_clears_most_blocks_of_a_gaussian_family(self):
         # the work the screen saves: a few of 100 blocks per trial reach eigvalsh
         family = random_family(16, 4, 100, np.random.default_rng(3))
@@ -709,6 +729,11 @@ class TestWidthViaOracle:
         with pytest.raises(OracleFailureError, match=r"^evaluate returned shape \(2,\), expected \(\)$") as err:
             width_via_oracle(oracle, 5, 1)
         assert err.value.direction.shape == (2,)
+
+    def test_a_batch_of_the_wrong_shape_is_named(self):
+        oracle = SupportOracle(3, evaluate_batch=lambda dirs: dirs.sum(axis=0))
+        with pytest.raises(OracleFailureError, match=r"^evaluate_batch returned shape \(3,\), expected \(5,\)$"):
+            width_via_oracle(oracle, 5, seed=1)
 
     def test_nonfinite_oracle_reports_direction(self):
         bad = SupportOracle(dim=2, evaluate=lambda g: float("nan"), label="broken")
@@ -940,6 +965,10 @@ class TestKappa:
     def test_bracketed_by_sqrt_bounds(self):
         for d in (1, 2, 9, 50, 400):
             assert math.sqrt(d - 0.5) <= kappa(d) <= math.sqrt(d - d / (2 * d + 1))
+
+    def test_rejects_nan_dimension(self):
+        with pytest.raises(InvalidArgumentError, match="dimension"):
+            kappa(math.nan)
 
 
 class TestWidthRatioHook:
