@@ -61,8 +61,8 @@ class HansonWrightConstants:
     c2: float = 1.0
 
     def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 > 0):
-            raise InvalidArgumentError("c1 and c2 must be positive")
+        if not (0 < self.c1 < math.inf and 0 < self.c2 < math.inf):
+            raise InvalidArgumentError("c1 and c2 must be positive and finite")
 
     @property
     def c(self) -> float:
@@ -225,7 +225,8 @@ def chi2_quantile(p: float) -> float:
 def sparse_integral(delta: float) -> float:
     """Mass of the top delta-fraction of chi-square(1) order statistics:
     delta + sqrt(2/pi) * z * exp(-z^2/2) with z the normal quantile at
-    1 - delta/2.  Strictly increasing from 0 to 1 on [0, 1].
+    1 - delta/2, or minus the one at delta/2 when 1 - delta/2 rounds to 1.
+    Strictly increasing from 0 to 1 on [0, 1].
     """
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
@@ -233,7 +234,8 @@ def sparse_integral(delta: float) -> float:
         return 0.0
     if delta == 1.0:
         return 1.0
-    z = normal_quantile(1.0 - 0.5 * delta)
+    p = 1.0 - 0.5 * delta
+    z = normal_quantile(p) if p < 1.0 else -normal_quantile(0.5 * delta)
     return delta + math.sqrt(2.0 / math.pi) * z * math.exp(-0.5 * z * z)
 
 

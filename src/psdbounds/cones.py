@@ -151,25 +151,20 @@ def _ldl_positive(A: list[np.ndarray], shift: float | np.ndarray) -> np.ndarray:
     float or an array that broadcasts against the lanes.  A is overwritten.
 
     Up-looking LDL, one lane per matrix; a lane passes iff every pivot is
-    strictly positive.  Much cheaper than one eigendecomposition per matrix.
+    strictly positive.  Each pivot updates each later row in one numpy
+    expression, about 3k^2/2 calls per screen.  Much cheaper than one
+    eigendecomposition per matrix.
     """
-    lanes = A[0].shape[1:]
-    ok = np.ones(lanes, dtype=bool)
-    inv, w, tmp = np.empty(lanes), np.empty(lanes), np.empty(lanes)
+    ok = np.ones(A[0].shape[1:], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for row in A:
             row[0] += shift
         for j, pivot in enumerate(A):
             d = pivot[0]
             ok &= d > 0.0
-            if j == len(A) - 1:
-                break
-            np.divide(1.0, d, out=inv)  # a lane with d <= 0 has failed, whatever it computes next
+            inv = 1.0 / d  # a lane with d <= 0 has failed, whatever it computes next
             for i, row in enumerate(A[j + 1 :], 1):  # row a = j + i: M[a, b] -= (M[j, a] / d) M[j, b]
-                np.multiply(pivot[i], inv, out=w)
-                for src, dst in zip(pivot[i:], row):
-                    np.multiply(w, src, out=tmp)
-                    np.subtract(dst, tmp, out=dst)
+                row -= (pivot[i] * inv) * pivot[i:]
     return ok
 
 
@@ -224,15 +219,12 @@ def screen_clears(Y: np.ndarray, idx: np.ndarray, c: float | np.ndarray) -> np.n
     computes for -Y_S (see _screen_shift).  The screen treats each row on
     its own, so how idx is sliced changes nothing.  Membership runs it on
     Y = X at c = tol, the k-sparse searches on Y = -G at a value to beat.
-    Each row's upper triangle is gathered into the layout of _ldl_positive.
+    One np.take per triangle row gathers the layout of _ldl_positive.
     """
     n, k = Y.shape[0], idx.shape[1]
     flat = np.ascontiguousarray(Y).ravel()
-    A = [np.empty((k - a, idx.shape[0])) for a in range(k)]
-    row_off = (idx * n).T
-    for a in range(k):
-        for b in range(a, k):
-            np.take(flat, row_off[a] + idx[:, b], out=A[a][b - a])
+    cols = idx.T
+    A = [np.take(flat, n * cols[a] + cols[a:]) for a in range(k)]
     return _ldl_positive(A, _screen_shift(float(np.abs(Y).max()), k, c))
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SizeLimitError,
 )
 from .linalg import SymmetricMatrix, gaussian_sym_batch
-from .linalg import _dumps_v1, _loads_v1, _read_text, _write_text
+from .linalg import _diagonal_sums, _dumps_v1, _loads_v1, _read_text, _write_text
 
 # Not called in this module; kept as module attributes because the
 # benchmark's tracer (perfbench/tracing.py) wraps them by name here.
@@ -370,8 +370,8 @@ def slack_value(x, y, n: int, eps: float) -> float:
 
     Always within [eps/(1+eps), (n+eps)/(1+eps)], hence nonnegative.
     """
-    if not eps >= 0:
-        raise InvalidArgumentError(f"eps must be nonnegative, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise InvalidArgumentError(f"eps must be nonnegative and finite, got {eps}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != (n,) or y.shape != (n,):
@@ -467,7 +467,7 @@ def _bounded_values(draws: np.ndarray, n: int, lam: float) -> np.ndarray:
     coeffs = np.zeros((draws.shape[0], 1 << n))
     coeffs[:, _degrees(n) <= 2] = draws
     values = lam * np.clip(_wht(coeffs), 0.0, 1.0)
-    mean = values.mean(axis=-1)
+    mean = _diagonal_sums(values, values.shape[1])  # finite even when lam 2^n overflows
     over = mean > 1.0
     # slight undershoot so rounding cannot push the mean back above 1
     values[over] /= (mean[over] * (1.0 + 1e-12))[:, None]

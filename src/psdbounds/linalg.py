@@ -244,11 +244,11 @@ def is_psd(M: SymmetricMatrix, tol: float | None = None) -> bool:
 
 
 def _diagonal_sums(diags: np.ndarray, parts: int = 1) -> np.ndarray:
-    """Row sums of a C-contiguous (T, n) stack of diagonals, each divided by
-    parts.  A row whose plain sum overflows although its entries are finite
-    is taken as s * (sum(d / s) / parts) with s = max|d|, so a representable
-    result stays finite; every other row keeps the bits of the plain sum
-    divided by parts (x / 1 is exactly x)."""
+    """Row sums of a C-contiguous (T, n) stack, each divided by parts.  A
+    row whose plain sum overflows although its entries are finite is taken
+    as s * (sum(d / s) / parts) with s = max|d|, so a representable result
+    stays finite; every other row keeps the bits of the plain sum divided
+    by parts (x / 1 is exactly x)."""
     with np.errstate(over="ignore"):
         sums = diags.sum(axis=1)
         over = ~np.isfinite(sums) & np.isfinite(diags).all(axis=1)

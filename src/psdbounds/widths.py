@@ -320,8 +320,8 @@ def concentration_check(
 
 def kappa(d: int) -> float:
     """Expected norm of a standard Gaussian vector in R^d (gamma-ratio form)."""
-    if not d >= 1:
-        raise InvalidArgumentError(f"dimension must be >= 1, got {d}")
+    if not 1 <= d < math.inf:
+        raise InvalidArgumentError(f"dimension must be finite and >= 1, got {d}")
     return math.sqrt(2.0) * math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
 
 

@@ -290,6 +290,56 @@ def reference_general_dual(stacked: np.ndarray, trials: int, seed: int) -> np.nd
     return values
 
 
+def reference_ldl_positive(A: list[np.ndarray], shift) -> np.ndarray:
+    """The LDL screen's kernel with one numpy call per triangle entry and
+    pivot: which lanes of the matrices whose upper-triangle rows are A (A[a]
+    of shape (k - a, *lanes)) stay positive definite after adding shift to
+    the diagonal.  A is overwritten."""
+    lanes = A[0].shape[1:]
+    ok = np.ones(lanes, dtype=bool)
+    inv, w, tmp = np.empty(lanes), np.empty(lanes), np.empty(lanes)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for row in A:
+            row[0] += shift
+        for j, pivot in enumerate(A):
+            d = pivot[0]
+            ok &= d > 0.0
+            if j == len(A) - 1:
+                break
+            np.divide(1.0, d, out=inv)  # a lane with d <= 0 has failed, whatever it computes next
+            for i, row in enumerate(A[j + 1 :], 1):  # row a = j + i: M[a, b] -= (M[j, a] / d) M[j, b]
+                np.multiply(pivot[i], inv, out=w)
+                for src, dst in zip(pivot[i:], row):
+                    np.multiply(w, src, out=tmp)
+                    np.subtract(dst, tmp, out=dst)
+    return ok
+
+
+def reference_screen_clears(Y: np.ndarray, idx: np.ndarray, c) -> np.ndarray:
+    """cones.screen_clears with one np.take per triangle entry and the
+    per-entry kernel; only the shift is the library's."""
+    from psdbounds.cones import _screen_shift
+
+    n, k = Y.shape[0], idx.shape[1]
+    flat = np.ascontiguousarray(Y).ravel()
+    A = [np.empty((k - a, idx.shape[0])) for a in range(k)]
+    row_off = (idx * n).T
+    for a in range(k):
+        for b in range(a, k):
+            np.take(flat, row_off[a] + idx[:, b], out=A[a][b - a])
+    return reference_ldl_positive(A, _screen_shift(float(np.abs(Y).max()), k, c))
+
+
+def reference_screen_clears_blocks(blocks: np.ndarray, c) -> np.ndarray:
+    """cones.screen_clears_blocks on the per-entry kernel; only the shift is
+    the library's."""
+    from psdbounds.cones import _screen_shift
+
+    k = blocks.shape[-1]
+    A = [np.negative(np.moveaxis(blocks[..., a:, a], -1, 0), order="C") for a in range(k)]
+    return reference_ldl_positive(A, _screen_shift(float(np.maximum(blocks.max(), -blocks.min())), k, c))
+
+
 def reference_project_traceless(dense: np.ndarray) -> tuple[np.ndarray, bool]:
     """The traceless projection of one finite matrix whose diagonal sum does
     not overflow, by the per-matrix rule: M - (tr M / n) I unless

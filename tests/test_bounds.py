@@ -178,6 +178,15 @@ def test_nan_fails_the_domain_check(call, error):
         call()
 
 
+@pytest.mark.parametrize("c1, c2", [(math.inf, 1.0), (1.0, math.inf)], ids=["c1", "c2"])
+def test_hanson_wright_constants_must_be_finite(c1, c2):
+    # an infinite c1 once passed, and thm1 then raised a bare math domain error
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        HansonWrightConstants(c1, c2)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        evaluate("thm1", {"n": 100, "k": 2, "eps": 0.1, "c1": c1, "c2": c2})
+
+
 class TestXi:
     def test_zero_at_and_beyond_critical_ratio(self):
         for delta in (DELTA_STAR_0 + 1e-9, 0.2, 0.5, 0.99):
@@ -287,6 +296,19 @@ class TestSparseIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             sparse_integral(1.2)
+
+    @pytest.mark.parametrize("delta", [1e-16, 1e-20, 1e-300])
+    def test_finite_where_one_minus_half_delta_rounds_to_one(self, delta):
+        # the quantile at 1 - delta/2 once got its argument rounded to 1
+        assert 1.0 - 0.5 * delta == 1.0
+        for fn in (sparse_integral, psi, avg_ratio_lower):
+            assert math.isfinite(fn(delta))
+        assert math.isfinite(evaluate("sparse_integral", {"delta": delta}))
+        assert [p.flag for p in emit_curve("psi", [delta, 0.5]).points] == ["ok", "ok"]
+
+    def test_increasing_across_the_rounding_of_one_minus_half_delta(self):
+        values = [sparse_integral(d) for d in (1e-300, 1e-20, 1e-16, 2e-16)]
+        assert 0.0 < values[0] < values[1] < values[2] < values[3]
 
 
 class TestPsiAndAverageRatio:

@@ -82,6 +82,12 @@ class TestBoundsEval:
         reason = json.loads(err.strip())
         assert reason["error"]["kind"] == "usage"
 
+    def test_sparse_integral_where_one_minus_half_delta_rounds_to_one(self, capsys):
+        code, out, _ = run_cli(
+            ["bounds", "eval", "--formula", "sparse_integral", "--params", "delta=1e-20"], capsys
+        )
+        assert code == 0 and 0.0 < last_json(out)["value"] < 1e-17
+
     def test_unknown_formula(self, capsys):
         code, _, err = run_cli(["bounds", "eval", "--formula", "nope"], capsys)
         assert code == 2
@@ -375,6 +381,18 @@ class TestHypercubeVerify:
         )
         assert code == 0
         assert last_json(out)["report"]["failures"] == []
+
+    def test_harmonic_at_a_lam_past_the_float_range_writes_no_warning(self):
+        # lam 2^4 overflows the generator's plain mean, which once printed a
+        # RuntimeWarning and checked all-zero functions
+        proc = subprocess.run(
+            [sys.executable, "-m", "psdbounds.cli", "hypercube", "verify", "--lemma", "harmonic",
+             "--n", "4", "--trials", "3", "--lam", "1e308"],
+            capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        report = json.loads(proc.stdout)["report"]
+        assert report["checked"] == 3 and report["failures"] == []
 
     def test_seeded_variance_run_repeats_its_bytes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -38,6 +38,8 @@ from _oracles import (
     nan_identity,
     random_sparse_cone_member,
     random_symmetric,
+    reference_screen_clears,
+    reference_screen_clears_blocks,
     reference_sparse_refute,
 )
 
@@ -263,6 +265,19 @@ class TestSparseMembershipEarlyExit:
         if kind in ("witness k+1", "late violation"):
             assert not expected
 
+    @pytest.mark.parametrize("n", [30, 60])
+    @pytest.mark.parametrize(
+        "kind", ["witness", "witness k+1", "boundary", "boundary tol=0", "psd", "late violation",
+                 "gaussian", "gaussian tol=0"]
+    )
+    def test_equals_bruteforce_at_k_n_minus_1(self, kind, n):
+        # n blocks of n - 1: the screen's widest rows over the fewest lanes
+        dense, k, tol = membership_case(kind, n, n - 2 if kind == "witness k+1" else n - 1, n)
+        assert k == n - 1
+        X = sym(dense)
+        expected = brute_sparse_member(dense, k, default_psd_tol(X) if tol is None else tol)
+        assert sparse_kpsd_member(X, k, tol) == expected
+
     @staticmethod
     def solved(monkeypatch):
         counts = []
@@ -330,6 +345,96 @@ class TestSparseMembershipEarlyExit:
         sizes, counts = self.screened(monkeypatch), self.solved(monkeypatch)
         assert sparse_kpsd_member(sym(dense), 4, 0.1)
         assert sizes == [64, 128, 256, 47] and counts == [45]
+
+
+_SCREEN_C = [0.0, -0.0, 1e-9, -1e-9, 1.0, -1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+def screen_case(rng, shape, n, k, kind, exponent, subnormal):
+    """A stack of n-by-n matrices whose lower triangles hold Gaussian entries,
+    a diagonally dominant matrix or a PSD one of rank k - 1, times 10^exponent;
+    a fraction subnormal of the entries is replaced by subnormals of either
+    sign.  The strict upper triangles are independent Gaussians."""
+    if kind == "low rank":
+        v = rng.standard_normal(shape + (n, k - 1))  # every k-by-k block is singular
+        mats = v @ np.swapaxes(v, -1, -2)
+    else:
+        mats = rng.standard_normal(shape + (n, n))
+        mats += np.swapaxes(mats, -1, -2)
+        mats += (8.0 * k if kind == "dominant" else 0.0) * np.eye(n)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    mats[..., upper] = rng.standard_normal(shape + (int(upper.sum()),))
+    mats *= 10.0**exponent
+    tiny = rng.random(mats.shape) < subnormal
+    mats[tiny] = rng.integers(-(2**52) + 1, 2**52, size=int(tiny.sum())) * 5e-324
+    return mats
+
+
+def screen_case_c(rng, shape, scale, k):
+    """One c per entry of shape, each of either sign, 0, +-inf, NaN, or the
+    c whose screen shift is zero up to rounding, so that the pivots of a
+    singular block are rounding noise."""
+    eps = float(np.finfo(np.float64).eps)
+    margin = 64.0 * k * k
+    zero_shift = margin * (eps * scale + 5e-324) / (1.0 - margin * eps)
+    choices = np.asarray(_SCREEN_C + [zero_shift] * 4)
+    return choices[rng.integers(len(choices), size=shape)]
+
+
+class TestScreenKernel:
+    """The screen takes one row of the upper triangle per numpy call; every
+    lane equals the per-entry reference kernel's."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 40),
+        extra=st.integers(0, 8),
+        rows=st.integers(0, 24),
+        kind=st.sampled_from(["gaussian", "dominant", "low rank"]),
+        exponent=st.integers(-300, 300),
+        subnormal=st.sampled_from([0.0, 0.1, 1.0]),
+        per_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=40, extra=0, rows=0, kind="low rank", exponent=0, subnormal=0.0, per_row=True, seed=0)
+    @example(k=40, extra=2, rows=24, kind="dominant", exponent=300, subnormal=0.1, per_row=True, seed=1)
+    @example(k=12, extra=4, rows=24, kind="low rank", exponent=-300, subnormal=1.0, per_row=False, seed=2)
+    def test_screen_clears_equals_the_reference(
+        self, k, extra, rows, kind, exponent, subnormal, per_row, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = k + extra
+        Y = screen_case(rng, (), n, k, kind, exponent, subnormal)
+        Y = np.tril(Y) + np.tril(Y, -1).T
+        idx = np.sort(rng.permuted(np.tile(np.arange(n), (rows, 1)), axis=1)[:, :k], axis=1)
+        c = screen_case_c(rng, rows if per_row else (), float(np.abs(Y).max()), k)
+        c = c if per_row else float(c)
+        got = cones.screen_clears(Y, idx, c)
+        assert got.tolist() == reference_screen_clears(Y, idx, c).tolist()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 40),
+        stack=st.tuples(st.integers(1, 4), st.integers(1, 6)),
+        kind=st.sampled_from(["gaussian", "dominant", "low rank"]),
+        exponent=st.integers(-300, 300),
+        subnormal=st.sampled_from([0.0, 0.1, 1.0]),
+        c_shape=st.sampled_from(["scalar", "trial", "block"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=40, stack=(4, 6), kind="low rank", exponent=300, subnormal=0.1, c_shape="block", seed=0)
+    @example(k=7, stack=(3, 5), kind="dominant", exponent=-300, subnormal=1.0, c_shape="trial", seed=1)
+    def test_screen_clears_blocks_equals_the_reference(
+        self, k, stack, kind, exponent, subnormal, c_shape, seed
+    ):
+        # a (T, N, k, k) stack of minus the matrices, not bitwise symmetric
+        rng = np.random.default_rng(seed)
+        blocks = -screen_case(rng, stack, k, k, kind, exponent, subnormal)
+        c = screen_case_c(rng, stack, float(np.abs(blocks).max()), k)
+        c = {"scalar": float(c[0, 0]), "trial": c[:, :1], "block": c}[c_shape]
+        got = cones.screen_clears_blocks(blocks, c)
+        assert got.shape == stack
+        assert got.tolist() == reference_screen_clears_blocks(blocks, c).tolist()
 
 
 class TestWholeMatrixBlock:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -306,6 +307,16 @@ class TestHarmonicBound:
             _, _, holds = harmonic_bound_check(f, lam)
             assert holds
 
+    @pytest.mark.parametrize("lam", [1e306, 1e308])
+    def test_generator_survives_a_mean_past_the_float_range(self, lam):
+        # lam 2^10 overflows the plain mean, which once rescaled every value to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = random_bounded_function(10, lam, substream(1, 0))
+        assert f.values.min() >= 0.0 and f.values.max() <= lam
+        assert f.values.any()
+        assert f.mean() <= 1.0
+
     def test_generator_respects_preconditions(self):
         for trial in range(100):
             f = random_bounded_function(6, 10.0, substream(99, trial))
@@ -374,6 +385,11 @@ class TestSlackValue:
         x = vertex(4, 0)
         with pytest.raises(InvalidArgumentError, match="eps"):
             slack_value(x, x, 4, math.nan)
+
+    def test_rejects_infinite_eps(self):
+        x = vertex(4, 0)
+        with pytest.raises(InvalidArgumentError, match="eps"):
+            slack_value(x, x, 4, math.inf)
 
 
 class TestMomentIdentities:

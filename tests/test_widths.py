@@ -970,6 +970,10 @@ class TestKappa:
         with pytest.raises(InvalidArgumentError, match="dimension"):
             kappa(math.nan)
 
+    def test_rejects_infinite_dimension(self):
+        with pytest.raises(InvalidArgumentError, match="dimension"):
+            kappa(math.inf)
+
 
 class TestWidthRatioHook:
     def test_feeds_counting_bound_rate(self):
