@@ -206,7 +206,10 @@ def normal_quantile(p: float) -> float:
         err = normal_cdf(x) - p
         if err == 0.0:
             break
-        u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+        try:
+            u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+        except OverflowError:  # exp(x^2/2) overflows near p = 1e-315: form u in log space
+            u = math.copysign(math.exp(math.log(abs(err) * math.sqrt(2.0 * math.pi)) + 0.5 * x * x), err)
         x -= u / (1.0 + 0.5 * x * u)
     return x
 

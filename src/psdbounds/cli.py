@@ -97,9 +97,10 @@ def parse_grid(raw: str) -> list[float]:
         raise ValueError(f"grid needs at least one step, got {steps}")
     if steps > MAX_GRID_STEPS:  # before the grid is allocated
         raise SizeLimitError(f"grid supports at most {MAX_GRID_STEPS} steps, got {steps}")
-    if steps == 1:
-        return [start]
-    return list(np.linspace(start, stop, steps))
+    grid = [start] if steps == 1 else list(np.linspace(start, stop, steps))
+    if any(b <= a for a, b in zip(grid, grid[1:])):  # before any file is written
+        raise ValueError(f"--grid points must be strictly increasing, got {raw!r}")
+    return grid
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -279,11 +280,11 @@ def _run_member(args: argparse.Namespace, params: dict) -> int:
         refute=args.refute, samples=args.samples
     )
     _check_keys("cones member", params["extra"])
-    X = linalg.read_symmat(args.matrix)
     if (args.sparse_k is None) == (args.family is None):
         raise ValueError("membership needs exactly one of --sparse-k or --family")
     if args.family is not None and args.refute:
         raise InvalidArgumentError("membership in a --family does not read --refute")
+    X = linalg.read_symmat(args.matrix)
     if args.family is not None:
         member = cones.general_kpsd_member(X, cones.read_conefam(args.family), args.tol)
         certain = True
@@ -315,21 +316,19 @@ def _run_witness(args: argparse.Namespace, params: dict) -> int:
 
 
 def _verify_harmonic(n, trials, seed, lam):
-    failures = [
+    return trials, [
         {"trial": t, "seed": seed, "norm2": norm2, "bound": bound}
         for t, norm2, bound in hypercube.harmonic_trials(n, trials, seed, lam)
         if not hypercube.bound_holds(norm2, bound)
     ]
-    return trials, failures
 
 
 def _verify_hypercontractivity(n, trials, seed, rho, p):
-    failures = [
+    return trials, [
         {"trial": t, "seed": seed, "rho": rho, "p": p, "lhs": lhs, "rhs": rhs}
         for t, lhs, rhs in hypercube.hypercontractivity_trials(n, trials, seed, rho, p)
         if not hypercube.bound_holds(lhs, rhs)
     ]
-    return trials, failures
 
 
 def _verify_moments(n):

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .linalg import SymmetricMatrix, gaussian_sym_batch
 from .linalg import _diagonal_sums, _dumps_v1, _loads_v1, _read_text, _write_text
+from .widths import _check_trials, _run_trials
 
 # Not called in this module; kept as module attributes because the
 # benchmark's tracer (perfbench/tracing.py) wraps them by name here.
@@ -70,15 +71,6 @@ _STACK_VALUES = 8192
 def _chunk_trials(n: int) -> int:
     """Trials per stack of 2^n-value rows: 32 at n = 8, one from n = 13 up."""
     return max(1, _STACK_VALUES >> n)
-
-
-def _trial_stacks(n: int, trials: int, seed: int, width: int):
-    """(first trial, rows) for each chunk of trials: row i holds the first
-    width standard normals of trial (first + i)'s (seed, trial) substream,
-    drawn as that trial alone would draw them."""
-    step = _chunk_trials(n)
-    for first in range(0, trials, step):
-        yield first, normal_rows(seed, first, min(first + step, trials), width)
 
 
 def _check_n(n: int) -> int:
@@ -248,22 +240,14 @@ def bound_holds(value: float, bound: float) -> bool:
     return value <= bound + 1e-12
 
 
-def hypercontractivity_check(
-    f: HypercubeFunction, rho: float, p: float
-) -> tuple[float, float, bool]:
+def hypercontractivity_check(f: HypercubeFunction, rho: float, p: float) -> tuple[float, float, bool]:
     """Both sides of ||T_rho f||_q <= ||f||_p with q = 1 + (p-1)/rho^2."""
-    [lhs], [rhs] = _hypercontractivity_sides(f.values[None], rho, p)
+    [lhs], [rhs] = _hypercontractivity_sides(f.values[None], rho, p, _exponent_q(rho, p))
     return lhs, rhs, bound_holds(lhs, rhs)
 
 
-def _hypercontractivity_sides(
-    values: np.ndarray, rho: float, p: float
-) -> tuple[list[float], list[float]]:
-    """||T_rho f||_q and ||f||_p for each row f of a (T, 2^n) stack.
-
-    Raises NumericalFailureError when q or a norm overflows, since the
-    comparison of an infinite side proves nothing.
-    """
+def _exponent_q(rho: float, p: float) -> float:
+    """q = 1 + (p-1)/rho^2 after checking rho and p; NumericalFailureError when q overflows."""
     if not 0.0 < rho <= 1.0:
         raise InvalidArgumentError(f"need 0 < rho <= 1, got {rho}")
     _check_p(p)
@@ -274,6 +258,12 @@ def _hypercontractivity_sides(
         q = 1.0 + (p - 1.0) / rho2
     if not math.isfinite(q):
         raise NumericalFailureError(f"q = 1 + (p-1)/rho^2 overflows at rho={rho}, p={p}")
+    return q
+
+
+def _hypercontractivity_sides(values: np.ndarray, rho: float, p: float, q: float) -> tuple[list, list]:
+    """||T_rho f||_q and ||f||_p for each row f of a (T, 2^n) stack; NumericalFailureError
+    when a norm overflows, since the comparison of an infinite side proves nothing."""
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = [float(m ** (1.0 / q)) for m in _power_means(_noise_stack(values, rho), q)]
         rhs = [float(m ** (1.0 / p)) for m in _power_means(values, p)]
@@ -285,12 +275,13 @@ def _hypercontractivity_sides(
 def hypercontractivity_trials(n: int, trials: int, seed: int, rho: float, p: float):
     """Yield (trial, ||T_rho f||_q, ||f||_p) for trials 0 .. trials-1, where
     trial t's f holds the first 2^n standard normals of the (seed, t)
-    substream; a chunk of trials runs as one stack, and every trial's
-    numbers are the bits of that trial computed alone."""
-    _check_n(n)
-    for first, values in _trial_stacks(n, trials, seed, 1 << n):
-        lhs, rhs = _hypercontractivity_sides(values, rho, p)
-        yield from zip(range(first, first + len(lhs)), lhs, rhs)
+    substream.  Chunks of trials run as stacks, every trial's numbers are
+    the bits of that trial computed alone, and all of them, 16 bytes a
+    trial, are computed before the first yield."""
+    size, q = _check_n(n), _exponent_q(rho, p)
+    kernel = lambda start, stop: _hypercontractivity_sides(normal_rows(seed, start, stop, size), rho, p, q)
+    lhs, rhs = _run_trials(trials, _chunk_trials(n), kernel, outputs=2)
+    yield from zip(range(trials), map(float, lhs), map(float, rhs))
 
 
 def proj2_norm(f: HypercubeFunction) -> float:
@@ -312,15 +303,18 @@ def harmonic_bound_check(f: HypercubeFunction, lam: float) -> tuple[float, float
     """Degree-2 norm of a [0, lam]-valued, mean-at-most-1 function against the
     bound lam (below e) or e ln lam (at or above e).
     """
-    [norm2], bound = _harmonic_sides(f.values[None], lam)
-    norm2 = float(norm2)
+    norm2, bound = float(_harmonic_norms(f.values[None], lam)[0]), _harmonic_bound(lam)
     return norm2, bound, bound_holds(norm2, bound)
 
 
-def _harmonic_sides(values: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
-    """Degree-2 norms of the rows of a (T, 2^n) stack and the bound for lam,
-    after checking every row against the preconditions; the first row that
-    fails one raises, naming the first of them it fails.
+def _harmonic_bound(lam: float) -> float:
+    return lam if lam < math.e else math.e * math.log(lam)
+
+
+def _harmonic_norms(values: np.ndarray, lam: float) -> np.ndarray:
+    """Degree-2 norms of the rows of a (T, 2^n) stack, after checking every
+    row against the preconditions; the first row that fails one raises,
+    naming the first of them it fails.
     """
     if not math.isfinite(lam):
         raise InvalidArgumentError(f"lam must be finite, got {lam}")
@@ -335,21 +329,24 @@ def _harmonic_sides(values: np.ndarray, lam: float) -> tuple[np.ndarray, float]:
         if hi[row] > lam:
             raise PreconditionError(f"pointwise bound fails: max value {float(hi[row])} > {lam}")
         raise PreconditionError(f"mean bound fails: E f = {float(mean[row])} > 1")
-    bound = lam if lam < math.e else math.e * math.log(lam)
-    return _proj2_norms(values), bound
+    return _proj2_norms(values)
 
 
 def harmonic_trials(n: int, trials: int, seed: int, lam: float):
     """Yield (trial, degree-2 norm, bound) for trials 0 .. trials-1, where
-    trial t's function is random_bounded_function(n, lam, substream(seed, t));
-    a chunk of trials runs as one stack, and every trial's numbers are the
-    bits of that trial computed alone."""
+    trial t's function is random_bounded_function(n, lam, substream(seed, t)).
+    Chunks of trials run as stacks, every trial's numbers are the bits of
+    that trial computed alone, and all the norms, 8 bytes a trial, are
+    computed before the first yield."""
     _check_n(n)
     _check_threshold(lam)
-    for first, draws in _trial_stacks(n, trials, seed, _low_degree_count(n)):
-        norms, bound = _harmonic_sides(_bounded_values(draws, n, lam), lam)
-        for t, norm2 in enumerate(norms.tolist(), first):
-            yield t, norm2, bound
+    width, bound = _low_degree_count(n), _harmonic_bound(lam)
+
+    def kernel(start: int, stop: int) -> np.ndarray:
+        return _harmonic_norms(_bounded_values(normal_rows(seed, start, stop, width), n, lam), lam)
+
+    for t, norm2 in enumerate(map(float, _run_trials(trials, _chunk_trials(n), kernel))):
+        yield t, norm2, bound
 
 
 def proj2_quadratic_form(f: HypercubeFunction) -> SymmetricMatrix:
@@ -417,21 +414,19 @@ def variance_identity_check(
         raise SizeLimitError(
             f"per-trial enumeration supports n <= {MAX_ENUMERATION_BITS}, got {f.n}"
         )
-    if trials < 2:
-        raise InvalidArgumentError(f"need at least 2 trials, got {trials}")
+    _check_trials(trials)
     check_seed(seed)
     n = f.n
-    signs = all_vertices(n)
-    scale = 1.0 / (1 << n)
-    values = np.empty(trials)
-    chunk = 256
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
+    signs, scale = all_vertices(n), 1.0 / (1 << n)
+
+    def kernel(start: int, stop: int) -> np.ndarray:
         mats = gaussian_sym_batch(n, seed, start, stop, traceless=True)
         # quadratic forms at all vertices, then pair with f
         quad = np.einsum("vi,bij,vj->bv", signs, mats, signs, optimize=True)
-        values[start:stop] = -(quad @ f.values) * scale
-    empirical = float(values.var(ddof=1))
+        return -(quad @ f.values) * scale
+
+    # 256 trials a stack: einsum picks its contraction path by the stack size
+    empirical = float(_run_trials(trials, 256, kernel).var(ddof=1))
     theoretical = 2.0 * proj2_norm(f) ** 2
     return empirical, theoretical
 

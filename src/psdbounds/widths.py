@@ -160,36 +160,40 @@ def _check_trials(trials: int) -> None:
         raise InvalidArgumentError(f"need at least 2 trials, got {trials}")
 
 
-def _matrix_trials(
-    n: int, trials: int, seed: int, keep_values: bool, per_stack: Callable, chunk: int = 0
-) -> WidthEstimate:
-    """Estimate from per-trial values of standard Gaussian n-by-n matrices.
-
-    Each task draws the dense stack of trials [start, start + chunk) with
-    gaussian_sym_batch (chunk 0 means _TRIAL_CHUNK) and per_stack maps it to
-    one value per trial, which must depend only on that trial's matrix.
-    Tasks run on a thread pool of up to thread_count() workers; a single
-    worker runs them on the caller's thread.  The (trials,) value array is
-    allocated before the first draw and each task writes its own slice, so
-    a trial count past the free memory raises MemoryError at once.
-    """
-    _check_trials(trials)
-    check_seed(seed)
-    chunk = chunk or _TRIAL_CHUNK
-    values = np.empty(trials)
+def _run_trials(trials: int, chunk: int, kernel: Callable, outputs=1, workers=1) -> np.ndarray:
+    """The (trials,) values, or (outputs, trials) rows, that kernel(start, stop)
+    gives for each chunk [start, start + chunk) of trials.  The array exists
+    before the first call, so a trial count past the free memory raises
+    MemoryError at once.  Chunks run in order on the caller's thread, or with
+    workers > 1 on a pool of up to that many threads, each on its own slice."""
+    values = np.empty((outputs, trials) if outputs > 1 else trials)
 
     def task(start: int) -> None:
         stop = min(start + chunk, trials)
-        values[start:stop] = per_stack(gaussian_sym_batch(n, seed, start, stop))
+        values[..., start:stop] = kernel(start, stop)
 
     starts = range(0, trials, chunk)
-    workers = min(thread_count(), len(starts))
+    workers = min(workers, len(starts))
     if workers <= 1:
         for start in starts:
             task(start)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(task, starts))
+    return values
+
+
+def _matrix_trials(
+    n: int, trials: int, seed: int, keep_values: bool, per_stack: Callable, chunk: int = 0
+) -> WidthEstimate:
+    """Estimate from per-trial values of standard Gaussian n-by-n matrices:
+    per_stack maps the dense stack of each chunk's trials, drawn with
+    gaussian_sym_batch (chunk 0 means _TRIAL_CHUNK) on thread_count() workers,
+    to one value per trial, which must depend only on that trial's matrix."""
+    _check_trials(trials)
+    check_seed(seed)
+    kernel = lambda start, stop: per_stack(gaussian_sym_batch(n, seed, start, stop))
+    values = _run_trials(trials, chunk or _TRIAL_CHUNK, kernel, workers=thread_count())
     return WidthEstimate.from_values(values, seed, keep_values)
 
 
@@ -262,11 +266,9 @@ def _oracle_values(oracle: SupportOracle, trials: int, seed: int) -> np.ndarray:
     blocks; trial t sees the same direction no matter the total trial count.
     """
     rng = substream(seed)
-    values = np.empty(trials)
-    pos = 0
-    block = max(1, (1 << 16) // max(1, oracle.dim))
-    while pos < trials:
-        take = min(block, trials - pos)
+
+    def kernel(start: int, stop: int) -> np.ndarray:
+        take = stop - start
         dirs = rng.standard_normal((take, oracle.dim))
         with np.errstate(over="ignore", invalid="ignore"):  # the finite check names the trial
             vals = np.asarray(oracle.evaluate_batch(dirs), dtype=np.float64)
@@ -276,12 +278,12 @@ def _oracle_values(oracle: SupportOracle, trials: int, seed: int) -> np.ndarray:
             bad = int(np.flatnonzero(~np.isfinite(vals))[0])
             raise OracleFailureError(
                 f"oracle {oracle.label or '<anonymous>'} returned a non-finite value "
-                f"at trial {pos + bad}",
+                f"at trial {start + bad}",
                 direction=dirs[bad].copy(),
             )
-        values[pos : pos + take] = vals
-        pos += take
-    return values
+        return vals
+
+    return _run_trials(trials, max(1, (1 << 16) // max(1, oracle.dim)), kernel)
 
 
 def width_via_oracle(

@@ -253,6 +253,24 @@ class TestNormalQuantile:
             with pytest.raises(DomainError):
                 normal_quantile(bad)
 
+    _TINY_P = [5e-324, 1e-323, 1e-322, 1e-320, 1e-318, 1e-317, 1e-316, 5e-316, 1e-315, 1e-314,
+               1e-313, 1e-312, 1e-311, 5e-311, 1e-310, 1e-308, 1e-305, 1e-303, 1e-300]
+
+    def test_finite_and_increasing_in_the_far_lower_tail(self):
+        # exp(x^2/2) in the Halley step once overflowed for p from about 1e-317 to 5e-311
+        values = [normal_quantile(p) for p in self._TINY_P]
+        assert all(map(math.isfinite, values))
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize(
+        "p, bits",
+        [(5e-324, "-0x1.33bd3f31179e2p+5"), (1e-320, "-0x1.32272b37b0cccp+5"),
+         (1e-318, "-0x1.31307fe26fe07p+5"), (1e-310, "-0x1.2d4df29347fc2p+5"),
+         (1e-305, "-0x1.2ad9cbfafe3eap+5"), (1e-300, "-0x1.286074064c26ep+5")],
+    )
+    def test_tail_values_that_never_overflowed_keep_their_bits(self, p, bits):
+        assert normal_quantile(p).hex() == bits
+
 
 class TestChi2Quantile:
     def test_zero(self):
@@ -309,6 +327,11 @@ class TestSparseIntegral:
     def test_increasing_across_the_rounding_of_one_minus_half_delta(self):
         values = [sparse_integral(d) for d in (1e-300, 1e-20, 1e-16, 2e-16)]
         assert 0.0 < values[0] < values[1] < values[2] < values[3]
+
+    @pytest.mark.parametrize("delta, value", [(1e-310, 1.42189e-307), (1e-315, 1.44490e-312)])
+    def test_subnormal_delta(self, delta, value):
+        # the quantile at delta/2 once overflowed in its Halley step
+        assert sparse_integral(delta) == pytest.approx(value, rel=1e-5)
 
 
 class TestPsiAndAverageRatio:

@@ -74,6 +74,14 @@ class TestBoundsEval:
             assert code == 0
             assert abs(last_json(out)["value"] - expected) < 1e-9
 
+    @pytest.mark.parametrize("delta", ["1e-310", "1e-315"])
+    def test_sparse_integral_at_a_subnormal_delta(self, delta, capsys):
+        # the normal quantile at delta/2 once overflowed and exited 3
+        argv = ["bounds", "eval", "--formula", "sparse_integral", "--params", f"delta={delta}"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert 0.0 < last_json(out)["value"] < 1e-300
+
     def test_domain_error_exit_code_and_reason(self, capsys):
         code, _, err = run_cli(
             ["bounds", "eval", "--formula", "zeta", "--params", "delta=0"], capsys
@@ -319,6 +327,19 @@ class TestConesCommands:
         write_symmat(witness_matrix(6, 3), w_path)
         code, _, _ = run_cli(["cones", "member", "--matrix", str(w_path)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [(["--sparse-k", "2", "--family", "f.conefam"], "exactly one of --sparse-k or --family"),
+         (["--family", "f.conefam", "--refute"], "does not read --refute")],
+        ids=["both-modes", "family-refute"],
+    )
+    def test_flag_conflict_is_reported_before_the_matrix_is_read(self, flags, needle, tmp_path, capsys):
+        argv = ["cones", "member", "--matrix", str(tmp_path / "missing.symmat"), *flags]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert needle in json.loads(line)["error"]["message"]
 
     def test_cap_exceeded_suggests_refutation(self, tmp_path, capsys):
         w_path = tmp_path / "big.symmat"
@@ -585,6 +606,29 @@ class TestParsing:
         assert cli.parse_grid("2:2:1") == [2.0]
         with pytest.raises(ValueError):
             cli.parse_grid("0:1")
+
+    @pytest.mark.parametrize("raw", ["1:0:3", "0.5:0.5:3", "0:-1:2", "1:1.0000000000000002:3"])
+    def test_parse_grid_rejects_points_that_do_not_increase(self, raw):
+        with pytest.raises(ValueError, match=f"--grid points must be strictly increasing, got '{raw}'"):
+            cli.parse_grid(raw)
+
+    def test_parse_grid_single_step_is_its_start(self):
+        assert cli.parse_grid("1:0:1") == [1.0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["figures", "--name", "delta-star", "--grid", "1:0:3", "--out", "{dest}"],
+         ["bounds", "curve", "--formula", "psi", "--grid", "0.5:0.5:3", "--out", "{dest}"]],
+        ids=["figures", "curve"],
+    )
+    def test_non_increasing_grid_creates_nothing(self, argv, tmp_path, capsys):
+        # figures once made its --out directory before the curve rejected the grid
+        dest = tmp_path / "dest"
+        code, out, err = run_cli([str(dest) if a == "{dest}" else a for a in argv], capsys)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert "--grid points must be strictly increasing" in json.loads(line)["error"]["message"]
+        assert not dest.exists()
 
     def test_parse_grid_caps_its_steps(self):
         assert len(cli.parse_grid(f"0:1:{cli.MAX_GRID_STEPS}")) == cli.MAX_GRID_STEPS
@@ -866,24 +910,35 @@ class TestErrorContract:
         [line] = err.splitlines()
         assert json.loads(line)["error"] == {"kind": "usage", "message": needle}
 
-    @pytest.mark.parametrize("kind", ["base-psd", "sparse-dual"])
-    def test_too_many_matrix_trials_fail_at_once(self, kind):
-        # the 7.28 TiB value array is allocated before the first draw; the
-        # child's address space is capped so that holds however the system
-        # overcommits, and the timeout ends a run that draws instead
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [(["widths", "estimate", "--kind", "base-psd", "--n", "4"], "Unable to allocate 7.28 TiB"),
+         (["widths", "estimate", "--kind", "sparse-dual", "--n", "4", "--k", "2"],
+          "Unable to allocate 7.28 TiB"),
+         (["hypercube", "verify", "--lemma", "harmonic", "--n", "8"], "Unable to allocate 7.28 TiB"),
+         (["hypercube", "verify", "--lemma", "hypercontractivity", "--n", "8"],
+          "Unable to allocate 14.6 TiB"),
+         (["hypercube", "verify", "--lemma", "hypercontractivity", "--n", "8", "--params", "rho=2"],
+          "need 0 < rho <= 1, got 2.0")],
+        ids=["base-psd", "sparse-dual", "harmonic", "hypercontractivity", "hypercontractivity-rho"],
+    )
+    def test_too_many_matrix_trials_fail_at_once(self, argv, needle):
+        # the value array, 8 or 16 bytes a trial, is allocated before the
+        # first draw, after the argument checks; the child's address space is
+        # capped so that holds however the system overcommits, and the
+        # timeout ends a run that draws instead
         import resource
 
         def cap_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
-        argv = ["widths", "estimate", "--kind", kind, "--n", "4", "--trials", str(10**12)]
-        argv += ["--k", "2"] if kind == "sparse-dual" else []
+        argv = [*argv, "--trials", str(10**12)]
         proc = subprocess.run([sys.executable, "-m", "psdbounds.cli", *argv], capture_output=True,
                               text=True, timeout=60, preexec_fn=cap_address_space, check=False)
         assert proc.returncode == 2 and proc.stdout == ""
         [line] = proc.stderr.splitlines()
         error = json.loads(line)["error"]
-        assert error["kind"] == "usage" and "Unable to allocate 7.28 TiB" in error["message"]
+        assert error["kind"] == "usage" and needle in error["message"]
 
     @pytest.mark.parametrize(
         "flags, needle",
@@ -1246,6 +1301,41 @@ def test_non_finite_formula_parameter_writes_nothing(argv, key, tmp_path, capsys
     error = json.loads(line)["error"]
     assert error["kind"] == "usage" and f"parameter {key!r} must be finite" in error["message"]
     assert not dest.exists()
+
+
+# per widths kind: the flags beyond --kind, and the library estimator of the
+# same set as a function of (trials, seed); "{family}" is a file holding
+# coordinate_family(6, 2).  The oracle dimensions put block boundaries of
+# the (seed, 0) stream inside the window.
+_WINDOW_KINDS = {
+    "base-psd": (["--n", "5"], lambda T, s: widths.width_base_psd(5, T, s)),
+    "sparse-dual": (["--n", "6", "--k", "3"], lambda T, s: widths.width_dual_base_sparse(6, 3, T, s)),
+    "general-dual": (["--family", "{family}"],
+                     lambda T, s: widths.width_general_dual(coordinate_family(6, 2), T, s)),
+    "oracle:l2-ball": (["--n", "1000", "--params", "radius=2"],
+                       lambda T, s: widths.width_via_oracle(widths.l2_ball_oracle(1000, 2.0), T, s)),
+    "oracle:l1-ball": (["--n", "3000"],
+                       lambda T, s: widths.width_via_oracle(widths.l1_ball_oracle(3000), T, s)),
+    "oracle:ellipsoid": (["--params", "axes=1:2:3"],
+                         lambda T, s: widths.width_via_oracle(widths.ellipsoid_oracle([1, 2, 3]), T, s)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WINDOW_KINDS))
+@pytest.mark.parametrize("trials, seed", [(70, 3), (129, 2**64 - 1)])
+def test_widths_estimate_is_a_window_of_a_longer_run(kind, trials, seed, tmp_path, capsys):
+    # the written estimate is that of the first T of 2T library trials:
+    # neither the trial count nor the chunking moves a trial's value
+    family = tmp_path / "fam.conefam"
+    write_conefam(coordinate_family(6, 2), family)
+    flags, estimator = _WINDOW_KINDS[kind]
+    argv = ["widths", "estimate", "--kind", kind, "--trials", str(trials), "--seed", str(seed)]
+    code, out, _ = run_cli([*argv, *(str(family) if f == "{family}" else f for f in flags)], capsys)
+    assert code == 0
+    written = json.loads(out)["estimate"]
+    longer = estimator(2 * trials, seed).per_trial_values
+    want = widths.WidthEstimate.from_values(longer[:trials], seed)
+    assert (written["mean"].hex(), written["std_error"].hex()) == (want.mean.hex(), want.std_error.hex())
 
 
 @pytest.mark.parametrize(

@@ -935,6 +935,70 @@ class TestReproducibility:
         )
 
 
+class TestRunTrials:
+    """widths._run_trials, the one chunked loop of every Monte Carlo suite."""
+
+    @staticmethod
+    def calls_of(trials, chunk, outputs=1, workers=1):
+        calls = []
+        lock = threading.Lock()
+
+        def kernel(start, stop):
+            with lock:
+                calls.append((start, stop))
+            t = np.arange(start, stop, dtype=np.float64)
+            return np.sin(t) if outputs == 1 else (np.sin(t), np.cos(t))
+
+        values = widths._run_trials(trials, chunk, kernel, outputs, workers)
+        return values, sorted(calls)
+
+    @pytest.mark.parametrize(
+        "trials, chunk, spans",
+        [(10, 4, [(0, 4), (4, 8), (8, 10)]), (3, 64, [(0, 3)]), (0, 5, []), (6, 3, [(0, 3), (3, 6)])],
+        ids=["ragged", "chunk-past-trials", "none", "exact"],
+    )
+    def test_consecutive_chunks_fill_every_trial(self, trials, chunk, spans):
+        values, calls = self.calls_of(trials, chunk)
+        assert calls == spans
+        assert values.shape == (trials,)
+        assert values.tobytes() == np.sin(np.arange(trials, dtype=np.float64)).tobytes()
+
+    def test_two_outputs_fill_two_rows(self):
+        values, _ = self.calls_of(11, 4, outputs=2)
+        t = np.arange(11, dtype=np.float64)
+        assert values.shape == (2, 11)
+        assert values.tobytes() == np.stack([np.sin(t), np.cos(t)]).tobytes()
+
+    @pytest.mark.parametrize("outputs", [1, 2])
+    def test_one_and_four_workers_agree(self, outputs):
+        serial, serial_calls = self.calls_of(1000, 7, outputs, workers=1)
+        pooled, pooled_calls = self.calls_of(1000, 7, outputs, workers=4)
+        assert serial.tobytes() == pooled.tobytes() and serial_calls == pooled_calls
+
+    def test_one_worker_runs_in_order_on_the_calling_thread(self):
+        seen = []
+
+        def kernel(start, stop):
+            seen.append((start, threading.get_ident()))
+            return np.zeros(stop - start)
+
+        widths._run_trials(20, 3, kernel)
+        assert seen == [(start, threading.get_ident()) for start in range(0, 20, 3)]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_a_kernel_error_propagates_unchanged(self, workers):
+        error = OracleFailureError("chunk 2 failed")
+
+        def kernel(start, stop):
+            if start == 8:
+                raise error
+            return np.zeros(stop - start)
+
+        with pytest.raises(OracleFailureError) as caught:
+            widths._run_trials(20, 4, kernel, workers=workers)
+        assert caught.value is error
+
+
 class TestConcentration:
     def test_alpha_zero_degenerate(self):
         result = concentration_check(l2_ball_oracle(5), 0.0, 2000, seed=3)
