@@ -848,6 +848,13 @@ class TestWidthViaOracle:
         plain = np.array(values)
         assert (est.mean, est.std_error) == (plain.mean(), plain.std(ddof=1) / math.sqrt(plain.size))
 
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_from_values_leaves_its_input_untouched(self, keep):
+        values = np.random.default_rng(3).standard_normal(1000) * 1e3
+        before = values.copy()
+        widths.WidthEstimate.from_values(values, 0, keep_values=keep)
+        assert values.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize(
         "call",
         [lambda: width_via_oracle(l2_ball_oracle(3), 70_000, seed=2),
@@ -1010,6 +1017,15 @@ class TestConcentration:
         result = concentration_check(l2_ball_oracle(50), alpha, 100_000, seed=5)
         assert abs(result.bound - bound) < 5e-4
         assert result.empirical <= result.bound
+
+    def test_seeded_result_keeps_its_bits(self):
+        # the frequency reads the values after their moments, so the moments
+        # must leave them as drawn
+        result = concentration_check(l2_ball_oracle(5), 0.3, 100_000, seed=7)
+        assert result.empirical.hex() == "0x1.6e8d10f51ac9bp-2"  # 0.35796
+        assert result.estimate.mean.hex() == "0x1.1050f337f7b9dp+1"
+        assert result.estimate.std_error.hex() == "0x1.1c60949a7e24ep-9"
+        assert (result.estimate.trials, result.estimate.seed) == (100_000, 7)
 
     def test_alpha_validation(self):
         with pytest.raises(InvalidArgumentError):
