@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linalg import SymmetricMatrix, gaussian_sym_batch
 from .linalg import _diagonal_sums, _dumps_v1, _loads_v1, _read_text, _write_text
-from .widths import _check_trials, _run_trials
+from .widths import _check_trials, _mean_and_var, _run_trials
 
 # Not called in this module; kept as module attributes because the
 # benchmark's tracer (perfbench/tracing.py) wraps them by name here.
@@ -426,7 +426,7 @@ def variance_identity_check(
         return -(quad @ f.values) * scale
 
     # 256 trials a stack: einsum picks its contraction path by the stack size
-    empirical = float(_run_trials(trials, 256, kernel).var(ddof=1))
+    empirical = _mean_and_var(_run_trials(trials, 256, kernel))[1]
     theoretical = 2.0 * proj2_norm(f) ** 2
     return empirical, theoretical
 

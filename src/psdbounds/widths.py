@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -81,8 +82,12 @@ class WidthEstimate:
         linalg._frobenius_parts; finite values then give finite moments.
         When the plain standard deviation is below _TINY_STD, its squared
         deviations may have underflowed, so it alone is taken that way.
-        Ordinary values, and constant ones, keep the plain moments' bits."""
+        Ordinary values, and constant ones, keep the plain moments' bits.
+        values must be 1-D with at least 2 entries, as an estimator's are;
+        they are read, never written."""
         values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1 or values.size < 2:
+            raise InvalidArgumentError(f"need a 1-D array of at least 2 values, got shape {values.shape}")
         trials = values.size
         with np.errstate(over="ignore", invalid="ignore"):
             mean = float(values.mean())
@@ -165,36 +170,93 @@ def _run_trials(trials: int, chunk: int, kernel: Callable, outputs=1, workers=1)
     gives for each chunk [start, start + chunk) of trials.  The array exists
     before the first call, so a trial count past the free memory raises
     MemoryError at once.  Chunks run in order on the caller's thread, or with
-    workers > 1 on a pool of up to that many threads, each on its own slice."""
+    workers > 1 on a pool of up to that many threads: one task a thread, each
+    taking the next chunk until none is left, and writing its own slice.  A
+    chunk that raises stops every worker at its next chunk, and its error
+    propagates."""
     values = np.empty((outputs, trials) if outputs > 1 else trials)
-
-    def task(start: int) -> None:
-        stop = min(start + chunk, trials)
-        values[..., start:stop] = kernel(start, stop)
-
     starts = range(0, trials, chunk)
+    pending, lock = iter(starts), threading.Lock()
+
+    def work() -> None:
+        nonlocal pending
+        while True:
+            with lock:
+                start = next(pending, None)
+            if start is None:
+                return
+            stop = min(start + chunk, trials)
+            try:
+                values[..., start:stop] = kernel(start, stop)
+            except BaseException:
+                with lock:
+                    pending = iter(())
+                raise
+
     workers = min(workers, len(starts))
     if workers <= 1:
-        for start in starts:
-            task(start)
+        work()
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, starts))
+            for task in [pool.submit(work) for _ in range(workers)]:
+                task.result()
     return values
 
 
+def _mean_and_var(values: np.ndarray) -> tuple[float, float]:
+    """values.mean() and values.var(ddof=1) of a 1-D float array, bit for
+    bit, by numpy's own steps (numpy/_core/_methods.py, _var): the
+    (1,)-shaped mean, then the squared deviations, written over values.  So
+    the caller must own values and read them no more."""
+    mean = np.add.reduce(values, keepdims=True)
+    np.true_divide(mean, values.size, out=mean)
+    np.subtract(values, mean, out=values)
+    np.square(values, out=values)
+    return float(mean[0]), float(np.add.reduce(values)) / (values.size - 1)
+
+
+def _estimate(values: np.ndarray, seed: int, keep_values: bool) -> WidthEstimate:
+    """WidthEstimate.from_values(values, seed, keep_values), bit for bit, for
+    (trials,) values the caller owns and reads no more.  Unless they are
+    kept, _mean_and_var writes the squared deviations over them, so the
+    estimate takes no second array, whenever from_values is certain to keep
+    its plain moments.  With T trials, that holds when the spread
+    max - min >= 2^-400 and m = max|v| <= 2^500 / sqrt(T):
+
+    - The sum is at most T m <= sqrt(T) 2^500, so the mean is finite.
+    - Each computed deviation d is at most 2m (1 + eps) in size, so d^2
+      stays below 2^1003 / T and their rounded sum S below 2^1004: no
+      overflow, and the variance S / (T - 1) is finite.
+    - The mean lies at least (max - min) / 2 from max or from min, so some
+      d is at least 2^-401 (1 - eps) and its square a normal number above
+      2^-804.  A rounded sum of nonnegative terms is at least its largest
+      term, so S >= 2^-804, and for T < 2^64 the standard deviation is above
+      2^-434, far over _TINY_STD.
+
+    NaN fails both tests.  Otherwise from_values takes them: its fallback
+    rescales the values as they were drawn."""
+    trials = values.size
+    if not keep_values:
+        top, bottom = float(values.max()), float(values.min())
+        if 2.0**-400 <= top - bottom and max(top, -bottom) <= 2.0**500 / math.sqrt(trials):
+            mean, var = _mean_and_var(values)
+            return WidthEstimate(mean, math.sqrt(var) / math.sqrt(trials), trials, seed)
+    return WidthEstimate.from_values(values, seed, keep_values)
+
+
 def _matrix_trials(
-    n: int, trials: int, seed: int, keep_values: bool, per_stack: Callable, chunk: int = 0
+    n: int, trials: int, seed: int, keep_values: bool, per_stack: Callable, chunk: int = 0, pooled=True
 ) -> WidthEstimate:
     """Estimate from per-trial values of standard Gaussian n-by-n matrices:
     per_stack maps the dense stack of each chunk's trials, drawn with
-    gaussian_sym_batch (chunk 0 means _TRIAL_CHUNK) on thread_count() workers,
-    to one value per trial, which must depend only on that trial's matrix."""
+    gaussian_sym_batch (chunk 0 means _TRIAL_CHUNK) on thread_count() workers
+    (one when not pooled), to one value per trial, which must depend only on
+    that trial's matrix."""
     _check_trials(trials)
     check_seed(seed)
     kernel = lambda start, stop: per_stack(gaussian_sym_batch(n, seed, start, stop))
-    values = _run_trials(trials, chunk or _TRIAL_CHUNK, kernel, workers=thread_count())
-    return WidthEstimate.from_values(values, seed, keep_values)
+    values = _run_trials(trials, chunk or _TRIAL_CHUNK, kernel, workers=thread_count() if pooled else 1)
+    return _estimate(values, seed, keep_values)
 
 
 def width_base_psd(n: int, trials: int, seed: int, keep_values: bool = True) -> WidthEstimate:
@@ -244,7 +306,9 @@ def width_general_dual(
     cones.compressor contracts each chunk of T trials, bit for bit the einsum
     "uik,ij,ujl->ukl" of each trial, into one (T, N, k, k) buffer of blocks
     U^T G U; cones.largest_block_eigenvalue takes each trial's maximum over
-    its N blocks, screening the whole buffer in one call.
+    its N blocks, screening the whole buffer in one call.  The chunks run
+    on the caller's thread: the per-trial contractions hold the GIL, and two
+    threads took longer than one.
     """
     n, count, k = family.ambient_dim, len(family), family.rank
     compress = compressor(family)
@@ -256,7 +320,7 @@ def width_general_dual(
         return largest_block_eigenvalue(blocks)
 
     chunk = min(_TRIAL_CHUNK, max(1, _DUAL_STACK_BYTES // (count * k * k * 8)))
-    return _matrix_trials(n, trials, seed, keep_values, per_stack, chunk)
+    return _matrix_trials(n, trials, seed, keep_values, per_stack, chunk, pooled=False)
 
 
 def _oracle_values(oracle: SupportOracle, trials: int, seed: int) -> np.ndarray:
@@ -295,7 +359,7 @@ def width_via_oracle(
     """Monte Carlo Gaussian width of the set behind a support oracle."""
     _check_trials(trials)
     check_seed(seed)
-    return WidthEstimate.from_values(_oracle_values(oracle, trials, seed), seed, keep_values)
+    return _estimate(_oracle_values(oracle, trials, seed), seed, keep_values)
 
 
 def concentration_check(
@@ -312,7 +376,7 @@ def concentration_check(
         raise InvalidArgumentError(f"alpha must be a nonnegative number, got {alpha!r}")
     _check_trials(trials)
     values = _oracle_values(oracle, trials, seed)
-    estimate = WidthEstimate.from_values(values, seed, keep_values=False)
+    estimate = WidthEstimate.from_values(values, seed, keep_values=False)  # reads values, below
     w = estimate.mean
     outside = (values > (1.0 + alpha) * w) | (values < (1.0 - alpha) * w)
     empirical = float(outside.mean())

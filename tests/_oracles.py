@@ -290,6 +290,23 @@ def reference_general_dual(stacked: np.ndarray, trials: int, seed: int) -> np.nd
     return values
 
 
+def reference_maximal_moments(trials: int, seed: int) -> list[tuple[str, int, float, float]]:
+    """(family, N, mean, std error) of each sample of the maximal lemma,
+    drawn as whole (trials, N) arrays from the (seed, N) substream: the
+    Gaussian maxima, then the centered chi-square ones."""
+    from psdbounds._rng import substream
+
+    moments = []
+    for count in (2, 10, 100):
+        rng = substream(seed, count)
+        gauss = rng.standard_normal((trials, count)).max(axis=1)
+        chi = (rng.standard_normal((trials, count)) ** 2 - 1.0).max(axis=1)
+        for name, sample in (("gaussian", gauss), ("chi2", chi)):
+            se = float(sample.std(ddof=1) / math.sqrt(trials))
+            moments.append((name, count, float(sample.mean()), se))
+    return moments
+
+
 def reference_ldl_positive(A: list[np.ndarray], shift) -> np.ndarray:
     """The LDL screen's kernel with one numpy call per triangle entry and
     pivot: which lanes of the matrices whose upper-triangle rows are A (A[a]

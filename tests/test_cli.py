@@ -22,6 +22,7 @@ from psdbounds.linalg import SymmetricMatrix, write_symmat
 
 from _oracles import (
     nan_identity,
+    reference_maximal_moments,
     reference_harmonic_trial,
     reference_hypercontractivity_trial,
 )
@@ -443,6 +444,20 @@ class TestHypercubeVerify:
             capsys,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("trials", [100, 655, 656, 5000])
+    def test_maximal_moments_equal_whole_array_draws(self, trials, capsys, monkeypatch):
+        # a bound below every mean writes each sample's moments; 655 trials
+        # fill one block of the N = 100 draws
+        monkeypatch.setattr(cli.bounds, "maximal_bound", lambda v, c, count: -1e300)
+        argv = ["hypercube", "verify", "--lemma", "maximal", "--trials", str(trials), "--seed", "3"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 1
+        want = [
+            {"family": name, "N": count, "seed": 3, "mean": mean, "bound": -1e300, "std_error": se}
+            for name, count, mean, se in reference_maximal_moments(trials, 3)
+        ]
+        assert json.dumps(last_json(out)["report"]["failures"]) == json.dumps(want)
 
     def test_failures_exit_one_with_counterexamples(self, capsys, monkeypatch):
         bundle = {"trial": 3, "seed": 9, "lhs": 2.0, "rhs": 1.0}
@@ -919,8 +934,10 @@ class TestErrorContract:
          (["hypercube", "verify", "--lemma", "hypercontractivity", "--n", "8"],
           "Unable to allocate 14.6 TiB"),
          (["hypercube", "verify", "--lemma", "hypercontractivity", "--n", "8", "--params", "rho=2"],
-          "need 0 < rho <= 1, got 2.0")],
-        ids=["base-psd", "sparse-dual", "harmonic", "hypercontractivity", "hypercontractivity-rho"],
+          "need 0 < rho <= 1, got 2.0"),
+         (["hypercube", "verify", "--lemma", "maximal"], "Unable to allocate 7.28 TiB")],
+        ids=["base-psd", "sparse-dual", "harmonic", "hypercontractivity", "hypercontractivity-rho",
+             "maximal"],
     )
     def test_too_many_matrix_trials_fail_at_once(self, argv, needle):
         # the value array, 8 or 16 bytes a trial, is allocated before the

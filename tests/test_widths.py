@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -848,6 +849,16 @@ class TestWidthViaOracle:
         plain = np.array(values)
         assert (est.mean, est.std_error) == (plain.mean(), plain.std(ddof=1) / math.sqrt(plain.size))
 
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([1.0]), np.array([]), np.ones((3, 3)), np.float64(2.0), np.ones((1, 2))],
+        ids=["one-value", "empty", "3x3", "scalar", "1x2"],
+    )
+    def test_from_values_needs_a_vector_of_two_values(self, values):
+        # an estimator draws at least 2 trials into a 1-D array
+        with pytest.raises(InvalidArgumentError, match="1-D array of at least 2 values"):
+            widths.WidthEstimate.from_values(values, 1)
+
     @pytest.mark.parametrize("keep", [True, False])
     def test_from_values_leaves_its_input_untouched(self, keep):
         values = np.random.default_rng(3).standard_normal(1000) * 1e3
@@ -992,6 +1003,52 @@ class TestRunTrials:
         widths._run_trials(20, 3, kernel)
         assert seen == [(start, threading.get_ident()) for start in range(0, 20, 3)]
 
+    @pytest.mark.parametrize("outputs", [1, 2])
+    def test_any_worker_count_gives_the_same_bits(self, outputs):
+        serial, serial_calls = self.calls_of(1000, 7, outputs, workers=1)
+        for workers in (2, 3, 4):
+            pooled, pooled_calls = self.calls_of(1000, 7, outputs, workers)
+            assert serial.tobytes() == pooled.tobytes() and serial_calls == pooled_calls
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_one_task_a_worker(self, workers, monkeypatch):
+        submits = []
+
+        class CountingPool(widths.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submits.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(widths, "ThreadPoolExecutor", CountingPool)
+        self.calls_of(10_000, 7, workers=workers)
+        assert len(submits) == workers
+        submits.clear()
+        self.calls_of(10, 7, workers=workers)  # two chunks
+        assert len(submits) == 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_a_late_error_stops_every_worker_at_its_next_chunk(self, workers):
+        events, lock = [], threading.Lock()
+        error = OracleFailureError("chunk 700 failed")
+
+        def kernel(start, stop):
+            with lock:
+                events.append(start)
+                if start == 7000:
+                    events.append("failed")
+                    raise error
+            time.sleep(0.0002)  # lets the other workers run
+            return np.zeros(stop - start)
+
+        with pytest.raises(OracleFailureError) as caught:
+            widths._run_trials(10_000, 10, kernel, workers=workers)
+        assert caught.value is error
+        failed = events.index("failed")
+        # a worker may have taken its chunk before the failure; none takes one after
+        assert len(events) - 1 - failed <= workers - 1
+        if workers == 1:
+            assert events[:failed] == list(range(0, 7010, 10))
+
     @pytest.mark.parametrize("workers", [1, 4])
     def test_a_kernel_error_propagates_unchanged(self, workers):
         error = OracleFailureError("chunk 2 failed")
@@ -1004,6 +1061,103 @@ class TestRunTrials:
         with pytest.raises(OracleFailureError) as caught:
             widths._run_trials(20, 4, kernel, workers=workers)
         assert caught.value is error
+
+
+def _moment_arrays():
+    """1-D float arrays of 2 or more values at scales 1e-300 to 1e300,
+    constant or spread, with sizes around _TRIAL_CHUNK."""
+    size = st.one_of(st.integers(2, 40), st.sampled_from([63, 64, 65, 127, 128, 129, 1000]))
+    return st.tuples(
+        size,
+        st.integers(-300, 300),
+        st.sampled_from(["gaussian", "constant", "offset", "one-off"]),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+def _draw_moment_array(size, exponent, kind, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    if kind == "constant":
+        return np.full(size, scale * rng.standard_normal())
+    if kind == "offset":  # a large mean with a small spread
+        return scale * (1.0 + 1e-9 * rng.standard_normal(size))
+    if kind == "one-off":  # one entry away from a constant rest
+        values = np.full(size, scale)
+        values[rng.integers(size)] *= 1.0 + rng.random()
+        return values
+    return scale * rng.standard_normal(size)
+
+
+def _gate_cases():
+    """(values, in place) on each side of each bound of widths._estimate."""
+    spread = 2.0**-400
+    top = 2.0**499  # 2^500 / sqrt(4)
+    return [
+        (np.array([0.0, spread]), True),
+        (np.array([0.0, np.nextafter(spread, 0.0)]), False),
+        (np.array([1.0, 1.0 + 2.0**-52]), True),
+        (np.array([top, 0.0, 0.0, -top]), True),
+        (np.array([np.nextafter(top, np.inf), 0.0, 0.0, 0.0]), False),
+        (np.array([0.0, 0.0, 0.0, -np.nextafter(top, np.inf)]), False),
+        (np.array([3.0, 3.0, 3.0]), False),
+        (np.array([1e-310, 1e-310, 2e-310]), False),
+        (np.array([1e308, -1e308]), False),
+        (np.array([1.0, np.nan, 2.0]), False),
+        (np.array([1.0, np.inf]), False),
+    ]
+
+
+class TestMomentsInPlace:
+    """widths._mean_and_var and widths._estimate replay numpy's moments and
+    from_values bit for bit, writing over the values only where from_values
+    is certain to keep its plain moments."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_moment_arrays())
+    def test_mean_and_var_equal_numpy(self, case):
+        values = _draw_moment_array(*case)
+        with np.errstate(over="ignore", under="ignore"):
+            want_mean, want_var, want_std = values.mean(), values.var(ddof=1), values.std(ddof=1)
+            mean, var = widths._mean_and_var(values.copy())
+        assert (mean.hex(), var.hex()) == (float(want_mean).hex(), float(want_var).hex())
+        assert math.sqrt(var).hex() == float(want_std).hex()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_moment_arrays(), keep=st.booleans())
+    def test_estimate_equals_from_values(self, case, keep):
+        values = _draw_moment_array(*case)
+        self.check_estimate(values, keep)
+
+    @pytest.mark.parametrize("index", range(len(_gate_cases())))
+    def test_each_side_of_each_gate_bound(self, index):
+        values, in_place = _gate_cases()[index]
+        owned = self.check_estimate(values, keep=False)
+        assert (owned.tobytes() != values.tobytes()) == in_place
+
+    @staticmethod
+    def check_estimate(values, keep):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            want = widths.WidthEstimate.from_values(values, 5, keep)
+            owned = values.copy()
+            got = widths._estimate(owned, 5, keep)
+        assert (got.mean.hex(), got.std_error.hex()) == (want.mean.hex(), want.std_error.hex())
+        assert (got.trials, got.seed) == (want.trials, want.seed)
+        assert (got.per_trial_values is owned) if keep else got.per_trial_values is None
+        return owned
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda keep: width_via_oracle(l2_ball_oracle(3), 70_000, 2, keep),
+         lambda keep: width_base_psd(5, 300, 2, keep),
+         lambda keep: width_general_dual(_REPRO_FAMILY, 130, 2, keep)],
+        ids=["oracle", "base-psd", "general-dual"],
+    )
+    def test_estimators_give_the_kept_values_moments(self, call):
+        kept, dropped = call(True), call(False)
+        assert (dropped.mean.hex(), dropped.std_error.hex()) == (kept.mean.hex(), kept.std_error.hex())
+        want = widths.WidthEstimate.from_values(kept.per_trial_values, 2)
+        assert (kept.mean, kept.std_error) == (want.mean, want.std_error)
 
 
 class TestConcentration:
