@@ -1026,6 +1026,31 @@ class TestRunTrials:
         self.calls_of(10, 7, workers=workers)  # two chunks
         assert len(submits) == 2
 
+    def test_many_workers_take_each_chunk_once(self):
+        # more workers than cores, switching threads every microsecond: a
+        # chunk start handed out twice, or lost, shows in the counts
+        counts = np.zeros(5000, dtype=np.int64)
+
+        def kernel(start, stop):
+            counts[start] += 1
+            return np.full(stop - start, float(start))
+
+        result = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: result.update(values=widths._run_trials(5000, 1, kernel, workers=8)),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not runner.is_alive()
+        assert (counts == 1).all()
+        assert result["values"].tobytes() == np.arange(5000, dtype=np.float64).tobytes()
+
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_a_late_error_stops_every_worker_at_its_next_chunk(self, workers):
         events, lock = [], threading.Lock()
