@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, bounds, cones, hypercube, linalg, widths
-from ._rng import normal_rows, substream
+from ._rng import check_seed, normal_rows, substream
 from .errors import InvalidArgumentError, NumericalFailureError, OracleFailureError, SizeLimitError
 
 PROG = "psdb"
@@ -492,12 +492,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def seed(raw: str) -> int:
+        value = int(raw)  # argparse reports a ValueError here as an invalid seed value
+        try:
+            return check_seed(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
     def common(p, run, seed_default=None, formats=("json",)):
         p.add_argument("--params", default=None, help="extra parameters k=v[,k=v...]")
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
-        p.add_argument("--seed", type=int, default=seed_default)
+        p.add_argument("--seed", type=seed, default=seed_default)
         p.set_defaults(run=run)  # a handler's name, looked up when main runs it
 
     p_bounds = sub.add_parser("bounds", help="closed-form bounds")

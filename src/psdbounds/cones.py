@@ -137,9 +137,10 @@ def _check_nk(n: int, k: int) -> None:
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
-def check_enumeration(n: int, k: int, cap: int, advice: str = "") -> None:
-    """EnumerationLimitError, its message ending in advice, when C(n, k) > cap."""
-    count = math.comb(n, k)
+def check_enumeration(n: int, k: int, advice: str = "") -> None:
+    """EnumerationLimitError, its message ending in advice, when C(n, k)
+    exceeds DEFAULT_ENUMERATION_CAP, read as the check runs."""
+    count, cap = math.comb(n, k), DEFAULT_ENUMERATION_CAP
     if count > cap:
         raise EnumerationLimitError(f"C({n},{k}) = {count} subsets exceed the cap {cap}{advice}")
 
@@ -245,27 +246,25 @@ def screen_clears_blocks(blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _ldl_positive(A, _screen_shift(float(np.maximum(blocks.max(), -blocks.min())), k, c))
 
 
-_TABLE_ROWS = 32768  # subset tables with at most this many rows ...
+_CHUNK_ROWS = 32768  # most rows of one subset_chunks chunk; subset tables of at most one chunk ...
 _TABLE_ENTRIES = 1 << 18  # ... and at most this many entries are cached
 
 
-def subset_chunks(n: int, k: int, chunk: int = 32768):
+def subset_chunks(n: int, k: int):
     """All k-subsets of range(n) in lexicographic order, as (rows, k) intp
-    arrays of at most chunk rows.
+    arrays of at most _CHUNK_ROWS rows.
 
-    When C(n, k) <= _TABLE_ROWS and C(n, k) k <= _TABLE_ENTRIES, the rows
-    are slices of the whole table, unranked once per process and cached by
-    _subset_table; each chunk is a fresh intp copy of its slice.  Larger
-    enumerations are unranked chunk by chunk, as _unranked_chunks yields
-    them.  Either way the rows and chunk boundaries are the same.
+    When C(n, k) <= _CHUNK_ROWS and C(n, k) k <= _TABLE_ENTRIES, the one
+    chunk is a fresh intp copy of the whole table, unranked once per process
+    and cached by _subset_table.  Larger enumerations are unranked chunk by
+    chunk, as _unranked_chunks yields them.  Either way the rows and chunk
+    boundaries are the same.
     """
     count = math.comb(n, k)
-    if count > _TABLE_ROWS or count * k > _TABLE_ENTRIES:
-        yield from _unranked_chunks(n, k, chunk)
+    if count > _CHUNK_ROWS or count * k > _TABLE_ENTRIES:
+        yield from _unranked_chunks(n, k, _CHUNK_ROWS)
         return
-    table = _subset_table(n, k)
-    for first in range(0, count, chunk):
-        yield table[first : first + chunk].astype(np.intp)
+    yield _subset_table(n, k).astype(np.intp)
 
 
 @functools.lru_cache(maxsize=32)
@@ -339,12 +338,7 @@ def _first_violation(dense: np.ndarray, chunks, tol: float, first: int) -> bool:
     return False
 
 
-def sparse_kpsd_member(
-    X: SymmetricMatrix,
-    k: int,
-    tol: float | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> bool:
+def sparse_kpsd_member(X: SymmetricMatrix, k: int, tol: float | None = None) -> bool:
     """True iff every k-by-k principal submatrix of X is PSD at tolerance tol.
 
     Checking |I| = k suffices: PSD-ness of a matrix is inherited by all of its
@@ -356,6 +350,7 @@ def sparse_kpsd_member(
     the first slice holding a violation ends the search.  The screen and
     eigvalsh treat each subset on its own, so slicing changes no answer.
     With k = n the one block is X itself, so eigvalsh solves it unscreened.
+    More than DEFAULT_ENUMERATION_CAP subsets raise EnumerationLimitError.
     Non-finite entries raise NumericalFailureError; a tol that is not finite
     and nonnegative raises InvalidArgumentError.
     """
@@ -363,7 +358,7 @@ def sparse_kpsd_member(
     _check_nk(n, k)
     require_finite(X)
     tol = psd_tolerance(X, tol)
-    check_enumeration(n, k, cap, "; use sparse_kpsd_refute for a randomized refutation")
+    check_enumeration(n, k, "; use sparse_kpsd_refute for a randomized refutation")
     if k == n:
         return bool(np.linalg.eigvalsh(X.to_dense())[0] >= -tol)
     return not _first_violation(X.to_dense(), subset_chunks(n, k), tol, 64)
@@ -465,32 +460,28 @@ _GREEDY_STREAM_KEY = 0x6B5053  # fixed internal stream; greedy output is a funct
 _GREEDY_RESTARTS = 20
 
 
-def check_k_sparse(n: int, k: int, mode: str, cap: int = DEFAULT_ENUMERATION_CAP) -> None:
+def check_k_sparse(n: int, k: int, mode: str) -> None:
     """The checks of k_sparse_largest_eigenvalue that need no matrix: n, k,
     the mode, and in exhaustive mode with 1 < k < n the subset count."""
     _check_nk(n, k)
     if mode not in ("exhaustive", "greedy"):
         raise InvalidArgumentError(f"unknown mode {mode!r}; expected 'exhaustive' or 'greedy'")
     if mode == "exhaustive" and 1 < k < n:
-        check_enumeration(n, k, cap, "; use greedy mode")
+        check_enumeration(n, k, "; use greedy mode")
 
 
-def k_sparse_largest_eigenvalue(
-    G: SymmetricMatrix,
-    k: int,
-    mode: str = "exhaustive",
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> float:
+def k_sparse_largest_eigenvalue(G: SymmetricMatrix, k: int, mode: str = "exhaustive") -> float:
     """Largest eigenvalue over k-by-k principal submatrices.
 
     Exhaustive mode maximizes over all C(n, k) subsets, bit for bit as if
-    it solved every block (see _max_lambda1_subsets); more than cap subsets
-    raise EnumerationLimitError.  Greedy mode returns a lower bound from
-    local swap ascent from the best single coordinate and 20 random
-    restarts of a fixed internal stream, deterministic given G and k (see
-    _swap_ascents).  Non-finite entries raise NumericalFailureError.
+    it solved every block (see _max_lambda1_subsets); more than
+    DEFAULT_ENUMERATION_CAP subsets raise EnumerationLimitError.  Greedy
+    mode returns a lower bound from local swap ascent from the best single
+    coordinate and 20 random restarts, drawn from a fixed internal stream
+    on every call, so deterministic given G and k (see _swap_ascents).
+    Non-finite entries raise NumericalFailureError.
     """
-    check_k_sparse(G.dim, k, mode, cap)
+    check_k_sparse(G.dim, k, mode)
     require_finite(G)
     dense = G.to_dense()
     if k == G.dim:
@@ -605,20 +596,10 @@ def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
     return best.tolist()
 
 
-@functools.lru_cache(maxsize=32)
-def _greedy_restarts(n: int, k: int) -> np.ndarray:
-    """The read-only (20, k) restart supports of greedy mode, the first 20
-    k-subsets of the fixed internal stream.  They depend only on (n, k), so
-    each shape is drawn once per process; an entry holds 160 k bytes, and
-    the 32 the cache keeps at most 5 KiB k."""
-    restarts = k_subsets(substream(_GREEDY_STREAM_KEY), n, k, _GREEDY_RESTARTS)
-    restarts.setflags(write=False)
-    return restarts
-
-
 def _greedy_k_sparse(dense: np.ndarray, k: int) -> float:
     support = _grown_support(dense, k)[0]
-    return max(_swap_ascents(dense, [support, *_greedy_restarts(dense.shape[0], k)]))
+    restarts = k_subsets(substream(_GREEDY_STREAM_KEY), dense.shape[0], k, _GREEDY_RESTARTS)
+    return max(_swap_ascents(dense, [support, *restarts]))
 
 
 def g_abn(a: float, b: float, n: int) -> SymmetricMatrix:
@@ -667,10 +648,11 @@ def eps_star_lower_sparse(n: int, k: int) -> float:
     return (n - k) / (k - 1)
 
 
-def coordinate_family(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> ConeFamily:
-    """All C(n, k) axis-aligned coordinate subspaces."""
+def coordinate_family(n: int, k: int) -> ConeFamily:
+    """All C(n, k) axis-aligned coordinate subspaces; more than
+    DEFAULT_ENUMERATION_CAP raise EnumerationLimitError."""
     _check_nk(n, k)
-    check_enumeration(n, k, cap)
+    check_enumeration(n, k)
     eye = np.eye(n)
     bases = tuple(
         SubspaceBasis(n, k, eye[:, subset]) for chunk in subset_chunks(n, k) for subset in chunk

@@ -30,7 +30,7 @@ class SizeLimitError(ValueError):
 
 
 class EnumerationLimitError(RuntimeError):
-    """Subset enumeration would exceed the configured cap.
+    """Subset enumeration would exceed cones.DEFAULT_ENUMERATION_CAP.
 
     Use the randomized refutation mode for problems of this size.
     """

@@ -215,13 +215,10 @@ def _mean_and_var(values: np.ndarray) -> tuple[float, float]:
     return float(mean[0]), float(np.add.reduce(values)) / (values.size - 1)
 
 
-def _estimate(values: np.ndarray, seed: int, keep_values: bool) -> WidthEstimate:
-    """WidthEstimate.from_values(values, seed, keep_values), bit for bit, for
-    (trials,) values the caller owns and reads no more.  Unless they are
-    kept, _mean_and_var writes the squared deviations over them, so the
-    estimate takes no second array, whenever from_values is certain to keep
-    its plain moments.  With T trials, that holds when the spread
-    max - min >= 2^-400 and m = max|v| <= 2^500 / sqrt(T):
+def _plain_moments(values: np.ndarray) -> bool:
+    """True when WidthEstimate.from_values is certain to keep the plain
+    moments of the (T,) values: their spread max - min >= 2^-400 and
+    m = max|v| <= 2^500 / sqrt(T).
 
     - The sum is at most T m <= sqrt(T) 2^500, so the mean is finite.
     - Each computed deviation d is at most 2m (1 + eps) in size, so d^2
@@ -233,14 +230,22 @@ def _estimate(values: np.ndarray, seed: int, keep_values: bool) -> WidthEstimate
       term, so S >= 2^-804, and for T < 2^64 the standard deviation is above
       2^-434, far over _TINY_STD.
 
-    NaN fails both tests.  Otherwise from_values takes them: its fallback
-    rescales the values as they were drawn."""
-    trials = values.size
-    if not keep_values:
-        top, bottom = float(values.max()), float(values.min())
-        if 2.0**-400 <= top - bottom and max(top, -bottom) <= 2.0**500 / math.sqrt(trials):
-            mean, var = _mean_and_var(values)
-            return WidthEstimate(mean, math.sqrt(var) / math.sqrt(trials), trials, seed)
+    NaN fails both tests."""
+    top, bottom = float(values.max()), float(values.min())
+    return 2.0**-400 <= top - bottom and max(top, -bottom) <= 2.0**500 / math.sqrt(values.size)
+
+
+def _estimate(values: np.ndarray, seed: int, keep_values: bool) -> WidthEstimate:
+    """WidthEstimate.from_values(values, seed, keep_values), bit for bit, for
+    (trials,) values the caller owns and reads no more.  Unless they are
+    kept, _mean_and_var writes the squared deviations over them, so the
+    estimate takes no second array, whenever _plain_moments holds.
+    Otherwise from_values takes them: its fallback rescales the values as
+    they were drawn."""
+    if not keep_values and _plain_moments(values):
+        mean, var = _mean_and_var(values)
+        trials = values.size
+        return WidthEstimate(mean, math.sqrt(var) / math.sqrt(trials), trials, seed)
     return WidthEstimate.from_values(values, seed, keep_values)
 
 
@@ -376,10 +381,13 @@ def concentration_check(
         raise InvalidArgumentError(f"alpha must be a nonnegative number, got {alpha!r}")
     _check_trials(trials)
     values = _oracle_values(oracle, trials, seed)
-    estimate = WidthEstimate.from_values(values, seed, keep_values=False)  # reads values, below
-    w = estimate.mean
-    outside = (values > (1.0 + alpha) * w) | (values < (1.0 - alpha) * w)
-    empirical = float(outside.mean())
+    # the frequency is counted before _estimate writes over values, with the mean it returns
+    if _plain_moments(values):
+        w = float(values.mean())
+    else:
+        w = WidthEstimate.from_values(values, seed, keep_values=False).mean
+    empirical = float(((values > (1.0 + alpha) * w) | (values < (1.0 - alpha) * w)).mean())
+    estimate = _estimate(values, seed, keep_values=False)
     bound = math.exp(-(alpha**2) / (4.0 * math.pi))
     return ConcentrationResult(empirical, bound, float(alpha), estimate)
 

@@ -157,8 +157,9 @@ def test_tracer_counts_every_verify_trial_substream(tracing, lemma, capsys):
 
 
 def test_exact_counts_are_blind_to_cache_warmth(tracing):
-    # the subset tables and greedy restarts are cached per process; the
-    # counts the benchmark gates on must not depend on whether they are
+    # the subset tables are cached per process, and the greedy restarts are
+    # drawn on every call; the counts the benchmark gates on, and the
+    # substream calls, must not depend on whether a table is cached
     def traced_pass():
         tracer = tracing.Tracer()
         handle = tracing.install(tracer)
@@ -172,11 +173,9 @@ def test_exact_counts_are_blind_to_cache_warmth(tracing):
         return tracer.collect()
 
     cones._subset_table.cache_clear()
-    cones._greedy_restarts.cache_clear()
     cold = traced_pass()
     warm = traced_pass()
-    assert cones._subset_table.cache_info().hits > 0 and cones._greedy_restarts.cache_info().hits > 0
+    assert cones._subset_table.cache_info().hits > 0
     assert cold["lapack.eigvalsh.matrices"] > 0
     assert {name: warm[name] for name in tracing.EXACT_COUNTS} == {name: cold[name] for name in tracing.EXACT_COUNTS}
-    # only the greedy restarts' one draw per shape leaves the warm pass
-    assert warm["rng.substream.calls"] == cold["rng.substream.calls"] - 1
+    assert warm["rng.substream.calls"] == cold["rng.substream.calls"]

@@ -1170,7 +1170,7 @@ _COMMON = {
     "--params": _PARAMS,
     "--config": ["{config}", "{missing}"],
     "--format": ["json", "csv"],
-    "--seed": ["0", "7", "18446744073709551616"],
+    "--seed": ["0", "7", "-1", "18446744073709551616"],
     "--out": _WRITE,
 }
 _PATHS = {"--out", "--matrix-out", "--config", "--family", "--matrix"}
@@ -1232,7 +1232,10 @@ def _strict_json(text):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=_argv())
-def test_argv_fuzz_exit_codes_and_error_lines(argv, fuzz_files):
+# a command that draws nothing still echoes its seed into the artifact
+@example(argv=["cones", "witness", "--n", "3", "--k", "2", "--seed", "-1"])
+@example(argv=["hypercube", "verify", "--lemma", "moments", "--seed", "-3"])
+def test_argv_fuzz_exit_codes_and_error_lines(argv, fuzz_files, schema):
     code, out, lines = _run_in_process(argv, fuzz_files)
     assert code in (0, 1, 2, 3)
     assert not any("Traceback" in line for line in lines)
@@ -1240,7 +1243,29 @@ def test_argv_fuzz_exit_codes_and_error_lines(argv, fuzz_files):
         [line] = lines
         assert json.loads(line)["error"]["kind"]
     elif out and not out.startswith("#"):  # a JSON artifact, not a CSV one
-        assert _strict_json(out)["tool"]["name"] == "psdb"
+        doc = _strict_json(out)
+        assert doc["tool"]["name"] == "psdb"
+        check_schema(doc, schema)
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize(
+    "argv",
+    [["bounds", "eval", "--formula", "xi", "--params", "delta=0.1"],
+     ["bounds", "curve", "--formula", "xi", "--grid", "0.1:0.5:3"],
+     ["cones", "witness", "--n", "3", "--k", "2"],
+     ["figures", "--name", "delta-star", "--out", "{out}"],
+     ["hypercube", "verify", "--lemma", "moments"]],
+    ids=["bounds-eval", "bounds-curve", "cones-witness", "figures", "moments"],
+)
+def test_every_command_checks_the_seed(argv, seed, tmp_path):
+    # commands that draw nothing still echo the seed, which must be a u64
+    code, out, lines = _run_in_process(argv + ["--seed", seed], tmp_path)
+    assert (code, out) == (2, "")
+    [line] = lines
+    error = json.loads(line)["error"]
+    assert error["kind"] == "usage"
+    assert error["message"].endswith(f"argument --seed: seed must be a 64-bit unsigned integer, got {seed}")
 
 
 @pytest.mark.parametrize(

@@ -48,8 +48,14 @@ def sym(dense):
     return SymmetricMatrix.from_dense(dense)
 
 
+def chunk_rows(chunks):
+    return [c.tolist() for c in chunks]
+
+
 class TestSubsetChunks:
-    """The numpy enumeration yields itertools.combinations, chunk by chunk."""
+    """The numpy enumeration yields itertools.combinations, chunk by chunk:
+    _unranked_chunks in chunks of any size, subset_chunks in the chunks of
+    _unranked_chunks(n, k, 32768)."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 64, 32768])
     @pytest.mark.parametrize(
@@ -59,10 +65,13 @@ class TestSubsetChunks:
     )
     def test_rows_and_chunks_equal_itertools(self, n, k, chunk):
         want = list(itertools.combinations(range(n), k))
-        got = list(subset_chunks(n, k, chunk))
+        got = list(cones._unranked_chunks(n, k, chunk))
         assert [len(c) for c in got] == [len(want[i : i + chunk]) for i in range(0, len(want), chunk)]
         assert all(c.dtype == np.intp and c.shape[1] == k for c in got)
         assert np.concatenate(got).tolist() == [list(row) for row in want]
+        if chunk == cones._CHUNK_ROWS:
+            chunks = list(subset_chunks(n, k))
+            assert all(c.dtype == np.intp for c in chunks) and chunk_rows(chunks) == chunk_rows(got)
 
     @pytest.mark.parametrize("n, k", [(20, 10), (18, 9)])
     def test_crossing_chunk_boundaries(self, n, k):
@@ -90,10 +99,12 @@ class TestSubsetTableCache:
     @pytest.mark.parametrize("n, k", [(23, 5), (100, 98)])  # 33,649 rows; 485,100 entries
     def test_shapes_past_a_cap_stream_the_same_rows(self, n, k, chunk):
         want = list(itertools.combinations(range(n), k))
-        got = list(subset_chunks(n, k, chunk))
+        got = list(cones._unranked_chunks(n, k, chunk))
         assert [len(c) for c in got] == [len(want[i : i + chunk]) for i in range(0, len(want), chunk)]
         assert all(c.dtype == np.intp and c.shape[1] == k for c in got)
         assert np.concatenate(got).tolist() == [list(row) for row in want]
+        streamed = list(subset_chunks(n, k))
+        assert chunk_rows(streamed) == chunk_rows(cones._unranked_chunks(n, k, cones._CHUNK_ROWS))
         assert cones._subset_table.cache_info().currsize == 0
 
     @pytest.mark.parametrize("n, k, dtype", [(14, 5, np.uint8), (256, 2, np.uint8), (300, 299, np.uint16)])
@@ -107,11 +118,11 @@ class TestSubsetTableCache:
 
     def test_a_chunk_is_a_writable_intp_copy(self):
         want = [list(row) for row in itertools.combinations(range(9), 4)]
-        first = next(subset_chunks(9, 4, 64))
+        first = next(subset_chunks(9, 4))
         assert first.dtype == np.intp and first.flags.writeable
         assert not np.shares_memory(first, cones._subset_table(9, 4))
         first[:] = 0
-        assert np.concatenate(list(subset_chunks(9, 4, 64))).tolist() == want
+        assert np.concatenate(list(subset_chunks(9, 4))).tolist() == want
 
     def test_a_table_past_a_cap_is_not_cached(self):
         info = cones._subset_table.cache_info
@@ -192,13 +203,17 @@ class TestSparseMembership:
             for t in (0.5, 2.0, 10.0):
                 assert sparse_kpsd_member(sym(t * dense), 3, t * 1e-9) == base
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         with pytest.raises(EnumerationLimitError):
             sparse_kpsd_member(sym(np.eye(40)), 20, 1e-9)
         X = sym(np.eye(12))
-        with pytest.raises(EnumerationLimitError):
-            sparse_kpsd_member(X, 6, 1e-9, cap=100)
         assert sparse_kpsd_member(X, 6, 1e-9)  # C(12,6) = 924 under the default cap
+        monkeypatch.setattr(cones, "DEFAULT_ENUMERATION_CAP", 100)
+        with pytest.raises(EnumerationLimitError) as raised:
+            sparse_kpsd_member(X, 6, 1e-9)
+        assert str(raised.value) == (
+            "C(12,6) = 924 subsets exceed the cap 100; use sparse_kpsd_refute for a randomized refutation"
+        )
 
     def test_bad_arguments(self):
         with pytest.raises(InvalidArgumentError):
@@ -459,14 +474,15 @@ class TestWholeMatrixBlock:
         assert sparse_kpsd_refute(X, 7, tol, samples=5, seed=1) is (not want)
         assert counts == [1, 1]
 
-    def test_checks_still_run_first(self):
+    def test_checks_still_run_first(self, monkeypatch):
         X = sym(np.eye(4))
         with pytest.raises(InvalidArgumentError):
             sparse_kpsd_refute(X, 4, samples=0)
         with pytest.raises(InvalidArgumentError):
             sparse_kpsd_member(X, 4, tol=-1.0)
+        monkeypatch.setattr(cones, "DEFAULT_ENUMERATION_CAP", 0)
         with pytest.raises(EnumerationLimitError):
-            sparse_kpsd_member(X, 4, cap=0)
+            sparse_kpsd_member(X, 4)
         with pytest.raises(NumericalFailureError):
             sparse_kpsd_member(sym(nan_identity()), 6)
 
@@ -768,9 +784,14 @@ class TestCoordinateFamily:
             assert set(np.abs(basis.columns).sum(axis=1)) <= {0.0, 1.0}
             assert basis.columns.sum() == 2.0
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(EnumerationLimitError):
             coordinate_family(40, 20)
+        monkeypatch.setattr(cones, "DEFAULT_ENUMERATION_CAP", 5)
+        with pytest.raises(EnumerationLimitError) as raised:
+            coordinate_family(4, 2)
+        assert str(raised.value) == "C(4,2) = 6 subsets exceed the cap 5"
+        assert len(coordinate_family(5, 4)) == 5
 
 
 class TestFactorWidthExtremes:

@@ -44,3 +44,10 @@ def test_variance_identity_holds_one_value_array():
     run = lambda trials: hypercube.variance_identity_check(f, trials, 3)
     run(1000)
     assert peak_traced_bytes(lambda: run(10**5)) <= 8 * 10**5 + MiB // 2
+
+
+def test_concentration_check_holds_one_value_array():
+    ball = widths.l2_ball_oracle(5)
+    run = lambda trials: widths.concentration_check(ball, 0.3, trials, 7)
+    run(1000)
+    assert peak_traced_bytes(lambda: run(10**6)) <= 8 * 10**6 + 3 * MiB

@@ -124,10 +124,13 @@ class TestKSparseLargestEigenvalue:
         b = k_sparse_largest_eigenvalue(G, 4, mode="greedy")
         assert a == b
 
-    def test_cap_and_mode_validation(self):
+    def test_cap_and_mode_validation(self, monkeypatch):
         G = sample_standard_gaussian_sym(12, 0)
-        with pytest.raises(EnumerationLimitError):
-            k_sparse_largest_eigenvalue(G, 6, cap=10)
+        monkeypatch.setattr(cones, "DEFAULT_ENUMERATION_CAP", 10)
+        with pytest.raises(EnumerationLimitError) as raised:
+            k_sparse_largest_eigenvalue(G, 6)
+        assert str(raised.value) == "C(12,6) = 924 subsets exceed the cap 10; use greedy mode"
+        assert k_sparse_largest_eigenvalue(G, 6, mode="greedy") <= np.linalg.eigvalsh(G.to_dense())[-1]
         with pytest.raises(InvalidArgumentError):
             k_sparse_largest_eigenvalue(G, 6, mode="annealing")
 
@@ -459,12 +462,18 @@ class TestWidthDualSparse:
             gap = hi.mean - lo.mean
             assert gap > 2 * math.hypot(lo.std_error, hi.std_error)
 
-    def test_enumeration_cap_is_checked_before_any_draw(self):
+    def test_enumeration_cap_is_checked_before_any_draw(self, monkeypatch):
         # C(40, 20) is past the default cap; greedy mode needs no enumeration
         with mock.patch.object(widths, "gaussian_sym_batch", side_effect=AssertionError("drew a trial")):
             with pytest.raises(EnumerationLimitError, match=r"C\(40,20\) = .*; use greedy mode"):
                 width_dual_base_sparse(40, 20, 10, seed=1)
         assert width_dual_base_sparse(40, 20, 2, seed=1, mode="greedy").trials == 2
+        # the cap is read when the check runs
+        monkeypatch.setattr(cones, "DEFAULT_ENUMERATION_CAP", 19)
+        with mock.patch.object(widths, "gaussian_sym_batch", side_effect=AssertionError("drew a trial")):
+            with pytest.raises(EnumerationLimitError) as raised:
+                width_dual_base_sparse(6, 3, 10, seed=1)
+        assert str(raised.value) == "C(6,3) = 20 subsets exceed the cap 19; use greedy mode"
 
     def test_trial_values_past_memory_fail_before_any_draw(self, monkeypatch):
         # the value array is allocated first; 2^56 trials need 512 PiB
@@ -477,28 +486,33 @@ class TestWidthDualSparse:
 
 
 class TestGreedyRestartCache:
+    """Greedy mode keeps no restart cache: every call draws its 20 restarts
+    from the fixed internal stream, and cold and warm runs agree."""
+
     @pytest.fixture(autouse=True)
     def cold(self):
-        cones._greedy_restarts.cache_clear()
         cones._subset_table.cache_clear()
-        yield
-        cones._greedy_restarts.cache_clear()
 
     @pytest.mark.parametrize("n, k", [(9, 4), (20, 4), (14, 13)])
-    def test_cached_restarts_equal_a_fresh_draw(self, n, k):
+    def test_every_call_draws_its_restarts(self, n, k, monkeypatch):
         fresh = cones.k_subsets(cones.substream(cones._GREEDY_STREAM_KEY), n, k, 20)
-        cached = cones._greedy_restarts(n, k)
-        assert cached.dtype == fresh.dtype and np.array_equal(cached, fresh)
-        assert not cached.flags.writeable
-        assert cones._greedy_restarts(n, k) is cached
-        info = cones._greedy_restarts.cache_info()
-        assert (info.misses, info.hits) == (1, 1) and info.maxsize >= 32
+        keys, starts = [], []
+        draw, ascents = cones.substream, cones._swap_ascents
+        monkeypatch.setattr(cones, "substream", lambda key, *a: keys.append(key) or draw(key, *a))
+        monkeypatch.setattr(
+            cones, "_swap_ascents", lambda dense, supports: starts.append(supports[1:]) or ascents(dense, supports)
+        )
+        G = sample_standard_gaussian_sym(n, 5)
+        values = [k_sparse_largest_eigenvalue(G, k, "greedy") for _ in range(2)]
+        assert bits(values[0]) == bits(values[1])
+        assert keys == [cones._GREEDY_STREAM_KEY] * 2
+        assert len(starts) == 2 and all(np.array_equal(np.array(s), fresh) for s in starts)
+        assert not hasattr(cones, "_greedy_restarts")
 
     @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
     def test_pool_threads_filling_a_cold_cache_agree(self, mode, monkeypatch):
-        # more workers than cores, switching often, all missing the caches at once
+        # more workers than cores, switching often, all missing the subset tables at once
         want = width_dual_base_sparse(9, 4, 300, seed=6, mode=mode).per_trial_values
-        cones._greedy_restarts.cache_clear()
         cones._subset_table.cache_clear()
         monkeypatch.setattr(widths, "thread_count", lambda: 8)
         interval = sys.getswitchinterval()
@@ -515,7 +529,6 @@ class TestGreedyRestartCache:
         shapes = [(G, k) for G in mats for k in (2, 4, G.dim - 1)]
         cold = [bits(k_sparse_largest_eigenvalue(G, k, mode)) for G, k in shapes]
         assert [bits(k_sparse_largest_eigenvalue(G, k, mode)) for G, k in shapes] == cold
-        cones._greedy_restarts.cache_clear()
         cones._subset_table.cache_clear()
         assert [bits(k_sparse_largest_eigenvalue(G, k, mode)) for G, k in shapes] == cold
 
