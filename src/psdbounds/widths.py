@@ -250,13 +250,13 @@ def _estimate(values: np.ndarray, seed: int, keep_values: bool) -> WidthEstimate
 
 
 def _matrix_trials(
-    n: int, trials: int, seed: int, keep_values: bool, per_stack: Callable, chunk: int = 0, pooled=True
+    n: int, trials: int, seed: int, keep_values: bool, per_stack: Callable, chunk: int = 0, pooled=False
 ) -> WidthEstimate:
     """Estimate from per-trial values of standard Gaussian n-by-n matrices:
     per_stack maps the dense stack of each chunk's trials, drawn with
     gaussian_sym_batch (chunk 0 means _TRIAL_CHUNK) on thread_count() workers
-    (one when not pooled), to one value per trial, which must depend only on
-    that trial's matrix."""
+    when pooled, else on the caller's thread, to one value per trial, which
+    must depend only on that trial's matrix."""
     _check_trials(trials)
     check_seed(seed)
     kernel = lambda start, stop: per_stack(gaussian_sym_batch(n, seed, start, stop))
@@ -269,7 +269,8 @@ def width_base_psd(n: int, trials: int, seed: int, keep_values: bool = True) -> 
     standard Gaussian symmetric matrix (the -I/n translation contributes
     nothing under trace-zero test directions).
     """
-    return _matrix_trials(n, trials, seed, keep_values, lambda mats: np.linalg.eigvalsh(mats)[:, -1])
+    largest = lambda mats: np.linalg.eigvalsh(mats)[:, -1]
+    return _matrix_trials(n, trials, seed, keep_values, largest, pooled=True)
 
 
 def width_dual_base_sparse(
@@ -286,7 +287,9 @@ def width_dual_base_sparse(
     n, k, mode and, in exhaustive mode, the subset count are checked before
     any draw (cones.check_k_sparse).  Each trial goes through this module's
     k_sparse_largest_eigenvalue, the name the benchmark's tracer wraps, as
-    SymmetricMatrix.from_dense(G), which keeps G's bits.
+    SymmetricMatrix.from_dense(G), which keeps G's bits.  The chunks run on
+    the caller's thread: the per-trial searches hold the GIL, and two
+    threads took longer than one.
     """
     check_k_sparse(n, k, mode)
 
@@ -325,7 +328,7 @@ def width_general_dual(
         return largest_block_eigenvalue(blocks)
 
     chunk = min(_TRIAL_CHUNK, max(1, _DUAL_STACK_BYTES // (count * k * k * 8)))
-    return _matrix_trials(n, trials, seed, keep_values, per_stack, chunk, pooled=False)
+    return _matrix_trials(n, trials, seed, keep_values, per_stack, chunk)
 
 
 def _oracle_values(oracle: SupportOracle, trials: int, seed: int) -> np.ndarray:

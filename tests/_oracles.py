@@ -204,23 +204,29 @@ def _lambda1_rows(dense: np.ndarray, cands) -> np.ndarray:
     return np.linalg.eigvalsh(dense[idx[:, :, None], idx[:, None, :]])[:, -1]
 
 
-def reference_swap_ascent(dense: np.ndarray, support) -> float:
+def reference_swap_path(dense: np.ndarray, support) -> list[tuple[list[int], float]]:
     """Steepest single-swap ascent from one support, one candidate list per
-    step: stop unless the first best swap beats the value by over 1e-12."""
+    step: stop unless the first best swap beats the value by over 1e-12.
+    Every support it holds, sorted, with its value, in order."""
     n = dense.shape[0]
     support = sorted(support)
-    best = float(np.linalg.eigvalsh(dense[np.ix_(support, support)])[-1])
+    path = [(support, float(np.linalg.eigvalsh(dense[np.ix_(support, support)])[-1]))]
     while True:
         outside = [j for j in range(n) if j not in support]
         if not outside:
-            return best
+            return path
         cands = [sorted(set(support) - {i} | {j}) for i in support for j in outside]
         vals = _lambda1_rows(dense, cands)
         top = int(vals.argmax())
-        if vals[top] <= best + 1e-12:
-            return best
-        best = float(vals[top])
+        if vals[top] <= path[-1][1] + 1e-12:
+            return path
         support = cands[top]
+        path.append((support, float(vals[top])))
+
+
+def reference_swap_ascent(dense: np.ndarray, support) -> float:
+    """The value reference_swap_path ends on."""
+    return reference_swap_path(dense, support)[-1][1]
 
 
 def reference_greedy_k_sparse(dense: np.ndarray, k: int) -> float:

@@ -78,7 +78,7 @@ def test_tracer_counts_sparse_search_eigensolves(tracing, monkeypatch):
     finally:
         handle.remove()
     metrics = tracer.collect()
-    # every solved block, the 21 ascent starts included, passes through the
+    # every solved block, the distinct ascent starts included, passes through the
     # gather; the member call's gathers follow the greedy call's
     assert metrics["widths.k_sparse.greedy.eig_subsets"] == greedy
     assert metrics["cones.member.eig_subsets"] == sum(gathered) - greedy == 64

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -1246,6 +1247,85 @@ def test_argv_fuzz_exit_codes_and_error_lines(argv, fuzz_files, schema):
         doc = _strict_json(out)
         assert doc["tool"]["name"] == "psdb"
         check_schema(doc, schema)
+
+
+_DELTA_FORMULAS = ["bracket", "entropy_vs_bracket", "psi", "sparse_integral", "xi", "zeta"]
+_P_FORMULAS = ["binary_entropy", "chi2_quantile", "entropy", "normal_quantile"]
+_FORMATS = ["json", "csv"]
+_LEMMAS = ["harmonic", "hypercontractivity", "moments", "variance", "maximal"]
+# (prefix, flags always given, other flags): every combination of these
+# values exits 0; sizes stay small and every written path lies under {out}
+_GOOD_RUNS = [
+    (("bounds", "eval"), {"--formula": _DELTA_FORMULAS, "--params": ["delta=0.3", "delta=0.7,label=a"]}, {}),
+    (("bounds", "eval"), {"--formula": _P_FORMULAS, "--params": ["p=0.5", "p=0.1"]}, {}),
+    (("bounds", "curve"), {"--formula": ["delta_star", "phi"] + _DELTA_FORMULAS + _P_FORMULAS,
+                           "--grid": ["0:1:5", "0.1:0.9:3", "2:2:1"]}, {"--format": ["csv"]}),
+    (("bounds", "curve"), {"--formula": ["thm1", "thm2"], "--grid": ["1:50:4", "2:2:1"]}, {}),
+    (("widths", "estimate"), {"--kind": ["base-psd", "oracle:l2-ball", "oracle:l1-ball"], "--n": _SMALL,
+                              "--trials": _TRIALS}, {"--format": _FORMATS}),
+    (("widths", "estimate"), {"--kind": ["sparse-dual"], "--n": ["8"], "--k": _SMALL, "--trials": _TRIALS},
+     {"--params": ["mode=greedy", "mode=exhaustive"], "--format": _FORMATS}),
+    (("widths", "estimate"), {"--kind": ["general-dual"], "--family": ["{family}"], "--trials": _TRIALS},
+     {"--n": ["6"], "--k": ["2"], "--format": _FORMATS}),
+    (("widths", "estimate"), {"--kind": ["oracle:ellipsoid"], "--params": ["axes=1:2:3", "axes=2:1"],
+                              "--trials": _TRIALS}, {"--format": _FORMATS}),
+    (("cones", "member"), {"--matrix": ["{matrix}"], "--sparse-k": ["2", "3", "4", "6"]},
+     {"--tol": ["1e-9", "0"], "--samples": ["5", "20"], "--refute": [None]}),
+    (("cones", "member"), {"--matrix": ["{matrix}"], "--family": ["{family}"]}, {"--tol": ["1e-9", "0"]}),
+    (("cones", "witness"), {"--n": ["3", "4", "8"], "--k": ["2", "3"]}, {"--matrix-out": ["{out}"]}),
+    (("hypercube", "verify"), {"--lemma": _LEMMAS},
+     {"--n": ["3", "4"], "--trials": ["10", "50"], "--lam": ["0.5", "2.718", "10"]}),
+    (("figures",), {"--name": ["sparse-overview", "delta-star", "entropy-bracket", "xc-lower"],
+                    "--out": ["{out}"]}, {"--grid": ["0:1:5", "1:50:4", "2:2:1"], "--format": ["csv"]}),
+]
+
+
+@st.composite
+def _argv_one_bad(draw):
+    """A run of _GOOD_RUNS with its other flags at chance 50% and --seed at
+    chance 50%; then, at chance 50%, one of its non-path flags takes a bad
+    value.  Returns the argv and whether a value was replaced."""
+    prefix, always, optional = draw(st.sampled_from(_GOOD_RUNS))
+    chosen = {flag: draw(st.sampled_from(values)) for flag, values in always.items()}
+    for flag, values in [*optional.items(), ("--seed", ["0", "7", "12345"])]:
+        if draw(st.booleans()):
+            chosen[flag] = draw(st.sampled_from(values))
+    spoilable = sorted(flag for flag, value in chosen.items() if value is not None and flag not in _PATHS)
+    bad = bool(spoilable) and draw(st.booleans())
+    if bad:
+        chosen[draw(st.sampled_from(spoilable))] = draw(st.sampled_from(_BAD))
+    argv = list(prefix)
+    for flag, value in chosen.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv, bad
+
+
+def test_argv_fuzz_with_at_most_one_bad_flag_reaches_success(fuzz_files, schema):
+    # the fuzz above draws a bad value for one flag in five, so nearly all
+    # of its runs stop at a usage error; here a run has at most one
+    codes = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(drawn=_argv_one_bad())
+    def run(drawn):
+        argv, bad = drawn
+        code, out, lines = _run_in_process(argv, fuzz_files)
+        codes.append(code)
+        assert code in (0, 1, 2, 3)
+        assert not any("Traceback" in line for line in lines)
+        assert bad or code == 0, (argv, lines)
+        if code in (2, 3):
+            [line] = lines
+            assert json.loads(line)["error"]["kind"]
+        elif code == 0 and out.startswith("#"):  # a CSV artifact
+            assert any(line.startswith("# rerun=psdb ") for line in out.splitlines())
+        elif code == 0 and out:  # a JSON artifact
+            doc = _strict_json(out)
+            check_schema(doc, schema)
+            assert doc["rerun"].startswith("psdb ")
+
+    run()
+    assert len(codes) >= 100 and 3 * codes.count(0) >= len(codes), Counter(codes)
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from psdbounds.errors import (
     NumericalFailureError,
     OracleFailureError,
 )
-from psdbounds.linalg import SymmetricMatrix, sample_standard_gaussian_sym
+from psdbounds.linalg import SymmetricMatrix, gaussian_sym_batch, sample_standard_gaussian_sym
 from psdbounds.widths import (
     SupportOracle,
     concentration_check,
@@ -45,6 +46,7 @@ from _oracles import (
     reference_greedy_k_sparse,
     reference_max_lambda1_subsets,
     reference_swap_ascent,
+    reference_swap_path,
 )
 
 
@@ -260,32 +262,83 @@ class TestGreedyAgainstReference:
         assert got[1] == 1.0
 
     def test_gathers_exactly_the_swap_candidates_the_screen_rejects(self, monkeypatch):
-        dense = tie_heavy_or_gaussian("gaussian", 12, 7)
-        calls, screens = [], []
+        n, k = 12, 4
+        dense = tie_heavy_or_gaussian("gaussian", n, 7)
+        events = []
         gather, screen = cones.principal_submatrices, cones.screen_clears
-
-        def recording(d, idx):
-            calls.append(np.array(idx))
-            return gather(d, idx)
 
         def screening(Y, idx, c):
             cleared = screen(Y, idx, c)
-            screens.append((np.array(idx), cleared.copy()))
+            events.append(("screen", np.array(idx), np.broadcast_to(c, len(idx)).copy(), cleared.copy()))
             return cleared
 
-        monkeypatch.setattr(cones, "principal_submatrices", recording)
+        gathering = lambda d, idx: events.append(("gather", np.array(idx))) or gather(d, idx)
+        monkeypatch.setattr(cones, "principal_submatrices", gathering)
         monkeypatch.setattr(cones, "screen_clears", screening)
-        cones._greedy_k_sparse(dense, 4)
-        # the first three calls grow the start support to 2, 3 and 4 members,
-        # the fourth solves the 21 ascent starts; each later one holds, in
-        # order, the candidates its step's screen did not clear, repeats too
-        assert [len(idx) for idx in calls[:3]] == [11, 10, 9]
-        assert len(calls[3]) == 21
-        assert len(calls) - 4 == len(screens) > 1
-        for idx, (cands, cleared) in zip(calls[4:], screens):
-            assert np.array_equal(idx, cands[~cleared])
-        swaps = [tuple(row) for idx in calls[4:] for row in idx]
-        assert len(swaps) > len(set(swaps))
+        cones._greedy_k_sparse(dense, k)
+        # the first three gathers grow the start support to 2, 3 and 4
+        # members, the fourth solves the distinct ascent starts; then each
+        # step gathers its picks, screens every swap candidate and gathers
+        # the candidates the screen did not clear, but for the picks
+        assert [kind for kind, *_ in events[:4]] == ["gather"] * 4
+        assert [len(idx) for _, idx in events[:3]] == [11, 10, 9]
+        steps = events[4:]
+        assert len(steps) % 3 == 0 and len(steps) > 3
+        lambda1 = lambda idx: np.linalg.eigvalsh(gather(dense, idx))[:, -1]
+        below_bar = above_bar = 0
+        for (g1, picks), (s, cands, c, cleared), (g2, rest) in zip(*[iter(steps)] * 3):
+            assert (g1, s, g2) == ("gather", "screen", "gather")
+            count = len(picks)
+            cands = cands.reshape(count, k * (n - k), k)
+            rows = np.arange(count)
+            first = np.diag(dense)[cands].sum(axis=2).argmax(axis=1)
+            assert np.array_equal(picks, cands[rows, first])
+            # members of an ascent's support lie in (k-1)(n-k) of its swaps, others in k
+            supports = np.array([np.flatnonzero(np.bincount(row.ravel(), minlength=n) > k) for row in cands])
+            bar, pick_vals = lambda1(supports) + 1e-12, lambda1(picks)
+            assert bits(c) == bits(np.maximum(bar, pick_vals).repeat(k * (n - k)))
+            below_bar += int((pick_vals < bar).sum())
+            above_bar += int((pick_vals > bar).sum())
+            rejected = ~cleared.reshape(count, -1)
+            rejected[rows, first] = False
+            assert np.array_equal(rest, cands[rejected])
+        assert below_bar and above_bar
+
+    def test_ascents_that_meet_gather_one_neighbourhood_a_support(self, monkeypatch):
+        n, k = 12, 4
+        dense = tie_heavy_or_gaussian("gaussian", n, 0)
+        path = [support for support, _ in reference_swap_path(dense, [0, 1, 2, 3])]
+        assert len(path) >= 3
+        # ascent 0 starts one move down the path, ascent 1 at its start and
+        # reaches ascent 0's start after one move; ascent 2 starts on ascent
+        # 1's support, its members in another order
+        starts = [path[1], path[0], path[0][::-1]]
+        screened = []
+        screen = cones.screen_clears
+        counting = lambda Y, idx, c: screened.append(len(idx)) or screen(Y, idx, c)
+        monkeypatch.setattr(cones, "screen_clears", counting)
+        got = cones._swap_ascents(dense, starts)
+        assert got == [reference_swap_ascent(dense, s) for s in starts]
+        assert len(set(got)) == 1
+        assert screened[:2] == [2 * k * (n - k), k * (n - k)]
+        assert sum(screened) == len(path) * k * (n - k)
+
+    def test_swap_traces_past_the_largest_float_pick_without_a_warning(self):
+        # four diagonal entries near 1.7e308 sum to inf, but every block's
+        # lambda_1 is finite; the suite turns the overflow warning into an error
+        rng = np.random.default_rng(0)
+        dense = np.diag(rng.uniform(0.5, 1.0, 12)) * 1.7e308
+        dense += tie_heavy_or_gaussian("gaussian", 12, 0) * 1e306
+        got = cones._greedy_k_sparse(dense, 4)
+        assert math.isfinite(got) and bits(got) == bits(reference_greedy_k_sparse(dense, 4))
+
+    def test_readme_example_sends_fewer_than_10000_blocks_to_eigvalsh(self, monkeypatch):
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        counting = lambda a, *rest: solved.append(math.prod(np.shape(a)[:-2])) or eigvalsh(a, *rest)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        width_dual_base_sparse(20, 4, 20, 1, "greedy")
+        assert 0 < sum(solved) < 10_000
 
     def test_screen_keeps_most_swap_candidates_from_the_gather(self, monkeypatch):
         # the ascent without the screen, counted by making the screen clear
@@ -510,18 +563,22 @@ class TestGreedyRestartCache:
         assert not hasattr(cones, "_greedy_restarts")
 
     @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
-    def test_pool_threads_filling_a_cold_cache_agree(self, mode, monkeypatch):
-        # more workers than cores, switching often, all missing the subset tables at once
-        want = width_dual_base_sparse(9, 4, 300, seed=6, mode=mode).per_trial_values
+    def test_pool_threads_filling_a_cold_cache_agree(self, mode):
+        # more workers than cores, switching often, all missing the subset
+        # tables at once; the sparse duals run on the caller's thread, so
+        # the searches are called from a pool of their own
+        mats = [SymmetricMatrix.from_dense(G) for G in gaussian_sym_batch(9, 6, 0, 300)]
+        search = lambda G: bits(k_sparse_largest_eigenvalue(G, 4, mode))
+        want = [search(G) for G in mats]
         cones._subset_table.cache_clear()
-        monkeypatch.setattr(widths, "thread_count", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = width_dual_base_sparse(9, 4, 300, seed=6, mode=mode).per_trial_values
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(search, mats))
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(got, want)
+        assert got == want
 
     @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
     def test_cold_and_warm_runs_give_the_same_bits(self, mode):
