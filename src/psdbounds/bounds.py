@@ -398,6 +398,8 @@ def _integer(params: dict, name: str, default=None) -> int:
     value = _number(params, name, default)
     if not math.isfinite(value):
         raise InvalidArgumentError(f"parameter {name!r} must be finite, got {value!r}")
+    if value != int(value):
+        raise InvalidArgumentError(f"parameter {name!r} must be an integer, got {value!r}")
     return int(value)
 
 

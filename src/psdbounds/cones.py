@@ -318,41 +318,53 @@ def principal_submatrices(dense: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return dense[idx[:, :, None], idx[:, None, :]]
 
 
-def _first_violation(dense: np.ndarray, chunks, tol: float, first: int) -> bool:
-    """True at the first slice of subsets holding one whose block's smallest
-    eigenvalue, as eigvalsh computes it, is below -tol.
+def _screened_max(Y: np.ndarray, solve, chunks, c: float, first: int, stop: float = math.inf) -> float:
+    """The largest value solve gives a row of chunks when that is at least
+    c, and a value below c otherwise; returned as soon as it exceeds stop.
 
-    Each chunk of subsets is scanned in slices of first, 2 first, 4 first,
-    ... rows; the rows of a slice the LDL screen cannot clear go to eigvalsh
-    in one call.  Chunks are drawn only as far as the scan gets.
+    Each chunk of index rows is scanned in slices of first, 2 first, 4
+    first, ... rows.  Each slice goes through the LDL screen on Y at
+    max(c, best), best the largest value solved so far, and solve gets the
+    rows it rejects in one call.  solve must give a row the screen clears at
+    c a value below c, so a cleared row is never that maximum; the screen and
+    eigvalsh treat each row on its own, so the slicing changes no answer.
+    Chunks are drawn only as far as the scan gets.
     """
+    best = -math.inf
     for idx in chunks:
         start, step = 0, first
         while start < len(idx):
-            block = idx[start : start + step]
-            block = block[~screen_clears(dense, block, tol)]
-            if block.size and np.linalg.eigvalsh(principal_submatrices(dense, block))[:, 0].min() < -tol:
-                return True
+            rows = idx[start : start + step]
+            rows = rows[~screen_clears(Y, rows, max(c, best))]
+            if rows.size:
+                best = max(best, float(solve(rows).max()))
+                if best > stop:
+                    return best
             start += step
             step *= 2
-    return False
+    return best
+
+
+def _worst_block(dense: np.ndarray, chunks, tol: float, first: int) -> float:
+    """Minus the smallest eigenvalue eigvalsh computes for some block: above
+    tol iff one is below -tol, as negation is exact.  best stays at most tol
+    until the scan returns, so every slice is screened at tol."""
+    solve = lambda rows: -np.linalg.eigvalsh(principal_submatrices(dense, rows))[:, 0]
+    return _screened_max(dense, solve, chunks, tol, first, stop=tol)
 
 
 def sparse_kpsd_member(X: SymmetricMatrix, k: int, tol: float | None = None) -> bool:
     """True iff every k-by-k principal submatrix of X is PSD at tolerance tol.
 
     Checking |I| = k suffices: PSD-ness of a matrix is inherited by all of its
-    principal submatrices.  Subsets are screened with a factorization test on
-    X_I + (tol - margin) I; only subsets failing the screen pay for an exact
-    eigenvalue check, so the screen never changes the answer.  The exact
-    check runs in lexicographic slices of 64, 128, 256, ... subsets: each
-    slice is screened, its rejected subsets go to eigvalsh in one call, and
-    the first slice holding a violation ends the search.  The screen and
-    eigvalsh treat each subset on its own, so slicing changes no answer.
-    With k = n the one block is X itself, so eigvalsh solves it unscreened.
-    More than DEFAULT_ENUMERATION_CAP subsets raise EnumerationLimitError.
-    Non-finite entries raise NumericalFailureError; a tol that is not finite
-    and nonnegative raises InvalidArgumentError.
+    principal submatrices.  _worst_block scans the subsets in lexicographic
+    slices of 64, 128, 256, ...: a factorization test on X_I + (tol - margin)
+    I screens each slice, only the subsets it rejects go to eigvalsh, and the
+    first slice holding a violation ends the search.  With k = n the one
+    block is X itself, so eigvalsh solves it unscreened.  More than
+    DEFAULT_ENUMERATION_CAP subsets raise EnumerationLimitError.  Non-finite
+    entries raise NumericalFailureError; a tol that is not finite and
+    nonnegative raises InvalidArgumentError.
     """
     n = X.dim
     _check_nk(n, k)
@@ -361,7 +373,7 @@ def sparse_kpsd_member(X: SymmetricMatrix, k: int, tol: float | None = None) -> 
     check_enumeration(n, k, "; use sparse_kpsd_refute for a randomized refutation")
     if k == n:
         return bool(np.linalg.eigvalsh(X.to_dense())[0] >= -tol)
-    return not _first_violation(X.to_dense(), subset_chunks(n, k), tol, 64)
+    return not _worst_block(X.to_dense(), subset_chunks(n, k), tol, 64) > tol
 
 
 def sparse_kpsd_refute(
@@ -378,11 +390,10 @@ def sparse_kpsd_refute(
     among the samples; membership remains unconfirmed.  The samples are the
     subsets successive np.sort(rng.choice(n, size=k, replace=False)) draw
     from the seed's stream, drawn 1024 at a time by _rng.k_subsets in one
-    vectorized pass.  Each batch passes the LDL screen of sparse_kpsd_member
-    first, and only the samples it rejects get an exact eigenvalue check, so
-    the screen changes no answer.  With k = n, eigvalsh solves X alone and
-    nothing is drawn.  Non-finite entries raise NumericalFailureError, and
-    tol is checked as in sparse_kpsd_member.
+    vectorized pass, and scanned as in sparse_kpsd_member, one slice a
+    batch.  With k = n, eigvalsh solves X alone and nothing is drawn.
+    Non-finite entries raise NumericalFailureError, and tol is checked as in
+    sparse_kpsd_member.
     """
     n = X.dim
     _check_nk(n, k)
@@ -395,7 +406,7 @@ def sparse_kpsd_refute(
     if k == n:
         return bool(np.linalg.eigvalsh(dense)[0] < -tol)
     batches = (k_subsets(rng, n, k, min(1024, samples - done)) for done in range(0, samples, 1024))
-    return _first_violation(dense, batches, tol, 1024)
+    return _worst_block(dense, batches, tol, 1024) > tol
 
 
 def general_kpsd_member(X: SymmetricMatrix, family: ConeFamily, tol: float | None = None) -> bool:
@@ -474,12 +485,14 @@ def k_sparse_largest_eigenvalue(G: SymmetricMatrix, k: int, mode: str = "exhaust
     """Largest eigenvalue over k-by-k principal submatrices.
 
     Exhaustive mode maximizes over all C(n, k) subsets, bit for bit as if
-    it solved every block (see _max_lambda1_subsets); more than
-    DEFAULT_ENUMERATION_CAP subsets raise EnumerationLimitError.  Greedy
-    mode returns a lower bound from local swap ascent from the best single
-    coordinate and 20 random restarts, drawn from a fixed internal stream
-    on every call, so deterministic given G and k (see _swap_ascents).
-    Non-finite entries raise NumericalFailureError.
+    it solved every block; more than DEFAULT_ENUMERATION_CAP subsets raise
+    EnumerationLimitError.  The grown support's lambda_1 is attained, so the
+    maximum is at least that: _screened_max screens each chunk on -G at c,
+    that value, one slice a chunk, and solves only the blocks it rejects.
+    Greedy mode returns a lower bound from local swap ascent from the best
+    single coordinate and 20 random restarts, drawn from a fixed internal
+    stream on every call, so deterministic given G and k (see
+    _swap_ascents).  Non-finite entries raise NumericalFailureError.
     """
     check_k_sparse(G.dim, k, mode)
     require_finite(G)
@@ -489,7 +502,9 @@ def k_sparse_largest_eigenvalue(G: SymmetricMatrix, k: int, mode: str = "exhaust
     if k == 1:
         return float(np.diag(dense).max())
     if mode == "exhaustive":
-        return _max_lambda1_subsets(dense, k)
+        grown = _grown_support(dense, k)[1]
+        return _screened_max(-dense, functools.partial(_lambda1_batch, dense), subset_chunks(G.dim, k),
+                             grown, _CHUNK_ROWS)
     return _greedy_k_sparse(dense, k)
 
 
@@ -517,27 +532,6 @@ def _grown_support(dense: np.ndarray, k: int) -> tuple[np.ndarray, float]:
         top = values.argmax()
         support, value = cands[top], float(values[top])
     return support, value
-
-
-def _max_lambda1_subsets(dense: np.ndarray, k: int) -> float:
-    """Largest eigvalsh lambda_1 over every k-by-k principal submatrix.
-
-    The grown support's lambda_1 is attained, so the maximum is at least
-    that.  Each chunk of subsets goes through the LDL screen on -dense at c,
-    the larger of that value and the best one solved so far; a block the
-    screen clears cannot be the maximum, and only the rejected blocks are
-    solved.  eigvalsh solves each matrix of a stack on its own and max over
-    floats ignores order, so the result is the bits of solving every block.
-    """
-    n = dense.shape[0]
-    grown = _grown_support(dense, k)[1]
-    negated = -dense
-    best = -math.inf
-    for idx in subset_chunks(n, k):
-        idx = idx[~screen_clears(negated, idx, max(best, grown))]
-        if idx.size:
-            best = max(best, float(_lambda1_batch(dense, idx).max()))
-    return best
 
 
 def _swap_neighbourhoods(supports: np.ndarray, n: int) -> np.ndarray:

@@ -600,6 +600,17 @@ class TestCurves:
         assert [p.flag for p in thm1.points] == ["domain", "ok", "domain"]
         assert emit_curve("maximal", [0.0, 3.0], v=1.0, c=1.0).points[0].flag == "domain"
 
+    def test_non_integral_grid_points_are_flagged_not_truncated(self):
+        # they once evaluated at int(k) and int(N) and were flagged ok
+        thm1 = emit_curve("thm1", [1.5, 2.5, 3.0], n=10)
+        assert [p.flag for p in thm1.points] == ["domain", "domain", "ok"]
+        assert thm1.values()[2] == evaluate("thm1", {"n": 10, "k": 3})
+        maximal = emit_curve("maximal", [2.0, 2.9], v=1.0, c=0.0)
+        assert [p.flag for p in maximal.points] == ["ok", "domain"]
+        # a fixed parameter breaks every point, so it rejects the curve
+        with pytest.raises(InvalidArgumentError, match="parameter 'n' must be an integer, got 10.5"):
+            emit_curve("thm1", [2.0, 3.0], n=10.5)
+
     def test_unknown_formula(self):
         with pytest.raises(InvalidArgumentError):
             emit_curve("nope", [0.1])
@@ -653,6 +664,22 @@ class TestFormulaRegistry:
             expected = direct()
             assert evaluate(name, {**fixed, FORMULAS[name].grid: x}) == expected, name
             assert emit_curve(name, [x], **fixed).values() == [expected], name
+
+    @pytest.mark.parametrize(
+        "which, params, name",
+        [("phi", {"n": 10, "k": 3.5}, "k"), ("phi", {"n": 10.5, "k": 3}, "n"),
+         ("thm1", {"n": 1e6 + 0.5, "k": 3}, "n"), ("thm2", {"k": 2.5}, "k"),
+         ("maximal", {"v": 1, "c": 0, "N": 2.9}, "N"), ("maximal", {"v": 1, "c": 0, "N": -0.5}, "N")],
+    )
+    def test_integer_parameters_are_not_truncated(self, which, params, name):
+        with pytest.raises(InvalidArgumentError, match=f"parameter {name!r} must be an integer"):
+            evaluate(which, params)
+
+    def test_integral_floats_are_integers(self):
+        assert evaluate("phi", {"n": 1e1, "k": 3.0}) == evaluate("phi", {"n": 10, "k": 3})
+        assert evaluate("thm1", {"n": 1e6, "k": 10.0}) == thm1_xc_lower(10**6, 10, 0.0)
+        assert evaluate("thm2", {"n": 1e20, "k": 10.0}) == thm2_xc_lower(10**20, 10, 0.0)
+        assert evaluate("maximal", {"v": 1, "c": 0, "N": 2.0}) == maximal_bound(1, 0, 2)
 
     def test_phi_takes_n_and_k_or_delta(self):
         assert evaluate("phi", {"n": 100, "k": 4}) == evaluate("phi", {"delta": 0.04})

@@ -159,6 +159,46 @@ class TestBoundsCurve:
         assert rows[0][1] == "nan"
 
 
+class TestIntegerParameters:
+    """n, k and N are integers: a finite non-integral value once ran at its
+    truncation while the echo and the rerun line kept the value given."""
+
+    @pytest.mark.parametrize(
+        "formula, params, name",
+        [("phi", "n=10,k=3.5", "k"), ("thm1", "n=1000000.5,k=3", "n"),
+         ("thm2", "k=2.5", "k"), ("maximal", "v=1,c=0,N=2.9", "N")],
+    )
+    def test_eval_exits_2_naming_the_parameter(self, formula, params, name, capsys):
+        code, out, err = run_cli(["bounds", "eval", "--formula", formula, "--params", params], capsys)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["kind"] == "usage" and f"parameter {name!r} must be an integer" in error["message"]
+
+    def test_integral_floats_are_accepted(self, capsys):
+        code, out, _ = run_cli(["bounds", "eval", "--formula", "phi", "--params", "n=1e1,k=3.0"], capsys)
+        code_int, out_int, _ = run_cli(["bounds", "eval", "--formula", "phi", "--params", "n=10,k=3"], capsys)
+        assert code == code_int == 0
+        assert last_json(out)["value"] == last_json(out_int)["value"]
+
+    def test_curve_flags_non_integral_points(self, capsys):
+        code, out, _ = run_cli(
+            ["bounds", "curve", "--formula", "thm1", "--grid", "1.5:3:4", "--params", "n=10"], capsys
+        )
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines() if not ln.startswith("#")][1:]
+        assert [row[2] for row in rows] == ["domain", "ok", "domain", "ok"]
+
+    def test_curve_with_a_non_integral_fixed_parameter_exits_2(self, tmp_path, capsys):
+        dest = tmp_path / "n.csv"
+        argv = ["bounds", "curve", "--formula", "thm1", "--grid", "1:3:3", "--params", "n=10.5",
+                "--out", str(dest)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "parameter 'n' must be an integer" in json.loads(err)["error"]["message"]
+        assert not dest.exists()
+
+
 class TestWidthsEstimate:
     def test_base_psd_scalar_mean_near_zero(self, capsys, schema):
         code, out, _ = run_cli(

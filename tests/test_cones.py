@@ -23,7 +23,7 @@ from psdbounds.cones import (
     write_conefam,
 )
 from psdbounds import cones
-from psdbounds._rng import substream
+from psdbounds._rng import k_subsets, substream
 from psdbounds.errors import (
     EnumerationLimitError,
     InvalidArgumentError,
@@ -247,6 +247,19 @@ def membership_case(kind, n, k, seed):
     return dense, k, 0.0 if kind == "gaussian tol=0" else None
 
 
+def check_scan_slicing(dense, chunks, tol, violated):
+    """The scan under membership and refutation, for every first slice size:
+    it finds a violation iff violated, and without its stop it returns the
+    worst block's value, minus its smallest eigenvalue, whenever that
+    reaches tol.  chunks() yields the index rows afresh."""
+    solve = lambda rows: -np.linalg.eigvalsh(cones.principal_submatrices(dense, rows))[:, 0]
+    worst = max(float(solve(rows).max()) for rows in chunks())
+    for first in (1, 3, 64, cones._CHUNK_ROWS):
+        assert (cones._worst_block(dense, chunks(), tol, first) > tol) == violated
+        got = cones._screened_max(dense, solve, chunks(), tol, first)
+        assert got.hex() == worst.hex() if worst >= tol else got < tol
+
+
 class TestSparseMembershipEarlyExit:
     """Exact checks run in growing slices and stop at the first violation."""
 
@@ -273,8 +286,10 @@ class TestSparseMembershipEarlyExit:
         n, k = shape
         dense, k, tol = membership_case(kind, n, k, seed)
         X = sym(dense)
-        expected = brute_sparse_member(dense, k, default_psd_tol(X) if tol is None else tol)
+        scan_tol = default_psd_tol(X) if tol is None else tol
+        expected = brute_sparse_member(dense, k, scan_tol)
         assert sparse_kpsd_member(X, k, tol) == expected
+        check_scan_slicing(dense, lambda: subset_chunks(n, k), scan_tol, not expected)
         if kind in ("witness", "psd"):
             assert expected
         if kind in ("witness k+1", "late violation"):
@@ -592,10 +607,15 @@ class TestRandomizedRefutation:
     def test_equals_unscreened_reference(self, n, k, kind, tol, samples, seed):
         dense, k, tol = refutation_case(kind, n, k, tol, seed)
         X = sym(dense)
-        want = reference_sparse_refute(
-            dense, k, default_psd_tol(X) if tol is None else tol, samples, seed
-        )
+        scan_tol = default_psd_tol(X) if tol is None else tol
+        want = reference_sparse_refute(dense, k, scan_tol, samples, seed)
         assert sparse_kpsd_refute(X, k, tol, samples=samples, seed=seed) == want
+
+        def batches():
+            rng = substream(seed)
+            return (k_subsets(rng, n, k, min(1024, samples - done)) for done in range(0, samples, 1024))
+
+        check_scan_slicing(dense, batches, scan_tol, want)
         if kind == "witness k+1":
             assert want
 

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -398,6 +399,32 @@ class TestExhaustiveAgainstReference:
         dense = exhaustive_case(kind, n, seed) * scale
         got = k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(dense), k)
         assert type(got) is float
+        assert bits(got) == bits(reference_max_lambda1_subsets(dense, k))
+        # the search scans one slice a chunk; slices of any size give its bits
+        grown = cones._grown_support(dense, k)[1]
+        lambda1 = functools.partial(cones._lambda1_batch, dense)
+        for first in (1, 3, 64, cones._CHUNK_ROWS):
+            scanned = cones._screened_max(-dense, lambda1, cones.subset_chunks(n, k), grown, first)
+            assert bits(scanned) == bits(got)
+
+    def test_second_chunk_is_screened_at_the_first_chunks_best(self, monkeypatch):
+        # C(18, 9) = 48,620 subsets in two chunks; the first chunk holds a
+        # block above the grown support's, so the second chunk must be
+        # screened at that block's value, not at the grown one
+        n, k = 18, 9
+        dense = sample_standard_gaussian_sym(n, 1).to_dense()
+        grown = cones._grown_support(dense, k)[1]
+        first_chunk = next(cones.subset_chunks(n, k))
+        assert len(first_chunk) == cones._CHUNK_ROWS
+        best_first = float(cones._lambda1_batch(dense, first_chunk).max())
+        assert best_first > grown
+        screened_at = []
+        screen = cones.screen_clears
+        monkeypatch.setattr(
+            cones, "screen_clears", lambda Y, idx, c: screened_at.append(c) or screen(Y, idx, c)
+        )
+        got = k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(dense), k)
+        assert [bits(c) for c in screened_at] == [bits(grown), bits(best_first)]
         assert bits(got) == bits(reference_max_lambda1_subsets(dense, k))
 
     @pytest.mark.parametrize("scale", [1.7e308, 1e-310])
