@@ -24,6 +24,7 @@ from .errors import (
     EnumerationLimitError,
     InvalidArgumentError,
     InvalidDimensionError,
+    NumericalFailureError,
     SizeLimitError,
 )
 from .linalg import SymmetricMatrix, psd_tolerance, require_finite
@@ -211,22 +212,26 @@ def _screen_shift(scale: float, k: int, c: float | np.ndarray) -> float | np.nda
         return c - 64.0 * k * k * (eps * (scale + abs(c)) + eta)
 
 
-def screen_clears(Y: np.ndarray, idx: np.ndarray, c: float | np.ndarray) -> np.ndarray:
+def screen_clears(Y: np.ndarray, idx: np.ndarray, c: float | np.ndarray, mats=None) -> np.ndarray:
     """Which rows S of idx the LDL screen clears at c, a float or one float
-    per row.
+    per row; with mats, row r is screened on Y[mats[r]] of the (T, n, n)
+    stack Y, at that matrix's own max|Y|.
 
     Every cleared row has a block Y_S whose smallest eigenvalue, as eigvalsh
     computes it, is above -c; so is minus the largest eigenvalue eigvalsh
     computes for -Y_S (see _screen_shift).  The screen treats each row on
     its own, so how idx is sliced changes nothing.  Membership runs it on
     Y = X at c = tol, the k-sparse searches on Y = -G at a value to beat.
-    One np.take per triangle row gathers the layout of _ldl_positive.
+    One np.take per triangle row, indexed from the contiguous rows of idx.T,
+    gathers the layout of _ldl_positive.
     """
-    n, k = Y.shape[0], idx.shape[1]
+    n, k = Y.shape[-1], idx.shape[1]
     flat = np.ascontiguousarray(Y).ravel()
-    cols = idx.T
-    A = [np.take(flat, n * cols[a] + cols[a:]) for a in range(k)]
-    return _ldl_positive(A, _screen_shift(float(np.abs(Y).max()), k, c))
+    cols = np.ascontiguousarray(idx.T)
+    rows = cols if mats is None else cols + n * mats  # rows of Y as one (T n, n) matrix
+    scale = np.abs(Y).max(axis=(-2, -1))
+    A = [np.take(flat, n * rows[a] + cols[a:]) for a in range(k)]
+    return _ldl_positive(A, _screen_shift(float(scale) if mats is None else scale[mats], k, c))
 
 
 def screen_clears_blocks(blocks: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -313,9 +318,11 @@ def _unranked_chunks(n: int, k: int, chunk: int):
         yield idx
 
 
-def principal_submatrices(dense: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Stack of the principal submatrices dense[I, I], one per row I of idx."""
-    return dense[idx[:, :, None], idx[:, None, :]]
+def principal_submatrices(dense: np.ndarray, idx: np.ndarray, mats=None) -> np.ndarray:
+    """Stack of the principal submatrices dense[I, I], one per row I of idx;
+    with mats, dense is a (T, n, n) stack and row r's block is dense[mats[r]][I, I]."""
+    pick = (idx[:, :, None], idx[:, None, :])
+    return dense[pick if mats is None else (mats[:, None, None], *pick)]
 
 
 def _screened_max(Y: np.ndarray, solve, chunks, c: float, first: int, stop: float = math.inf) -> float:
@@ -481,56 +488,75 @@ def check_k_sparse(n: int, k: int, mode: str) -> None:
         check_enumeration(n, k, "; use greedy mode")
 
 
-def k_sparse_largest_eigenvalue(G: SymmetricMatrix, k: int, mode: str = "exhaustive") -> float:
-    """Largest eigenvalue over k-by-k principal submatrices.
+def k_sparse_largest_eigenvalue(G, k: int, mode: str = "exhaustive"):
+    """Largest eigenvalue over k-by-k principal submatrices: of G, a
+    SymmetricMatrix, as a float, or of each matrix of G, a (T, n, n) array
+    of symmetric matrices, as T values, each bit for bit that matrix's own.
 
-    Exhaustive mode maximizes over all C(n, k) subsets, bit for bit as if
-    it solved every block; more than DEFAULT_ENUMERATION_CAP subsets raise
-    EnumerationLimitError.  The grown support's lambda_1 is attained, so the
-    maximum is at least that: _screened_max screens each chunk on -G at c,
-    that value, one slice a chunk, and solves only the blocks it rejects.
-    Greedy mode returns a lower bound from local swap ascent from the best
-    single coordinate and 20 random restarts, drawn from a fixed internal
-    stream on every call, so deterministic given G and k (see
-    _swap_ascents).  Non-finite entries raise NumericalFailureError.
+    Both modes first grow a support for every matrix (_grown_support).
+    Exhaustive mode maximizes over all C(n, k) subsets, bit for bit as if it
+    solved every block; more than DEFAULT_ENUMERATION_CAP raise
+    EnumerationLimitError.  The grown support's lambda_1 is attained, so
+    _screened_max screens each chunk on -G at that value, one matrix at a
+    time, and solves only the blocks it rejects.  Greedy mode returns a
+    lower bound from swap ascent from the grown support and 20 restarts
+    drawn once a call from a fixed internal stream (_swap_ascents).
+    Non-finite entries raise NumericalFailureError, and an asymmetric stack
+    InvalidArgumentError.
     """
-    check_k_sparse(G.dim, k, mode)
-    require_finite(G)
-    dense = G.to_dense()
-    if k == G.dim:
-        return float(np.linalg.eigvalsh(dense)[-1])
-    if k == 1:
-        return float(np.diag(dense).max())
-    if mode == "exhaustive":
-        grown = _grown_support(dense, k)[1]
-        return _screened_max(-dense, functools.partial(_lambda1_batch, dense), subset_chunks(G.dim, k),
-                             grown, _CHUNK_ROWS)
-    return _greedy_k_sparse(dense, k)
+    single = isinstance(G, SymmetricMatrix)
+    stack = G.to_dense()[None] if single else np.asarray(G, dtype=np.float64)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise InvalidDimensionError(f"expected a (T, n, n) stack, got shape {stack.shape}")
+    count, n = stack.shape[:2]
+    check_k_sparse(n, k, mode)
+    if single:
+        require_finite(G)
+    elif not np.isfinite(stack).all():
+        raise NumericalFailureError(f"eigensolver cannot converge on non-finite entries in a {n}x{n} stack")
+    elif not np.array_equal(stack, stack.transpose(0, 2, 1)):
+        raise InvalidArgumentError("every matrix of the stack must be symmetric")
+    if k == n:
+        values = np.linalg.eigvalsh(stack)[:, -1]
+    elif k == 1:
+        values = stack.diagonal(axis1=1, axis2=2).max(axis=1)
+    elif mode == "exhaustive":
+        scans = zip(stack, _grown_support(stack, k)[1].tolist())
+        values = np.array([_screened_max(-dense, functools.partial(_lambda1_batch, dense),
+                                         subset_chunks(n, k), c, _CHUNK_ROWS) for dense, c in scans])
+    else:
+        restarts = k_subsets(substream(_GREEDY_STREAM_KEY), n, k, _GREEDY_RESTARTS)
+        starts = np.concatenate([_grown_support(stack, k)[0][:, None], restarts[None].repeat(count, 0)], 1)
+        values = np.array([max(row) for row in _swap_ascents(stack, starts).tolist()])  # first of tied maxima
+    return float(values[0]) if single else values
 
 
-def _lambda1_batch(dense: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(principal_submatrices(dense, subsets))[:, -1]
+def _lambda1_batch(dense: np.ndarray, subsets: np.ndarray, mats=None) -> np.ndarray:
+    return np.linalg.eigvalsh(principal_submatrices(dense, subsets, mats))[:, -1]
 
 
-def _grown_support(dense: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """A k-support grown from the best single coordinate, one coordinate at
-    a time, each the first that maximizes the largest eigenvalue; returned
-    with that eigenvalue.  The candidates of a step are the support plus
-    each outside index in increasing order, each row sorted."""
-    n = dense.shape[0]
-    diag = np.diag(dense)
-    inside = np.zeros(n, dtype=bool)
-    support = np.array([np.argmax(diag)])
-    value = float(diag[support[0]])
-    while support.size < k:
-        inside[support] = True
-        cands = np.empty((n - support.size, support.size + 1), dtype=np.intp)
-        cands[:, :-1] = support
-        cands[:, -1] = np.flatnonzero(~inside)
-        cands.sort(axis=1)
-        values = _lambda1_batch(dense, cands)
-        top = values.argmax()
-        support, value = cands[top], float(values[top])
+def _grown_support(stack: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each matrix of the (T, n, n) stack, a k-support grown from its
+    best single coordinate, one coordinate at a time, each the first that
+    maximizes the largest eigenvalue: (T, k) rows and their (T,) values.
+    A step's candidates are the support plus each outside index in
+    increasing order, each row sorted, solved for every matrix at once."""
+    count, n = stack.shape[:2]
+    mats = np.arange(count)
+    diag = stack.diagonal(axis1=1, axis2=2)
+    support = diag.argmax(axis=1)[:, None]
+    value = diag[mats, support[:, 0]]
+    for size in range(1, k):
+        inside = np.zeros((count, n), dtype=bool)
+        inside[mats[:, None], support] = True
+        cands = np.empty((count, n - size, size + 1), dtype=np.intp)
+        cands[..., :-1] = support[:, None]
+        cands[..., -1] = np.nonzero(~inside)[1].reshape(count, n - size)
+        cands.sort(axis=2)
+        values = _lambda1_batch(stack, cands.reshape(-1, size + 1), mats.repeat(n - size))
+        values = values.reshape(count, n - size)
+        top = values.argmax(axis=1)
+        support, value = cands[mats, top], values[mats, top]
     return support, value
 
 
@@ -552,43 +578,41 @@ def _swap_neighbourhoods(supports: np.ndarray, n: int) -> np.ndarray:
     return cands.reshape(count, k * (n - k), k)
 
 
-def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
-    """Steepest-ascent single swaps from each row of supports, run in lockstep.
+def _swap_ascents(stack: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Steepest-ascent single swaps from the (T, A, k) start supports, all
+    in lockstep, ascent (t, a) on stack[t]; returns the (T, A) end values.
 
     Each ascent starts from the largest eigenvalue of its start block, the
-    row sorted, and moves to the first best swap while that beats its value
-    by more than 1e-12, that is, exceeds its bar value + 1e-12.
+    row sorted, and moves to the first best swap while that exceeds its
+    bar, value + 1e-12.  A path depends on its matrix and support alone, so
+    ascents that meet merge: one that starts on, or moves to, a support an
+    earlier ascent on its matrix already held stops, and at the end takes
+    the value of the ascent it joined.
 
-    An ascent's path depends on its support alone, so ascents that meet
-    merge: one that starts on, or moves to, a support an earlier ascent
-    already held stops, and at the end takes the value of the ascent it
-    joined.  Only the ascents still active take a step.
-
-    A step first solves each ascent's swap of largest trace, the pick, then
-    runs the LDL screen on -dense over every candidate at c = max(bar, the
-    pick's value).  A candidate the screen clears has a computed lambda_1
-    below c, so it can neither trigger a move nor be the first maximum when
-    one happens; it counts as -inf.  eigvalsh solves, in one call, every
-    rejected candidate but the picks.  eigvalsh solves each matrix of a
-    stack on its own, so neither the merge nor the screen changes a value or
-    tie-break.  Together they cut the blocks
-    width_dual_base_sparse(20, 4, 20, 1, "greedy") sends to eigvalsh from
-    105,884 to 9,289.
+    Each step makes one pick solve, one screen and one eigvalsh call for
+    every active ascent.  It solves each ascent's swap of largest trace,
+    the pick, then screens every candidate on -stack at c = max(bar, the
+    pick's value), at its own matrix's max|G|.  A candidate the screen
+    clears has a computed lambda_1 below c, so it can neither trigger a
+    move nor be the first maximum when one happens; it counts as -inf.
+    eigvalsh solves every rejected candidate but the picks, each matrix of
+    a stack on its own, so neither lockstep, merge nor screen changes a
+    value or tie-break.  For width_dual_base_sparse(20, 4, 20, 1, "greedy")
+    they cut the blocks sent to eigvalsh from 105,884 to 9,289.
     """
-    supports = np.sort(np.array(supports, dtype=np.intp), axis=1)
-    k = supports.shape[1]
-    n = dense.shape[0]
-    diag = np.diag(dense)
-    negated = -dense
+    count, width, k = starts.shape
+    supports = np.sort(starts.reshape(-1, k).astype(np.intp), axis=1)  # ascent a runs on matrix a // width
+    diag = stack.diagonal(axis1=1, axis2=2)
+    negated = -stack
     holder = np.arange(len(supports))  # the ascent each one joined; itself while it runs
     first_held = {}
 
     def unmet(ascents: np.ndarray) -> np.ndarray:
-        """The ascents whose supports no earlier ascent held; each joins the
-        first holder of its support."""
+        """The ascents on supports no earlier one on their matrix held;
+        each joins the first holder of its support."""
         kept = []
         for a in ascents.tolist():
-            a_holder = first_held.setdefault(supports[a].tobytes(), a)
+            a_holder = first_held.setdefault((a // width, supports[a].tobytes()), a)
             holder[a] = a_holder
             if a_holder == a:
                 kept.append(a)
@@ -596,21 +620,21 @@ def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
 
     active = unmet(holder)
     best = np.zeros(len(supports))
-    best[active] = _lambda1_batch(dense, supports[active])
+    best[active] = _lambda1_batch(stack, supports[active], active // width)
     while active.size:
-        cands = _swap_neighbourhoods(supports[active], n)
-        count, width = cands.shape[:2]
-        rows = np.arange(count)
+        cands = _swap_neighbourhoods(supports[active], stack.shape[-1])
+        rows, swaps, on = np.arange(len(cands)), cands.shape[1], active // width
         # a trace may overflow, and any pick gives the same bits
         with np.errstate(over="ignore", invalid="ignore"):
-            picks = diag[cands].sum(axis=2).argmax(axis=1)
-        pick_vals = _lambda1_batch(dense, cands[rows, picks])
+            picks = diag[on[:, None, None], cands].sum(axis=2).argmax(axis=1)
+        pick_vals = _lambda1_batch(stack, cands[rows, picks], on)
         bar = best[active] + 1e-12
-        c = np.maximum(bar, pick_vals).repeat(width)
-        live = ~screen_clears(negated, cands.reshape(-1, k), c).reshape(count, width)
+        lanes = on.repeat(swaps)
+        live = ~screen_clears(negated, cands.reshape(-1, k), np.maximum(bar, pick_vals).repeat(swaps), lanes)
+        live = live.reshape(len(cands), swaps)
         live[rows, picks] = False
-        vals = np.full((count, width), -math.inf)
-        vals[live] = _lambda1_batch(dense, cands[live])
+        vals = np.full(live.shape, -math.inf)
+        vals[live] = _lambda1_batch(stack, cands[live], lanes[live.ravel()])
         vals[rows, picks] = pick_vals
         top = vals.argmax(axis=1)
         top_vals = vals[rows, top]
@@ -620,13 +644,7 @@ def _swap_ascents(dense: np.ndarray, supports) -> list[float]:
         active = unmet(active[moved])
     while not np.array_equal(holder[holder], holder):  # follow the links to an ascent that finished
         holder = holder[holder]
-    return best[holder].tolist()
-
-
-def _greedy_k_sparse(dense: np.ndarray, k: int) -> float:
-    support = _grown_support(dense, k)[0]
-    restarts = k_subsets(substream(_GREEDY_STREAM_KEY), dense.shape[0], k, _GREEDY_RESTARTS)
-    return max(_swap_ascents(dense, [support, *restarts]))
+    return best[holder].reshape(count, width)
 
 
 def g_abn(a: float, b: float, n: int) -> SymmetricMatrix:

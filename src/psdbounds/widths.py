@@ -24,6 +24,7 @@ import numpy as np
 
 from ._rng import check_seed, substream
 from .cones import (
+    _GREEDY_RESTARTS,
     ConeFamily,
     check_k_sparse,
     compressor,
@@ -31,7 +32,7 @@ from .cones import (
     largest_block_eigenvalue,
 )
 from .errors import InvalidArgumentError, InvalidDimensionError, OracleFailureError
-from .linalg import SymmetricMatrix, gaussian_sym_batch
+from .linalg import gaussian_sym_batch
 
 # Not called in this module; kept as a module attribute because the
 # benchmark's tracer (perfbench/tracing.py) wraps it by name here.
@@ -56,12 +57,16 @@ __all__ = [
 ]
 
 _TRIAL_CHUNK = 64  # fixed so per-trial arithmetic is independent of threading
+# Rows a greedy width_dual_base_sparse chunk's first step screens, 21 k (n-k) a trial.  Sparse-search
+# wall_ref_s, median of 4 runs on 2 cores: 0.099 s at 2,048 (one trial a chunk at (20, 4)), 0.086 s at
+# 4,096, 0.085 s at 8,192, 0.088 s at 32,768 with peak RSS 44.2 -> 49.0 MB; the least that gains.
+_GREEDY_STEP_ROWS = 4096
 _TINY_STD = 2.0**-480  # a std this large has squared deviations far above the subnormals
 
 
 def thread_count() -> int:
-    """Worker cap for the matrix trial runner: every core."""
-    return os.cpu_count() or 1
+    """Worker cap for the matrix trial runner: every core this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -285,18 +290,17 @@ def width_dual_base_sparse(
     largest k-sparse eigenvalue of a standard Gaussian symmetric matrix.
 
     n, k, mode and, in exhaustive mode, the subset count are checked before
-    any draw (cones.check_k_sparse).  Each trial goes through this module's
-    k_sparse_largest_eigenvalue, the name the benchmark's tracer wraps, as
-    SymmetricMatrix.from_dense(G), which keeps G's bits.  The chunks run on
-    the caller's thread: the per-trial searches hold the GIL, and two
-    threads took longer than one.
+    any draw (cones.check_k_sparse).  Each chunk's (T, n, n) stack goes in
+    one call through this module's k_sparse_largest_eigenvalue, the name
+    the benchmark's tracer wraps.  A greedy chunk holds at most
+    _GREEDY_STEP_ROWS // (21 k (n-k)) trials, so its first swap step
+    screens at most that many rows.  The chunks run on the caller's thread:
+    the searches hold the GIL, and two threads took longer than one.
     """
     check_k_sparse(n, k, mode)
-
-    def per_stack(mats: np.ndarray) -> np.ndarray:
-        return np.array([k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(G), k, mode) for G in mats])
-
-    return _matrix_trials(n, trials, seed, keep_values, per_stack)
+    per_stack = lambda mats: k_sparse_largest_eigenvalue(mats, k, mode)
+    chunk = min(_TRIAL_CHUNK, max(1, _GREEDY_STEP_ROWS // max(1, (_GREEDY_RESTARTS + 1) * k * (n - k))))
+    return _matrix_trials(n, trials, seed, keep_values, per_stack, 0 if mode == "exhaustive" else chunk)
 
 
 _DUAL_STACK_BYTES = 1 << 24  # byte cap on the compressed matrices of one width_general_dual chunk

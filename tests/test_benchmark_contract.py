@@ -66,7 +66,7 @@ def test_tracer_counts_sparse_search_eigensolves(tracing, monkeypatch):
     gathered = []
     gather = cones.principal_submatrices
     monkeypatch.setattr(
-        cones, "principal_submatrices", lambda d, idx: gathered.append(len(idx)) or gather(d, idx)
+        cones, "principal_submatrices", lambda d, idx, *mats: gathered.append(len(idx)) or gather(d, idx, *mats)
     )
     tracer = tracing.Tracer()
     handle = tracing.install(tracer)
@@ -104,8 +104,8 @@ def test_tracer_counts_only_the_exhaustive_blocks_that_reach_eigvalsh(tracing, m
 
 @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
 def test_tracer_sees_every_sparse_dual_trial_as_a_k_sparse_call(tracing, mode):
-    # each trial goes through the public k_sparse_largest_eigenvalue, so the
-    # k-sparse spans hold every eigensolve of the estimate
+    # each chunk of trials goes through the public k_sparse_largest_eigenvalue
+    # in one call, so the k-sparse spans hold every eigensolve of the estimate
     tracer = tracing.Tracer()
     handle = tracing.install(tracer)
     try:
@@ -113,7 +113,8 @@ def test_tracer_sees_every_sparse_dual_trial_as_a_k_sparse_call(tracing, mode):
     finally:
         handle.remove()
     metrics = tracer.collect()
-    assert metrics[f"widths.k_sparse.{mode}.calls"] == 70
+    # one call per chunk: 64 trials, or 4096 // (21 * 3 * 5) = 13 in greedy mode
+    assert metrics[f"widths.k_sparse.{mode}.calls"] == {"exhaustive": 2, "greedy": 6}[mode]
     assert metrics[f"widths.k_sparse.{mode}.eig_subsets"] == metrics["lapack.eigvalsh.matrices"] > 0
 
 

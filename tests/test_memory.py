@@ -30,6 +30,14 @@ def test_pooled_matrix_estimate_holds_one_value_array(monkeypatch):
     assert peak_traced_bytes(lambda: run(10**5)) <= 8 * 10**5 + MiB // 2
 
 
+def test_greedy_sparse_dual_chunks_stay_small():
+    # each lockstep chunk screens at most about widths._GREEDY_STEP_ROWS
+    # candidate rows a step: about 1.0 MiB at its 4,096, 7.8 MiB at 32,768
+    run = lambda trials: widths.width_dual_base_sparse(20, 4, trials, 3, "greedy", keep_values=False)
+    run(2)
+    assert peak_traced_bytes(lambda: run(64)) <= 2 * MiB
+
+
 def test_maximal_lemma_holds_one_value_array(capsys):
     run = lambda trials: cli.main(
         ["hypercube", "verify", "--lemma", "maximal", "--trials", str(trials), "--seed", "3"]

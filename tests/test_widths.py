@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import math
+import os
 import sys
 import threading
 import time
@@ -174,6 +175,15 @@ def tie_heavy_or_gaussian(kind, n, seed):
     return (g + g.T) / 2.0
 
 
+def greedy(dense, k):
+    return k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(dense), k, "greedy")
+
+
+def swap_ascents(dense, starts):
+    """cones._swap_ascents on a stack of one matrix, as a list."""
+    return cones._swap_ascents(dense[None], np.array(starts)[None])[0].tolist()
+
+
 class TestGreedyAgainstReference:
     """The lockstep swap ascent returns the bits of the one-list-per-
     candidate search it replaced, ties included."""
@@ -193,7 +203,7 @@ class TestGreedyAgainstReference:
     def test_bits_equal_reference(self, shape, kind, seed):
         n, k = shape
         dense = tie_heavy_or_gaussian(kind, n, seed)
-        got = cones._greedy_k_sparse(dense, k)
+        got = greedy(dense, k)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(reference_greedy_k_sparse(dense, k)).tobytes()
 
@@ -217,19 +227,19 @@ class TestGreedyAgainstReference:
         # every RuntimeWarning into an error
         n, k = shape
         dense = tie_heavy_or_gaussian(kind, n, seed) * scale
-        got = cones._greedy_k_sparse(dense, k)
+        got = greedy(dense, k)
         assert bits(got) == bits(reference_greedy_k_sparse(dense, k))
 
     @pytest.mark.parametrize("kind", ["gaussian", "blocks"])
     def test_bits_equal_reference_beyond_63_dimensions(self, kind):
         dense = tie_heavy_or_gaussian(kind, 70, 3)
-        got = cones._greedy_k_sparse(dense, 3)
+        got = greedy(dense, 3)
         assert np.float64(got).tobytes() == np.float64(reference_greedy_k_sparse(dense, 3)).tobytes()
 
     def test_lockstep_ascents_equal_one_at_a_time(self):
         dense = tie_heavy_or_gaussian("signed graph", 14, 203)
         starts = np.array([[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [9, 10, 11, 12, 13], [2, 5, 7, 8, 13]])
-        got = cones._swap_ascents(dense, starts)
+        got = swap_ascents(dense, starts)
         assert got == [reference_swap_ascent(dense, s) for s in starts.tolist()]
 
     def test_a_swap_gaining_exactly_the_threshold_ends_the_ascent(self):
@@ -238,7 +248,7 @@ class TestGreedyAgainstReference:
         dense = np.zeros((6, 6))
         dense[2, 2] = 1e-12
         dense[2, 3] = dense[3, 2] = 5.0
-        assert cones._swap_ascents(dense, [[0, 1]]) == [0.0]
+        assert swap_ascents(dense, [[0, 1]]) == [0.0]
         assert reference_swap_ascent(dense, [0, 1]) == 0.0
 
     def test_a_swap_one_ulp_past_the_threshold_moves(self):
@@ -247,7 +257,7 @@ class TestGreedyAgainstReference:
         dense = np.zeros((4, 4))
         dense[0, 2] = dense[2, 0] = 1.1879262898402614e-12
         dense[2, 2] = -4.111688700936489e-13
-        [got] = cones._swap_ascents(dense, [[0, 1]])
+        [got] = swap_ascents(dense, [[0, 1]])
         assert got == reference_swap_ascent(dense, [0, 1]) == 1.0000000000000002e-12
 
     def test_each_ascent_screens_at_its_own_threshold(self):
@@ -258,7 +268,7 @@ class TestGreedyAgainstReference:
         dense[4, 5] = dense[5, 4] = 10.0
         dense[2, 2] = 1.0
         starts = [[4, 5], [0, 1]]
-        got = cones._swap_ascents(dense, starts)
+        got = swap_ascents(dense, starts)
         assert got == [reference_swap_ascent(dense, s) for s in starts]
         assert got[1] == 1.0
 
@@ -268,15 +278,16 @@ class TestGreedyAgainstReference:
         events = []
         gather, screen = cones.principal_submatrices, cones.screen_clears
 
-        def screening(Y, idx, c):
-            cleared = screen(Y, idx, c)
+        def screening(Y, idx, c, mats):
+            assert not mats.any()  # a stack of one
+            cleared = screen(Y, idx, c, mats)
             events.append(("screen", np.array(idx), np.broadcast_to(c, len(idx)).copy(), cleared.copy()))
             return cleared
 
-        gathering = lambda d, idx: events.append(("gather", np.array(idx))) or gather(d, idx)
+        gathering = lambda d, idx, *mats: events.append(("gather", np.array(idx))) or gather(d, idx, *mats)
         monkeypatch.setattr(cones, "principal_submatrices", gathering)
         monkeypatch.setattr(cones, "screen_clears", screening)
-        cones._greedy_k_sparse(dense, k)
+        greedy(dense, k)
         # the first three gathers grow the start support to 2, 3 and 4
         # members, the fourth solves the distinct ascent starts; then each
         # step gathers its picks, screens every swap candidate and gathers
@@ -316,9 +327,9 @@ class TestGreedyAgainstReference:
         starts = [path[1], path[0], path[0][::-1]]
         screened = []
         screen = cones.screen_clears
-        counting = lambda Y, idx, c: screened.append(len(idx)) or screen(Y, idx, c)
+        counting = lambda Y, idx, *rest: screened.append(len(idx)) or screen(Y, idx, *rest)
         monkeypatch.setattr(cones, "screen_clears", counting)
-        got = cones._swap_ascents(dense, starts)
+        got = swap_ascents(dense, starts)
         assert got == [reference_swap_ascent(dense, s) for s in starts]
         assert len(set(got)) == 1
         assert screened[:2] == [2 * k * (n - k), k * (n - k)]
@@ -330,7 +341,7 @@ class TestGreedyAgainstReference:
         rng = np.random.default_rng(0)
         dense = np.diag(rng.uniform(0.5, 1.0, 12)) * 1.7e308
         dense += tie_heavy_or_gaussian("gaussian", 12, 0) * 1e306
-        got = cones._greedy_k_sparse(dense, 4)
+        got = greedy(dense, 4)
         assert math.isfinite(got) and bits(got) == bits(reference_greedy_k_sparse(dense, 4))
 
     def test_readme_example_sends_fewer_than_10000_blocks_to_eigvalsh(self, monkeypatch):
@@ -347,13 +358,13 @@ class TestGreedyAgainstReference:
         dense = sample_standard_gaussian_sym(20, 5).to_dense()
         gathered = []
         gather = cones.principal_submatrices
-        counting = lambda d, idx: gathered.append(len(idx)) or gather(d, idx)
+        counting = lambda d, idx, *mats: gathered.append(len(idx)) or gather(d, idx, *mats)
         monkeypatch.setattr(cones, "principal_submatrices", counting)
-        screened_value = cones._greedy_k_sparse(dense, 4)
+        screened_value = greedy(dense, 4)
         screened = sum(gathered)
         gathered.clear()
         monkeypatch.setattr(cones, "screen_clears", lambda *args: np.zeros(len(args[1]), dtype=bool))
-        assert cones._greedy_k_sparse(dense, 4) == screened_value
+        assert greedy(dense, 4) == screened_value
         assert screened < sum(gathered) / 2
 
 
@@ -401,7 +412,7 @@ class TestExhaustiveAgainstReference:
         assert type(got) is float
         assert bits(got) == bits(reference_max_lambda1_subsets(dense, k))
         # the search scans one slice a chunk; slices of any size give its bits
-        grown = cones._grown_support(dense, k)[1]
+        grown = cones._grown_support(dense[None], k)[1][0]
         lambda1 = functools.partial(cones._lambda1_batch, dense)
         for first in (1, 3, 64, cones._CHUNK_ROWS):
             scanned = cones._screened_max(-dense, lambda1, cones.subset_chunks(n, k), grown, first)
@@ -413,7 +424,7 @@ class TestExhaustiveAgainstReference:
         # screened at that block's value, not at the grown one
         n, k = 18, 9
         dense = sample_standard_gaussian_sym(n, 1).to_dense()
-        grown = cones._grown_support(dense, k)[1]
+        grown = cones._grown_support(dense[None], k)[1][0]
         first_chunk = next(cones.subset_chunks(n, k))
         assert len(first_chunk) == cones._CHUNK_ROWS
         best_first = float(cones._lambda1_batch(dense, first_chunk).max())
@@ -565,6 +576,100 @@ class TestWidthDualSparse:
             width_base_psd(2, 2**56, seed=4)
 
 
+_STACK_KINDS = ["gaussian", "integer", "signed graph", "blocks"]
+
+
+def stack_case(kind, scale_exponent, permuted, n, seed):
+    """A tie_heavy_or_gaussian matrix times 10^scale_exponent, its rows and
+    columns permuted when asked, so a stack may hold one matrix in two orders."""
+    dense = tie_heavy_or_gaussian(kind, n, seed) * 10.0**scale_exponent
+    order = np.random.default_rng(seed).permutation(n) if permuted else np.arange(n)
+    return dense[np.ix_(order, order)]
+
+
+class TestStackForm:
+    """k_sparse_largest_eigenvalue on a (T, n, n) stack gives each matrix the
+    bits of its own call and of the reference, whatever else the stack holds."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shape=st.integers(3, 11).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1))),
+        mode=st.sampled_from(["exhaustive", "greedy"]),
+        cases=st.lists(
+            st.tuples(st.sampled_from(_STACK_KINDS), st.integers(-300, 300), st.booleans(),
+                      st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=3,
+        ),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    )
+    @example(shape=(8, 3), mode="greedy", cases=[("gaussian", 0, False, 1)], picks=[0])  # a stack of one
+    @example(shape=(8, 3), mode="exhaustive", cases=[("blocks", 300, False, 2)], picks=[0])
+    # one matrix twice and in two orders: the restarts give every matrix the
+    # same start supports, so a merge across matrices would change a value
+    @example(shape=(12, 4), mode="greedy", cases=[("signed graph", 0, False, 679), ("signed graph", 0, True, 679)],
+             picks=[0, 1, 0, 1])
+    @example(shape=(10, 3), mode="greedy", cases=[("gaussian", -300, False, 3), ("integer", 300, True, 4)],
+             picks=[1, 0, 0])
+    @example(shape=(9, 4), mode="exhaustive", cases=[("integer", 0, False, 5), ("integer", 0, True, 5)],
+             picks=[1, 1, 0])
+    def test_each_value_equals_its_own_call_and_the_reference(self, shape, mode, cases, picks):
+        n, k = shape
+        mats = [stack_case(kind, e, permuted, n, seed) for kind, e, permuted, seed in cases]
+        stack = np.stack([mats[p % len(mats)] for p in picks])
+        got = k_sparse_largest_eigenvalue(stack, k, mode)
+        assert got.shape == (len(picks),) and got.dtype == np.float64
+        reference = reference_greedy_k_sparse if mode == "greedy" else reference_max_lambda1_subsets
+        for value, dense in zip(got, stack):
+            alone = k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(dense), k, mode)
+            assert bits(value) == bits(alone) == bits(reference(dense, k))
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_shortcut_sizes_equal_their_own_calls(self, mode, k):
+        stack = gaussian_sym_batch(6, 3, 0, 5)
+        alone = [k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(G), k, mode) for G in stack]
+        assert k_sparse_largest_eigenvalue(stack, k, mode).tolist() == alone
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+    def test_an_empty_stack_gives_no_values(self, mode):
+        assert k_sparse_largest_eigenvalue(np.zeros((0, 6, 6)), 3, mode).shape == (0,)
+
+    def test_rejects_what_is_not_a_stack_of_finite_symmetric_matrices(self):
+        stack = gaussian_sym_batch(5, 1, 0, 3)
+        with pytest.raises(InvalidDimensionError, match="expected a"):
+            k_sparse_largest_eigenvalue(stack[0], 2, "greedy")
+        with pytest.raises(InvalidArgumentError, match="unknown mode"):
+            k_sparse_largest_eigenvalue(stack, 2, "bogus")
+        asymmetric = stack.copy()
+        asymmetric[1, 0, 4] += 1.0
+        with pytest.raises(InvalidArgumentError, match="symmetric"):
+            k_sparse_largest_eigenvalue(asymmetric, 2, "greedy")
+        stack[2, 3, 3] = np.nan
+        with pytest.raises(NumericalFailureError):
+            k_sparse_largest_eigenvalue(stack, 2, "exhaustive")
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from([(8, 3), (9, 4), (12, 2)]),
+        trials=st.integers(2, 40),
+        window=st.tuples(st.integers(0, 39), st.integers(1, 40)),
+        step_rows=st.sampled_from([1, 200, 1000, 4096]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(shape=(8, 3), trials=40, window=(10, 30), step_rows=4096, seed=0)  # chunks of 13
+    def test_greedy_trials_are_a_window_of_a_longer_run(self, shape, trials, window, step_rows, seed):
+        # whatever the lockstep chunks of the run, trials [a, b) have the bits
+        # of the same trials drawn as one window, and of each drawn alone
+        n, k = shape
+        a = min(window[0], trials - 1)
+        b = min(max(window[1], a + 1), trials)
+        with mock.patch.object(widths, "_GREEDY_STEP_ROWS", step_rows):
+            run = width_dual_base_sparse(n, k, trials, seed, "greedy").per_trial_values
+        drawn = gaussian_sym_batch(n, seed, a, b)
+        alone = [k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(G), k, "greedy") for G in drawn]
+        assert bits(run[a:b]) == bits(k_sparse_largest_eigenvalue(drawn, k, "greedy")) == bits(alone)
+
+
 class TestGreedyRestartCache:
     """Greedy mode keeps no restart cache: every call draws its 20 restarts
     from the fixed internal stream, and cold and warm runs agree."""
@@ -580,7 +685,7 @@ class TestGreedyRestartCache:
         draw, ascents = cones.substream, cones._swap_ascents
         monkeypatch.setattr(cones, "substream", lambda key, *a: keys.append(key) or draw(key, *a))
         monkeypatch.setattr(
-            cones, "_swap_ascents", lambda dense, supports: starts.append(supports[1:]) or ascents(dense, supports)
+            cones, "_swap_ascents", lambda stack, supports: starts.append(supports[0, 1:]) or ascents(stack, supports)
         )
         G = sample_standard_gaussian_sym(n, 5)
         values = [k_sparse_largest_eigenvalue(G, k, "greedy") for _ in range(2)]
@@ -1017,6 +1122,7 @@ _REPRO_ESTIMATORS = {
     "base_psd": lambda trials: width_base_psd(7, trials, seed=11),
     "general_dual": lambda trials: width_general_dual(_REPRO_FAMILY, trials, seed=12),
     "sparse_dual": lambda trials: width_dual_base_sparse(8, 3, trials, seed=13),
+    "sparse_dual_greedy": lambda trials: width_dual_base_sparse(8, 3, trials, seed=14, mode="greedy"),
 }
 
 
@@ -1025,6 +1131,29 @@ def _same_estimate(a, b):
         np.array_equal(a.per_trial_values.view(np.uint64), b.per_trial_values.view(np.uint64))
         and (a.mean, a.std_error, a.trials) == (b.mean, b.std_error, b.trials)
     )
+
+
+class TestThreadCount:
+    """The pool's worker cap is the number of cores this process may run on."""
+
+    def test_counts_the_allowed_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert widths.thread_count() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert widths.thread_count() == 3
+
+    def test_falls_back_to_the_core_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert widths.thread_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert widths.thread_count() == 1
+
+    def test_one_allowed_core_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(widths, "ThreadPoolExecutor", mock.Mock(side_effect=AssertionError("started a pool")))
+        assert width_base_psd(4, 200, seed=1).trials == 200
 
 
 class TestReproducibility:
