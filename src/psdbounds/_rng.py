@@ -14,8 +14,11 @@ _U64 = 2**64
 
 
 def check_seed(seed: int) -> int:
-    """Validate and return a 64-bit unsigned seed."""
-    seed = int(seed)
+    """Validate and return a 64-bit unsigned seed, a Python or numpy integer."""
+    if type(seed) is not int:  # substream checks every lane's seed: int takes one test
+        if isinstance(seed, bool) or not hasattr(type(seed), "__index__"):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        seed = int(seed)
     if not 0 <= seed < _U64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed

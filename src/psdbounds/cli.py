@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, bounds, cones, hypercube, linalg, widths
+from . import __version__, cones, linalg, widths
 from ._rng import check_seed, normal_rows, substream
 from .errors import InvalidArgumentError, NumericalFailureError, OracleFailureError, SizeLimitError
 
@@ -161,6 +161,7 @@ def _curve_csv(args: argparse.Namespace, curve: bounds.BoundCurve) -> str:
 
 
 def _run_eval(args: argparse.Namespace, params: dict) -> int:
+    from . import bounds
     params["formula"] = args.formula
     _check_finite(params["extra"])
     value = bounds.evaluate(args.formula, params["extra"])
@@ -169,6 +170,7 @@ def _run_eval(args: argparse.Namespace, params: dict) -> int:
 
 
 def _run_curve(args: argparse.Namespace, params: dict) -> int:
+    from . import bounds
     _check_finite(params["extra"])
     curve = bounds.emit_curve(args.formula, parse_grid(args.grid), **params["extra"])
     _emit(_curve_csv(args, curve), args.out)
@@ -316,6 +318,7 @@ def _run_witness(args: argparse.Namespace, params: dict) -> int:
 
 
 def _verify_harmonic(n, trials, seed, lam):
+    from . import hypercube
     return trials, [
         {"trial": t, "seed": seed, "norm2": norm2, "bound": bound}
         for t, norm2, bound in hypercube.harmonic_trials(n, trials, seed, lam)
@@ -324,6 +327,7 @@ def _verify_harmonic(n, trials, seed, lam):
 
 
 def _verify_hypercontractivity(n, trials, seed, rho, p):
+    from . import hypercube
     return trials, [
         {"trial": t, "seed": seed, "rho": rho, "p": p, "lhs": lhs, "rhs": rhs}
         for t, lhs, rhs in hypercube.hypercontractivity_trials(n, trials, seed, rho, p)
@@ -332,6 +336,7 @@ def _verify_hypercontractivity(n, trials, seed, rho, p):
 
 
 def _verify_moments(n):
+    from . import hypercube
     failures = []
     mean, second = hypercube.q_poly_moments(n)
     expected = 2 * n * (n - 1)
@@ -341,6 +346,7 @@ def _verify_moments(n):
 
 
 def _verify_variance(n, trials, seed):
+    from . import hypercube
     limit = hypercube.MAX_ENUMERATION_BITS
     if n > limit:  # before the 2^n-value tables are drawn
         raise SizeLimitError(f"per-trial enumeration supports n <= {limit}, got {n}")
@@ -377,6 +383,7 @@ def _verify_maximal(trials, seed):
     chi-square ones take (trials, N) normals in blocks, in order, from the
     one (seed, N) stream.
     """
+    from . import bounds
     failures = []
     checked = 0
     for count in (2, 10, 100):
@@ -406,6 +413,7 @@ def _verify_maximal(trials, seed):
 
 
 def _run_hypercube(args: argparse.Namespace, params: dict) -> int:
+    from . import bounds
     lemma, n, trials, seed, lam = args.lemma, args.n, args.trials, args.seed, args.lam
     extra = params["extra"]
     _check_keys(f"the {lemma} lemma", extra, ("rho", "p") if lemma == "hypercontractivity" else ())
@@ -455,6 +463,7 @@ FIGURES = {
 
 
 def _run_figures(args: argparse.Namespace, params: dict) -> int:
+    from . import bounds
     params["name"] = args.name
     _check_finite(params["extra"])  # before any file is written
     default_grid, curves = FIGURES[args.name]

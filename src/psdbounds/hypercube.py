@@ -278,6 +278,7 @@ def hypercontractivity_trials(n: int, trials: int, seed: int, rho: float, p: flo
     substream.  Chunks of trials run as stacks, every trial's numbers are
     the bits of that trial computed alone, and all of them, 16 bytes a
     trial, are computed before the first yield."""
+    _check_trials(trials, 1)
     size, q = _check_n(n), _exponent_q(rho, p)
     kernel = lambda start, stop: _hypercontractivity_sides(normal_rows(seed, start, stop, size), rho, p, q)
     lhs, rhs = _run_trials(trials, _chunk_trials(n), kernel, outputs=2)
@@ -338,6 +339,7 @@ def harmonic_trials(n: int, trials: int, seed: int, lam: float):
     Chunks of trials run as stacks, every trial's numbers are the bits of
     that trial computed alone, and all the norms, 8 bytes a trial, are
     computed before the first yield."""
+    _check_trials(trials, 1)
     _check_n(n)
     _check_threshold(lam)
     width, bound = _low_degree_count(n), _harmonic_bound(lam)

@@ -165,9 +165,11 @@ class ConcentrationResult:
     estimate: WidthEstimate
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 2:
-        raise InvalidArgumentError(f"need at least 2 trials, got {trials}")
+def _check_trials(trials: int, least: int = 2) -> None:
+    if isinstance(trials, bool) or not hasattr(type(trials), "__index__"):
+        raise InvalidArgumentError(f"trials must be an integer, got {trials!r}")
+    if trials < least:
+        raise InvalidArgumentError(f"need at least {least} trials, got {trials}")
 
 
 def _run_trials(trials: int, chunk: int, kernel: Callable, outputs=1, workers=1) -> np.ndarray:

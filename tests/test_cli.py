@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from psdbounds import cli, hypercube, widths
+from psdbounds import bounds, cli, hypercube, widths
 from psdbounds.bounds import FORMULAS
 from psdbounds.cones import coordinate_family, write_conefam, witness_matrix
 from psdbounds.errors import SizeLimitError
@@ -490,7 +491,7 @@ class TestHypercubeVerify:
     def test_maximal_moments_equal_whole_array_draws(self, trials, capsys, monkeypatch):
         # a bound below every mean writes each sample's moments; 655 trials
         # fill one block of the N = 100 draws
-        monkeypatch.setattr(cli.bounds, "maximal_bound", lambda v, c, count: -1e300)
+        monkeypatch.setattr(bounds, "maximal_bound", lambda v, c, count: -1e300)
         argv = ["hypercube", "verify", "--lemma", "maximal", "--trials", str(trials), "--seed", "3"]
         code, out, _ = run_cli(argv, capsys)
         assert code == 1
@@ -1529,3 +1530,64 @@ class TestSubprocessEntryPoint:
         )
         assert proc.returncode == 0
         assert abs(json.loads(proc.stdout)["value"] - 0.137) <= 0.001
+
+    # bounds and hypercube (with hypercube's fractions) load on first use, so
+    # a process that only estimates widths or tests membership never runs them
+    LAZY = ("psdbounds.bounds", "psdbounds.hypercube", "fractions")
+
+    @staticmethod
+    def fresh(code):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("module", ["psdbounds", "psdbounds.cli"])
+    def test_import_leaves_bounds_and_hypercube_unloaded(self, module):
+        out = self.fresh(f"import sys, {module}; print(sorted(set({self.LAZY!r}) & set(sys.modules)))")
+        assert out.strip() == "[]"
+
+    def test_attribute_access_loads_the_imported_module(self):
+        out = self.fresh(
+            "import sys, psdbounds\n"
+            "lazy = psdbounds.hypercube\n"
+            "import psdbounds.hypercube\n"
+            "assert 'hypercube' in dir(psdbounds)\n"
+            "print(lazy is psdbounds.hypercube is sys.modules['psdbounds.hypercube'])"
+        )
+        assert out.strip() == "True"
+
+    def test_unknown_attribute_is_an_attribute_error(self):
+        out = self.fresh(
+            "import psdbounds\n"
+            "try:\n"
+            "    psdbounds.nosuch\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)"
+        )
+        assert out.strip() == "module 'psdbounds' has no attribute 'nosuch'"
+
+    @pytest.mark.parametrize(
+        "argv,lazy_loaded",
+        [
+            ("bounds eval --formula delta_star --params eps=0", True),
+            ("bounds curve --formula psi --grid 0.1:0.9:3", True),
+            ("widths estimate --kind base-psd --n 4 --trials 10", False),
+            ("cones witness --n 4 --k 2", False),
+            ("hypercube verify --lemma moments --n 4", True),
+            ("figures --name delta-star --out {tmp}", True),
+        ],
+        ids=["bounds-eval", "bounds-curve", "widths", "cones", "hypercube", "figures"],
+    )
+    def test_each_command_group_runs_as_a_module(self, argv, lazy_loaded, tmp_path):
+        # python -v logs every module the run loads, lazily or not
+        proc = subprocess.run(
+            [sys.executable, "-v", "-m", "psdbounds.cli", *argv.format(tmp=tmp_path / "figs").split()],
+            capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        loaded = set(re.findall(r"^import '([\w.]+)'", proc.stderr, re.MULTILINE))
+        assert {"psdbounds", "psdbounds.cones", "psdbounds.widths"} <= loaded
+        if lazy_loaded:
+            assert "psdbounds.bounds" in loaded
+        else:
+            assert not loaded & set(self.LAZY)

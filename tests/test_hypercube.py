@@ -480,6 +480,45 @@ class TestVarianceIdentity:
         assert empirical == float(values.var(ddof=1))
 
 
+# every trial loop of the module, as a function of its trial count and seed
+_LOOPS = {
+    "harmonic": lambda trials, seed: list(hypercube.harmonic_trials(4, trials, seed, 2.0)),
+    "hypercontractivity": lambda trials, seed: list(
+        hypercube.hypercontractivity_trials(4, trials, seed, 0.5, 2.0)
+    ),
+    "variance": lambda trials, seed: variance_identity_check(chi(4, 0b0011), trials, seed),
+}
+
+
+class TestIntegerCounts:
+    """Trial counts and seeds are Python or numpy integers: a bool, a
+    non-integral float or a str is refused, not rounded or parsed."""
+
+    @pytest.mark.parametrize("name", sorted(_LOOPS))
+    @pytest.mark.parametrize("trials", [True, 10.5, 10.0, np.float64(10.0), "12"])
+    def test_trials_must_be_an_integer(self, name, trials):
+        with pytest.raises(InvalidArgumentError, match="trials must be an integer"):
+            _LOOPS[name](trials, 3)
+
+    @pytest.mark.parametrize("name", sorted(_LOOPS))
+    @pytest.mark.parametrize("seed", [True, 3.7, 3.0, "12"])
+    def test_seed_must_be_an_integer(self, name, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            _LOOPS[name](10, seed)
+
+    @pytest.mark.parametrize("name", sorted(_LOOPS))
+    def test_numpy_integers_give_the_python_integer_bits(self, name):
+        want = _LOOPS[name](40, 3)
+        assert _LOOPS[name](np.int64(40), np.uint64(3)) == want
+        assert _LOOPS[name](np.int16(40), np.int8(3)) == want
+
+    @pytest.mark.parametrize("name", ["harmonic", "hypercontractivity"])
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_verify_loops_need_a_trial(self, name, trials):
+        with pytest.raises(InvalidArgumentError, match="need at least 1 trials"):
+            _LOOPS[name](trials, 3)
+
+
 class TestPairingIdentity:
     def test_exact_for_integer_functions(self, rng):
         # <f, q_y> = 2 proj_2 f(y) at every vertex; integer tables make both

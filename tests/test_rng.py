@@ -4,13 +4,38 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psdbounds import _rng
-from psdbounds._rng import _floyd_rows, k_subsets, normal_rows, substream
+from psdbounds._rng import _floyd_rows, check_seed, k_subsets, normal_rows, substream
 
 
 def philox_stream(seed, lane):
     """The stream substream promises: numpy's own Philox keyed by (seed, lane)."""
     key = np.array([seed, lane % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class TestCheckSeed:
+    @pytest.mark.parametrize(
+        "seed", [0, 12, 2**64 - 1, np.int8(12), np.int64(12), np.uint64(2**64 - 1)]
+    )
+    def test_python_and_numpy_integers_are_seeds(self, seed):
+        got = check_seed(seed)
+        assert type(got) is int and got == seed
+
+    @pytest.mark.parametrize("seed", [True, False, np.True_, 3.7, 3.0, np.float64(3.0), "12", None])
+    def test_anything_else_is_no_seed(self, seed):
+        # int() would take 3.7 for 3, True for 1 and "12" for 12
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            check_seed(seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-1)])
+    def test_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="64-bit unsigned"):
+            check_seed(seed)
+
+    def test_substream_takes_a_numpy_seed_as_its_value(self):
+        assert substream(np.uint64(7), 2).random() == substream(7, 2).random()
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            substream(7.0)
 
 
 class TestSubstream:

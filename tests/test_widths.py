@@ -1440,6 +1440,43 @@ class TestConcentration:
             concentration_check(l2_ball_oracle(3), alpha, 100, seed=0)
 
 
+# every estimator, as a function of its trial count and seed
+_COUNTED = {
+    "base_psd": lambda trials, seed: width_base_psd(4, trials, seed),
+    "sparse_dual": lambda trials, seed: width_dual_base_sparse(5, 2, trials, seed),
+    "sparse_dual_greedy": lambda trials, seed: width_dual_base_sparse(6, 2, trials, seed, mode="greedy"),
+    "general_dual": lambda trials, seed: width_general_dual(coordinate_family(4, 2), trials, seed),
+    "oracle": lambda trials, seed: width_via_oracle(l2_ball_oracle(3), trials, seed),
+    "concentration": lambda trials, seed: concentration_check(l2_ball_oracle(3), 0.5, trials, seed).estimate,
+}
+
+
+class TestIntegerCounts:
+    """Trial counts and seeds are Python or numpy integers: a bool, a
+    non-integral float or a str is refused, not rounded or parsed."""
+
+    @pytest.mark.parametrize("name", sorted(_COUNTED))
+    @pytest.mark.parametrize("trials", [True, 10.5, 10.0, np.float64(10.0), "12"])
+    def test_trials_must_be_an_integer(self, name, trials):
+        with pytest.raises(InvalidArgumentError, match="trials must be an integer"):
+            _COUNTED[name](trials, 3)
+
+    @pytest.mark.parametrize("name", sorted(_COUNTED))
+    @pytest.mark.parametrize("seed", [True, 3.7, 3.0, "12"])
+    def test_seed_must_be_an_integer(self, name, seed):
+        # 3.7 used to run seed 3's stream and echo seed=3.7
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            _COUNTED[name](10, seed)
+
+    @pytest.mark.parametrize("name", sorted(_COUNTED))
+    def test_numpy_integers_give_the_python_integer_bits(self, name):
+        want = _COUNTED[name](70, 3)
+        for trials, seed in ((np.int64(70), np.uint64(3)), (np.int16(70), np.int8(3))):
+            got = _COUNTED[name](trials, seed)
+            assert (got.mean, got.std_error, got.trials) == (want.mean, want.std_error, want.trials)
+            assert got.per_trial_values is None or got.per_trial_values.tobytes() == want.per_trial_values.tobytes()
+
+
 class TestKappa:
     def test_low_dimensions(self):
         assert abs(kappa(1) - math.sqrt(2 / math.pi)) < 1e-14
