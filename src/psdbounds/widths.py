@@ -7,7 +7,9 @@ cones; this module draws the trials and averages.  Every estimator is
 deterministic given its seed: matrix trials draw from per-trial substreams
 keyed (seed, trial), oracle trials consume a prefix of the (seed, 0) stream,
 and aggregation order is fixed, so results do not depend on the degree of
-parallelism.
+parallelism.  With more than one allowed core, base-psd chunks run on a
+thread pool, and one helper thread draws each next block of oracle
+directions, in stream order, while the caller evaluates the current block.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ _TINY_STD = 2.0**-480  # a std this large has squared deviations far above the s
 
 
 def thread_count() -> int:
-    """Worker cap for the matrix trial runner: every core this process may run on."""
+    """Every core this process may run on: the base-psd pool's worker cap; at
+    1, no loop starts a thread."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -116,7 +119,9 @@ class SupportOracle:
     maps a (T, dim) block of directions to T values.  Given one, the oracle
     derives the other (the batch run on one row, or evaluate run on each
     row), so both give the same bits; given neither, it raises
-    InvalidArgumentError.  Oracles must be pure.
+    InvalidArgumentError.  dim must be an integer >= 1, and the evaluate
+    derived from a batch takes only directions of shape (dim,); either
+    failure raises InvalidDimensionError.  Oracles must be pure.
     """
 
     dim: int
@@ -125,16 +130,30 @@ class SupportOracle:
     label: str = ""
 
     def __post_init__(self):
+        _check_dim(self.dim)
         # derived from the given callable, not self: an oracle holds no cycle
-        one, batch = self.evaluate, self.evaluate_batch
+        one, batch, dim = self.evaluate, self.evaluate_batch, self.dim
         if one is None and batch is None:
             raise InvalidArgumentError("a support oracle needs evaluate or evaluate_batch")
         if one is None:
-            one = lambda g: float(batch(np.asarray(g, dtype=np.float64)[None])[0])
+
+            def one(g) -> float:
+                g = np.asarray(g, dtype=np.float64)
+                if g.shape != (dim,):
+                    raise InvalidDimensionError(f"direction must have shape ({dim},), got {g.shape}")
+                return float(batch(g[None])[0])
+
         elif batch is None:
             batch = _batch_of(one)
         object.__setattr__(self, "evaluate", one)
         object.__setattr__(self, "evaluate_batch", batch)
+
+
+def _check_dim(dim: int) -> None:
+    if isinstance(dim, bool) or not hasattr(type(dim), "__index__"):
+        raise InvalidDimensionError(f"dimension must be an integer, got {dim!r}")
+    if dim < 1:
+        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
 
 
 def _batch_of(one: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -208,6 +227,32 @@ def _run_trials(trials: int, chunk: int, kernel: Callable, outputs=1, workers=1)
             for task in [pool.submit(work) for _ in range(workers)]:
                 task.result()
     return values
+
+
+def _run_drawn_trials(trials: int, chunk: int, draw: Callable, kernel: Callable) -> np.ndarray:
+    """_run_trials of kernel(start, draw(stop - start)), kernel always on the
+    caller's thread: each chunk's block is the next draw(take) from one
+    sequential stream, in order.  When thread_count() > 1 and there is more than one chunk, one
+    helper thread draws block i + 1 while the caller runs kernel on block i;
+    only the helper calls draw, in the same order and with the same sizes,
+    so every block keeps its bits.  At most two blocks are alive at once.
+    An error from either side propagates once the helper has stopped."""
+    if thread_count() <= 1 or trials <= chunk:
+        return _run_trials(trials, chunk, lambda start, stop: kernel(start, draw(stop - start)))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        ahead = helper.submit(draw, chunk)
+
+        def work(start: int, stop: int) -> np.ndarray:
+            nonlocal ahead
+            block = ahead.result()
+            if stop < trials:
+                ahead = helper.submit(draw, min(chunk, trials - stop))
+            return kernel(start, block)
+
+        try:
+            return _run_trials(trials, chunk, work)
+        finally:
+            ahead.cancel()  # the pool's exit waits out a draw already running
 
 
 def _mean_and_var(values: np.ndarray) -> tuple[float, float]:
@@ -341,13 +386,14 @@ def _oracle_values(oracle: SupportOracle, trials: int, seed: int) -> np.ndarray:
     """Per-trial support values on standard Gaussian directions.
 
     Directions are a prefix of the (seed, 0) stream, drawn in fixed-size
-    blocks; trial t sees the same direction no matter the total trial count.
+    blocks by _run_drawn_trials; trial t sees the same direction no matter
+    the total trial count or the thread count.
     """
     rng = substream(seed)
+    draw = lambda take: rng.standard_normal((take, oracle.dim))
 
-    def kernel(start: int, stop: int) -> np.ndarray:
-        take = stop - start
-        dirs = rng.standard_normal((take, oracle.dim))
+    def kernel(start: int, dirs: np.ndarray) -> np.ndarray:
+        take = len(dirs)
         with np.errstate(over="ignore", invalid="ignore"):  # the finite check names the trial
             vals = np.asarray(oracle.evaluate_batch(dirs), dtype=np.float64)
         if vals.shape != (take,):
@@ -361,7 +407,7 @@ def _oracle_values(oracle: SupportOracle, trials: int, seed: int) -> np.ndarray:
             )
         return vals
 
-    return _run_trials(trials, max(1, (1 << 16) // max(1, oracle.dim)), kernel)
+    return _run_drawn_trials(trials, max(1, (1 << 16) // oracle.dim), draw, kernel)
 
 
 def width_via_oracle(
@@ -425,15 +471,23 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
     numpy sums each row with its own inner loop, which costs more than the
     arithmetic when rows are short.  Below 8 columns numpy adds the terms in
-    order and the row sum to 0.0, so this adds whole columns in order;
-    wider blocks go to x.sum.
+    order and the row sum to 0.0, so this adds whole columns in order, in
+    one new array; wider blocks go to x.sum.
     """
     if x.shape[1] >= 8:
         return x.sum(axis=1)
     total = x[:, 0].copy()
     for j in range(1, x.shape[1]):
         total += x[:, j]
-    return 0.0 + total
+    return np.add(0.0, total, out=total)
+
+
+def _scaled_norms(squares: np.ndarray, scale: float) -> np.ndarray:
+    """scale * np.sqrt(_row_sums(squares)), bit for bit, with the root and
+    the scaling taken in place on the one array of row sums."""
+    norms = _row_sums(squares)
+    np.sqrt(norms, out=norms)
+    return np.multiply(scale, norms, out=norms)
 
 
 # With the largest semi-axis s between these bounds, no (s g)^2 overflows for a
@@ -442,8 +496,7 @@ _PLAIN_AXES = (2.0**-300, 2.0**300)
 
 
 def _check_ball(dim: int, radius: float) -> None:
-    if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
+    _check_dim(dim)
     if isinstance(radius, bool) or not isinstance(radius, numbers.Real):
         raise InvalidArgumentError(f"parameter 'radius' must be a number, got {radius!r}")
     if not (math.isfinite(radius) and radius >= 0):
@@ -460,7 +513,7 @@ def l2_ball_oracle(dim: int, radius: float = 1.0) -> SupportOracle:
     _check_ball(dim, radius)
     return SupportOracle(
         dim,
-        evaluate_batch=lambda dirs: radius * np.sqrt(_row_sums(dirs * dirs)),
+        evaluate_batch=lambda dirs: _scaled_norms(dirs * dirs, radius),
         label=f"l2-ball(d={dim}, r={radius:g})",
     )
 
@@ -480,9 +533,14 @@ def ellipsoid_oracle(semi_axes) -> SupportOracle:
         scale, unit = 1.0, axes  # x * 1.0 is exactly x
     else:
         unit = axes / scale
+
+    def batch(dirs: np.ndarray) -> np.ndarray:
+        terms = dirs * unit
+        return _scaled_norms(np.square(terms, out=terms), scale)
+
     return SupportOracle(
         axes.size,
-        evaluate_batch=lambda dirs: scale * np.sqrt(_row_sums((dirs * unit) ** 2)),
+        evaluate_batch=batch,
         label=f"ellipsoid(axes={','.join(format(a, 'g') for a in axes)})",
     )
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -285,8 +287,12 @@ class TestThreadCountReproducibility:
             ["widths", "estimate", "--kind", "sparse-dual", "--n", "8", "--k", "3", "--trials", "150"],
             ["widths", "estimate", "--kind", "general-dual", "--family", "family.conefam",
              "--trials", "200"],
+            # three blocks of 32,768 directions, the last one partly filled
+            ["widths", "estimate", "--kind", "oracle:ellipsoid", "--params", "axes=2:1",
+             "--trials", "70000"],
+            ["widths", "estimate", "--kind", "oracle:l2-ball", "--n", "3000", "--trials", "100"],
         ],
-        ids=["base-psd", "sparse-dual", "general-dual"],
+        ids=["base-psd", "sparse-dual", "general-dual", "oracle-ellipse", "oracle-l2-d3000"],
     )
     def test_one_and_two_threads_write_the_same_bytes(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -304,6 +310,18 @@ class TestThreadCountReproducibility:
             runs.append(run)
         assert runs[0] == runs[1]
         assert all(stdout and written for stdout, written in runs[0])
+
+    def test_one_and_two_threads_write_the_same_maximal_bytes(self, capsys, monkeypatch):
+        # 40,000 trials: two blocks at N = 2 and N = 10, 62 at N = 100; a bound
+        # below every mean writes each sample's moments
+        monkeypatch.setattr(bounds, "maximal_bound", lambda v, c, count: -1e300)
+        argv = ["hypercube", "verify", "--lemma", "maximal", "--trials", "40000", "--seed", "3"]
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(widths, "thread_count", lambda: threads)
+            runs.append(run_cli(argv, capsys))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1 and len(last_json(runs[0][1])["report"]["failures"]) == 6
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -1545,6 +1563,14 @@ class TestSubprocessEntryPoint:
     def test_import_leaves_bounds_and_hypercube_unloaded(self, module):
         out = self.fresh(f"import sys, {module}; print(sorted(set({self.LAZY!r}) & set(sys.modules)))")
         assert out.strip() == "[]"
+
+    def test_every_cli_function_hint_resolves(self):
+        # the hints name bounds' types through the package, which loads it then
+        functions = [f for f in vars(cli).values() if inspect.isfunction(f) and f.__module__ == cli.__name__]
+        assert cli._curve_csv in functions
+        for function in functions:
+            typing.get_type_hints(function)
+        assert typing.get_type_hints(cli._curve_csv)["curve"] is bounds.BoundCurve
 
     def test_attribute_access_loads_the_imported_module(self):
         out = self.fresh(

@@ -40,6 +40,7 @@ from psdbounds.widths import (
 )
 
 from psdbounds import cones, widths
+from psdbounds._rng import substream
 
 from _oracles import (
     brute_max_ksparse_lambda1,
@@ -980,6 +981,36 @@ class TestWidthViaOracle:
         with pytest.raises(InvalidDimensionError, match="dimension must be >= 1"):
             make(dim)
 
+    @pytest.mark.parametrize("make", [l2_ball_oracle, l1_ball_oracle])
+    @pytest.mark.parametrize("dim", [2.5, True, 3.0, "3", None])
+    def test_ball_oracles_reject_a_dimension_that_is_not_an_integer(self, make, dim):
+        with pytest.raises(InvalidDimensionError, match="dimension must be an integer"):
+            make(dim)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True, False, 3.0, "3", None])
+    def test_an_oracle_needs_an_integer_dimension_of_at_least_one(self, dim):
+        # dim=0 gave a width of 0.0; -1, 2.5 and True failed inside numpy
+        with pytest.raises(InvalidDimensionError, match="dimension must be"):
+            SupportOracle(dim, evaluate_batch=lambda dirs: dirs[:, 0])
+
+    def test_a_numpy_integer_dimension_is_an_integer(self):
+        oracle = SupportOracle(np.int64(3), evaluate_batch=lambda dirs: np.abs(dirs).max(axis=1))
+        want = width_via_oracle(l1_ball_oracle(3), 50, seed=4)
+        assert width_via_oracle(oracle, 50, seed=4).per_trial_values.tobytes() == want.per_trial_values.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: l2_ball_oracle(3), lambda: ellipsoid_oracle([1.0, 2.0, 3.0]), lambda: l1_ball_oracle(3),
+         lambda: shifted_oracle(l2_ball_oracle(3), [1.0, 0.0, -1.0])],
+        ids=["l2-ball", "ellipsoid", "l1-ball", "shifted"],
+    )
+    @pytest.mark.parametrize("g", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], 1.0],
+                             ids=["short", "long", "row", "scalar"])
+    def test_a_derived_evaluate_rejects_a_direction_of_the_wrong_shape(self, make, g):
+        # l2_ball_oracle(3).evaluate([1, 2]) gave 2.236
+        with pytest.raises(InvalidDimensionError, match=r"direction must have shape \(3,\)"):
+            make().evaluate(np.array(g))
+
     def test_zero_radius_is_a_point(self):
         assert width_via_oracle(l2_ball_oracle(3, 0.0), 10, seed=1).mean == 0.0
 
@@ -1087,6 +1118,33 @@ def _row_sum_entries():
     special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308])
     normal = st.floats(-1e6, 1e6, allow_nan=False)
     return st.one_of(normal, special)
+
+
+class TestNormOraclesInPlace:
+    """The l2-ball and ellipsoid batches square, root and scale in place: the
+    bits of the formulas radius * sqrt(sum(g * g)) and s * sqrt(sum((u o g)^2)),
+    and the directions they read are left as they were."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 40])
+    @pytest.mark.parametrize("radius", [1.0, 2.5, 3, 1e-300])
+    def test_l2_ball_bits(self, dim, radius):
+        dirs = np.random.default_rng(dim).standard_normal((300, dim))
+        dirs[0] = 0.0
+        before = dirs.copy()
+        got = l2_ball_oracle(dim, radius).evaluate_batch(dirs)
+        assert got.tobytes() == (radius * np.sqrt((dirs * dirs).sum(axis=1))).tobytes()
+        assert dirs.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("axes", [[2.0, 1.0], [1.5, 0.5, 2.0], [1e-200, 1e-200], [1e200, 1.0], list(range(1, 12))])
+    def test_ellipsoid_bits(self, axes):
+        a = np.asarray(axes, dtype=np.float64)
+        scale = float(a.max())
+        scale, unit = (1.0, a) if 2.0**-300 <= scale <= 2.0**300 else (scale, a / scale)
+        dirs = np.random.default_rng(len(axes)).standard_normal((300, a.size))
+        before = dirs.copy()
+        got = ellipsoid_oracle(axes).evaluate_batch(dirs)
+        assert got.tobytes() == (scale * np.sqrt(((dirs * unit) ** 2).sum(axis=1))).tobytes()
+        assert dirs.tobytes() == before.tobytes()
 
 
 class TestRowSums:
@@ -1312,6 +1370,128 @@ class TestRunTrials:
         with pytest.raises(OracleFailureError) as caught:
             widths._run_trials(20, 4, kernel, workers=workers)
         assert caught.value is error
+
+
+def _first_coordinate(dim, label="first-coordinate"):
+    # the batch returns each direction's first entry, so values name directions
+    return SupportOracle(dim, evaluate_batch=lambda dirs: dirs[:, 0].copy(), label=label)
+
+
+class TestDrawnTrialsThread:
+    """widths._run_drawn_trials: one helper thread draws the next block of a
+    sequential stream while the caller evaluates the current one."""
+
+    @staticmethod
+    def record(trials, chunk):
+        draws, kernels = [], []
+
+        def draw(take):
+            draws.append((take, threading.get_ident()))
+            return np.full(take, float(len(draws)))
+
+        def kernel(start, block):
+            kernels.append((start, threading.get_ident()))
+            return block + start
+
+        return widths._run_drawn_trials(trials, chunk, draw, kernel), draws, kernels
+
+    def test_two_threads_draw_every_block_in_order_on_the_helper(self, monkeypatch):
+        monkeypatch.setattr(widths, "thread_count", lambda: 2)
+        values, draws, kernels = self.record(10, 4)
+        caller = threading.get_ident()
+        assert [take for take, _ in draws] == [4, 4, 2]
+        assert len({ident for _, ident in draws}) == 1 and draws[0][1] != caller
+        assert kernels == [(0, caller), (4, caller), (8, caller)]
+        assert values.tolist() == [1.0] * 4 + [6.0] * 4 + [11.0] * 2
+
+    @pytest.mark.parametrize("threads, trials", [(1, 10), (2, 4), (2, 3)], ids=["one-core", "one-block", "short"])
+    def test_one_core_or_one_block_starts_no_thread(self, threads, trials, monkeypatch):
+        monkeypatch.setattr(widths, "thread_count", lambda: threads)
+        monkeypatch.setattr(widths, "ThreadPoolExecutor", mock.Mock(side_effect=AssertionError("started a thread")))
+        values, draws, kernels = self.record(trials, 4)
+        caller = threading.get_ident()
+        assert all(ident == caller for _, ident in draws + kernels)
+        assert sum(take for take, _ in draws) == trials
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: l2_ball_oracle(2), lambda: ellipsoid_oracle([2.0, 1.0]), lambda: l2_ball_oracle(4096),
+         lambda: ellipsoid_oracle(np.linspace(0.5, 3.0, 3000)),
+         lambda: shifted_oracle(l1_ball_oracle(5000), np.linspace(-1.0, 1.0, 5000))],
+        ids=["disc", "ellipse", "l2-d4096", "ellipsoid-d3000", "shifted-l1-d5000"],
+    )
+    def test_one_and_two_threads_give_the_same_oracle_bits(self, make, monkeypatch):
+        # the disc and ellipse run four blocks of 32,768 directions; the wide
+        # oracles run blocks of at most 21 directions
+        oracle = make()
+        trials = 100_000 if oracle.dim == 2 else 200
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(widths, "thread_count", lambda: threads)
+            width = width_via_oracle(oracle, trials, seed=17)
+            check = concentration_check(oracle, 0.3, trials, seed=17)
+            runs.append((width.per_trial_values.tobytes(), width.mean.hex(), width.std_error.hex(),
+                         check.empirical.hex(), check.estimate.mean.hex(), check.estimate.std_error.hex()))
+        assert runs[0] == runs[1]
+
+    def test_blocks_stay_in_order_under_fast_thread_switching(self, monkeypatch):
+        # switching threads every microsecond: a block drawn twice, lost or
+        # handed to the wrong chunk shows in the values
+        monkeypatch.setattr(widths, "thread_count", lambda: 2)
+        stream = iter(range(10**6))
+        draw = lambda take: np.array([float(next(stream)) for _ in range(take)])
+        result = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: result.update(values=widths._run_drawn_trials(5000, 3, draw, lambda start, block: block)),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not runner.is_alive()
+        assert result["values"].tobytes() == np.arange(5000, dtype=np.float64).tobytes()
+
+    def test_trial_directions_do_not_depend_on_the_trial_window(self, monkeypatch):
+        # blocks of 16 directions: windows inside one block, at its edge and past three
+        monkeypatch.setattr(widths, "thread_count", lambda: 2)
+        oracle = _first_coordinate(4096)
+        want = substream(5).standard_normal((100, 4096))[:, 0]
+        for trials in (2, 15, 16, 17, 48, 49, 100):
+            got = width_via_oracle(oracle, trials, seed=5).per_trial_values
+            assert got.tobytes() == want[:trials].tobytes(), trials
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_nan_in_the_third_block_names_its_trial_and_stops_the_thread(self, threads, monkeypatch):
+        # blocks of 16 directions: trial 37 is the sixth of the third block
+        monkeypatch.setattr(widths, "thread_count", lambda: threads)
+        direction = substream(9).standard_normal((38, 4096))[37]
+        marked = lambda dirs: np.where(dirs[:, 0] == direction[0], np.nan, dirs[:, 0])
+        oracle = SupportOracle(4096, evaluate_batch=marked, label="nan-at-37")
+        before = threading.active_count()
+        with pytest.raises(OracleFailureError, match=r"oracle nan-at-37 returned a non-finite value at trial 37$") as err:
+            width_via_oracle(oracle, 200, seed=9)
+        assert err.value.direction.tobytes() == direction.tobytes()
+        assert threading.active_count() == before
+
+    def test_a_draw_error_propagates_and_stops_the_thread(self, monkeypatch):
+        monkeypatch.setattr(widths, "thread_count", lambda: 2)
+        error, calls = MemoryError("third block"), []
+
+        def draw(take):
+            calls.append(take)
+            if len(calls) == 3:
+                raise error
+            return np.zeros(take)
+
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as caught:
+            widths._run_drawn_trials(20, 4, draw, lambda start, block: block)
+        assert caught.value is error
+        assert threading.active_count() == before
 
 
 def _moment_arrays():
