@@ -387,26 +387,22 @@ def _verify_maximal(trials, seed):
     Standard normals have MGF parameters (1, 0); centered chi-square(1)
     variables have (4, 4).  For each N, the Gaussian maxima and then the
     chi-square ones take (trials, N) normals in blocks, in order, from the
-    one (seed, N) stream, drawn ahead on a helper thread where
-    widths._run_drawn_trials runs one.
+    one (seed, N) stream.
     """
     from . import bounds
     failures = []
     checked = 0
     for count in (2, 10, 100):
         rng = substream(seed, count)
-        draw = lambda take: rng.standard_normal((take, count))
         for name, v, c in (("gaussian", 1.0, 0.0), ("chi2", 4.0, 4.0)):
 
-            def kernel(start, draws):
-                if name == "chi2":  # draws**2 - 1.0, on the block this kernel owns
-                    np.subtract(np.square(draws, out=draws), 1.0, out=draws)
-                return draws.max(axis=1)
+            def kernel(start, stop):
+                draws = rng.standard_normal((stop - start, count))
+                return (draws if name == "gaussian" else draws**2 - 1.0).max(axis=1)
 
             checked += 1
             bound = bounds.maximal_bound(v, c, count)
-            values = widths._run_drawn_trials(trials, (1 << 16) // count, draw, kernel)
-            mean, var = widths._mean_and_var(values)
+            mean, var = widths._mean_and_var(widths._run_trials(trials, (1 << 16) // count, kernel))
             se = math.sqrt(var) / math.sqrt(trials)
             if mean > bound + 3.0 * se:
                 failures.append(

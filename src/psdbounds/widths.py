@@ -511,10 +511,11 @@ def l2_ball_oracle(dim: int, radius: float = 1.0) -> SupportOracle:
     np.linalg.norm(dirs, axis=1).
     """
     _check_ball(dim, radius)
+    scale = float(radius)  # a Real times a float array is float(radius) times it
     return SupportOracle(
         dim,
-        evaluate_batch=lambda dirs: _scaled_norms(dirs * dirs, radius),
-        label=f"l2-ball(d={dim}, r={radius:g})",
+        evaluate_batch=lambda dirs: _scaled_norms(dirs * dirs, scale),
+        label=f"l2-ball(d={dim}, r={scale:g})",
     )
 
 

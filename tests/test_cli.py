@@ -311,18 +311,6 @@ class TestThreadCountReproducibility:
         assert runs[0] == runs[1]
         assert all(stdout and written for stdout, written in runs[0])
 
-    def test_one_and_two_threads_write_the_same_maximal_bytes(self, capsys, monkeypatch):
-        # 40,000 trials: two blocks at N = 2 and N = 10, 62 at N = 100; a bound
-        # below every mean writes each sample's moments
-        monkeypatch.setattr(bounds, "maximal_bound", lambda v, c, count: -1e300)
-        argv = ["hypercube", "verify", "--lemma", "maximal", "--trials", "40000", "--seed", "3"]
-        runs = []
-        for threads in (1, 2):
-            monkeypatch.setattr(widths, "thread_count", lambda: threads)
-            runs.append(run_cli(argv, capsys))
-        assert runs[0] == runs[1]
-        assert runs[0][0] == 1 and len(last_json(runs[0][1])["report"]["failures"]) == 6
-
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 _GOLDEN_RUNS = {

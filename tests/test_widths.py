@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -1134,6 +1135,15 @@ class TestNormOraclesInPlace:
         got = l2_ball_oracle(dim, radius).evaluate_batch(dirs)
         assert got.tobytes() == (radius * np.sqrt((dirs * dirs).sum(axis=1))).tobytes()
         assert dirs.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("radius", [Fraction(1, 3), Fraction(7), np.float32(0.1), np.int64(3)])
+    def test_l2_ball_bits_of_other_reals(self, radius):
+        dirs = np.random.default_rng(5).standard_normal((300, 3))
+        oracle = l2_ball_oracle(3, radius)
+        got = oracle.evaluate_batch(dirs)
+        assert got.dtype == np.float64
+        assert got.tobytes() == (float(radius) * np.sqrt((dirs * dirs).sum(axis=1))).tobytes()
+        assert oracle.label == f"l2-ball(d=3, r={float(radius):g})"
 
     @pytest.mark.parametrize("axes", [[2.0, 1.0], [1.5, 0.5, 2.0], [1e-200, 1e-200], [1e200, 1.0], list(range(1, 12))])
     def test_ellipsoid_bits(self, axes):
