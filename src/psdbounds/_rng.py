@@ -13,10 +13,16 @@ import numpy as np
 _U64 = 2**64
 
 
+def is_integer(x) -> bool:
+    """True for a Python or numpy integer; False for a bool, a float (even
+    3.0) or a str.  Every size, count and seed argument must pass it."""
+    return type(x) is int or (not isinstance(x, bool) and hasattr(type(x), "__index__"))
+
+
 def check_seed(seed: int) -> int:
     """Validate and return a 64-bit unsigned seed, a Python or numpy integer."""
     if type(seed) is not int:  # substream checks every lane's seed: int takes one test
-        if isinstance(seed, bool) or not hasattr(type(seed), "__index__"):
+        if not is_integer(seed):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         seed = int(seed)
     if not 0 <= seed < _U64:

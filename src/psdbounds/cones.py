@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rng import check_seed, k_subsets, substream
+from ._rng import check_seed, is_integer, k_subsets, substream
 from .errors import (
     EnumerationLimitError,
     InvalidArgumentError,
@@ -28,7 +28,7 @@ from .errors import (
     SizeLimitError,
 )
 from .linalg import SymmetricMatrix, psd_tolerance, require_finite
-from .linalg import _diagonal_sums, _dumps_v1, _loads_v1, _read_text, _write_text
+from .linalg import _check_dim, _diagonal_sums, _dumps_v1, _loads_v1, _read_text, _write_text
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -46,7 +46,6 @@ __all__ = [
     "witness_trace",
     "eps_star_lower_sparse",
     "coordinate_family",
-    "sample_factor_width_extreme",
     "write_conefam",
     "read_conefam",
 ]
@@ -132,8 +131,9 @@ class ConeFamily:
 
 
 def _check_nk(n: int, k: int) -> None:
-    if n < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
+    _check_dim(n)
+    if not is_integer(k):
+        raise InvalidArgumentError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
 
@@ -404,8 +404,8 @@ def sparse_kpsd_refute(
     """
     n = X.dim
     _check_nk(n, k)
-    if samples < 1:
-        raise InvalidArgumentError(f"need at least one sample, got {samples}")
+    if not (is_integer(samples) and samples >= 1):
+        raise InvalidArgumentError(f"need an integer count of at least one sample, got {samples!r}")
     require_finite(X)
     tol = psd_tolerance(X, tol)
     dense = X.to_dense()
@@ -649,8 +649,8 @@ def _swap_ascents(stack: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def g_abn(a: float, b: float, n: int) -> SymmetricMatrix:
     """a * (all-ones projector) + b * (its complement): spectrum {a, b^(n-1)}."""
-    if n < 2:
-        raise InvalidDimensionError(f"need n >= 2, got {n}")
+    if not (is_integer(n) and n >= 2):
+        raise InvalidDimensionError(f"need an integer n >= 2, got {n!r}")
     p1 = np.full((n, n), 1.0 / n)
     dense = a * p1 + b * (np.eye(n) - p1)
     return SymmetricMatrix.from_dense(dense)
@@ -703,25 +703,6 @@ def coordinate_family(n: int, k: int) -> ConeFamily:
         SubspaceBasis(n, k, eye[:, subset]) for chunk in subset_chunks(n, k) for subset in chunk
     )
     return ConeFamily(n, bases)
-
-
-def sample_factor_width_extreme(n: int, k: int, seed: int) -> SymmetricMatrix:
-    """Random unit-trace rank-one v v^T with support on a uniform k-subset.
-
-    These are exactly the extreme points of the unit-trace slice of the dual
-    of the sparse k-PSD relaxation.
-    """
-    _check_nk(n, k)
-    rng = substream(check_seed(seed))
-    support = k_subsets(rng, n, k, 1)[0]
-    v = np.zeros(n)
-    u = rng.standard_normal(k)
-    norm = np.linalg.norm(u)
-    while norm == 0.0:  # probability zero, but keep the contract total
-        u = rng.standard_normal(k)
-        norm = np.linalg.norm(u)
-    v[support] = u / norm
-    return SymmetricMatrix.from_dense(np.outer(v, v))
 
 
 # -- conefam v1 text format ---------------------------------------------------

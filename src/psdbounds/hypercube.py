@@ -3,8 +3,8 @@
 Functions on {-1, 1}^n are tables of 2^n values.  Vertex index v encodes
 coordinates by its bits: coordinate b is +1 when bit b of v is 0 and -1 when
 it is 1.  Every transform, projection, and check in this module shares that
-convention; a silent mismatch here is the dominant bug class, so helpers to
-convert between indices and sign vectors are part of the public surface.
+convention; a silent mismatch here is the dominant bug class, so the maps
+from indices to sign vectors, vertex and all_vertices, are public.
 """
 
 from __future__ import annotations
@@ -15,15 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._rng import check_seed, normal_rows
+from ._rng import check_seed, is_integer, normal_rows
 from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
     PreconditionError,
     SizeLimitError,
 )
-from .linalg import SymmetricMatrix, gaussian_sym_batch
-from .linalg import _diagonal_sums, _dumps_v1, _loads_v1, _read_text, _write_text
+from .linalg import gaussian_sym_batch
+from .linalg import _diagonal_sums, _dumps_v1, _loads_v1, _project_traceless_stack, _read_text, _write_text
 from .widths import _check_trials, _mean_and_var, _run_trials
 
 # Not called in this module; kept as module attributes because the
@@ -37,25 +37,19 @@ __all__ = [
     "HypercubeFunction",
     "FourierExpansion",
     "vertex",
-    "vertex_index",
     "all_vertices",
     "fourier_transform",
     "inverse_fourier",
     "project_degree",
-    "noise_operator",
-    "norm_p",
     "bound_holds",
     "hypercontractivity_check",
     "harmonic_bound_check",
     "harmonic_trials",
     "hypercontractivity_trials",
     "proj2_norm",
-    "proj2_quadratic_form",
-    "slack_value",
     "q_poly_moments",
     "variance_identity_check",
     "random_bounded_function",
-    "threshold_split",
     "write_hfun",
     "read_hfun",
 ]
@@ -74,10 +68,10 @@ def _chunk_trials(n: int) -> int:
 
 
 def _check_n(n: int) -> int:
-    """2^n, the table size of a function of n bits; SizeLimitError unless
-    1 <= n <= MAX_TRANSFORM_BITS."""
-    if not 1 <= n <= MAX_TRANSFORM_BITS:
-        raise SizeLimitError(f"need 1 <= n <= {MAX_TRANSFORM_BITS}, got {n}")
+    """2^n, the table size of a function of n bits; SizeLimitError unless n
+    is an integer (_rng.is_integer) with 1 <= n <= MAX_TRANSFORM_BITS."""
+    if not (is_integer(n) and 1 <= n <= MAX_TRANSFORM_BITS):
+        raise SizeLimitError(f"need an integer 1 <= n <= {MAX_TRANSFORM_BITS}, got {n!r}")
     return 1 << n
 
 
@@ -145,12 +139,6 @@ def vertex(n: int, index: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def vertex_index(x) -> int:
-    x = np.asarray(x)
-    bits = (x < 0).astype(np.int64)
-    return int((bits << np.arange(x.size)).sum())
-
-
 def all_vertices(n: int) -> np.ndarray:
     """(2^n, n) matrix of sign vectors in index order."""
     _check_n(n)
@@ -201,23 +189,11 @@ def project_degree(f: HypercubeFunction, d: int) -> HypercubeFunction:
     return inverse_fourier(FourierExpansion(f.n, kept))
 
 
-def noise_operator(f: HypercubeFunction, rho: float) -> HypercubeFunction:
-    """Attenuate degree-d coefficients by rho^d."""
-    if not 0.0 <= rho <= 1.0:
-        raise InvalidArgumentError(f"rho must lie in [0, 1], got {rho}")
-    return HypercubeFunction(f.n, _noise_stack(f.values[None], rho)[0])
-
-
 def _noise_stack(values: np.ndarray, rho: float) -> np.ndarray:
     """T_rho of each row of a (T, 2^n) stack."""
     size = values.shape[-1]
     degrees = _degrees(size.bit_length() - 1)
     return _wht(_wht(values) / size * rho**degrees)
-
-
-def _check_p(p: float) -> None:
-    if not 1.0 <= p < math.inf:
-        raise InvalidArgumentError(f"need a finite p >= 1, got {p}")
 
 
 def _power_means(values: np.ndarray, p: float) -> np.ndarray:
@@ -227,12 +203,6 @@ def _power_means(values: np.ndarray, p: float) -> np.ndarray:
     trial: numpy's array power can round differently in the last bit.
     """
     return np.mean(np.abs(values) ** p, axis=-1)
-
-
-def norm_p(f: HypercubeFunction, p: float) -> float:
-    """Normalized p-norm: (mean |f|^p)^(1/p)."""
-    _check_p(p)
-    return float(_power_means(f.values[None], p)[0] ** (1.0 / p))
 
 
 def bound_holds(value: float, bound: float) -> bool:
@@ -250,7 +220,8 @@ def _exponent_q(rho: float, p: float) -> float:
     """q = 1 + (p-1)/rho^2 after checking rho and p; NumericalFailureError when q overflows."""
     if not 0.0 < rho <= 1.0:
         raise InvalidArgumentError(f"need 0 < rho <= 1, got {rho}")
-    _check_p(p)
+    if not 1.0 <= p < math.inf:
+        raise InvalidArgumentError(f"need a finite p >= 1, got {p}")
     rho2 = rho * rho
     if rho2 == 0.0:  # rho^2 underflows: q is 1 at p = 1 and overflows above
         q = 1.0 if p == 1.0 else math.inf
@@ -351,35 +322,6 @@ def harmonic_trials(n: int, trials: int, seed: int, lam: float):
         yield t, norm2, bound
 
 
-def proj2_quadratic_form(f: HypercubeFunction) -> SymmetricMatrix:
-    """Zero-diagonal matrix A with x^T A x equal to the degree-2 part of f at
-    every vertex: off-diagonal entries are half the pair coefficients.
-    """
-    n = f.n
-    expansion = fourier_transform(f)
-    dense = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dense[i, j] = dense[j, i] = 0.5 * expansion.coefficients[(1 << i) | (1 << j)]
-    return SymmetricMatrix.from_dense(dense)
-
-
-def slack_value(x, y, n: int, eps: float) -> float:
-    """((x.y)^2 / n + eps) / (1 + eps) for sign vectors x, y.
-
-    Always within [eps/(1+eps), (n+eps)/(1+eps)], hence nonnegative.
-    """
-    if not 0 <= eps < math.inf:
-        raise InvalidArgumentError(f"eps must be nonnegative and finite, got {eps}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != (n,) or y.shape != (n,):
-        raise InvalidArgumentError(f"vertices must have shape ({n},)")
-    if (np.abs(x) != 1.0).any() or (np.abs(y) != 1.0).any():
-        raise InvalidArgumentError("vertex coordinates must be +1 or -1")
-    return (float(x @ y) ** 2 / n + eps) / (1.0 + eps)
-
-
 def q_poly_moments(n: int) -> tuple[Fraction, Fraction]:
     """Exact first and second moments of (x.y)^2 - n over uniform sign
     vectors x, for fixed y.
@@ -389,8 +331,8 @@ def q_poly_moments(n: int) -> tuple[Fraction, Fraction]:
     collapses onto popcount classes with exact binomial weights.  Returns
     dyadic rationals; the values are 0 and 2n(n-1).
     """
-    if not 1 <= n <= 20:
-        raise SizeLimitError(f"exact enumeration supports 1 <= n <= 20, got {n}")
+    if not (is_integer(n) and 1 <= n <= 20):
+        raise SizeLimitError(f"exact enumeration supports an integer 1 <= n <= 20, got {n!r}")
     total = Fraction(0)
     total_sq = Fraction(0)
     for ones in range(n + 1):
@@ -422,7 +364,8 @@ def variance_identity_check(
     signs, scale = all_vertices(n), 1.0 / (1 << n)
 
     def kernel(start: int, stop: int) -> np.ndarray:
-        mats = gaussian_sym_batch(n, seed, start, stop, traceless=True)
+        mats = gaussian_sym_batch(n, seed, start, stop)
+        _project_traceless_stack(mats)
         # quadratic forms at all vertices, then pair with f
         quad = np.einsum("vi,bij,vj->bv", signs, mats, signs, optimize=True)
         return -(quad @ f.values) * scale
@@ -469,21 +412,6 @@ def _bounded_values(draws: np.ndarray, n: int, lam: float) -> np.ndarray:
     # slight undershoot so rounding cannot push the mean back above 1
     values[over] /= (mean[over] * (1.0 + 1e-12))[:, None]
     return values
-
-
-def threshold_split(
-    f: HypercubeFunction, lam: float
-) -> tuple[HypercubeFunction, HypercubeFunction]:
-    """Split f into the part above the threshold and the part at or below it.
-
-    For nonnegative f with E f <= 1, the above-threshold part is supported on
-    fewer than 2^n / lam vertices.  lam must be positive and finite.
-    """
-    _check_threshold(lam)
-    above = f.values > lam
-    sharp = np.where(above, f.values, 0.0)
-    flat = np.where(above, 0.0, f.values)
-    return HypercubeFunction(f.n, sharp), HypercubeFunction(f.n, flat)
 
 
 # -- hfun v1 text format --------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._rng import check_seed, normal_rows, substream
+from ._rng import check_seed, is_integer, normal_rows, substream
 from .errors import (
     InvalidArgumentError,
     InvalidDimensionError,
@@ -38,16 +38,20 @@ __all__ = [
     "project_traceless",
     "write_symmat",
     "read_symmat",
-    "dumps_symmat",
-    "loads_symmat",
 ]
 
 
-def _packed_size(n: int) -> int:
-    """n(n+1)/2, the packed length of an n-by-n matrix; InvalidDimensionError
-    for n < 1."""
+def _check_dim(n: int) -> None:
+    """InvalidDimensionError unless n is an integer (_rng.is_integer) >= 1."""
+    if not is_integer(n):
+        raise InvalidDimensionError(f"dimension must be an integer, got {n!r}")
     if n < 1:
         raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
+
+
+def _packed_size(n: int) -> int:
+    """n(n+1)/2, the packed length of an n-by-n matrix, once _check_dim(n) passes."""
+    _check_dim(n)
     return n * (n + 1) // 2
 
 
@@ -151,12 +155,10 @@ def gaussian_sym(n: int, rng: np.random.Generator) -> SymmetricMatrix:
     return SymmetricMatrix(n, packed)
 
 
-def gaussian_sym_batch(
-    n: int, seed: int, start: int, stop: int, traceless: bool = False
-) -> np.ndarray:
+def gaussian_sym_batch(n: int, seed: int, start: int, stop: int) -> np.ndarray:
     """Dense (stop - start, n, n) stack of the trial matrices
     ``gaussian_sym(n, substream(seed, t))`` for t in [start, stop), bit for
-    bit; with ``traceless``, each one after ``project_traceless``.
+    bit.
 
     Every trial still draws its packed triangle from its own (seed, t)
     substream, so a trial's matrix does not depend on the window it is
@@ -164,10 +166,7 @@ def gaussian_sym_batch(
     """
     packed = normal_rows(seed, start, stop, _packed_size(n))
     packed /= _layout(n).divisor
-    mats = _unpack(packed, n)
-    if traceless:
-        _project_traceless_stack(mats)
-    return mats
+    return _unpack(packed, n)
 
 
 def sample_standard_gaussian_sym(n: int, seed: int) -> SymmetricMatrix:
@@ -356,18 +355,10 @@ def _read_text(path: str | os.PathLike) -> str:
         return fh.read()
 
 
-def dumps_symmat(M: SymmetricMatrix) -> str:
-    return _dumps_v1((M.dim,), np.split(M.packed, np.cumsum(np.arange(M.dim, 1, -1))))
-
-
-def loads_symmat(text: str) -> SymmetricMatrix:
-    (n,), values = _loads_v1(text, "symmat", 1, _packed_size)
-    return SymmetricMatrix(n, values)
-
-
 def write_symmat(M: SymmetricMatrix, path: str | os.PathLike) -> None:
-    _write_text(path, dumps_symmat(M))
+    _write_text(path, _dumps_v1((M.dim,), np.split(M.packed, np.cumsum(np.arange(M.dim, 1, -1)))))
 
 
 def read_symmat(path: str | os.PathLike) -> SymmetricMatrix:
-    return loads_symmat(_read_text(path))
+    (n,), values = _loads_v1(_read_text(path), "symmat", 1, _packed_size)
+    return SymmetricMatrix(n, values)

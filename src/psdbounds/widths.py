@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._rng import check_seed, substream
+from ._rng import check_seed, is_integer, substream
 from .cones import (
     _GREEDY_RESTARTS,
     ConeFamily,
@@ -34,7 +34,7 @@ from .cones import (
     largest_block_eigenvalue,
 )
 from .errors import InvalidArgumentError, InvalidDimensionError, OracleFailureError
-from .linalg import gaussian_sym_batch
+from .linalg import _check_dim, gaussian_sym_batch
 
 # Not called in this module; kept as a module attribute because the
 # benchmark's tracer (perfbench/tracing.py) wraps it by name here.
@@ -51,7 +51,6 @@ __all__ = [
     "width_via_oracle",
     "concentration_check",
     "kappa",
-    "base_psd_width_ratio",
     "l2_ball_oracle",
     "ellipsoid_oracle",
     "l1_ball_oracle",
@@ -67,8 +66,9 @@ _TINY_STD = 2.0**-480  # a std this large has squared deviations far above the s
 
 
 def thread_count() -> int:
-    """Every core this process may run on: the base-psd pool's worker cap; at
-    1, no loop starts a thread."""
+    """Every core this process may run on: the base-psd pool's worker cap,
+    and above 1 the switch for the oracle draw-ahead helper; at 1, no loop
+    starts a thread."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -149,13 +149,6 @@ class SupportOracle:
         object.__setattr__(self, "evaluate_batch", batch)
 
 
-def _check_dim(dim: int) -> None:
-    if isinstance(dim, bool) or not hasattr(type(dim), "__index__"):
-        raise InvalidDimensionError(f"dimension must be an integer, got {dim!r}")
-    if dim < 1:
-        raise InvalidDimensionError(f"dimension must be >= 1, got {dim}")
-
-
 def _batch_of(one: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
     """The batch formula of a scalar one: evaluate run on each row, and an
     error naming evaluate when it returns something other than one value."""
@@ -185,7 +178,7 @@ class ConcentrationResult:
 
 
 def _check_trials(trials: int, least: int = 2) -> None:
-    if isinstance(trials, bool) or not hasattr(type(trials), "__index__"):
+    if not is_integer(trials):
         raise InvalidArgumentError(f"trials must be an integer, got {trials!r}")
     if trials < least:
         raise InvalidArgumentError(f"need at least {least} trials, got {trials}")
@@ -449,18 +442,9 @@ def concentration_check(
 
 def kappa(d: int) -> float:
     """Expected norm of a standard Gaussian vector in R^d (gamma-ratio form)."""
-    if not 1 <= d < math.inf:
-        raise InvalidArgumentError(f"dimension must be finite and >= 1, got {d}")
+    if not (is_integer(d) and d >= 1):
+        raise InvalidArgumentError(f"dimension must be an integer >= 1, got {d!r}")
     return math.sqrt(2.0) * math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
-
-
-def base_psd_width_ratio(n: int, trials: int, seed: int) -> float:
-    """Finite-n estimate of the PSD-base width relative to sqrt(2n), clipped
-    into (0, 1].  Feeds the width_ratio hook of the counting-bound rate
-    formula, whose default of 1 is the asymptotic value.
-    """
-    estimate = width_base_psd(n, trials, seed, keep_values=False)
-    return min(estimate.mean / math.sqrt(2.0 * n), 1.0)
 
 
 # -- built-in oracles ----------------------------------------------------------

@@ -141,6 +141,19 @@ def naive_fourier(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def proj2_quadratic_form(values: np.ndarray) -> np.ndarray:
+    """Zero-diagonal matrix A with x^T A x equal to the degree-2 part of the
+    function with these vertex values, at every vertex: off-diagonal entries
+    are half the pair coefficients, read from naive_fourier."""
+    n = values.size.bit_length() - 1
+    coeffs = naive_fourier(values)
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dense[i, j] = dense[j, i] = 0.5 * coeffs[(1 << i) | (1 << j)]
+    return dense
+
+
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov statistic."""
     a = np.sort(np.asarray(a, dtype=np.float64))
@@ -261,6 +274,12 @@ def reference_max_lambda1_subsets(dense: np.ndarray, k: int) -> float:
         if not chunk:
             return best
         best = max(best, float(_lambda1_rows(dense, chunk).max()))
+
+
+def reference_largest_block_eigenvalue(blocks: np.ndarray) -> np.ndarray:
+    """Per stack of the (T, N, k, k) blocks, the largest lambda_1 over its
+    N blocks, every block solved by eigvalsh."""
+    return np.linalg.eigvalsh(blocks)[..., -1].max(axis=1)
 
 
 def reference_sparse_refute(dense: np.ndarray, k: int, tol: float, samples: int, seed: int) -> bool:

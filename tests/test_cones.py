@@ -15,7 +15,6 @@ from psdbounds.cones import (
     g_abn,
     general_kpsd_member,
     read_conefam,
-    sample_factor_width_extreme,
     sparse_kpsd_member,
     sparse_kpsd_refute,
     subset_chunks,
@@ -215,11 +214,17 @@ class TestSparseMembership:
             "C(12,6) = 924 subsets exceed the cap 100; use sparse_kpsd_refute for a randomized refutation"
         )
 
-    def test_bad_arguments(self):
+    @pytest.mark.parametrize("k", [4, 0, 2.5, 2.0, True, "2"])
+    def test_bad_arguments(self, k):
         with pytest.raises(InvalidArgumentError):
-            sparse_kpsd_member(sym(np.eye(3)), 4)
+            sparse_kpsd_member(sym(np.eye(3)), k)
         with pytest.raises(InvalidArgumentError):
-            sparse_kpsd_member(sym(np.eye(3)), 0)
+            sparse_kpsd_refute(sym(np.eye(3)), k)
+
+    @pytest.mark.parametrize("samples", [0, 10.5, 10.0, True, "10"])
+    def test_refute_needs_an_integer_count_of_samples(self, samples):
+        with pytest.raises(InvalidArgumentError, match="sample"):
+            sparse_kpsd_refute(sym(np.eye(5)), 3, samples=samples)
 
 
 def membership_case(kind, n, k, seed):
@@ -733,9 +738,10 @@ class TestSpikedConstructions:
             n = int(rng.integers(2, 9))
             assert abs(g_abn(a, b, n).trace() - (a + b * (n - 1))) < 1e-12
 
-    def test_g_abn_needs_n_at_least_two(self):
+    @pytest.mark.parametrize("n", [1, 0, 2.5, 3.0, True, "3"])
+    def test_g_abn_needs_n_at_least_two(self, n):
         with pytest.raises(InvalidDimensionError):
-            g_abn(1.0, 1.0, 1)
+            g_abn(1.0, 1.0, n)
 
     def test_witness_values_6_3(self):
         W = witness_matrix(6, 3)
@@ -794,6 +800,12 @@ class TestCoordinateFamily:
         family = coordinate_family(n, k)
         assert len(family) == count
 
+    @pytest.mark.parametrize("n, k, error", [(4, 2.0, InvalidArgumentError), (4, True, InvalidArgumentError),
+                                             (2.5, 2, InvalidDimensionError), (4.0, 2, InvalidDimensionError)])
+    def test_sizes_must_be_integers(self, n, k, error):
+        with pytest.raises(error, match="must be an integer"):
+            coordinate_family(n, k)
+
     def test_single_full_basis_is_identity(self):
         family = coordinate_family(5, 5)
         assert np.array_equal(family.bases[0].columns, np.eye(5))
@@ -814,53 +826,17 @@ class TestCoordinateFamily:
         assert len(coordinate_family(5, 4)) == 5
 
 
-class TestFactorWidthExtremes:
-    def test_unit_trace_rank_one(self):
-        for seed in range(10):
-            X = sample_factor_width_extreme(6, 3, seed)
-            assert abs(X.trace() - 1.0) < 1e-12
-            w = eigenvalues_descending(X)
-            assert abs(w[0] - 1.0) < 1e-12
-            assert np.abs(w[1:]).max() < 1e-12
-
-    def test_k_equals_one_is_coordinate_spike(self):
-        X = sample_factor_width_extreme(5, 1, 7)
-        dense = X.to_dense()
-        i = int(np.argmax(np.diag(dense)))
-        expected = np.zeros((5, 5))
-        expected[i, i] = 1.0
-        assert np.allclose(dense, expected)
-
-    def test_support_size_at_most_k(self):
-        for seed in range(20):
-            X = sample_factor_width_extreme(8, 3, seed)
-            support = np.flatnonzero(np.abs(np.diag(X.to_dense())) > 1e-15)
-            assert len(support) <= 3
-
-    def test_duality_against_sparse_cone_members(self, rng):
-        # <vv^T, Y> = v_I^T Y_I v_I >= 0 whenever Y's k-blocks are PSD
+class TestSparseDuality:
+    def test_k_sparse_rank_one_matrices_pair_nonnegatively_with_members(self, rng):
+        # <vv^T, Y> = v_I^T Y_I v_I >= 0 for a unit v supported on a k-subset I
+        # whenever Y's k-blocks are PSD: vv^T lies in the dual cone
         n, k = 6, 3
-        X = sample_factor_width_extreme(n, k, 42).to_dense()
         for _ in range(100):
-            Y = random_sparse_cone_member(n, k, rng)
-            assert float((X * Y).sum()) >= -1e-9
-
-    @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (6, 3), (9, 9), (40, 7), (300, 150), (300, 299)])
-    def test_bits_equal_the_sorted_choice_reference(self, n, k):
-        # the support drawn as np.sort(rng.choice(n, size=k, replace=False))
-        for seed in (0, 1, 2**64 - 1):
-            rng = substream(seed)
-            support = np.sort(rng.choice(n, size=k, replace=False))
-            u = rng.standard_normal(k)
             v = np.zeros(n)
-            v[support] = u / np.linalg.norm(u)
-            want = sym(np.outer(v, v)).packed
-            assert sample_factor_width_extreme(n, k, seed).packed.tobytes() == want.tobytes()
-
-    def test_deterministic(self):
-        a = sample_factor_width_extreme(7, 4, 9)
-        b = sample_factor_width_extreme(7, 4, 9)
-        assert np.array_equal(a.packed, b.packed)
+            v[rng.choice(n, size=k, replace=False)] = rng.standard_normal(k)
+            v /= np.linalg.norm(v)
+            Y = random_sparse_cone_member(n, k, rng)
+            assert float((np.outer(v, v) * Y).sum()) >= -1e-9
 
 
 class TestConefamFormat:

@@ -12,13 +12,7 @@ from hypothesis import strategies as st
 from psdbounds import cli
 from psdbounds.cones import ConeFamily, SubspaceBasis, read_conefam, write_conefam
 from psdbounds.hypercube import HypercubeFunction, read_hfun, write_hfun
-from psdbounds.linalg import (
-    SymmetricMatrix,
-    dumps_symmat,
-    loads_symmat,
-    read_symmat,
-    write_symmat,
-)
+from psdbounds.linalg import SymmetricMatrix, read_symmat, write_symmat
 
 MAX = 1.7976931348623157e308
 TINY = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308]  # signed zeros, subnormals
@@ -104,15 +98,13 @@ def test_round_trip_is_bit_exact_and_files_hold_the_v1_text(name, data, tmp_path
     assert path.read_bytes() == text.encode("ascii")
     got = values_of(read(path))
     assert got.shape == values.shape and got.tobytes() == values.tobytes()
-    if name == "symmat":
-        assert dumps_symmat(obj) == text
-        assert loads_symmat(text).packed.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("values", [[-0.0, 5e-324, MAX], [MAX, -MAX, -5e-324]])
 def test_extreme_floats_round_trip(values, tmp_path):
     M = SymmetricMatrix(2, values)
-    assert loads_symmat(dumps_symmat(M)).packed.tobytes() == M.packed.tobytes()
+    write_symmat(M, tmp_path / "m.symmat")
+    assert read_symmat(tmp_path / "m.symmat").packed.tobytes() == M.packed.tobytes()
     f = HypercubeFunction(1, values[:2])
     write_hfun(f, tmp_path / "f.hfun")
     assert read_hfun(tmp_path / "f.hfun").values.tobytes() == f.values.tobytes()

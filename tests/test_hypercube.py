@@ -24,27 +24,31 @@ from psdbounds.hypercube import (
     harmonic_bound_check,
     hypercontractivity_check,
     inverse_fourier,
-    noise_operator,
-    norm_p,
     proj2_norm,
-    proj2_quadratic_form,
     project_degree,
     q_poly_moments,
     random_bounded_function,
     read_hfun,
-    slack_value,
-    threshold_split,
     variance_identity_check,
     vertex,
-    vertex_index,
     write_hfun,
 )
 
-from _oracles import naive_fourier, reference_wht
+from _oracles import naive_fourier, proj2_quadratic_form, reference_wht
 
 
 def hf(n, values):
     return HypercubeFunction(n, np.asarray(values, dtype=float))
+
+
+def noise(f, rho):
+    """T_rho f, by the kernel of the hypercontractivity suites."""
+    return hf(f.n, hypercube._noise_stack(f.values[None], rho)[0])
+
+
+def norm(f, p):
+    """||f||_p, the right side of the hypercontractivity check."""
+    return hypercontractivity_check(f, 1.0, p)[1]
 
 
 def chi(n, mask):
@@ -66,9 +70,10 @@ class TestVertexConvention:
         v = vertex(4, 0b0101)
         assert np.array_equal(v, [-1.0, 1.0, -1.0, 1.0])
 
-    def test_round_trip(self):
+    def test_coordinates_are_the_bits_of_the_index(self):
         for idx in range(16):
-            assert vertex_index(vertex(4, idx)) == idx
+            bits = [(idx >> b) & 1 for b in range(4)]
+            assert vertex(4, idx).tolist() == [1.0 - 2.0 * bit for bit in bits]
 
     def test_all_vertices_agree_with_vertex(self):
         table = all_vertices(3)
@@ -108,9 +113,10 @@ class TestFourierTransform:
             rhs = float((exp.coefficients**2).sum())
             assert abs(lhs - rhs) <= 1e-10 * max(lhs, 1e-30)
 
-    def test_size_limit(self):
+    @pytest.mark.parametrize("n", [25, 0, 2.5, 2.0, True, "2"])
+    def test_size_limit(self, n):
         with pytest.raises(SizeLimitError):
-            HypercubeFunction(25, np.zeros(4))
+            HypercubeFunction(n, np.zeros(4))
 
 
 def laid_out(stack, layout):
@@ -178,55 +184,51 @@ class TestDegreeProjection:
 class TestNoiseOperator:
     def test_identity_at_rho_one(self, rng):
         f = random_integer_function(5, rng)
-        assert np.array_equal(noise_operator(f, 1.0).values, f.values)
+        assert np.array_equal(noise(f, 1.0).values, f.values)
 
     def test_collapses_to_mean_at_rho_zero(self, rng):
         f = hf(5, rng.standard_normal(32))
-        assert np.allclose(noise_operator(f, 0.0).values, f.mean())
+        assert np.allclose(noise(f, 0.0).values, f.mean())
 
     def test_halves_characters_per_degree(self):
         f = chi(4, 0b0111)
-        assert np.array_equal(noise_operator(f, 0.5).values, 0.125 * f.values)
+        assert np.array_equal(noise(f, 0.5).values, 0.125 * f.values)
 
     def test_semigroup_exact_on_coefficients(self, rng):
         # dyadic attenuation factors keep coefficient arithmetic exact
         f = random_integer_function(6, rng)
-        a = fourier_transform(noise_operator(noise_operator(f, 0.5), 0.25))
-        b = fourier_transform(noise_operator(f, 0.125))
+        a = fourier_transform(noise(noise(f, 0.5), 0.25))
+        b = fourier_transform(noise(f, 0.125))
         assert np.array_equal(a.coefficients, b.coefficients)
 
     def test_semigroup_generic_rho(self, rng):
         f = hf(5, rng.standard_normal(32))
-        a = fourier_transform(noise_operator(noise_operator(f, 0.3), 0.7))
-        b = fourier_transform(noise_operator(f, 0.21))
+        a = fourier_transform(noise(noise(f, 0.3), 0.7))
+        b = fourier_transform(noise(f, 0.21))
         assert np.allclose(a.coefficients, b.coefficients, atol=1e-14)
 
     def test_rho_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            noise_operator(hf(2, np.ones(4)), 1.5)
+        with pytest.raises(InvalidArgumentError, match="rho"):
+            hypercontractivity_check(hf(2, np.ones(4)), 1.5, 2.0)
 
 
 class TestNorms:
     def test_constant(self):
         f = hf(3, -2.5 * np.ones(8))
         for p in (1.0, 2.0, 4.0, 7.5):
-            assert abs(norm_p(f, p) - 2.5) < 1e-14
+            assert abs(norm(f, p) - 2.5) < 1e-14
 
     def test_characters_have_unit_norms(self):
         f = chi(5, 0b10101)
         for p in (1.0, 2.0, 3.0):
-            assert abs(norm_p(f, p) - 1.0) < 1e-14
+            assert abs(norm(f, p) - 1.0) < 1e-14
 
     def test_monotone_in_p(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 9))
             f = hf(n, rng.standard_normal(1 << n))
-            n1, n2, n4 = norm_p(f, 1), norm_p(f, 2), norm_p(f, 4)
+            n1, n2, n4 = norm(f, 1), norm(f, 2), norm(f, 4)
             assert n1 <= n2 + 1e-12 and n2 <= n4 + 1e-12
-
-    def test_p_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            norm_p(hf(2, np.ones(4)), 0.5)
 
 
 class TestHypercontractivity:
@@ -259,8 +261,6 @@ class TestLemmaParameters:
     @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
     def test_p_must_be_finite_and_at_least_one(self, p):
         f = hf(2, [1.0, 2.0, 3.0, 4.0])
-        with pytest.raises(InvalidArgumentError, match="p >= 1"):
-            norm_p(f, p)
         with pytest.raises(InvalidArgumentError, match="p >= 1"):
             hypercontractivity_check(f, 0.5, p)
 
@@ -328,68 +328,30 @@ class TestHarmonicBound:
 class TestProj2QuadraticForm:
     def test_pair_character(self):
         # f = x0 * x1 on three coordinates
-        A = proj2_quadratic_form(chi(3, 0b011)).to_dense()
+        A = proj2_quadratic_form(chi(3, 0b011).values)
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 0] = 0.5
         assert np.array_equal(A, expected)
 
     def test_constant_gives_zero_matrix(self):
-        A = proj2_quadratic_form(hf(3, np.ones(8))).to_dense()
+        A = proj2_quadratic_form(np.ones(8))
         assert np.array_equal(A, np.zeros((3, 3)))
 
     def test_zero_diagonal(self, rng):
-        A = proj2_quadratic_form(hf(6, rng.standard_normal(64))).to_dense()
+        A = proj2_quadratic_form(rng.standard_normal(64))
         assert np.array_equal(np.diag(A), np.zeros(6))
 
     def test_reproduces_degree_two_part_at_every_vertex(self, rng):
         f = hf(8, rng.standard_normal(256))
-        A = proj2_quadratic_form(f).to_dense()
+        A = proj2_quadratic_form(f.values)
         signs = all_vertices(8)
         quad = np.einsum("vi,ij,vj->v", signs, A, signs)
         assert np.allclose(quad, project_degree(f, 2).values, atol=1e-10)
 
     def test_frobenius_identity(self, rng):
         f = hf(7, rng.standard_normal(128))
-        A = proj2_quadratic_form(f).to_dense()
+        A = proj2_quadratic_form(f.values)
         assert abs((A**2).sum() - proj2_norm(f) ** 2 / 2.0) < 1e-10
-
-
-class TestSlackValue:
-    def test_equal_vertices(self):
-        x = vertex(4, 0)
-        assert abs(slack_value(x, x, 4, 0.5) - (4 + 0.5) / 1.5) < 1e-14
-
-    def test_orthogonal_vertices(self):
-        x = vertex(4, 0)
-        y = vertex(4, 0b0011)  # x.y = 0
-        assert abs(slack_value(x, y, 4, 0.5) - 0.5 / 1.5) < 1e-15
-
-    def test_worked_example(self):
-        x = vertex(4, 0)
-        y = vertex(4, 0b0001)  # x.y = 2
-        assert slack_value(x, y, 4, 1.0) == 1.0
-
-    def test_range_and_nonnegativity(self, rng):
-        n, eps = 6, 0.3
-        for _ in range(200):
-            x = vertex(n, int(rng.integers(0, 1 << n)))
-            y = vertex(n, int(rng.integers(0, 1 << n)))
-            s = slack_value(x, y, n, eps)
-            assert eps / (1 + eps) - 1e-15 <= s <= (n + eps) / (1 + eps) + 1e-15
-
-    def test_rejects_non_sign_vectors(self):
-        with pytest.raises(InvalidArgumentError):
-            slack_value(np.array([1.0, 0.5]), np.array([1.0, 1.0]), 2, 0.0)
-
-    def test_rejects_nan_eps(self):
-        x = vertex(4, 0)
-        with pytest.raises(InvalidArgumentError, match="eps"):
-            slack_value(x, x, 4, math.nan)
-
-    def test_rejects_infinite_eps(self):
-        x = vertex(4, 0)
-        with pytest.raises(InvalidArgumentError, match="eps"):
-            slack_value(x, x, 4, math.inf)
 
 
 class TestMomentIdentities:
@@ -420,9 +382,10 @@ class TestMomentIdentities:
             assert int(q.sum()) == 0
             assert Fraction(int((q * q).sum()), 1 << n) == 2 * n * (n - 1)
 
-    def test_size_limit(self):
+    @pytest.mark.parametrize("n", [21, 0, 2.5, 3.0, True, "3"])
+    def test_size_limit(self, n):
         with pytest.raises(SizeLimitError):
-            q_poly_moments(21)
+            q_poly_moments(n)
 
 
 class TestVarianceIdentity:
@@ -512,6 +475,13 @@ class TestIntegerCounts:
         assert _LOOPS[name](np.int64(40), np.uint64(3)) == want
         assert _LOOPS[name](np.int16(40), np.int8(3)) == want
 
+    @pytest.mark.parametrize("n", [3.5, 4.0, True, "4"])
+    def test_table_size_must_be_an_integer(self, n):
+        with pytest.raises(SizeLimitError, match="integer"):
+            list(hypercube.harmonic_trials(n, 2, 1, 2.0))
+        with pytest.raises(SizeLimitError, match="integer"):
+            list(hypercube.hypercontractivity_trials(n, 2, 1, 0.5, 2.0))
+
     @pytest.mark.parametrize("name", ["harmonic", "hypercontractivity"])
     @pytest.mark.parametrize("trials", [0, -1])
     def test_verify_loops_need_a_trial(self, name, trials):
@@ -533,31 +503,14 @@ class TestPairingIdentity:
             assert np.array_equal(pairing, 2.0 * proj2)
 
 
-class TestThresholdSplit:
-    def test_partition_is_exact(self, rng):
-        f = hf(6, np.abs(rng.standard_normal(64)) * 3)
-        sharp, flat = threshold_split(f, 2.0)
-        assert np.array_equal(sharp.values + flat.values, f.values)
-        assert np.all(sharp.values * flat.values == 0.0)
-
+class TestMarkovSupportBound:
     def test_support_measure_bound(self):
         # mean at most 1 and values above lam force support < 2^n / lam
         gen = substream(31337)
         for trial in range(50):
             f = random_bounded_function(8, 40.0, gen)
             lam = float(gen.uniform(3.0, 30.0))
-            sharp, _ = threshold_split(f, lam)
-            support = int((sharp.values > 0).sum())
-            assert support < (1 << 8) / lam
-
-    def test_threshold_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            threshold_split(hf(2, np.ones(4)), 0.0)
-
-    @pytest.mark.parametrize("lam", [math.nan, math.inf])
-    def test_threshold_must_be_finite(self, lam):
-        with pytest.raises(InvalidArgumentError, match="threshold"):
-            threshold_split(hf(2, np.ones(4)), lam)
+            assert (f.values > lam).sum() < (1 << 8) / lam
 
 
 class TestHfunFormat:

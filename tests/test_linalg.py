@@ -15,14 +15,12 @@ from psdbounds.errors import (
 )
 from psdbounds.linalg import (
     SymmetricMatrix,
-    dumps_symmat,
     default_psd_tol,
     eigenvalues_descending,
     _project_traceless_stack,
     gaussian_sym,
     gaussian_sym_batch,
     is_psd,
-    loads_symmat,
     project_traceless,
     psd_tolerance,
     read_symmat,
@@ -374,7 +372,9 @@ class TestGaussianSymBatch:
     @example(n=12, seed=2**64 - 1, window=(63, 130), traceless=True)
     def test_equals_per_trial_matrices_bit_for_bit(self, n, seed, window, traceless):
         start, stop = window
-        mats = gaussian_sym_batch(n, seed, start, stop, traceless=traceless)
+        mats = gaussian_sym_batch(n, seed, start, stop)
+        if traceless:  # the variance lemma's draw: each matrix projected in place
+            _project_traceless_stack(mats)
         assert same_bits(mats, per_trial_stack(n, seed, start, stop, traceless))
 
     def test_layout_matches_triu_indices(self, rng):
@@ -389,9 +389,10 @@ class TestGaussianSymBatch:
             assert same_bits(SymmetricMatrix.from_dense(dense).packed, M.packed)
             assert M.trace() == float(packed[iu[0] == iu[1]].sum())
 
-    def test_rejects_empty_dimension(self):
+    @pytest.mark.parametrize("n", [0, 2.5, 3.0, True, "3"])
+    def test_rejects_empty_dimension(self, n):
         with pytest.raises(InvalidDimensionError):
-            gaussian_sym_batch(0, 1, 0, 4)
+            gaussian_sym_batch(n, 1, 0, 4)
 
 
 class TestTracelessStack:
@@ -440,7 +441,8 @@ class TestTracelessStack:
         assert not np.array_equal(mats[0], cases[0]) and np.array_equal(mats[1], cases[1])
 
     def test_projecting_twice_changes_nothing(self):
-        once = gaussian_sym_batch(9, 4, 0, 200, traceless=True)
+        once = gaussian_sym_batch(9, 4, 0, 200)
+        _project_traceless_stack(once)
         twice = once.copy()
         _project_traceless_stack(twice)
         reference = np.stack(
@@ -451,11 +453,13 @@ class TestTracelessStack:
 
 
 class TestSymmatFormat:
-    def test_round_trip_bit_exact(self, rng):
+    def test_round_trip_bit_exact(self, tmp_path, rng):
+        path = tmp_path / "m.symmat"
         for _ in range(20):
             n = int(rng.integers(1, 10))
             M = SymmetricMatrix.from_dense(_random_sym(n, rng) * 10.0 ** rng.integers(-8, 9))
-            assert np.array_equal(loads_symmat(dumps_symmat(M)).packed, M.packed)
+            write_symmat(M, path)
+            assert np.array_equal(read_symmat(path).packed, M.packed)
 
     def test_file_round_trip(self, tmp_path, rng):
         M = SymmetricMatrix.from_dense(_random_sym(6, rng))
@@ -463,14 +467,15 @@ class TestSymmatFormat:
         write_symmat(M, path)
         assert np.array_equal(read_symmat(path).packed, M.packed)
 
-    def test_header_is_dimension(self):
-        text = dumps_symmat(diag(1.5, -2.0))
-        assert text.splitlines()[0] == "2"
+    def test_header_is_dimension(self, tmp_path):
+        path = tmp_path / "d.symmat"
+        write_symmat(diag(1.5, -2.0), path)
+        assert path.read_text().splitlines()[0] == "2"
 
-    def test_rejects_bad_payloads(self):
-        with pytest.raises(ValueError):
-            loads_symmat("")
-        with pytest.raises(ValueError):
-            loads_symmat("2\n1.0 2.0\n")
-        with pytest.raises(InvalidDimensionError):
-            loads_symmat("0\n")
+    @pytest.mark.parametrize("text, error", [("", ValueError), ("2\n1.0 2.0\n", ValueError),
+                                             ("0\n", InvalidDimensionError)])
+    def test_rejects_bad_payloads(self, tmp_path, text, error):
+        path = tmp_path / "bad.symmat"
+        path.write_text(text)
+        with pytest.raises(error):
+            read_symmat(path)

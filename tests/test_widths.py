@@ -48,6 +48,7 @@ from _oracles import (
     nan_identity,
     reference_general_dual,
     reference_greedy_k_sparse,
+    reference_largest_block_eigenvalue,
     reference_max_lambda1_subsets,
     reference_swap_ascent,
     reference_swap_path,
@@ -139,6 +140,13 @@ class TestKSparseLargestEigenvalue:
         assert k_sparse_largest_eigenvalue(G, 6, mode="greedy") <= np.linalg.eigvalsh(G.to_dense())[-1]
         with pytest.raises(InvalidArgumentError):
             k_sparse_largest_eigenvalue(G, 6, mode="annealing")
+
+    @pytest.mark.parametrize("k", [True, 2.5, 2.0, "2"])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(InvalidArgumentError, match="k must be an integer"):
+            k_sparse_largest_eigenvalue(sample_standard_gaussian_sym(5, 0), k)
+        with pytest.raises(InvalidArgumentError, match="k must be an integer"):
+            width_dual_base_sparse(5, k, 10, seed=1)
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_unknown_mode_raises_at_the_shortcut_sizes(self, k):
@@ -499,6 +507,33 @@ class TestExhaustiveAgainstReference:
         cleared = np.array([row not in rejected for row in map(tuple, idx.tolist())])
         assert (np.linalg.eigvalsh(blocks[cleared])[:, 0] > -c).all()
         assert (np.linalg.eigvalsh(-blocks[cleared])[:, -1] < c).all()
+
+
+class TestSearchesAtNegativeBars:
+    """Every k-block of a shifted negative-definite matrix has a negative
+    lambda_1, so the searches screen -G at a negative value to beat.  With
+    the shift far above the spread of the blocks, that value c lies close to
+    -max|G|, and the block values tie to within a few ulps: the screen's
+    margin must cover the rounding at scale + |c| (cones._screen_shift)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        shape=st.integers(3, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1))),
+        shift=st.sampled_from([3.0, 10.0, 1e3, 1e6]),
+        scale=st.sampled_from(_SCALES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(9, 3), shift=1e3, scale=1.0, seed=51)  # a block value the screen must not clear
+    @example(shape=(9, 3), shift=1e3, scale=1e300, seed=51)  # a swap the screen must not clear
+    def test_bits_equal_reference(self, shape, shift, scale, seed):
+        n, k = shape
+        dense = (exhaustive_case("near ties", n, seed) - shift * np.eye(n)) * scale
+        G = SymmetricMatrix.from_dense(dense)
+        assert bits(k_sparse_largest_eigenvalue(G, k)) == bits(reference_max_lambda1_subsets(dense, k))
+        assert bits(k_sparse_largest_eigenvalue(G, k, "greedy")) == bits(reference_greedy_k_sparse(dense, k))
+        subsets = np.array(list(itertools.combinations(range(n), k)))
+        blocks = cones.principal_submatrices(dense, subsets)[None]
+        assert bits(cones.largest_block_eigenvalue(blocks)[0]) == bits(reference_largest_block_eigenvalue(blocks)[0])
 
 
 class TestNonFiniteInput:
@@ -1658,6 +1693,11 @@ class TestIntegerCounts:
         with pytest.raises(ValueError, match="seed must be an integer"):
             _COUNTED[name](10, seed)
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, True])
+    def test_matrix_dimension_must_be_an_integer(self, n):
+        with pytest.raises(InvalidDimensionError, match="dimension must be an integer"):
+            width_base_psd(n, 4, 1)
+
     @pytest.mark.parametrize("name", sorted(_COUNTED))
     def test_numpy_integers_give_the_python_integer_bits(self, name):
         want = _COUNTED[name](70, 3)
@@ -1676,21 +1716,18 @@ class TestKappa:
         for d in (1, 2, 9, 50, 400):
             assert math.sqrt(d - 0.5) <= kappa(d) <= math.sqrt(d - d / (2 * d + 1))
 
-    def test_rejects_nan_dimension(self):
+    @pytest.mark.parametrize("d", [math.nan, math.inf, 2.5, 3.0, True, "3", 0])
+    def test_rejects_a_dimension_that_is_not_an_integer_of_at_least_one(self, d):
         with pytest.raises(InvalidArgumentError, match="dimension"):
-            kappa(math.nan)
-
-    def test_rejects_infinite_dimension(self):
-        with pytest.raises(InvalidArgumentError, match="dimension"):
-            kappa(math.inf)
+            kappa(d)
 
 
 class TestWidthRatioHook:
     def test_feeds_counting_bound_rate(self):
         from psdbounds.bounds import phi
-        from psdbounds.widths import base_psd_width_ratio
 
-        ratio = base_psd_width_ratio(30, 400, seed=61)
+        # the finite-n width of the PSD base relative to sqrt(2n), clipped into (0, 1]
+        ratio = min(width_base_psd(30, 400, seed=61, keep_values=False).mean / math.sqrt(60), 1.0)
         assert 0.85 <= ratio <= 1.0
         # finite-n ratio can only weaken the asymptotic rate
         assert phi(30, 3, 0.0, width_ratio=ratio) <= phi(30, 3, 0.0)
