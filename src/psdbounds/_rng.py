@@ -21,7 +21,7 @@ def is_integer(x) -> bool:
 
 def check_seed(seed: int) -> int:
     """Validate and return a 64-bit unsigned seed, a Python or numpy integer."""
-    if type(seed) is not int:  # substream checks every lane's seed: int takes one test
+    if type(seed) is not int:  # the common case, an int, takes one test
         if not is_integer(seed):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         seed = int(seed)
@@ -44,6 +44,28 @@ _ZERO_SEED = _ZeroSeed()
 _ZEROS = (0, 0, 0, 0)
 
 
+class _Stream(np.random.Generator):
+    """Philox-backed generator that keeps the state record substream re-keys
+    it with: its key dict and the full setter dict are built once, so a
+    re-key writes one key tuple.  The record belongs to the generator, so
+    threads that each hold their own generator never share one."""
+
+    __slots__ = ("_philox", "_key", "_record")
+
+    def __init__(self):
+        self._philox = np.random.Philox(_ZERO_SEED)
+        super().__init__(self._philox)
+        self._key = {"counter": _ZEROS, "key": (0, 0)}
+        self._record = {
+            "bit_generator": "Philox",
+            "state": self._key,
+            "buffer": _ZEROS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+
 def substream(
     seed: int, lane: int = 0, into: np.random.Generator | None = None
 ) -> np.random.Generator:
@@ -52,24 +74,21 @@ def substream(
     Same stream as np.random.Philox(key=[seed, lane mod 2**64]): counter
     zero, empty output buffer.  Without ``into``, the call builds a new bit
     generator, since callers and pool threads hold several streams at once.
-    With ``into``, a generator an earlier call returned, it re-keys that
-    generator in place and returns it; a loop over trials can then keep one
-    generator instead of building one per trial.
+    With ``into``, a generator an earlier call returned (no other generator
+    is accepted), it re-keys that generator in place and returns it; a loop
+    over trials can then keep one generator instead of building one per
+    trial.
     """
+    if not (type(seed) is int and 0 <= seed < _U64):
+        seed = check_seed(seed)
     if into is None:
-        into = np.random.Generator(np.random.Philox(_ZERO_SEED))
-    elif not isinstance(getattr(into, "bit_generator", None), np.random.Philox):
-        raise TypeError(f"into must be a Philox-backed Generator, got {into!r}")
-    # the setter copies every field, so the buffer and the cached 32-bit
-    # half are cleared along with the key and the counter
-    into.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZEROS, "key": (check_seed(seed), lane % _U64)},
-        "buffer": _ZEROS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        into = _Stream()
+    elif type(into) is not _Stream:
+        raise TypeError(f"into must be a Philox-backed Generator from substream, got {into!r}")
+    into._key["key"] = (seed, lane % _U64)
+    # the setter copies every field, so the counter, the buffer and the
+    # cached 32-bit half are cleared along with the key
+    into._philox.state = into._record
     return into
 
 
@@ -81,10 +100,11 @@ def normal_rows(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     generator and re-keys it for every row; it is its own, so pool threads
     never share one.
     """
+    seed = check_seed(seed)  # also for an empty window
     rows = np.empty((stop - start, width))
     rng = None
     for lane, row in enumerate(rows, start):
-        rng = substream(seed, lane, into=rng)
+        rng = substream(seed, lane, rng)
         rng.standard_normal(out=row)
     return rows
 

@@ -133,9 +133,9 @@ class FourierExpansion:
 def vertex(n: int, index: int) -> np.ndarray:
     """Sign vector of a vertex index (bit 0 of the index is coordinate 0)."""
     _check_n(n)
-    if not 0 <= index < (1 << n):
-        raise InvalidArgumentError(f"vertex index {index} out of range for n={n}")
-    bits = (index >> np.arange(n)) & 1
+    if not (is_integer(index) and 0 <= index < (1 << n)):
+        raise InvalidArgumentError(f"vertex index must be an integer in [0, 2^{n}), got {index!r}")
+    bits = (int(index) >> np.arange(n)) & 1
     return 1.0 - 2.0 * bits
 
 
@@ -182,10 +182,10 @@ def inverse_fourier(expansion: FourierExpansion) -> HypercubeFunction:
 
 def project_degree(f: HypercubeFunction, d: int) -> HypercubeFunction:
     """Keep only the degree-d homogeneous part."""
-    if not 0 <= d <= f.n:
-        raise InvalidArgumentError(f"degree must lie in [0, {f.n}], got {d}")
+    if not (is_integer(d) and 0 <= d <= f.n):
+        raise InvalidArgumentError(f"degree must be an integer in [0, {f.n}], got {d!r}")
     expansion = fourier_transform(f)
-    kept = np.where(expansion.degrees() == d, expansion.coefficients, 0.0)
+    kept = np.where(expansion.degrees() == int(d), expansion.coefficients, 0.0)
     return inverse_fourier(FourierExpansion(f.n, kept))
 
 

@@ -80,6 +80,17 @@ class TestVertexConvention:
         for idx in range(8):
             assert np.array_equal(table[idx], vertex(3, idx))
 
+    @pytest.mark.parametrize("index", [2.5, 2.0, True, np.True_, "2"])
+    def test_non_integer_index_is_rejected(self, index):
+        # 2.5 used to end in a numpy TypeError, True to give vertex 1
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            vertex(3, index)
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint64])
+    def test_numpy_integer_index_gives_the_int_result(self, kind):
+        for idx in range(8):
+            assert vertex(3, kind(idx)).tobytes() == vertex(3, idx).tobytes()
+
 
 class TestFourierTransform:
     def test_constant_function(self):
@@ -179,6 +190,22 @@ class TestDegreeProjection:
         f = hf(3, np.ones(8))
         with pytest.raises(InvalidArgumentError):
             project_degree(f, 4)
+
+    def test_fractional_degree_is_rejected(self):
+        # 2.5 used to match no degree and return the zero function
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            project_degree(chi(3, 0b011), 2.5)
+
+    def test_bool_degree_is_rejected(self):
+        # True used to compare equal to 1 and return the degree-1 part
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            project_degree(chi(3, 0b001), True)
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint64])
+    def test_numpy_integer_degree_gives_the_int_result(self, rng, kind):
+        f = hf(4, rng.standard_normal(16))
+        for d in range(5):
+            assert project_degree(f, kind(d)).values.tobytes() == project_degree(f, d).values.tobytes()
 
 
 class TestNoiseOperator:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -120,6 +123,54 @@ class TestNormalRows:
         assert got.shape == (rows, width)
         for lane, row in enumerate(got, start):
             assert row.tobytes() == substream(seed, lane).standard_normal(width).tobytes()
+
+
+class TestRekeyContract:
+    def test_a_plain_philox_generator_is_not_rekeyed(self):
+        # only a generator substream returned carries the state record
+        with pytest.raises(TypeError, match="Philox-backed"):
+            substream(5, 1, np.random.Generator(np.random.Philox(3)))
+
+    @pytest.mark.parametrize("kind", [np.uint64, np.int64])
+    def test_numpy_integer_seeds_give_the_int_rows(self, kind):
+        want = normal_rows(2**62 + 9, 3, 40, 17)
+        assert normal_rows(kind(2**62 + 9), 3, 40, 17).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 3.0])
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_bad_seeds_raise_from_normal_rows_as_from_substream(self, seed, rows):
+        with pytest.raises(ValueError, match="seed must be"):
+            substream(seed)
+        with pytest.raises(ValueError, match="seed must be"):
+            normal_rows(seed, 5, 5 + rows, 4)
+
+    def test_two_threads_drawing_windows_give_the_serial_rows(self):
+        seed, trials, width = 11, 300, 36
+        serial = normal_rows(seed, 0, trials, width)
+        got, errors = {7: [], 13: []}, []
+
+        def draw(step):
+            try:
+                for _ in range(4):
+                    windows = [normal_rows(seed, a, min(a + step, trials), width) for a in range(0, trials, step)]
+                    got[step].append(np.concatenate(windows))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(step,)) for step in (7, 13)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors, errors
+        for step, passes in got.items():
+            assert len(passes) == 4, step
+            assert all(rows.tobytes() == serial.tobytes() for rows in passes), step
 
 
 def choice_loop(rng, n, k, count):

@@ -45,6 +45,7 @@ from psdbounds._rng import substream
 
 from _oracles import (
     brute_max_ksparse_lambda1,
+    expected_max_of_normals,
     nan_identity,
     reference_general_dual,
     reference_greedy_k_sparse,
@@ -611,6 +612,31 @@ class TestWidthDualSparse:
             width_dual_base_sparse(6, 3, 2**56, seed=4)
         with pytest.raises(MemoryError):
             width_base_psd(2, 2**56, seed=4)
+
+
+class TestKnownAnswers:
+    """Exact widths the estimators must hit within 5 standard errors at
+    fixed seeds.  Bit-for-bit comparisons with a per-trial reference show
+    two routes agree; these check the distribution of the draws."""
+
+    def test_quadrature_matches_the_closed_forms(self):
+        assert expected_max_of_normals(2) == pytest.approx(1 / math.sqrt(math.pi), abs=1e-12)
+        assert expected_max_of_normals(3) == pytest.approx(1.5 / math.sqrt(math.pi), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_base_psd_at_n2_is_half_root_pi(self, seed):
+        # lambda_max = (a + c)/2 + R: the diagonal is N(0, 1), the
+        # off-diagonal N(0, 1/2), so R is Rayleigh with sigma^2 = 1/2
+        est = width_base_psd(2, 20_000, seed, keep_values=False)
+        assert abs(est.mean - math.sqrt(math.pi) / 2) <= 5 * est.std_error
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_sparse_dual_is_the_expected_max_of_the_diagonal(self, seed):
+        # a 1-sparse lambda_1 is the largest diagonal entry, six iid N(0, 1)
+        truth = expected_max_of_normals(6)
+        assert truth == pytest.approx(1.267206, abs=5e-7)
+        est = width_dual_base_sparse(6, 1, 20_000, seed, keep_values=False)
+        assert abs(est.mean - truth) <= 5 * est.std_error
 
 
 _STACK_KINDS = ["gaussian", "integer", "signed graph", "blocks"]
