@@ -185,11 +185,16 @@ def _floyd_rows(rng: np.random.Generator, n: int, k: int, count: int) -> np.ndar
     if raw.size:
         end["uinteger"] = int(raw[-1] >> np.uint64(32))
     bitgen.state = end
-    values = (product[:, : floyd.size] >> np.uint64(32)).astype(np.intp)
+    # one row per step, one column per sample, so each membership test
+    # reduces over the steps so far along axis 0, across the whole batch
+    values = (product[:, : floyd.size].T >> np.uint64(32)).astype(np.intp, order="C")
+    # freed before the loop, so the transposed copy at the end does not
+    # raise the batch's peak memory
+    del raw, words, product
     skip = k - floyd.size  # 1 when k = n: the step on [0, 0] takes 0 from no word
-    rows = np.zeros((count, k), dtype=np.intp)
-    for t in range(skip, k):
-        v = values[:, t - skip]
-        rows[:, t] = np.where((rows[:, :t] == v[:, None]).any(axis=1), n - k + t, v)
+    members = np.zeros((k, count), dtype=np.intp)
+    for t, v in enumerate(values, skip):
+        members[t] = np.where((members[:t] == v).any(axis=0), n - k + t, v)
+    rows = members.T.copy()
     rows.sort(axis=1)
     return rows

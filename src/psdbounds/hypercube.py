@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -352,7 +353,10 @@ def variance_identity_check(
     traceless Gaussian matrix, against the closed form 2 ||proj_2 f||^2.
 
     Each trial draws its own matrix from the (seed, trial) substream and
-    evaluates E_x[f(x) * (-x^T G0 x)] by full vertex enumeration.
+    evaluates E_x[f(x) * (-x^T G0 x)] by full vertex enumeration, in stacks
+    of 256 trials.  _vertex_forms computes a stack's quadratic forms with the
+    bits of np.einsum("vi,bij,vj->bv", ..., optimize=True), replaying that
+    einsum's one matrix product where its plan has one.
     """
     if f.n > MAX_ENUMERATION_BITS:
         raise SizeLimitError(
@@ -361,19 +365,55 @@ def variance_identity_check(
     _check_trials(trials)
     check_seed(seed)
     n = f.n
-    signs, scale = all_vertices(n), 1.0 / (1 << n)
+    forms, scale = _vertex_forms(n), 1.0 / (1 << n)
 
     def kernel(start: int, stop: int) -> np.ndarray:
         mats = gaussian_sym_batch(n, seed, start, stop)
         _project_traceless_stack(mats)
-        # quadratic forms at all vertices, then pair with f
-        quad = np.einsum("vi,bij,vj->bv", signs, mats, signs, optimize=True)
-        return -(quad @ f.values) * scale
+        return -(forms(mats) @ f.values) * scale
 
     # 256 trials a stack: einsum picks its contraction path by the stack size
     empirical = _mean_and_var(_run_trials(trials, 256, kernel))[1]
     theoretical = 2.0 * proj2_norm(f) ** 2
     return empirical, theoretical
+
+
+_VERTEX_FORMS = "vi,bij,vj->bv"
+# einsum's plan for that contraction on larger stacks: the products
+# s_v,i s_v,j first, then one matrix product with the stacked matrices
+_GEMM_PLAN = ["einsum_path", (0, 2), (0, 1)]
+
+
+def _vertex_forms(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from a (T, n, n) stack to its (T, 2^n) quadratic forms x^T M x
+    at every vertex x, bit for bit and stride for stride
+    np.einsum("vi,bij,vj->bv", signs, mats, signs, optimize=True).
+
+    The einsum plans from the shapes alone, so the map asks np.einsum_path
+    once per stack size.  Where the plan is _GEMM_PLAN and n >= 2, the map
+    replays the plan's one matrix product: the C-contiguous (2^n, n^2) sign
+    products, built at the first such stack, times the flattened stack.  The
+    einsum rebuilds those products, plans and parses on every call.  At
+    n = 1 numpy runs that plan as an elementwise product; there, and under
+    the other plans, the einsum runs on the recorded path.
+    """
+    signs = all_vertices(n)
+    plans: dict[int, list] = {}
+    products = None
+
+    def forms(mats: np.ndarray) -> np.ndarray:
+        nonlocal products
+        count = len(mats)
+        plan = plans.get(count)
+        if plan is None:
+            plan = plans[count] = np.einsum_path(_VERTEX_FORMS, signs, mats, signs, optimize=True)[0]
+        if plan != _GEMM_PLAN or n < 2:
+            return np.einsum(_VERTEX_FORMS, signs, mats, signs, optimize=plan)
+        if products is None:
+            products = (signs[:, :, None] * signs[:, None, :]).reshape(-1, n * n)
+        return np.matmul(products, mats.reshape(count, n * n).T).T
+
+    return forms
 
 
 def random_bounded_function(n: int, lam: float, rng: np.random.Generator) -> HypercubeFunction:

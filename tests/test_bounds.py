@@ -305,6 +305,16 @@ class TestSparseIntegral:
         for delta in (0.05, 0.3, 0.77):
             assert abs(sparse_integral(delta) - chi2_tail_mass_quadrature(delta)) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "delta, before",
+        [(0.005, 0.048570179737567484), (0.1, 0.4392860642787432), (0.5, 0.9286740822556889),
+         (0.9, 0.9994747482450803), (0.995, 0.9999999345495866)],
+    )
+    def test_quadrature_keeps_its_values_under_the_depth_floor(self, delta, before):
+        # the values before the adaptive Simpson rule got its minimum depth:
+        # the oracle this class and criterion 6 check against did not move
+        assert abs(chi2_tail_mass_quadrature(delta) - before) < 1e-12
+
     def test_strictly_increasing_onto_unit_interval(self):
         grid = np.linspace(0.0, 1.0, 201)
         values = np.array([sparse_integral(float(d)) for d in grid])

@@ -15,7 +15,7 @@ from psdbounds.errors import (
     PreconditionError,
     SizeLimitError,
 )
-from psdbounds.linalg import gaussian_sym, project_traceless
+from psdbounds.linalg import _project_traceless_stack, gaussian_sym, gaussian_sym_batch, project_traceless
 from psdbounds.hypercube import (
     FourierExpansion,
     HypercubeFunction,
@@ -468,6 +468,44 @@ class TestVarianceIdentity:
             values[start:stop] = -(quad @ f.values) * (1.0 / (1 << n))
         empirical, _ = variance_identity_check(f, trials, seed)
         assert empirical == float(values.var(ddof=1))
+
+
+# every stack size at small n; at n = 13 and 14 a single matrix, the
+# three-operand plan and the matrix-product plan, which starts at 255 there
+_FORM_CASES = [(n, count) for n in range(1, 13) for count in (1, 2, 63, 64, 65, 255, 256)]
+_FORM_CASES += [(n, count) for n in (13, 14) for count in (1, 2, 255)]
+
+
+class TestVertexFormsReplay:
+    """_vertex_forms gives np.einsum("vi,bij,vj->bv", ..., optimize=True)'s
+    bits and strides on every stack, whichever plan the einsum picks there.
+    CI runs this class on one BLAS thread too: the replay runs the einsum's
+    matrix product, so the two must agree at every thread count."""
+
+    @pytest.mark.parametrize("n, count", _FORM_CASES)
+    def test_replay_equals_the_optimized_einsum(self, n, count):
+        signs = all_vertices(n)
+        mats = gaussian_sym_batch(n, 5, 0, count)
+        _project_traceless_stack(mats)
+        f = np.random.default_rng(n).standard_normal(1 << n)
+        want = np.einsum("vi,bij,vj->bv", signs, mats, signs, optimize=True)
+        forms = hypercube._vertex_forms(n)
+        for _ in range(2):  # the second call takes the remembered plan and products
+            got = forms(mats)
+            assert got.shape == want.shape and got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
+            assert (got @ f).tobytes() == (want @ f).tobytes()
+
+    def test_replayed_stacks_call_no_einsum(self, monkeypatch):
+        forms = hypercube._vertex_forms(8)
+        mats = gaussian_sym_batch(8, 5, 0, 256)
+        calls = []
+        monkeypatch.setattr(np, "einsum", lambda *args, **kw: calls.append(args))
+        forms(mats)
+        forms(mats[:208])  # the last stack of 2,000 trials
+        assert calls == []
+        forms(mats[:63])  # the three-operand plan
+        assert len(calls) == 1
 
 
 # every trial loop of the module, as a function of its trial count and seed

@@ -54,6 +54,18 @@ def test_variance_identity_holds_one_value_array():
     assert peak_traced_bytes(lambda: run(10**5)) <= 8 * 10**5 + MiB // 2
 
 
+def test_variance_identity_holds_one_sign_product_table():
+    # at n = 10 the replayed matrix product needs the (2^n, n^2) table of
+    # sign products, 800 KiB, and a 256-trial stack's forms, 2 MiB; a second
+    # table, or one left alive beside the einsum's own, goes over
+    n, trials = 10, 25_600
+    f = hypercube.HypercubeFunction(n, np.random.default_rng(2).standard_normal(1 << n))
+    run = lambda trials: hypercube.variance_identity_check(f, trials, 3)
+    run(300)
+    table, forms = 8 * (1 << n) * n * n, 8 * 256 * (1 << n)
+    assert peak_traced_bytes(lambda: run(trials)) <= 8 * trials + table + forms + MiB // 2
+
+
 def test_concentration_check_holds_one_value_array():
     ball = widths.l2_ball_oracle(5)
     run = lambda trials: widths.concentration_check(ball, 0.3, trials, 7)

@@ -225,7 +225,7 @@ class TestKSubsets:
         n, k = nk
         ours, ref = stream_pair(seed, cached)
         got = k_subsets(ours, n, k, count)
-        assert got.dtype == np.intp and got.shape == (count, k)
+        assert got.dtype == np.intp and got.shape == (count, k) and got.flags.c_contiguous
         assert np.array_equal(got, choice_loop(ref, n, k, count))
         assert plain(ours.bit_generator.state) == plain(ref.bit_generator.state)
 
