@@ -381,9 +381,6 @@ class BoundCurve:
                 )
         object.__setattr__(self, "points", pts)
 
-    def values(self) -> list[float]:
-        return [p.value for p in self.points]
-
 
 def _number(params: dict, name: str, default=None):
     value = params.get(name, default)

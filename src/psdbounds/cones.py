@@ -93,11 +93,6 @@ class SubspaceBasis:
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
 
-    @classmethod
-    def from_columns(cls, columns) -> "SubspaceBasis":
-        columns = np.asarray(columns, dtype=np.float64)
-        return cls(columns.shape[0], columns.shape[1], columns)
-
 
 @dataclass(frozen=True, eq=False)
 class ConeFamily:

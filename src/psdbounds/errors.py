@@ -9,10 +9,6 @@ class InvalidDimensionError(ValueError):
     """A dimension argument is out of range (e.g. n = 0)."""
 
 
-class InvalidIndexError(ValueError):
-    """An index set refers outside its parent matrix."""
-
-
 class InvalidArgumentError(ValueError):
     """An argument combination violates an operation's precondition."""
 

@@ -24,7 +24,7 @@ from .errors import (
     SizeLimitError,
 )
 from .linalg import gaussian_sym_batch
-from .linalg import _diagonal_sums, _dumps_v1, _loads_v1, _project_traceless_stack, _read_text, _write_text
+from .linalg import _diagonal_sums, _project_traceless_stack
 from .widths import _check_trials, _mean_and_var, _run_trials
 
 # Not called in this module; kept as module attributes because the
@@ -51,8 +51,6 @@ __all__ = [
     "q_poly_moments",
     "variance_identity_check",
     "random_bounded_function",
-    "write_hfun",
-    "read_hfun",
 ]
 
 MAX_TRANSFORM_BITS = 24  # 16M values per table
@@ -104,9 +102,6 @@ class HypercubeFunction:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    def mean(self) -> float:
-        return float(self.values.mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,18 +253,37 @@ def hypercontractivity_trials(n: int, trials: int, seed: int, rho: float, p: flo
 
 
 def proj2_norm(f: HypercubeFunction) -> float:
-    """L2 norm of the degree-2 part, straight from the coefficient table."""
-    return float(_proj2_norms(f.values[None])[0])
+    """L2 norm of the degree-2 part, straight from the coefficient table.
+    When the plain norm overflows although the coefficients are finite, it
+    is taken as s * ||coeffs / s|| with s = max|coeffs|, the pattern of
+    linalg._frobenius_parts, so a representable norm is finite; every
+    finite plain norm keeps its bits.  Coefficients past the float range
+    give the plain (inf or NaN) norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _proj2_coefficients(f.values[None])
+        norm = float(_root_sum_squares(coeffs)[0])
+        if norm == math.inf and np.isfinite(coeffs).all():
+            scale = float(np.abs(coeffs).max())
+            norm = scale * float(_root_sum_squares(coeffs / scale)[0])
+    return norm
 
 
-def _proj2_norms(values: np.ndarray) -> np.ndarray:
-    """L2 norm of the degree-2 part of each row of a (T, 2^n) stack."""
+def _proj2_coefficients(values: np.ndarray) -> np.ndarray:
+    """The degree-2 Fourier coefficients of each row of a (T, 2^n) stack."""
     size = values.shape[-1]
     pairs = np.flatnonzero(_degrees(size.bit_length() - 1) == 2)
     # np.take keeps the rows C-contiguous; a boolean-mask gather along the
     # last axis returns a transposed layout, whose row sums round differently
-    squares = np.take(_wht(values) / size, pairs, axis=-1) ** 2
-    return np.sqrt(squares.sum(axis=-1))
+    return np.take(_wht(values) / size, pairs, axis=-1)
+
+
+def _root_sum_squares(coeffs: np.ndarray) -> np.ndarray:
+    return np.sqrt((coeffs**2).sum(axis=-1))
+
+
+def _proj2_norms(values: np.ndarray) -> np.ndarray:
+    """L2 norm of the degree-2 part of each row of a (T, 2^n) stack."""
+    return _root_sum_squares(_proj2_coefficients(values))
 
 
 def harmonic_bound_check(f: HypercubeFunction, lam: float) -> tuple[float, float, bool]:
@@ -356,7 +370,9 @@ def variance_identity_check(
     evaluates E_x[f(x) * (-x^T G0 x)] by full vertex enumeration, in stacks
     of 256 trials.  _vertex_forms computes a stack's quadratic forms with the
     bits of np.einsum("vi,bij,vj->bv", ..., optimize=True), replaying that
-    einsum's one matrix product where its plan has one.
+    einsum's one matrix product where its plan has one.  Either side past
+    the float range raises NumericalFailureError, as an overflowing norm
+    does in hypercontractivity_trials.
     """
     if f.n > MAX_ENUMERATION_BITS:
         raise SizeLimitError(
@@ -372,9 +388,18 @@ def variance_identity_check(
         _project_traceless_stack(mats)
         return -(forms(mats) @ f.values) * scale
 
-    # 256 trials a stack: einsum picks its contraction path by the stack size
-    empirical = _mean_and_var(_run_trials(trials, 256, kernel))[1]
-    theoretical = 2.0 * proj2_norm(f) ** 2
+    # 256 trials a stack: einsum picks its contraction path by the stack size;
+    # a side past the float range raises below, so no overflow warning escapes
+    with np.errstate(over="ignore", invalid="ignore"):
+        empirical = _mean_and_var(_run_trials(trials, 256, kernel))[1]
+    try:
+        theoretical = 2.0 * proj2_norm(f) ** 2
+    except OverflowError:  # a float power past the float range raises
+        theoretical = math.inf
+    if not (math.isfinite(empirical) and math.isfinite(theoretical)):
+        raise NumericalFailureError(
+            f"a variance side leaves the float range: empirical {empirical}, closed form {theoretical}"
+        )
     return empirical, theoretical
 
 
@@ -453,18 +478,3 @@ def _bounded_values(draws: np.ndarray, n: int, lam: float) -> np.ndarray:
     values[over] /= (mean[over] * (1.0 + 1e-12))[:, None]
     return values
 
-
-# -- hfun v1 text format --------------------------------------------------------
-#
-# The v1 convention of linalg, with header "n" and then 2^n floats in
-# vertex-index order, 8 per row.
-
-
-def write_hfun(f: HypercubeFunction, path) -> None:
-    rows = (f.values[start : start + 8] for start in range(0, f.values.size, 8))
-    _write_text(path, _dumps_v1((f.n,), rows))
-
-
-def read_hfun(path) -> HypercubeFunction:
-    (n,), values = _loads_v1(_read_text(path), "hfun", 1, _check_n)
-    return HypercubeFunction(n, values)

@@ -18,12 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._rng import check_seed, is_integer, normal_rows, substream
-from .errors import (
-    InvalidArgumentError,
-    InvalidDimensionError,
-    InvalidIndexError,
-    NumericalFailureError,
-)
+from .errors import InvalidArgumentError, InvalidDimensionError, NumericalFailureError
 
 __all__ = [
     "SymmetricMatrix",
@@ -123,19 +118,8 @@ class SymmetricMatrix:
     def to_dense(self) -> np.ndarray:
         return _unpack(self.packed, self.dim)
 
-    def entry(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        if not 0 <= i <= j < self.dim:
-            raise InvalidIndexError(f"entry ({i}, {j}) outside a {self.dim}x{self.dim} matrix")
-        return float(self.packed[i * self.dim - i * (i - 1) // 2 + (j - i)])
-
     def trace(self) -> float:
         return float(_diagonal_sums(self.packed[_layout(self.dim).diag][None])[0])
-
-    def frobenius_norm(self) -> float:
-        scale, norm = _frobenius_parts(self.to_dense())
-        return scale * norm
 
     def fingerprint(self) -> str:
         """Short content hash, used in error messages."""
@@ -300,7 +284,7 @@ def _project_traceless_stack(mats: np.ndarray) -> np.ndarray:
 
 # -- v1 text formats ------------------------------------------------------------
 #
-# symmat, conefam and hfun files share one convention: ASCII text, a header
+# symmat and conefam files share one convention: ASCII text, a header
 # line of integers, then rows of floats separated by single spaces, each row
 # ending in "\n".  Floats are written with 17 significant digits, so float64
 # values round-trip bit-exactly, and are read back with Python's float().

@@ -19,7 +19,7 @@ import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,7 +33,7 @@ from .cones import (
     k_sparse_largest_eigenvalue,
     largest_block_eigenvalue,
 )
-from .errors import InvalidArgumentError, InvalidDimensionError, OracleFailureError
+from .errors import InvalidArgumentError, OracleFailureError
 from .linalg import _check_dim, gaussian_sym_batch
 
 # Not called in this module; kept as a module attribute because the
@@ -115,56 +115,22 @@ class WidthEstimate:
 class SupportOracle:
     """Support-function oracle h_S for a set S in R^dim, held as one formula.
 
-    ``evaluate`` maps one direction to sup_{z in S} <g, z>; ``evaluate_batch``
-    maps a (T, dim) block of directions to T values.  Given one, the oracle
-    derives the other (the batch run on one row, or evaluate run on each
-    row), so both give the same bits; given neither, it raises
-    InvalidArgumentError.  dim must be an integer >= 1, and the evaluate
-    derived from a batch takes only directions of shape (dim,); either
-    failure raises InvalidDimensionError.  Oracles must be pure.
+    ``evaluate_batch``, keyword-only, maps a (T, dim) block of directions g
+    to the T values sup_{z in S} <g, z>; a value must not depend on the rows
+    around it.  dim must be an integer >= 1, else InvalidDimensionError; a
+    formula that is not callable raises InvalidArgumentError.  Oracles must
+    be pure.
     """
 
     dim: int
-    evaluate: Callable[[np.ndarray], float] | None = None
-    evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    _: KW_ONLY
+    evaluate_batch: Callable[[np.ndarray], np.ndarray]
     label: str = ""
 
     def __post_init__(self):
         _check_dim(self.dim)
-        # derived from the given callable, not self: an oracle holds no cycle
-        one, batch, dim = self.evaluate, self.evaluate_batch, self.dim
-        if one is None and batch is None:
-            raise InvalidArgumentError("a support oracle needs evaluate or evaluate_batch")
-        if one is None:
-
-            def one(g) -> float:
-                g = np.asarray(g, dtype=np.float64)
-                if g.shape != (dim,):
-                    raise InvalidDimensionError(f"direction must have shape ({dim},), got {g.shape}")
-                return float(batch(g[None])[0])
-
-        elif batch is None:
-            batch = _batch_of(one)
-        object.__setattr__(self, "evaluate", one)
-        object.__setattr__(self, "evaluate_batch", batch)
-
-
-def _batch_of(one: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """The batch formula of a scalar one: evaluate run on each row, and an
-    error naming evaluate when it returns something other than one value."""
-
-    def batch(dirs: np.ndarray) -> np.ndarray:
-        values = np.empty(len(dirs))
-        for t, g in enumerate(dirs):
-            value = one(g)
-            if np.shape(value) != ():
-                raise OracleFailureError(
-                    f"evaluate returned shape {np.shape(value)}, expected ()", direction=g.copy()
-                )
-            values[t] = value
-        return values
-
-    return batch
+        if not callable(self.evaluate_batch):
+            raise InvalidArgumentError(f"evaluate_batch must be callable, got {self.evaluate_batch!r}")
 
 
 @dataclass(frozen=True)
@@ -533,19 +499,21 @@ def ellipsoid_oracle(semi_axes) -> SupportOracle:
 def l1_ball_oracle(dim: int, radius: float = 1.0) -> SupportOracle:
     """Support function radius * max|g_i| of the centered cross-polytope."""
     _check_ball(dim, radius)
+    scale = float(radius)  # as in l2_ball_oracle
     return SupportOracle(
         dim,
-        evaluate_batch=lambda dirs: radius * np.abs(dirs).max(axis=1),
-        label=f"l1-ball(d={dim}, r={radius:g})",
+        evaluate_batch=lambda dirs: scale * np.abs(dirs).max(axis=1),
+        label=f"l1-ball(d={dim}, r={scale:g})",
     )
 
 
 def shifted_oracle(oracle: SupportOracle, shift) -> SupportOracle:
     """Oracle for S + shift: the value of each direction g moves by <g, shift>.
 
-    Its one formula is oracle's batch plus _row_sums(dirs * shift).  A BLAS
+    Its formula is oracle's batch plus _row_sums(dirs * shift).  A BLAS
     product dirs @ shift can round a row differently in a block than alone; a
-    row sum cannot, so evaluate has the bits of the batch row.
+    row sum cannot, so a trial's value does not depend on the block of
+    directions, or the trial window, it lands in.
     """
     t = np.asarray(shift, dtype=np.float64)
     if t.shape != (oracle.dim,):

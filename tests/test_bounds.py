@@ -54,6 +54,10 @@ INTEGRAL_05 = 0.92867408225574
 XI_001 = 1.9704755533594
 
 
+def curve_values(curve):
+    return [p.value for p in curve.points]
+
+
 class TestBinaryEntropy:
     def test_endpoints(self):
         assert binary_entropy(0.0) == 0.0
@@ -577,19 +581,19 @@ class TestMaximalBound:
 class TestCurves:
     def test_psi_curve_strictly_decreasing(self):
         curve = emit_curve("psi", np.linspace(0.1, 0.9, 9))
-        values = curve.values()
+        values = curve_values(curve)
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_delta_star_curve(self):
         curve = emit_curve("delta_star", [0.0, 0.2, 0.5])
-        values = curve.values()
+        values = curve_values(curve)
         assert abs(values[0] - 0.137) <= 0.001
         assert values[0] > values[1] > values[2]
 
     def test_entropy_vs_bracket_single_crossing(self):
         grid = np.linspace(0.001, 0.999, 999)
         curve = emit_curve("entropy_vs_bracket", grid, eps=0.0)
-        signs = np.sign(curve.values())
+        signs = np.sign(curve_values(curve))
         crossings = int((np.diff(signs) != 0).sum())
         assert crossings == 1
 
@@ -614,7 +618,7 @@ class TestCurves:
         # they once evaluated at int(k) and int(N) and were flagged ok
         thm1 = emit_curve("thm1", [1.5, 2.5, 3.0], n=10)
         assert [p.flag for p in thm1.points] == ["domain", "domain", "ok"]
-        assert thm1.values()[2] == evaluate("thm1", {"n": 10, "k": 3})
+        assert curve_values(thm1)[2] == evaluate("thm1", {"n": 10, "k": 3})
         maximal = emit_curve("maximal", [2.0, 2.9], v=1.0, c=0.0)
         assert [p.flag for p in maximal.points] == ["ok", "domain"]
         # a fixed parameter breaks every point, so it rejects the curve
@@ -636,8 +640,8 @@ class TestCurves:
             BoundCurve("bad", (CurvePoint(0.1, math.nan, "ok"),))
 
     def test_phi_curve_with_width_ratio(self):
-        tight = emit_curve("phi", [0.04], eps=0.0, width_ratio=1.0).values()[0]
-        finite = emit_curve("phi", [0.04], eps=0.0, width_ratio=0.9).values()[0]
+        tight = curve_values(emit_curve("phi", [0.04], eps=0.0, width_ratio=1.0))[0]
+        finite = curve_values(emit_curve("phi", [0.04], eps=0.0, width_ratio=0.9))[0]
         assert finite < tight
         assert abs(tight - (1.0 - 0.2) ** 2) < 1e-14
 
@@ -673,7 +677,7 @@ class TestFormulaRegistry:
         for name, (fixed, x, direct) in self.CASES.items():
             expected = direct()
             assert evaluate(name, {**fixed, FORMULAS[name].grid: x}) == expected, name
-            assert emit_curve(name, [x], **fixed).values() == [expected], name
+            assert curve_values(emit_curve(name, [x], **fixed)) == [expected], name
 
     @pytest.mark.parametrize(
         "which, params, name",
@@ -734,4 +738,4 @@ class TestFormulaRegistry:
             evaluate("entropy_vs_bracket", {"delta": 0.5, "eps": -1.0})
 
     def test_curve_params_may_reuse_the_argument_names(self):
-        assert emit_curve("psi", [0.5], which=1, grid=2).values() == [psi(0.5)]
+        assert curve_values(emit_curve("psi", [0.5], which=1, grid=2)) == [psi(0.5)]

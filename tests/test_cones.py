@@ -532,7 +532,7 @@ class TestGeneralNonFinite:
         cols = np.eye(4)[:, :2].copy()
         cols[1, 0] = bad
         with pytest.raises(InvalidArgumentError, match="finite"):
-            SubspaceBasis.from_columns(cols)
+            SubspaceBasis(4, 2, cols)
 
     def test_conefam_with_a_nan_is_rejected(self, tmp_path):
         path = tmp_path / "nan.conefam"
@@ -701,7 +701,7 @@ class TestGeneralMembership:
 class TestSubspaceBasis:
     def test_orthonormality_repair(self, rng):
         raw = rng.standard_normal((6, 3))  # far from orthonormal
-        basis = SubspaceBasis.from_columns(raw)
+        basis = SubspaceBasis(6, 3, raw)
         gram = basis.columns.T @ basis.columns
         assert np.abs(gram - np.eye(3)).max() <= 1e-10
         # repaired columns span the same subspace
@@ -713,7 +713,7 @@ class TestSubspaceBasis:
         cols = np.zeros((4, 2))
         cols[:, 0] = cols[:, 1] = [1.0, 0.0, 0.0, 0.0]
         with pytest.raises(InvalidArgumentError):
-            SubspaceBasis.from_columns(cols)
+            SubspaceBasis(4, 2, cols)
 
     def test_family_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -745,7 +745,7 @@ class TestSpikedConstructions:
 
     def test_witness_values_6_3(self):
         W = witness_matrix(6, 3)
-        assert abs(W.entry(0, 0) - (-0.25 / 6 + 0.25 * (1 - 1 / 6) - 0.0)) < 1e-12
+        assert abs(W.to_dense()[0, 0] - (-0.25 / 6 + 0.25 * (1 - 1 / 6) - 0.0)) < 1e-12
         w = np.sort(eigenvalues_descending(W))
         assert np.allclose(w, [-0.25, 0.25, 0.25, 0.25, 0.25, 0.25])
 
@@ -758,7 +758,7 @@ class TestSpikedConstructions:
     def test_witness_boundary_k_equals_n(self):
         W = witness_matrix(5, 5)
         assert is_psd(W, 1e-12)
-        assert abs(W.entry(0, 0) - 1 / 5) < 1e-15  # a=0, b=1/(n-1), diag = b(1-1/n)... = 1/n
+        assert abs(W.to_dense()[0, 0] - 1 / 5) < 1e-15  # a=0, b=1/(n-1), diag = b(1-1/n)... = 1/n
 
     def test_witness_transition_10_2(self):
         W = witness_matrix(10, 2).to_dense()

@@ -1,5 +1,5 @@
-"""The v1 text formats: symmat, conefam and hfun share one writer and one
-reader, so each test here runs across all three."""
+"""The v1 text formats: symmat and conefam share one writer and one reader,
+so each test here runs across both."""
 
 import json
 from pathlib import Path
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from psdbounds import cli
 from psdbounds.cones import ConeFamily, SubspaceBasis, read_conefam, write_conefam
-from psdbounds.hypercube import HypercubeFunction, read_hfun, write_hfun
 from psdbounds.linalg import SymmetricMatrix, read_symmat, write_symmat
 
 MAX = 1.7976931348623157e308
@@ -45,14 +44,6 @@ def symmats(draw):
 
 
 @st.composite
-def hfuns(draw):
-    n = draw(st.integers(1, 5))
-    values = draw(st.lists(any_floats(), min_size=1 << n, max_size=1 << n))
-    f = HypercubeFunction(n, np.array(values))
-    return f, f.values, v1_text([n], [f.values[i : i + 8] for i in range(0, 1 << n, 8)])
-
-
-@st.composite
 def conefams(draw):
     """Signed coordinate bases, some turned by a plane rotation, with signed
     zeros, subnormals and tiny values where the entries are zero: the bases
@@ -83,7 +74,6 @@ def conefams(draw):
 FORMATS = {
     "symmat": (symmats(), write_symmat, read_symmat, lambda M: M.packed),
     "conefam": (conefams(), write_conefam, read_conefam, lambda family: family.stacked()),
-    "hfun": (hfuns(), write_hfun, read_hfun, lambda f: f.values),
 }
 
 
@@ -105,12 +95,9 @@ def test_extreme_floats_round_trip(values, tmp_path):
     M = SymmetricMatrix(2, values)
     write_symmat(M, tmp_path / "m.symmat")
     assert read_symmat(tmp_path / "m.symmat").packed.tobytes() == M.packed.tobytes()
-    f = HypercubeFunction(1, values[:2])
-    write_hfun(f, tmp_path / "f.hfun")
-    assert read_hfun(tmp_path / "f.hfun").values.tobytes() == f.values.tobytes()
 
 
-READERS = {"symmat": read_symmat, "conefam": read_conefam, "hfun": read_hfun}
+READERS = {"symmat": read_symmat, "conefam": read_conefam}
 
 MALFORMED = [
     # headers the constructors reject, each with a payload that would fill it
@@ -118,24 +105,28 @@ MALFORMED = [
     ("conefam", "3 0 1", "1 0 0\n"),
     ("conefam", "2 3 1", "1 0 0\n0 1 0\n"),
     ("conefam", "3 1 0", ""),
-    ("hfun", "0", "1\n"),
-    ("hfun", "-1", "0.5\n"),
-    ("hfun", "25", "1\n"),
-    ("hfun", "1000000000000", "1\n"),
+    ("conefam", "2 1 -1", "1\n0\n"),
     ("symmat", "0", ""),
     ("symmat", "-3", "1\n"),
+    # headers whose float count would not fit in memory: the count, not an
+    # allocation, rejects them
+    ("symmat", "1000000000000", "1\n"),
+    ("conefam", "1000000000000 1 1", "1\n"),
     # headers that are not integers, or are cut short
     ("symmat", "", ""),
     ("symmat", "2.0", "1 0\n1\n"),
     ("conefam", "3 1", ""),
+    ("conefam", "", ""),
+    ("conefam", "1.5 1 1", "1\n"),
     # truncated payloads
     ("symmat", "2", "1.0 2.0\n"),
     ("conefam", "3 2 2", "1 0\n0 1\n0 0\n"),
-    ("hfun", "3", "1 2 3\n"),
+    ("symmat", "3", "1 2 3\n4 5\n"),
+    ("conefam", "2 1 1", "1\n"),
     # over-long payloads
     ("symmat", "1", "1.0 2.0\n"),
     ("conefam", "2 1 1", "1\n0\n5\n"),
-    ("hfun", "1", "1 2 3\n"),
+    ("symmat", "2", "1 2\n3\n4\n"),
 ]
 
 
@@ -154,7 +145,8 @@ NOT_A_NUMBER = [
     ("symmat", "2", "1 abc 3\n", 1, "abc"),
     ("symmat", "1", "0x1p3\n", 0, "0x1p3"),
     ("conefam", "2 1 1", "1\n--0\n", 1, "--0"),
-    ("hfun", "2", "1 2 3 1,5\n", 3, "1,5"),
+    ("symmat", "2", "1 2\n1,5\n", 2, "1,5"),
+    ("conefam", "1 1 2", "1\n-1e\n", 1, "-1e"),
 ]
 
 

@@ -28,10 +28,8 @@ from psdbounds.hypercube import (
     project_degree,
     q_poly_moments,
     random_bounded_function,
-    read_hfun,
     variance_identity_check,
     vertex,
-    write_hfun,
 )
 
 from _oracles import naive_fourier, proj2_quadratic_form, reference_wht
@@ -164,7 +162,7 @@ class TestDegreeProjection:
     def test_degree_zero_is_mean(self, rng):
         f = hf(5, rng.standard_normal(32))
         proj = project_degree(f, 0)
-        assert np.allclose(proj.values, f.mean())
+        assert np.allclose(proj.values, f.values.mean())
 
     def test_character_projections(self):
         f = chi(4, 0b0110)
@@ -215,7 +213,7 @@ class TestNoiseOperator:
 
     def test_collapses_to_mean_at_rho_zero(self, rng):
         f = hf(5, rng.standard_normal(32))
-        assert np.allclose(noise(f, 0.0).values, f.mean())
+        assert np.allclose(noise(f, 0.0).values, f.values.mean())
 
     def test_halves_characters_per_degree(self):
         f = chi(4, 0b0111)
@@ -342,14 +340,14 @@ class TestHarmonicBound:
             f = random_bounded_function(10, lam, substream(1, 0))
         assert f.values.min() >= 0.0 and f.values.max() <= lam
         assert f.values.any()
-        assert f.mean() <= 1.0
+        assert f.values.mean() <= 1.0
 
     def test_generator_respects_preconditions(self):
         for trial in range(100):
             f = random_bounded_function(6, 10.0, substream(99, trial))
             assert f.values.min() >= 0.0
             assert f.values.max() <= 10.0
-            assert f.mean() <= 1.0 + 1e-15
+            assert f.values.mean() <= 1.0 + 1e-15
 
 
 class TestProj2QuadraticForm:
@@ -379,6 +377,25 @@ class TestProj2QuadraticForm:
         f = hf(7, rng.standard_normal(128))
         A = proj2_quadratic_form(f.values)
         assert abs((A**2).sum() - proj2_norm(f) ** 2 / 2.0) < 1e-10
+
+
+class TestProj2Norm:
+    def test_plain_norm_has_the_bits_of_the_stack_norm(self, rng):
+        stack = rng.standard_normal((3, 1 << 7))
+        norms = hypercube._proj2_norms(stack)
+        for values, want in zip(stack, norms):
+            assert proj2_norm(hf(7, values)) == float(want)
+
+    # the squares of these coefficients overflow; the suite turns every
+    # RuntimeWarning into an error
+    def test_norm_past_the_float_range_is_taken_scaled(self, rng):
+        assert proj2_norm(hf(6, 1e200 * chi(6, 0b011).values)) == 1e200
+        values = rng.standard_normal(1 << 10)
+        got = proj2_norm(hf(10, 1e200 * values))
+        assert math.isclose(got, 1e200 * proj2_norm(hf(10, values)), rel_tol=1e-12)
+
+    def test_coefficients_past_the_float_range_give_a_non_finite_norm(self):
+        assert not math.isfinite(proj2_norm(hf(10, np.full(1 << 10, 1.7e308))))
 
 
 class TestMomentIdentities:
@@ -442,6 +459,18 @@ class TestVarianceIdentity:
         big = hf(15, np.zeros(1 << 15))
         with pytest.raises(SizeLimitError):
             variance_identity_check(big, 10, seed=0)
+
+    # the squares of these coefficients and deviations overflow; the suite
+    # turns every RuntimeWarning into an error
+    @pytest.mark.parametrize(
+        "values",
+        [1e200 * substream(4).standard_normal(1 << 10), np.full(1 << 10, 1.7e308)],
+        ids=["scaled-1e200", "constant-near-max"],
+    )
+    def test_a_side_past_the_float_range_raises(self, values):
+        f = hf(10, values)
+        with pytest.raises(NumericalFailureError, match="variance side leaves the float range"):
+            variance_identity_check(f, 10, 1)
 
     def test_seeded_run_repeats_its_values(self, rng):
         f = hf(6, rng.standard_normal(64))
@@ -576,25 +605,6 @@ class TestMarkovSupportBound:
             f = random_bounded_function(8, 40.0, gen)
             lam = float(gen.uniform(3.0, 30.0))
             assert (f.values > lam).sum() < (1 << 8) / lam
-
-
-class TestHfunFormat:
-    def test_round_trip_bit_exact(self, tmp_path, rng):
-        f = hf(5, rng.standard_normal(32))
-        path = tmp_path / "f.hfun"
-        write_hfun(f, path)
-        assert np.array_equal(read_hfun(path).values, f.values)
-
-    def test_header(self, tmp_path):
-        path = tmp_path / "g.hfun"
-        write_hfun(hf(2, [1.0, 2.0, 3.0, 4.0]), path)
-        assert path.read_text().splitlines()[0] == "2"
-
-    def test_rejects_truncated(self, tmp_path):
-        path = tmp_path / "bad.hfun"
-        path.write_text("3\n1 2 3\n")
-        with pytest.raises(ValueError):
-            read_hfun(path)
 
 
 class TestExpansionValidation:

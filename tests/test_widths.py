@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -108,7 +109,7 @@ class TestKSparseLargestEigenvalue:
     def test_singletons_take_max_diagonal(self):
         G = sample_standard_gaussian_sym(7, 22)
         assert k_sparse_largest_eigenvalue(G, 1) == max(
-            G.entry(i, i) for i in range(7)
+            G.to_dense()[i, i] for i in range(7)
         )
 
     def test_exhaustive_matches_bruteforce(self, rng):
@@ -1015,36 +1016,49 @@ class TestWidthViaOracle:
              "ellipsoid-d3", "ellipsoid-2-1", "ellipsoid-tiny", "ellipsoid-huge",
              "l1-d1", "l1-d7", "l1-d8", "shifted-l2-d9", "shifted-l2-d40", "batch-only-cube-d5"],
     )
-    def test_scalar_and_batch_paths_agree(self, make):
-        # an oracle wrapped without its batch gives the same widths bit for bit
-        batched = make()
-        scalar = SupportOracle(dim=batched.dim, evaluate=batched.evaluate)
-        a = width_via_oracle(batched, 2000, seed=29)
-        b = width_via_oracle(scalar, 2000, seed=29)
-        assert a.per_trial_values.tobytes() == b.per_trial_values.tobytes()
-        assert (a.mean, a.std_error) == (b.mean, b.std_error)
+    def test_a_row_depends_on_neither_its_block_nor_the_trial_window(self, make):
+        # each row of a block has the bits it has alone, so the first 70
+        # trials of a long run, drawn in other blocks, are those of a short one
+        oracle = make()
+        dirs = substream(29).standard_normal((2000, oracle.dim))
+        alone = [oracle.evaluate_batch(dirs[i : i + 1])[0] for i in range(len(dirs))]
+        assert oracle.evaluate_batch(dirs).tobytes() == np.array(alone).tobytes()
+        short = width_via_oracle(oracle, 70, seed=29).per_trial_values
+        long = width_via_oracle(oracle, 70_000, seed=29).per_trial_values
+        assert short.tobytes() == long[:70].tobytes()
 
     def test_an_oracle_needs_a_formula(self):
-        with pytest.raises(InvalidArgumentError, match="evaluate or evaluate_batch"):
-            SupportOracle(3, label="empty")
-
-    def test_an_evaluate_that_is_not_scalar_is_named(self):
-        # the batch is derived from evaluate, so the error names evaluate
-        oracle = SupportOracle(2, evaluate=lambda g: np.array([1.0, 2.0]))
-        with pytest.raises(OracleFailureError, match=r"^evaluate returned shape \(2,\), expected \(\)$") as err:
-            width_via_oracle(oracle, 5, 1)
-        assert err.value.direction.shape == (2,)
+        f = lambda dirs: dirs[:, 0]
+        for make in (lambda: SupportOracle(3, label="empty"), lambda: SupportOracle(3, f),
+                     lambda: SupportOracle(3, evaluate=f)):
+            with pytest.raises(TypeError):
+                make()
+        with pytest.raises(InvalidArgumentError, match="evaluate_batch must be callable"):
+            SupportOracle(3, evaluate_batch=np.ones(3))
 
     def test_a_batch_of_the_wrong_shape_is_named(self):
         oracle = SupportOracle(3, evaluate_batch=lambda dirs: dirs.sum(axis=0))
         with pytest.raises(OracleFailureError, match=r"^evaluate_batch returned shape \(3,\), expected \(5,\)$"):
             width_via_oracle(oracle, 5, seed=1)
 
+    @pytest.mark.parametrize(
+        "batch, shape",
+        [(lambda dirs: dirs[:, :1], (5, 1)), (lambda dirs: dirs, (5, 3)), (lambda dirs: dirs.sum(), ()),
+         (lambda dirs: dirs[:-1, 0], (4,)), (lambda dirs: np.append(dirs[:, 0], 0.0), (6,))],
+        ids=["column", "block", "scalar", "short", "long"],
+    )
+    def test_a_batch_of_any_other_shape_is_named(self, batch, shape):
+        # only a (T,) batch is taken; a column or a scalar is not broadcast
+        oracle = SupportOracle(3, evaluate_batch=batch)
+        message = f"evaluate_batch returned shape {shape}, expected (5,)"
+        with pytest.raises(OracleFailureError, match=f"^{re.escape(message)}$"):
+            width_via_oracle(oracle, 5, seed=1)
+
     def test_nonfinite_oracle_reports_direction(self):
-        bad = SupportOracle(dim=2, evaluate=lambda g: float("nan"), label="broken")
-        with pytest.raises(OracleFailureError) as err:
+        bad = SupportOracle(dim=2, evaluate_batch=lambda dirs: np.full(len(dirs), np.nan), label="broken")
+        with pytest.raises(OracleFailureError, match="oracle broken returned a non-finite value at trial 0$") as err:
             width_via_oracle(bad, 10, seed=1)
-        assert err.value.direction is not None and err.value.direction.shape == (2,)
+        assert err.value.direction.tobytes() == substream(1).standard_normal((1, 2))[0].tobytes()
 
     @pytest.mark.parametrize(
         "make",
@@ -1060,9 +1074,9 @@ class TestWidthViaOracle:
 
     def test_positive_homogeneity_of_builtin_oracles(self, rng):
         for oracle in (l2_ball_oracle(3), l1_ball_oracle(3), ellipsoid_oracle([2, 1, 3])):
-            g = rng.standard_normal(3)
+            dirs = rng.standard_normal((50, 3))
             for t in (0.5, 2.0, 7.0):
-                assert abs(oracle.evaluate(t * g) - t * oracle.evaluate(g)) < 1e-10
+                assert np.abs(oracle.evaluate_batch(t * dirs) - t * oracle.evaluate_batch(dirs)).max() < 1e-10
 
     @pytest.mark.parametrize("make", [l2_ball_oracle, l1_ball_oracle])
     @pytest.mark.parametrize("radius", [-1.0, -1e-300, math.inf, math.nan])
@@ -1099,19 +1113,6 @@ class TestWidthViaOracle:
         want = width_via_oracle(l1_ball_oracle(3), 50, seed=4)
         assert width_via_oracle(oracle, 50, seed=4).per_trial_values.tobytes() == want.per_trial_values.tobytes()
 
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: l2_ball_oracle(3), lambda: ellipsoid_oracle([1.0, 2.0, 3.0]), lambda: l1_ball_oracle(3),
-         lambda: shifted_oracle(l2_ball_oracle(3), [1.0, 0.0, -1.0])],
-        ids=["l2-ball", "ellipsoid", "l1-ball", "shifted"],
-    )
-    @pytest.mark.parametrize("g", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], 1.0],
-                             ids=["short", "long", "row", "scalar"])
-    def test_a_derived_evaluate_rejects_a_direction_of_the_wrong_shape(self, make, g):
-        # l2_ball_oracle(3).evaluate([1, 2]) gave 2.236
-        with pytest.raises(InvalidDimensionError, match=r"direction must have shape \(3,\)"):
-            make().evaluate(np.array(g))
-
     def test_zero_radius_is_a_point(self):
         assert width_via_oracle(l2_ball_oracle(3, 0.0), 10, seed=1).mean == 0.0
 
@@ -1136,12 +1137,12 @@ class TestWidthViaOracle:
         assert math.isclose(est.mean, scale * unit.mean, rel_tol=1e-12)
         assert abs(unit.mean - width / scale) <= 4 * unit.std_error
 
-    def test_scaled_ellipsoid_batch_and_scalar_paths_agree(self):
+    def test_scaled_ellipsoid_rows_alone_and_in_a_block_agree(self):
         g = np.array([[3.0, 4.0], [1e-10, -2.0]])
         for axes, expected in (([1e-200, 1e-200], [5e-200, 2e-200]), ([1e200, 1e200], [5e200, 2e200])):
             oracle = ellipsoid_oracle(axes)
             assert np.allclose(oracle.evaluate_batch(g), expected, rtol=1e-15)
-            assert np.allclose([oracle.evaluate(row) for row in g], expected, rtol=1e-15)
+            assert np.allclose([oracle.evaluate_batch(g[i : i + 1])[0] for i in range(2)], expected, rtol=1e-15)
 
     @pytest.mark.parametrize("axes", [[2.0, 1.0], [1.5, 0.5, 2.0], [2.0**-300] * 3, [2.0**300, 1.0]])
     def test_ordinary_ellipsoid_keeps_the_plain_bits(self, axes):
@@ -1224,7 +1225,8 @@ def _row_sum_entries():
 class TestNormOraclesInPlace:
     """The l2-ball and ellipsoid batches square, root and scale in place: the
     bits of the formulas radius * sqrt(sum(g * g)) and s * sqrt(sum((u o g)^2)),
-    and the directions they read are left as they were."""
+    and the directions they read are left as they were.  The ball oracles
+    take any real radius as float(radius)."""
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 8, 40])
     @pytest.mark.parametrize("radius", [1.0, 2.5, 3, 1e-300])
@@ -1236,14 +1238,22 @@ class TestNormOraclesInPlace:
         assert got.tobytes() == (radius * np.sqrt((dirs * dirs).sum(axis=1))).tobytes()
         assert dirs.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("radius", [Fraction(1, 3), Fraction(7), np.float32(0.1), np.int64(3)])
-    def test_l2_ball_bits_of_other_reals(self, radius):
+    @pytest.mark.parametrize(
+        "make, norm, name",
+        [(l2_ball_oracle, lambda dirs: np.sqrt((dirs * dirs).sum(axis=1)), "l2-ball"),
+         (l1_ball_oracle, lambda dirs: np.abs(dirs).max(axis=1), "l1-ball")],
+        ids=["l2-ball", "l1-ball"],
+    )
+    @pytest.mark.parametrize("radius", [Fraction(1, 3), Fraction(1, 2), Fraction(7), np.float32(0.1),
+                                        np.float32(0.5), np.int64(2), np.int64(3)])
+    def test_ball_bits_of_other_reals(self, make, norm, name, radius):
+        # l1_ball_oracle(3, Fraction(1, 2)) raised a TypeError from its label
         dirs = np.random.default_rng(5).standard_normal((300, 3))
-        oracle = l2_ball_oracle(3, radius)
+        oracle = make(3, radius)
         got = oracle.evaluate_batch(dirs)
         assert got.dtype == np.float64
-        assert got.tobytes() == (float(radius) * np.sqrt((dirs * dirs).sum(axis=1))).tobytes()
-        assert oracle.label == f"l2-ball(d=3, r={float(radius):g})"
+        assert got.tobytes() == (float(radius) * norm(dirs)).tobytes()
+        assert oracle.label == f"{name}(d=3, r={float(radius):g})"
 
     @pytest.mark.parametrize("axes", [[2.0, 1.0], [1.5, 0.5, 2.0], [1e-200, 1e-200], [1e200, 1.0], list(range(1, 12))])
     def test_ellipsoid_bits(self, axes):
