@@ -15,7 +15,9 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable
 
+from ._rng import is_integer
 from .errors import DomainError, InvalidArgumentError, NumericalFailureError
+from .linalg import _check_nk
 
 __all__ = [
     "LN3",
@@ -87,9 +89,8 @@ def phi(n: int, k: int, eps: float, width_ratio: float = 1.0) -> float:
     width_ratio is the finite-n width of the PSD base relative to sqrt(2n);
     the default 1 is the asymptotic value.
     """
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return _phi_rate(k / n, eps, width_ratio)
+    _check_nk(n, k)
+    return _phi_rate(int(k) / int(n), eps, width_ratio)
 
 
 def _phi_rate(delta: float, eps: float, width_ratio: float) -> float:
@@ -267,8 +268,8 @@ def thm1_xc_lower(
     (z + a)(z + b) >= g with a = 2k ln 3, b = ln(n^3 / (8 c ln 3)),
     g = (n-1) / (2 e c (1+eps)).
     """
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_nk(n, k)
+    n, k = int(n), int(k)
     if not eps >= 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     c = consts.c
@@ -327,8 +328,8 @@ def thm2_xc_lower(n: int, k: int, eps: float) -> float:
     a = sqrt(n) / (22000 e (1+eps)) and
     b = (ln(16 (1+eps) sqrt(k) n^{3/2} / (5 sqrt(2 ln 3))) - 2k ln 3) / 3.
     """
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_nk(n, k)
+    n, k = int(n), int(k)
     if not eps >= 0:
         raise DomainError(f"eps must be nonnegative, got {eps}")
     a = math.sqrt(n) / (22000.0 * math.e * (1.0 + eps))
@@ -348,9 +349,9 @@ def maximal_bound(v: float, c: float, n_vars: int) -> float:
         raise DomainError(f"variance proxy must be positive, got {v}")
     if not c >= 0:
         raise DomainError(f"scale parameter must be nonnegative, got {c}")
-    if not n_vars >= 1:
-        raise InvalidArgumentError(f"need at least one variable, got {n_vars}")
-    log_n = math.log(n_vars)
+    if not (is_integer(n_vars) and n_vars >= 1):
+        raise InvalidArgumentError(f"need an integer count of at least one variable, got {n_vars!r}")
+    log_n = math.log(int(n_vars))
     return max(math.sqrt(2.0 * v * log_n), 2.0 * c * log_n)
 
 

@@ -402,8 +402,9 @@ def _verify_maximal(trials, seed):
 
             checked += 1
             bound = bounds.maximal_bound(v, c, count)
-            mean, var = widths._mean_and_var(widths._run_trials(trials, (1 << 16) // count, kernel))
-            se = math.sqrt(var) / math.sqrt(trials)
+            values = widths._run_trials(trials, (1 << 16) // count, kernel)
+            estimate = widths._estimate(values, seed, keep_values=False)
+            mean, se = estimate.mean, estimate.std_error
             if mean > bound + 3.0 * se:
                 failures.append(
                     {

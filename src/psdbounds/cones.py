@@ -28,7 +28,7 @@ from .errors import (
     SizeLimitError,
 )
 from .linalg import SymmetricMatrix, psd_tolerance, require_finite
-from .linalg import _check_dim, _diagonal_sums, _dumps_v1, _loads_v1, _read_text, _write_text
+from .linalg import _check_nk, _diagonal_sums, _dumps_v1, _loads_v1, _read_text, _store_frozen, _write_text
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -71,14 +71,11 @@ class SubspaceBasis:
     columns: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        _check_nk(self.ambient_dim, self.rank)
         cols = np.asarray(self.columns, dtype=np.float64)
         if cols.shape != (self.ambient_dim, self.rank):
             raise InvalidArgumentError(
                 f"columns must have shape ({self.ambient_dim}, {self.rank}), got {cols.shape}"
-            )
-        if not 1 <= self.rank <= self.ambient_dim:
-            raise InvalidArgumentError(
-                f"need 1 <= k <= n, got k={self.rank}, n={self.ambient_dim}"
             )
         if not np.isfinite(cols).all():
             raise InvalidArgumentError("basis columns must be finite")
@@ -89,9 +86,7 @@ class SubspaceBasis:
             if pivots.min() <= 1e-10 * max(pivots.max(), 1.0):
                 raise InvalidArgumentError("columns are rank-deficient; cannot orthonormalize")
             cols = q * np.sign(np.diag(r))
-        cols = cols.copy()
-        cols.setflags(write=False)
-        object.__setattr__(self, "columns", cols)
+        _store_frozen(self, "columns", cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,14 +118,6 @@ class ConeFamily:
     def stacked(self) -> np.ndarray:
         """All bases as one (N, n, k) array."""
         return np.stack([b.columns for b in self.bases])
-
-
-def _check_nk(n: int, k: int) -> None:
-    _check_dim(n)
-    if not is_integer(k):
-        raise InvalidArgumentError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
 def check_enumeration(n: int, k: int, advice: str = "") -> None:
@@ -471,6 +458,17 @@ def largest_block_eigenvalue(blocks: np.ndarray) -> np.ndarray:
 
 _GREEDY_STREAM_KEY = 0x6B5053  # fixed internal stream; greedy output is a function of (G, k)
 _GREEDY_RESTARTS = 20
+# Rows a greedy group's first swap step screens, 21 k (n-k) a matrix.  Sparse-search wall_ref_s,
+# median of 4 runs on 2 cores: 0.099 s at 2,048 (one matrix a group at (20, 4)), 0.086 s at 4,096,
+# 0.085 s at 8,192, 0.088 s at 32,768 with peak RSS 44.2 -> 49.0 MB; the least that gains.
+_GREEDY_STEP_ROWS = 4096
+
+
+def greedy_group(n: int, k: int) -> int:
+    """Matrices a greedy search runs in lockstep: at least one, and at most
+    _GREEDY_STEP_ROWS // (21 k (n-k)), so a group's first swap step screens
+    at most _GREEDY_STEP_ROWS rows unless one matrix alone has more."""
+    return max(1, _GREEDY_STEP_ROWS // max(1, (_GREEDY_RESTARTS + 1) * k * (n - k)))
 
 
 def check_k_sparse(n: int, k: int, mode: str) -> None:
@@ -495,7 +493,8 @@ def k_sparse_largest_eigenvalue(G, k: int, mode: str = "exhaustive"):
     _screened_max screens each chunk on -G at that value, one matrix at a
     time, and solves only the blocks it rejects.  Greedy mode returns a
     lower bound from swap ascent from the grown support and 20 restarts
-    drawn once a call from a fixed internal stream (_swap_ascents).
+    drawn once a call from a fixed internal stream (_swap_ascents), run in
+    groups of greedy_group(n, k) matrices.
     Non-finite entries raise NumericalFailureError, and an asymmetric stack
     InvalidArgumentError.
     """
@@ -521,8 +520,11 @@ def k_sparse_largest_eigenvalue(G, k: int, mode: str = "exhaustive"):
                                          subset_chunks(n, k), c, _CHUNK_ROWS) for dense, c in scans])
     else:
         restarts = k_subsets(substream(_GREEDY_STREAM_KEY), n, k, _GREEDY_RESTARTS)
-        starts = np.concatenate([_grown_support(stack, k)[0][:, None], restarts[None].repeat(count, 0)], 1)
-        values = np.array([max(row) for row in _swap_ascents(stack, starts).tolist()])  # first of tied maxima
+        group, values = greedy_group(n, k), np.empty(count)
+        for i in range(0, count, group):
+            part = stack[i : i + group]
+            starts = np.concatenate([_grown_support(part, k)[0][:, None], restarts[None].repeat(len(part), 0)], 1)
+            values[i : i + group] = [max(row) for row in _swap_ascents(part, starts).tolist()]  # first of tied maxima
     return float(values[0]) if single else values
 
 

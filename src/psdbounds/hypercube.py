@@ -24,7 +24,7 @@ from .errors import (
     SizeLimitError,
 )
 from .linalg import gaussian_sym_batch
-from .linalg import _diagonal_sums, _project_traceless_stack
+from .linalg import _diagonal_sums, _project_traceless_stack, _store_frozen
 from .widths import _check_trials, _mean_and_var, _run_trials
 
 # Not called in this module; kept as module attributes because the
@@ -99,9 +99,7 @@ class HypercubeFunction:
             )
         if not np.isfinite(values).all():
             raise InvalidArgumentError("hypercube function values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _store_frozen(self, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,9 +116,7 @@ class FourierExpansion:
             raise InvalidArgumentError(
                 f"need exactly 2^{self.n} coefficients, got shape {coeffs.shape}"
             )
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
+        _store_frozen(self, "coefficients", coeffs)
 
     def degrees(self) -> np.ndarray:
         return _degrees(self.n)
@@ -253,19 +249,8 @@ def hypercontractivity_trials(n: int, trials: int, seed: int, rho: float, p: flo
 
 
 def proj2_norm(f: HypercubeFunction) -> float:
-    """L2 norm of the degree-2 part, straight from the coefficient table.
-    When the plain norm overflows although the coefficients are finite, it
-    is taken as s * ||coeffs / s|| with s = max|coeffs|, the pattern of
-    linalg._frobenius_parts, so a representable norm is finite; every
-    finite plain norm keeps its bits.  Coefficients past the float range
-    give the plain (inf or NaN) norm."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _proj2_coefficients(f.values[None])
-        norm = float(_root_sum_squares(coeffs)[0])
-        if norm == math.inf and np.isfinite(coeffs).all():
-            scale = float(np.abs(coeffs).max())
-            norm = scale * float(_root_sum_squares(coeffs / scale)[0])
-    return norm
+    """L2 norm of the degree-2 part, straight from the coefficient table."""
+    return float(_proj2_norms(f.values[None])[0])
 
 
 def _proj2_coefficients(values: np.ndarray) -> np.ndarray:
@@ -282,8 +267,21 @@ def _root_sum_squares(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _proj2_norms(values: np.ndarray) -> np.ndarray:
-    """L2 norm of the degree-2 part of each row of a (T, 2^n) stack."""
-    return _root_sum_squares(_proj2_coefficients(values))
+    """L2 norm of the degree-2 part of each row of a (T, 2^n) stack.  A row
+    whose plain norm overflows although its coefficients are finite takes
+    s * ||coeffs / s|| with s = max|coeffs|, the pattern of
+    linalg._frobenius_parts, so a representable norm is finite; every
+    finite plain norm keeps its bits.  Coefficients past the float range
+    give the plain (inf or NaN) norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _proj2_coefficients(values)
+        norms = _root_sum_squares(coeffs)
+        over = ~np.isfinite(norms)
+        if over.any():
+            over &= np.isfinite(coeffs).all(axis=-1)
+            scale = np.abs(coeffs[over]).max(axis=-1, keepdims=True)
+            norms[over] = scale[:, 0] * _root_sum_squares(coeffs[over] / scale)
+    return norms
 
 
 def harmonic_bound_check(f: HypercubeFunction, lam: float) -> tuple[float, float, bool]:

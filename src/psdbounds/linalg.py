@@ -44,6 +44,23 @@ def _check_dim(n: int) -> None:
         raise InvalidDimensionError(f"dimension must be >= 1, got {n}")
 
 
+def _check_nk(n: int, k: int) -> None:
+    """_check_dim(n), then InvalidArgumentError unless k is an integer with
+    1 <= k <= n."""
+    _check_dim(n)
+    if not is_integer(k):
+        raise InvalidArgumentError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= n:
+        raise InvalidArgumentError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
+def _store_frozen(obj, name: str, array: np.ndarray) -> None:
+    """Set the field name of the frozen dataclass obj to a read-only copy of array."""
+    array = array.copy()
+    array.setflags(write=False)
+    object.__setattr__(obj, name, array)
+
+
 def _packed_size(n: int) -> int:
     """n(n+1)/2, the packed length of an n-by-n matrix, once _check_dim(n) passes."""
     _check_dim(n)
@@ -102,9 +119,7 @@ class SymmetricMatrix:
                 f"packed storage must have length n(n+1)/2 = {size}, "
                 f"got shape {packed.shape}"
             )
-        packed = packed.copy()
-        packed.setflags(write=False)
-        object.__setattr__(self, "packed", packed)
+        _store_frozen(self, "packed", packed)
 
     @classmethod
     def from_dense(cls, dense) -> "SymmetricMatrix":

@@ -26,10 +26,10 @@ import numpy as np
 
 from ._rng import check_seed, is_integer, substream
 from .cones import (
-    _GREEDY_RESTARTS,
     ConeFamily,
     check_k_sparse,
     compressor,
+    greedy_group,
     k_sparse_largest_eigenvalue,
     largest_block_eigenvalue,
 )
@@ -58,10 +58,6 @@ __all__ = [
 ]
 
 _TRIAL_CHUNK = 64  # fixed so per-trial arithmetic is independent of threading
-# Rows a greedy width_dual_base_sparse chunk's first step screens, 21 k (n-k) a trial.  Sparse-search
-# wall_ref_s, median of 4 runs on 2 cores: 0.099 s at 2,048 (one trial a chunk at (20, 4)), 0.086 s at
-# 4,096, 0.085 s at 8,192, 0.088 s at 32,768 with peak RSS 44.2 -> 49.0 MB; the least that gains.
-_GREEDY_STEP_ROWS = 4096
 _TINY_STD = 2.0**-480  # a std this large has squared deviations far above the subnormals
 
 
@@ -298,15 +294,15 @@ def width_dual_base_sparse(
     n, k, mode and, in exhaustive mode, the subset count are checked before
     any draw (cones.check_k_sparse).  Each chunk's (T, n, n) stack goes in
     one call through this module's k_sparse_largest_eigenvalue, the name
-    the benchmark's tracer wraps.  A greedy chunk holds at most
-    _GREEDY_STEP_ROWS // (21 k (n-k)) trials, so its first swap step
-    screens at most that many rows.  The chunks run on the caller's thread:
+    the benchmark's tracer wraps.  A greedy chunk holds at most 64 trials
+    and at most cones.greedy_group(n, k), so each chunk is one lockstep
+    group.  The chunks run on the caller's thread:
     the searches hold the GIL, and two threads took longer than one.
     """
     check_k_sparse(n, k, mode)
     per_stack = lambda mats: k_sparse_largest_eigenvalue(mats, k, mode)
-    chunk = min(_TRIAL_CHUNK, max(1, _GREEDY_STEP_ROWS // max(1, (_GREEDY_RESTARTS + 1) * k * (n - k))))
-    return _matrix_trials(n, trials, seed, keep_values, per_stack, 0 if mode == "exhaustive" else chunk)
+    chunk = 0 if mode == "exhaustive" else min(_TRIAL_CHUNK, greedy_group(n, k))
+    return _matrix_trials(n, trials, seed, keep_values, per_stack, chunk)
 
 
 _DUAL_STACK_BYTES = 1 << 24  # byte cap on the compressed matrices of one width_general_dual chunk

@@ -32,7 +32,7 @@ from psdbounds.bounds import (
     xi,
     zeta,
 )
-from psdbounds.errors import DomainError, InvalidArgumentError, NumericalFailureError
+from psdbounds.errors import DomainError, InvalidArgumentError, InvalidDimensionError, NumericalFailureError
 
 from _oracles import (
     bisect_root,
@@ -491,6 +491,11 @@ class TestDepressedCubic:
     def test_root_is_positive(self, p, q):
         assert depressed_cubic_positive_root(p, q) > 0.0
 
+    def test_cancelled_closed_form_falls_back_to_q_over_p(self):
+        # t_plus + t_minus cancels to <= 0 when the root is tiny next to
+        # sqrt(p); q / p starts the Newton steps instead
+        assert depressed_cubic_positive_root(1e3, 1e-12) == 1e-15
+
     def test_domain(self):
         with pytest.raises(DomainError):
             depressed_cubic_positive_root(1.0, 0.0)
@@ -576,6 +581,55 @@ class TestMaximalBound:
             maximal_bound(1.0, -1.0, 5)
         with pytest.raises(InvalidArgumentError):
             maximal_bound(1.0, 1.0, 0)
+
+
+_NOT_INTEGERS = pytest.mark.parametrize(
+    "bad", [10.5, True, "3", np.float64(3.0)], ids=["float", "bool", "str", "np.float64"]
+)
+_SIZED = pytest.mark.parametrize("fn", [phi, thm1_xc_lower, thm2_xc_lower], ids=lambda fn: fn.__name__)
+
+
+class TestSizeContract:
+    """n, k and N are integers, as every size argument of the library: a
+    Python or numpy integer, computed with as the Python int."""
+
+    @_SIZED
+    @_NOT_INTEGERS
+    def test_n_must_be_an_integer(self, fn, bad):
+        with pytest.raises(InvalidDimensionError, match="dimension must be an integer"):
+            fn(bad, 3, 0.0)
+
+    @_SIZED
+    @_NOT_INTEGERS
+    def test_k_must_be_an_integer(self, fn, bad):
+        with pytest.raises(InvalidArgumentError, match="k must be an integer"):
+            fn(10, bad, 0.0)
+
+    @_NOT_INTEGERS
+    def test_count_must_be_an_integer(self, bad):
+        with pytest.raises(InvalidArgumentError, match="integer count"):
+            maximal_bound(1.0, 0.0, bad)
+
+    @_SIZED
+    def test_out_of_range(self, fn):
+        with pytest.raises(InvalidDimensionError, match="dimension must be >= 1"):
+            fn(0, 1, 0.0)
+        for k in (0, 11):
+            with pytest.raises(InvalidArgumentError, match="need 1 <= k <= n"):
+                fn(10, k, 0.0)
+
+    @_SIZED
+    @pytest.mark.parametrize("n, k", [(10, 3), (10**6, 7), (10**7, 1), (2**40, 2**20)])
+    def test_numpy_integers_give_the_bits_of_the_int(self, fn, n, k):
+        assert fn(np.int64(n), np.int64(k), 0.25).hex() == fn(n, k, 0.25).hex()
+
+    def test_n_cubed_does_not_wrap(self):
+        # n^3 = 10^21 wraps in int64, which gave 1119.38
+        assert round(thm1_xc_lower(np.int64(10**7), np.int64(1), 0.0), 2) == 1116.65
+
+    @pytest.mark.parametrize("count", [1, 2, 100, 2**62])
+    def test_numpy_count_gives_the_bits_of_the_int(self, count):
+        assert maximal_bound(2.0, 0.5, np.int64(count)).hex() == maximal_bound(2.0, 0.5, count).hex()
 
 
 class TestCurves:

@@ -486,6 +486,26 @@ class TestHypercubeVerify:
         )
         assert code == 0
 
+    def test_variance_at_one_bit_checks_the_zero_closed_form(self, capsys, monkeypatch):
+        # at n = 1 the degree-2 part is empty and the traceless 1-by-1 matrix
+        # is 0, so both sides are 0 and the empirical one is held to 1e-12
+        sides, check = [], hypercube.variance_identity_check
+        monkeypatch.setattr(hypercube, "variance_identity_check", lambda *a: sides.append(check(*a)) or sides[-1])
+        code, out, _ = run_cli(["hypercube", "verify", "--lemma", "variance", "--n", "1"], capsys)
+        assert code == 0
+        assert last_json(out)["report"] == {"lemma": "variance", "checked": 5, "failures": []}
+        assert sides == [(0.0, 0.0)] * 5
+
+    def test_variance_failures_name_each_function(self, capsys, monkeypatch):
+        monkeypatch.setattr(hypercube, "variance_identity_check", lambda f, trials, seed: (2.0, 1.0))
+        argv = ["hypercube", "verify", "--lemma", "variance", "--n", "3", "--trials", "200", "--seed", "4"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 1
+        band = 5.0 * math.sqrt(2.0 / 200)  # 0.5, below |2 / 1 - 1|
+        assert last_json(out)["report"]["failures"] == [
+            {"function": i, "seed": 4, "empirical": 2.0, "theoretical": 1.0, "band": band} for i in range(5)
+        ]
+
     def test_maximal_lemma_passes(self, capsys):
         code, out, _ = run_cli(
             ["hypercube", "verify", "--lemma", "maximal", "--trials", "4000", "--seed", "5"],

@@ -30,7 +30,9 @@ from psdbounds.errors import (
     NumericalFailureError,
     SizeLimitError,
 )
+from psdbounds.hypercube import HypercubeFunction
 from psdbounds.linalg import SymmetricMatrix, default_psd_tol, eigenvalues_descending, is_psd
+from psdbounds.widths import l2_ball_oracle, shifted_oracle
 
 from _oracles import (
     brute_sparse_member,
@@ -722,6 +724,30 @@ class TestSubspaceBasis:
         b2 = SubspaceBasis(4, 2, np.eye(4)[:, :2])
         with pytest.raises(InvalidArgumentError):
             ConeFamily(4, (b1, b2))
+
+
+    @pytest.mark.parametrize("n, k, error", [(4.0, 2, InvalidDimensionError), (4, 2.0, InvalidArgumentError),
+                                             (True, 1, InvalidDimensionError), (4, True, InvalidArgumentError)])
+    def test_basis_sizes_must_be_integers(self, n, k, error):
+        with pytest.raises(error, match="must be an integer"):
+            SubspaceBasis(n, k, np.eye(4)[:, :2])
+
+
+@pytest.mark.parametrize(
+    "build, needle",
+    [
+        (lambda: SubspaceBasis(3, 2, np.zeros((3, 3))), r"columns must have shape \(3, 2\), got \(3, 3\)"),
+        (lambda: SubspaceBasis(2, 3, np.zeros((2, 3))), "need 1 <= k <= n, got k=3, n=2"),
+        (lambda: ConeFamily(3, (SubspaceBasis(3, 1, np.eye(3)[:, :1]), SubspaceBasis(2, 1, np.eye(2)[:, :1]))),
+         r"mixed ambient dimensions \[2, 3\]"),
+        (lambda: HypercubeFunction(3, np.zeros(7)), r"need exactly 2\^3 = 8 values, got shape \(7,\)"),
+        (lambda: shifted_oracle(l2_ball_oracle(3), np.zeros(2)), r"shift must have shape \(3,\), got \(2,\)"),
+    ],
+    ids=["basis-shape", "basis-rank", "family-dims", "hypercube-values", "oracle-shift"],
+)
+def test_inconsistent_shapes_are_named(build, needle):
+    with pytest.raises(InvalidArgumentError, match=needle):
+        build()
 
 
 class TestSpikedConstructions:

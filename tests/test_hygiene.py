@@ -88,3 +88,39 @@ def test_every_module_level_import_is_used(path):
         if name not in used
     ]
     assert unused == []
+
+
+def tracer_patches():
+    """The (module, name) pairs perfbench/tracing.py patches on the package's
+    modules, read from its patch_all(owners, "name", ...) and
+    handle.patch(module, "name", ...) calls; a name given by a variable is
+    not read."""
+    tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    patched = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+            continue
+        func, owners = node.func, node.args[0]
+        if isinstance(func, ast.Name) and func.id == "patch_all":
+            owners = owners.elts
+        elif isinstance(func, ast.Attribute) and func.attr == "patch" and getattr(func.value, "id", None) == "handle":
+            owners = [owners]
+        else:
+            continue
+        patched |= {(owner.id, node.args[1].value) for owner in owners if isinstance(owner, ast.Name)}
+    return patched
+
+
+def test_every_unused_import_is_one_the_tracer_patches():
+    # an import marked "# noqa: F401" outside __init__.py stays only as a
+    # name the benchmark's tracer wraps on that module
+    marked = [
+        (path.stem, alias.asname or alias.name)
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for lines, tree in [parsed(path)]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" in lines[node.end_lineno - 1]
+        for alias in node.names
+    ]
+    assert marked and sorted(set(marked) - tracer_patches()) == []

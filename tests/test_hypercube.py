@@ -397,6 +397,16 @@ class TestProj2Norm:
     def test_coefficients_past_the_float_range_give_a_non_finite_norm(self):
         assert not math.isfinite(proj2_norm(hf(10, np.full(1 << 10, 1.7e308))))
 
+    def test_each_row_of_a_stack_is_rescued_on_its_own(self):
+        # an ordinary row keeps the plain bits, a row whose squares overflow
+        # is taken scaled, and a row whose coefficient overflows to +inf
+        # keeps the plain inf, whatever rows share its stack
+        ordinary = np.array([0.5, -1.25, 2.0, 0.75])
+        stack = np.stack([ordinary, 1e200 * chi(2, 0b11).values, [1.7e308, 0.0, 0.0, 1.7e308]])
+        plain = float(np.sqrt(np.sum(hypercube._proj2_coefficients(ordinary[None]) ** 2)))
+        assert hypercube._proj2_norms(stack).tolist() == [plain, 1e200, math.inf]
+        assert [proj2_norm(hf(2, row)) for row in stack] == [plain, 1e200, math.inf]
+
 
 class TestMomentIdentities:
     def test_small_case_explicit(self):

@@ -9,7 +9,8 @@ size first, so lazy imports and first-call setup stay out of the peak.
 
 import numpy as np
 
-from psdbounds import cli, hypercube, widths
+from psdbounds import cli, cones, hypercube, widths
+from psdbounds.linalg import gaussian_sym_batch
 
 from conftest import peak_traced_bytes
 
@@ -31,11 +32,21 @@ def test_pooled_matrix_estimate_holds_one_value_array(monkeypatch):
 
 
 def test_greedy_sparse_dual_chunks_stay_small():
-    # each lockstep chunk screens at most about widths._GREEDY_STEP_ROWS
+    # each lockstep chunk screens at most about cones._GREEDY_STEP_ROWS
     # candidate rows a step: about 1.0 MiB at its 4,096, 7.8 MiB at 32,768
     run = lambda trials: widths.width_dual_base_sparse(20, 4, trials, 3, "greedy", keep_values=False)
     run(2)
     assert peak_traced_bytes(lambda: run(64)) <= 2 * MiB
+
+
+def test_greedy_search_on_a_long_stack_runs_in_small_groups():
+    # one call runs its ascents in lockstep groups of cones.greedy_group(20, 4)
+    # = 3 matrices, so the working set does not grow with the stack: about
+    # 1 MiB for 640 matrices, against 204 MiB with all 640 in lockstep
+    search = lambda stack: cones.k_sparse_largest_eigenvalue(stack, 4, "greedy")
+    search(gaussian_sym_batch(20, 3, 0, 3))
+    stack = gaussian_sym_batch(20, 3, 0, 640)
+    assert peak_traced_bytes(lambda: search(stack)) <= 2 * MiB
 
 
 def test_maximal_lemma_holds_one_value_array(capsys):

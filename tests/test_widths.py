@@ -766,11 +766,26 @@ class TestStackForm:
         n, k = shape
         a = min(window[0], trials - 1)
         b = min(max(window[1], a + 1), trials)
-        with mock.patch.object(widths, "_GREEDY_STEP_ROWS", step_rows):
+        with mock.patch.object(cones, "_GREEDY_STEP_ROWS", step_rows):
             run = width_dual_base_sparse(n, k, trials, seed, "greedy").per_trial_values
         drawn = gaussian_sym_batch(n, seed, a, b)
         alone = [k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(G), k, "greedy") for G in drawn]
         assert bits(run[a:b]) == bits(k_sparse_largest_eigenvalue(drawn, k, "greedy")) == bits(alone)
+
+    @pytest.mark.parametrize("step_rows, group", [(1, 1), (4096, 3), (20 * 21 * 4 * 16, 20)])
+    def test_greedy_groups_change_no_bit_and_no_eigensolve(self, step_rows, group, monkeypatch):
+        # one call on 20 matrices runs its ascents in lockstep groups of
+        # cones.greedy_group(20, 4) matrices; every group size gives each
+        # matrix its own call's bits and solves the same 9,289 blocks
+        stack = gaussian_sym_batch(20, 1, 0, 20)
+        alone = [k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(G), 4, "greedy") for G in stack]
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+        monkeypatch.setattr(cones, "_GREEDY_STEP_ROWS", step_rows)
+        assert cones.greedy_group(20, 4) == group
+        assert bits(k_sparse_largest_eigenvalue(stack, 4, "greedy")) == bits(alone)
+        assert sum(solved) == 9289
 
 
 class TestGreedyRestartCache:
@@ -1729,6 +1744,18 @@ class TestConcentration:
         assert result.estimate.mean.hex() == "0x1.1050f337f7b9dp+1"
         assert result.estimate.std_error.hex() == "0x1.1c60949a7e24ep-9"
         assert (result.estimate.trials, result.estimate.seed) == (100_000, 7)
+
+    def test_values_outside_the_plain_gate_take_the_mean_of_from_values(self):
+        # radius 2^600 puts every value past 2^500 / sqrt(T), so the mean the
+        # frequency compares against comes from WidthEstimate.from_values
+        ball = l2_ball_oracle(3, 2.0**600)
+        result = concentration_check(ball, 0.3, 2000, seed=4)
+        values = width_via_oracle(ball, 2000, 4).per_trial_values
+        assert not widths._plain_moments(values)
+        estimate = width_via_oracle(ball, 2000, 4, keep_values=False)
+        assert bits([result.estimate.mean, result.estimate.std_error]) == bits([estimate.mean, estimate.std_error])
+        outside = (values > 1.3 * estimate.mean) | (values < 0.7 * estimate.mean)
+        assert 0.0 < result.empirical == float(outside.mean())
 
     def test_alpha_validation(self):
         with pytest.raises(InvalidArgumentError):
