@@ -253,15 +253,6 @@ def proj2_norm(f: HypercubeFunction) -> float:
     return float(_proj2_norms(f.values[None])[0])
 
 
-def _proj2_coefficients(values: np.ndarray) -> np.ndarray:
-    """The degree-2 Fourier coefficients of each row of a (T, 2^n) stack."""
-    size = values.shape[-1]
-    pairs = np.flatnonzero(_degrees(size.bit_length() - 1) == 2)
-    # np.take keeps the rows C-contiguous; a boolean-mask gather along the
-    # last axis returns a transposed layout, whose row sums round differently
-    return np.take(_wht(values) / size, pairs, axis=-1)
-
-
 def _root_sum_squares(coeffs: np.ndarray) -> np.ndarray:
     return np.sqrt((coeffs**2).sum(axis=-1))
 
@@ -273,8 +264,12 @@ def _proj2_norms(values: np.ndarray) -> np.ndarray:
     linalg._frobenius_parts, so a representable norm is finite; every
     finite plain norm keeps its bits.  Coefficients past the float range
     give the plain (inf or NaN) norm."""
+    size = values.shape[-1]
+    pairs = np.flatnonzero(_degrees(size.bit_length() - 1) == 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _proj2_coefficients(values)
+        # np.take keeps the rows C-contiguous; a boolean-mask gather along the
+        # last axis returns a transposed layout, whose row sums round differently
+        coeffs = np.take(_wht(values) / size, pairs, axis=-1)
         norms = _root_sum_squares(coeffs)
         over = ~np.isfinite(norms)
         if over.any():

@@ -45,8 +45,7 @@ def _check_dim(n: int) -> None:
 
 
 def _check_nk(n: int, k: int) -> None:
-    """_check_dim(n), then InvalidArgumentError unless k is an integer with
-    1 <= k <= n."""
+    """_check_dim(n), then InvalidArgumentError unless k is an integer in [1, n]."""
     _check_dim(n)
     if not is_integer(k):
         raise InvalidArgumentError(f"k must be an integer, got {k!r}")
