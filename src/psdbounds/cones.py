@@ -458,9 +458,9 @@ def largest_block_eigenvalue(blocks: np.ndarray) -> np.ndarray:
 
 _GREEDY_STREAM_KEY = 0x6B5053  # fixed internal stream; greedy output is a function of (G, k)
 _GREEDY_RESTARTS = 20
-# Rows a greedy group's first swap step screens, 21 k (n-k) a matrix.  Sparse-search wall_ref_s,
-# median of 4 runs on 2 cores: 0.099 s at 2,048 (one matrix a group at (20, 4)), 0.086 s at 4,096,
-# 0.085 s at 8,192, 0.088 s at 32,768 with peak RSS 44.2 -> 49.0 MB; the least that gains.
+# Rows a greedy group's first swap step screens, 21 k (n-k) a matrix.  Sparse-search wall_ref_s with
+# the Ritz pick, median of 4 interleaved 8 s runs on 2 cores: 0.095 s at 2,048 (one matrix a group at
+# (20, 4)), 0.080 s at 4,096, 0.075 s at 8,192, 0.077 s at 32,768 with peak RSS 44.1 -> 48.6 MB.
 _GREEDY_STEP_ROWS = 4096
 
 
@@ -557,8 +557,9 @@ def _grown_support(stack: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return support, value
 
 
-def _swap_neighbourhoods(supports: np.ndarray, n: int) -> np.ndarray:
-    """Every single swap of each row of supports, as an (A, k*(n-k), k) array.
+def _swap_neighbourhoods(supports: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every single swap of each row of supports, as an (A, k*(n-k), k)
+    array, and the (A, n-k) outside indices of each row, increasing.
 
     Row r, candidate i*(n-k) + j swaps out the i-th smallest member of
     supports[r] for its j-th smallest outside index; each candidate is sorted.
@@ -572,7 +573,38 @@ def _swap_neighbourhoods(supports: np.ndarray, n: int) -> np.ndarray:
     cands[..., :-1] = kept[:, :, None, :]
     cands[..., -1] = outside[:, None, :]
     cands.sort(axis=-1)
-    return cands.reshape(count, k * (n - k), k)
+    return cands.reshape(count, k * (n - k), k), outside
+
+
+def _ritz_picks(stack: np.ndarray, supports: np.ndarray, outside: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """For each sorted row S of supports, on matrix G = stack[on], the swap
+    of _swap_neighbourhoods with the largest 2-D Rayleigh-Ritz value.
+
+    With (lam, v) the top eigenpair of G_SS, the swap of member i = S[p]
+    for o is valued on span{u, e_o}, u = (v - v_p e_i) / sqrt(1 - v_p^2):
+    the larger eigenvalue of [[alpha, beta], [beta, gamma]] with
+    alpha = (lam - 2 lam v_p^2 + v_p^2 G_ii) / (1 - v_p^2),
+    beta = (G_oS v - v_p G_oi) / sqrt(1 - v_p^2) and gamma = G_oo.
+    In exact arithmetic it bounds the swap's lambda_1 from below; it is a
+    guess only, as any pick gives the same bits.  A NaN value, from
+    v_p^2 = 1 or an overflow, counts as -inf, and if eigh fails every pick
+    is swap 0.
+    """
+    try:
+        lam, vecs = np.linalg.eigh(principal_submatrices(stack, supports, on))
+    except np.linalg.LinAlgError:
+        return np.zeros(len(supports), dtype=np.intp)
+    lam, v = lam[:, -1, None], vecs[..., -1]
+    cross = stack[on[:, None, None], supports[:, :, None], outside[:, None, :]]  # G_io, (A, k, n-k)
+    with np.errstate(all="ignore"):
+        sq = v * v
+        alpha = ((lam - 2.0 * lam * sq + sq * stack[on[:, None], supports, supports]) / (1.0 - sq))[:, :, None]
+        beta = ((v[:, None, :] @ cross) - v[:, :, None] * cross) / np.sqrt(1.0 - sq)[:, :, None]
+        gamma = stack[on[:, None], outside, outside][:, None, :]
+        ritz = (alpha + gamma) / 2.0 + np.hypot((alpha - gamma) / 2.0, beta)
+    ritz = ritz.reshape(len(supports), -1)
+    ritz[np.isnan(ritz)] = -math.inf
+    return ritz.argmax(axis=1)
 
 
 def _swap_ascents(stack: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -586,20 +618,22 @@ def _swap_ascents(stack: np.ndarray, starts: np.ndarray) -> np.ndarray:
     earlier ascent on its matrix already held stops, and at the end takes
     the value of the ascent it joined.
 
-    Each step makes one pick solve, one screen and one eigvalsh call for
-    every active ascent.  It solves each ascent's swap of largest trace,
+    Each step makes one eigh call on the active supports, one pick solve,
+    one screen and one eigvalsh call for every active ascent.  It solves
+    each ascent's swap of largest 2-D Rayleigh-Ritz value (_ritz_picks),
     the pick, then screens every candidate on -stack at c = max(bar, the
     pick's value), at its own matrix's max|G|.  A candidate the screen
     clears has a computed lambda_1 below c, so it can neither trigger a
     move nor be the first maximum when one happens; it counts as -inf.
     eigvalsh solves every rejected candidate but the picks, each matrix of
-    a stack on its own, so neither lockstep, merge nor screen changes a
-    value or tie-break.  For width_dual_base_sparse(20, 4, 20, 1, "greedy")
-    they cut the blocks sent to eigvalsh from 105,884 to 9,289.
+    a stack on its own, so neither lockstep, merge, screen nor pick changes
+    a value or tie-break.  For width_dual_base_sparse(20, 4, 20, 1,
+    "greedy") they cut the blocks sent to eigvalsh from 105,884 to 3,060
+    (19,791 with the screen at c = bar, 9,289 with a pick of largest
+    trace), and eigh solves 1,068 supports.
     """
     count, width, k = starts.shape
     supports = np.sort(starts.reshape(-1, k).astype(np.intp), axis=1)  # ascent a runs on matrix a // width
-    diag = stack.diagonal(axis1=1, axis2=2)
     negated = -stack
     holder = np.arange(len(supports))  # the ascent each one joined; itself while it runs
     first_held = {}
@@ -619,11 +653,9 @@ def _swap_ascents(stack: np.ndarray, starts: np.ndarray) -> np.ndarray:
     best = np.zeros(len(supports))
     best[active] = _lambda1_batch(stack, supports[active], active // width)
     while active.size:
-        cands = _swap_neighbourhoods(supports[active], stack.shape[-1])
+        cands, outside = _swap_neighbourhoods(supports[active], stack.shape[-1])
         rows, swaps, on = np.arange(len(cands)), cands.shape[1], active // width
-        # a trace may overflow, and any pick gives the same bits
-        with np.errstate(over="ignore", invalid="ignore"):
-            picks = diag[on[:, None, None], cands].sum(axis=2).argmax(axis=1)
+        picks = _ritz_picks(stack, supports[active], outside, on)
         pick_vals = _lambda1_batch(stack, cands[rows, picks], on)
         bar = best[active] + 1e-12
         lanes = on.repeat(swaps)

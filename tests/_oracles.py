@@ -286,6 +286,31 @@ def reference_swap_ascent(dense: np.ndarray, support) -> float:
     return reference_swap_path(dense, support)[-1][1]
 
 
+def reference_swap_ritz_values(dense: np.ndarray, support) -> np.ndarray:
+    """The 2-D Rayleigh-Ritz value of every single swap of a support, in the
+    order of reference_swap_path's candidates: the largest eigenvalue of
+    dense compressed to span{u, e_j}, u the support's top eigenvector with
+    the leaving member's entry zeroed and rescaled to unit length; -inf
+    where that entry is the whole vector."""
+    n = dense.shape[0]
+    support = sorted(support)
+    vec = np.linalg.eigh(dense[np.ix_(support, support)])[1][:, -1]
+    values = []
+    for p in range(len(support)):
+        u = np.zeros(n)
+        u[support] = vec
+        u[support[p]] = 0.0
+        norm = float(np.linalg.norm(u))
+        for j in (j for j in range(n) if j not in support):
+            if norm == 0.0:
+                values.append(-math.inf)
+                continue
+            basis = np.zeros((n, 2))
+            basis[:, 0], basis[j, 1] = u / norm, 1.0
+            values.append(float(np.linalg.eigvalsh(basis.T @ dense @ basis)[-1]))
+    return np.array(values)
+
+
 def reference_greedy_k_sparse(dense: np.ndarray, k: int) -> float:
     """The greedy k-sparse search one ascent at a time: grow from the best
     diagonal entry, then swap ascent from that support and from 20 random

@@ -61,13 +61,15 @@ def test_thread_count_is_readable():
 
 
 def test_tracer_counts_sparse_search_eigensolves(tracing, monkeypatch):
-    # every gathered subset must reach the traced eigvalsh; a refactor that
-    # binds eigvalsh locally would hide this work from the benchmark
-    gathered = []
-    gather = cones.principal_submatrices
+    # every gathered subset must reach the traced eigvalsh but the supports
+    # the swap pick sends to eigh, which the tracer does not see; a refactor
+    # that binds eigvalsh locally would hide this work from the benchmark
+    gathered, picked = [], []
+    gather, eigh = cones.principal_submatrices, np.linalg.eigh
     monkeypatch.setattr(
         cones, "principal_submatrices", lambda d, idx, *mats: gathered.append(len(idx)) or gather(d, idx, *mats)
     )
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *rest: picked.append(len(a)) or eigh(a, *rest))
     tracer = tracing.Tracer()
     handle = tracing.install(tracer)
     try:
@@ -79,8 +81,11 @@ def test_tracer_counts_sparse_search_eigensolves(tracing, monkeypatch):
         handle.remove()
     metrics = tracer.collect()
     # every solved block, the distinct ascent starts included, passes through the
-    # gather; the member call's gathers follow the greedy call's
-    assert metrics["widths.k_sparse.greedy.eig_subsets"] == greedy
+    # gather; the member call's gathers follow the greedy call's, and only the
+    # greedy call's swap steps solve supports with eigh
+    assert picked
+    assert metrics["widths.k_sparse.greedy.eig_subsets"] == greedy - sum(picked)
+    assert metrics["lapack.eigvalsh.matrices"] == sum(gathered) - sum(picked)
     assert metrics["cones.member.eig_subsets"] == sum(gathered) - greedy == 64
 
 

@@ -954,6 +954,8 @@ class TestErrorContract:
               "--seed", "18446744073709551616"], "seed must be a 64-bit unsigned integer"),
             (["hypercube", "verify", "--lemma", "variance", "--n", "15"],
              "per-trial enumeration supports n <= 14, got 15"),
+            (["widths", "estimate", "--kind", "general-dual", "--trials", "5"],
+             "general-dual needs --family"),
         ],
         ids=["missing-n", "non-numeric-param", "bad-grid", "grid-not-a-number",
              "grid-steps-not-an-integer", "parser-error", "variance-trials",
@@ -966,7 +968,7 @@ class TestErrorContract:
              "axes-not-a-number", "base-psd-key", "sparse-dual-key", "general-dual-key",
              "l2-ball-key", "l1-ball-key", "ellipsoid-key", "witness-key", "harmonic-key",
              "moments-key", "hypercontractivity-key", "ellipsoid-no-axes", "seed-past-64-bits",
-             "variance-n-cap"],
+             "variance-n-cap", "general-dual-no-family"],
     )
     def test_usage_error_is_one_json_line(self, argv, needle, capsys):
         code, out, err = run_cli(argv, capsys)

@@ -179,6 +179,19 @@ class TestEigenvalues:
         assert M.fingerprint() in str(err.value)
         assert err.value.fingerprint == M.fingerprint()
 
+    def test_lapack_failure_carries_fingerprint(self, monkeypatch):
+        # a finite matrix LAPACK gives up on: the LinAlgError becomes the package's error
+        def failing(a, *rest):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        M = diag(1.0, 2.0)
+        with pytest.raises(NumericalFailureError, match="eigensolver failed on a 2x2 matrix") as err:
+            eigenvalues_descending(M)
+        assert "did not converge" in str(err.value)
+        assert err.value.fingerprint == M.fingerprint()
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
 
 def submatrix(M, indices):
     """M's principal submatrix on indices, through the package's one gather."""

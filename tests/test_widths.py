@@ -58,6 +58,7 @@ from _oracles import (
     reference_max_lambda1_subsets,
     reference_swap_ascent,
     reference_swap_path,
+    reference_swap_ritz_values,
 )
 
 
@@ -306,23 +307,29 @@ class TestGreedyAgainstReference:
         greedy(dense, k)
         # the first three gathers grow the start support to 2, 3 and 4
         # members, the fourth solves the distinct ascent starts; then each
-        # step gathers its picks, screens every swap candidate and gathers
-        # the candidates the screen did not clear, but for the picks
+        # step gathers its supports for eigh and its picks, screens every
+        # swap candidate and gathers the candidates the screen did not
+        # clear, but for the picks
         assert [kind for kind, *_ in events[:4]] == ["gather"] * 4
         assert [len(idx) for _, idx in events[:3]] == [11, 10, 9]
         steps = events[4:]
-        assert len(steps) % 3 == 0 and len(steps) > 3
+        assert len(steps) % 4 == 0 and len(steps) > 4
         lambda1 = lambda idx: np.linalg.eigvalsh(gather(dense, idx))[:, -1]
         below_bar = above_bar = 0
-        for (g1, picks), (s, cands, c, cleared), (g2, rest) in zip(*[iter(steps)] * 3):
-            assert (g1, s, g2) == ("gather", "screen", "gather")
+        for (g0, held), (g1, picks), (s, cands, c, cleared), (g2, rest) in zip(*[iter(steps)] * 4):
+            assert (g0, g1, s, g2) == ("gather", "gather", "screen", "gather")
             count = len(picks)
             cands = cands.reshape(count, k * (n - k), k)
             rows = np.arange(count)
-            first = np.diag(dense)[cands].sum(axis=2).argmax(axis=1)
-            assert np.array_equal(picks, cands[rows, first])
             # members of an ascent's support lie in (k-1)(n-k) of its swaps, others in k
             supports = np.array([np.flatnonzero(np.bincount(row.ravel(), minlength=n) > k) for row in cands])
+            assert np.array_equal(held, supports)
+            first = (cands == picks[:, None, :]).all(axis=2).argmax(axis=1)
+            assert np.array_equal(picks, cands[rows, first])
+            # each pick holds its ascent's largest Ritz value, up to rounding
+            ritz = np.array([reference_swap_ritz_values(dense, support) for support in supports.tolist()])
+            top = ritz.max(axis=1)
+            assert (ritz[rows, first] >= top - 1e-12 * (1.0 + abs(top))).all()
             bar, pick_vals = lambda1(supports) + 1e-12, lambda1(picks)
             assert bits(c) == bits(np.maximum(bar, pick_vals).repeat(k * (n - k)))
             below_bar += int((pick_vals < bar).sum())
@@ -352,8 +359,9 @@ class TestGreedyAgainstReference:
         assert sum(screened) == len(path) * k * (n - k)
 
     def test_swap_traces_past_the_largest_float_pick_without_a_warning(self):
-        # four diagonal entries near 1.7e308 sum to inf, but every block's
-        # lambda_1 is finite; the suite turns the overflow warning into an error
+        # diagonal entries near 1.7e308 overflow the swap picks' Ritz values,
+        # but every block's lambda_1 is finite; the suite turns the overflow
+        # warning into an error
         rng = np.random.default_rng(0)
         dense = np.diag(rng.uniform(0.5, 1.0, 12)) * 1.7e308
         dense += tie_heavy_or_gaussian("gaussian", 12, 0) * 1e306
@@ -382,6 +390,73 @@ class TestGreedyAgainstReference:
         monkeypatch.setattr(cones, "screen_clears", lambda *args: np.zeros(len(args[1]), dtype=bool))
         assert greedy(dense, 4) == screened_value
         assert screened < sum(gathered) / 2
+
+
+def first_swap(stack, supports, *rest):
+    """A cones._ritz_picks that picks swap 0 of every ascent."""
+    return np.zeros(len(supports), dtype=np.intp)
+
+
+class TestRitzPick:
+    """Each swap step solves first the swap of largest 2-D Rayleigh-Ritz
+    value; whichever swap it picks, no value or tie-break moves."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        shape=st.integers(3, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n - 1))),
+        kind=st.sampled_from(["gaussian", "integer", "signed graph", "blocks"]),
+        scale=st.sampled_from([1e-300, 1.0, 1e300]),
+        negative=st.booleans(),
+        isolated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shape=(9, 4), kind="gaussian", scale=1e300, negative=True, isolated=True, seed=0)
+    @example(shape=(12, 5), kind="signed graph", scale=1.0, negative=False, isolated=False, seed=203)
+    def test_the_pick_changes_no_bit(self, shape, kind, scale, negative, isolated, seed):
+        # the Ritz pick, every pick forced to swap 0 and the reference agree.
+        # negative shifts each matrix below 0, so at scales 1 and 1e300 every
+        # bar is negative; isolated makes coordinate 0 an eigenvector with
+        # the largest eigenvalue, so supports holding it have a unit-coordinate
+        # top eigenvector and NaN Ritz values, which must raise no warning
+        n, k = shape
+        stack = np.array([tie_heavy_or_gaussian(kind, n, seed + t) for t in range(3)])
+        if isolated:
+            stack[:, 0, 1:] = stack[:, 1:, 0] = 0.0
+            stack[:, 0, 0] = 4.0 * n
+        if negative:
+            stack -= (np.abs(stack).sum(axis=2).max(axis=1) + 1.0)[:, None, None] * np.eye(n)
+        stack *= scale
+        got = k_sparse_largest_eigenvalue(stack, k, "greedy")
+        with mock.patch.object(cones, "_ritz_picks", first_swap):
+            forced = k_sparse_largest_eigenvalue(stack, k, "greedy")
+        assert bits(got) == bits(forced) == bits([reference_greedy_k_sparse(G, k) for G in stack])
+
+    def test_a_unit_coordinate_top_eigenvector_still_picks_a_swap(self):
+        # coordinate 0 is an eigenvector of eigenvalue 100: swapping it out
+        # leaves no Ritz vector (1 - v_0^2 = 0), and every other swap keeps
+        # the value 100, so the pick is the first swap of the second member
+        n, k = 9, 4
+        dense = tie_heavy_or_gaussian("gaussian", n, 4)
+        dense[0, 1:] = dense[1:, 0] = 0.0
+        dense[0, 0] = 100.0
+        supports = np.array([[0, 2, 5, 7]])
+        assert abs(np.linalg.eigh(dense[np.ix_(supports[0], supports[0])])[1][0, -1]) == 1.0
+        _, outside = cones._swap_neighbourhoods(supports, n)
+        assert cones._ritz_picks(dense[None], supports, outside, np.zeros(1, dtype=np.intp)).tolist() == [n - k]
+        assert bits(swap_ascents(dense, supports)) == bits([reference_swap_ascent(dense, supports[0])])
+
+    def test_an_eigh_failure_picks_swap_0(self, monkeypatch):
+        dense = tie_heavy_or_gaussian("gaussian", 12, 7)
+        expected = greedy(dense, 4)
+
+        def failing(a, *rest):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        supports = np.array([[0, 1, 2, 3], [4, 5, 6, 7]])
+        _, outside = cones._swap_neighbourhoods(supports, 12)
+        assert cones._ritz_picks(dense[None], supports, outside, np.zeros(2, dtype=np.intp)).tolist() == [0, 0]
+        assert bits(greedy(dense, 4)) == bits(expected)
 
 
 def exhaustive_case(kind, n, seed):
@@ -776,7 +851,7 @@ class TestStackForm:
     def test_greedy_groups_change_no_bit_and_no_eigensolve(self, step_rows, group, monkeypatch):
         # one call on 20 matrices runs its ascents in lockstep groups of
         # cones.greedy_group(20, 4) matrices; every group size gives each
-        # matrix its own call's bits and solves the same 9,289 blocks
+        # matrix its own call's bits and solves the same 3,060 blocks
         stack = gaussian_sym_batch(20, 1, 0, 20)
         alone = [k_sparse_largest_eigenvalue(SymmetricMatrix.from_dense(G), 4, "greedy") for G in stack]
         solved = []
@@ -785,7 +860,7 @@ class TestStackForm:
         monkeypatch.setattr(cones, "_GREEDY_STEP_ROWS", step_rows)
         assert cones.greedy_group(20, 4) == group
         assert bits(k_sparse_largest_eigenvalue(stack, 4, "greedy")) == bits(alone)
-        assert sum(solved) == 9289
+        assert sum(solved) == 3060
 
 
 class TestGreedyRestartCache:
