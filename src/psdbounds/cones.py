@@ -629,8 +629,8 @@ def _swap_ascents(stack: np.ndarray, starts: np.ndarray) -> np.ndarray:
     a stack on its own, so neither lockstep, merge, screen nor pick changes
     a value or tie-break.  For width_dual_base_sparse(20, 4, 20, 1,
     "greedy") they cut the blocks sent to eigvalsh from 105,884 to 3,060
-    (19,791 with the screen at c = bar, 9,289 with a pick of largest
-    trace), and eigh solves 1,068 supports.
+    (19,791 with the screen alone at c = bar), and eigh solves 1,068
+    supports.
     """
     count, width, k = starts.shape
     supports = np.sort(starts.reshape(-1, k).astype(np.intp), axis=1)  # ascent a runs on matrix a // width
@@ -653,9 +653,10 @@ def _swap_ascents(stack: np.ndarray, starts: np.ndarray) -> np.ndarray:
     best = np.zeros(len(supports))
     best[active] = _lambda1_batch(stack, supports[active], active // width)
     while active.size:
-        cands, outside = _swap_neighbourhoods(supports[active], stack.shape[-1])
+        held = supports[active]
+        cands, outside = _swap_neighbourhoods(held, stack.shape[-1])
         rows, swaps, on = np.arange(len(cands)), cands.shape[1], active // width
-        picks = _ritz_picks(stack, supports[active], outside, on)
+        picks = _ritz_picks(stack, held, outside, on)
         pick_vals = _lambda1_batch(stack, cands[rows, picks], on)
         bar = best[active] + 1e-12
         lanes = on.repeat(swaps)
